@@ -2,7 +2,8 @@
 # Tier-1 verification: full build + test suite, the concurrency suites
 # (thread pool, event queue, metrics shards) again under ThreadSanitizer,
 # the obs/metrics suites under UBSan, the wire fuzz corpus under ASan,
-# and a bench-artifact run validated against scripts/bench_schema.json.
+# a bench-artifact run validated against scripts/bench_schema.json, and
+# the repository benchmark's smoke test.
 #
 #   scripts/tier1.sh [jobs]
 set -euo pipefail
@@ -45,6 +46,12 @@ DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
 DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
   ./build/bench/bench_sr_trade >/dev/null
 python3 scripts/validate_bench_json.py "${ARTIFACT_DIR}"/BENCH_*.json
+
+echo "==> tier-1: repository benchmark smoke test (.bench_build/) -- Abilene scale"
+# Builds perfbench on first use, then runs every workload for 2 s,
+# untraced and traced; fails on a nonzero error rate or a metric
+# missing from BENCHMARK.json.
+python3 perfbench/tests/smoke_test.py
 
 echo "==> tier-1: perf regression (warn-only) -- fig13 cold medians vs baseline"
 DSDN_BENCH_JSON="${ARTIFACT_DIR}" ./build/bench/bench_fig13_cores >/dev/null
@@ -93,9 +100,13 @@ echo "==> tier-1: ASan dataplane -- batched pipeline + sublabel bounds"
 cmake --build build-asan -j "${JOBS}" --target test_batch_pipeline test_sublabel
 (cd build-asan && ctest --output-on-failure -R '^(test_batch_pipeline|test_sublabel)$')
 
-echo "==> tier-1: ASan differential check -- incremental TE + batch solver parity"
-cmake --build build-asan -j "${JOBS}" --target test_incremental test_batch_solver
-(cd build-asan && ctest --output-on-failure -R '^(test_incremental|test_batch_solver)$')
+echo "==> tier-1: ASan differential check -- incremental TE, batch + SR solver parity"
+# test_segment_routing: the SR solver's per-solve memos hand out
+# references into hash-map nodes; ASan catches a dangling one.
+cmake --build build-asan -j "${JOBS}" --target test_incremental \
+  test_batch_solver test_segment_routing
+(cd build-asan && ctest --output-on-failure \
+  -R '^(test_incremental|test_batch_solver|test_segment_routing)$')
 
 echo "==> tier-1: scenario seed swarm (build/) -- 32 seeds, invariants each event"
 # Bounded ~60 s: 28 Abilene histories (24 events each, lossy flooding)
@@ -106,12 +117,12 @@ cmake --build build -j "${JOBS}" --target scenario_swarm
 ./build/tests/scenario_swarm --topo b4 --seeds 2
 ./build/tests/scenario_swarm --topo b2small --seeds 2
 
-echo "==> tier-1: mixed SR/strict fleet swarm (build/) -- 25 seeds, invariants each event"
+echo "==> tier-1: mixed SR/strict fleet swarm (build/) -- 29 seeds, invariants each event"
 # Deterministic mixed fleet (SR majority + strict TE + shortest-path
 # members): every event re-checks loop-freedom, delivery, conservation,
 # and per-view placement agreement with segment stacks in play.
 ./build/tests/scenario_swarm --topo abilene --seeds 23 --sr
-./build/tests/scenario_swarm --topo b4 --seeds 2 --sr
+./build/tests/scenario_swarm --topo b4 --seeds 6 --sr
 
 echo "==> tier-1: hierarchical plane swarm (build/) -- cuts, SRLGs, crash/rebalance"
 # Full checker battery (solution parity on): per-plane invariants plus

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <queue>
+#include <unordered_map>
+
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace dsdn::te {
 
@@ -181,22 +185,55 @@ std::vector<SegPath> enumerate_segment_paths(const topo::Topology& topo,
   return paths;
 }
 
-}  // namespace
+std::uint64_t node_pair_key(topo::NodeId a, topo::NodeId b) {
+  return (static_cast<std::uint64_t>(a) << 32) | b;
+}
 
-std::vector<WeightedPath> expand_segment_route(
-    const topo::Topology& topo, const SrUnderlay& underlay, topo::NodeId src,
-    const std::vector<topo::NodeId>& segments, const SrOptions& opts) {
+// Expands segment routes over one view. Each (at, target) leg's ECMP
+// enumeration is a pure function of the view, so it is computed on first
+// use and interned for the expander's lifetime: every route sharing a
+// leg reads the same enumeration. The solver keeps one expander per
+// solve; expand_segment_route uses a throwaway one.
+class SegmentExpander {
+ public:
+  SegmentExpander(const topo::Topology& topo, const SrUnderlay& underlay,
+                  const SrOptions& opts)
+      : topo_(topo), underlay_(underlay), opts_(opts) {}
+
+  std::vector<WeightedPath> expand(topo::NodeId src,
+                                   const std::vector<topo::NodeId>& segments);
+
+  std::size_t legs_enumerated() const { return legs_.size(); }
+
+ private:
+  // Node-based map: the returned reference stays valid across inserts.
+  const std::vector<SegPath>& leg(topo::NodeId at, topo::NodeId target) {
+    const auto [it, inserted] = legs_.try_emplace(node_pair_key(at, target));
+    if (inserted) {
+      it->second = enumerate_segment_paths(topo_, underlay_, at, target,
+                                           opts_.max_paths_per_segment);
+    }
+    return it->second;
+  }
+
+  const topo::Topology& topo_;
+  const SrUnderlay& underlay_;
+  const SrOptions& opts_;
+  std::unordered_map<std::uint64_t, std::vector<SegPath>> legs_;
+};
+
+std::vector<WeightedPath> SegmentExpander::expand(
+    topo::NodeId src, const std::vector<topo::NodeId>& segments) {
   // Per-segment enumeration, then a capped cross-product concatenation.
   std::vector<SegPath> combos = {{{}, 1.0}};
   topo::NodeId at = src;
   for (topo::NodeId target : segments) {
-    const std::vector<SegPath> seg_paths = enumerate_segment_paths(
-        topo, underlay, at, target, opts.max_paths_per_segment);
+    const std::vector<SegPath>& seg_paths = leg(at, target);
     if (seg_paths.empty()) return {};
     std::vector<SegPath> next;
     for (const SegPath& c : combos) {
       for (const SegPath& sp : seg_paths) {
-        if (next.size() >= opts.max_expansions_per_route) break;
+        if (next.size() >= opts_.max_expansions_per_route) break;
         SegPath joined;
         joined.links = c.links;
         joined.links.insert(joined.links.end(), sp.links.begin(),
@@ -204,7 +241,7 @@ std::vector<WeightedPath> expand_segment_route(
         joined.frac = c.frac * sp.frac;
         next.push_back(std::move(joined));
       }
-      if (next.size() >= opts.max_expansions_per_route) break;
+      if (next.size() >= opts_.max_expansions_per_route) break;
     }
     combos = std::move(next);
     at = target;
@@ -218,7 +255,7 @@ std::vector<WeightedPath> expand_segment_route(
     bool loop_free = true;
     std::vector<topo::NodeId> seen = {src};
     for (topo::LinkId lid : c.links) {
-      const topo::NodeId nxt = topo.link(lid).dst;
+      const topo::NodeId nxt = topo_.link(lid).dst;
       if (std::find(seen.begin(), seen.end(), nxt) != seen.end()) {
         loop_free = false;
         break;
@@ -238,9 +275,27 @@ std::vector<WeightedPath> expand_segment_route(
   return out;
 }
 
+}  // namespace
+
+std::vector<WeightedPath> expand_segment_route(
+    const topo::Topology& topo, const SrUnderlay& underlay, topo::NodeId src,
+    const std::vector<topo::NodeId>& segments, const SrOptions& opts) {
+  return SegmentExpander(topo, underlay, opts).expand(src, segments);
+}
+
 Solution SrSolver::solve(const topo::Topology& topo,
                          const traffic::TrafficMatrix& tm,
                          const std::vector<double>* residual_override) const {
+  DSDN_TRACE_SPAN("te.sr.solve");
+  auto& reg = obs::Registry::global();
+  static obs::Counter& m_solves = reg.counter("te.sr.solves");
+  static obs::Counter& m_rounds = reg.counter("te.sr.rounds");
+  static obs::Counter& m_frozen = reg.counter("te.sr.frozen_demands");
+  static obs::Counter& m_legs = reg.counter("te.sr.legs_enumerated");
+  static obs::Counter& m_considered =
+      reg.counter("te.sr.candidates_considered");
+  static obs::Counter& m_expanded = reg.counter("te.sr.candidates_expanded");
+
   const auto& demands = tm.demands();
   Solution sol;
   sol.allocations.resize(demands.size());
@@ -264,19 +319,70 @@ Solution SrSolver::solve(const topo::Topology& topo,
   // charge fraction they imply (sum of the fracs of expansions crossing
   // the link). Granting g Gbps deducts g*frac from each touched link, and
   // the same products become the output weights -- so conservation is
-  // exact by construction.
+  // exact by construction. Both are pure functions of (src, segments), so
+  // one (src, dst) pair's candidate list is shared by its demands in every
+  // priority class, and a candidate is expanded only when the waterfill
+  // first evaluates it.
   struct Candidate {
     std::vector<topo::NodeId> segments;
+    bool expanded = false;
     std::vector<WeightedPath> expansions;       // frac in weight, sums to 1
     std::vector<std::pair<topo::LinkId, double>> link_frac;
-    double mass = 0.0;  // Gbps granted to this candidate
   };
   struct DemandState {
     std::size_t index = 0;
     double rate = 0.0;
     double remaining = 0.0;
     bool active = false;
-    std::vector<Candidate> candidates;
+    std::vector<Candidate>* candidates = nullptr;  // the pair's, cost order
+    std::vector<double> mass;  // Gbps granted, by candidate index
+  };
+
+  SegmentExpander expander(topo, underlay, sr_);
+  // Node-based map: demands hold pointers to the pair lists.
+  std::unordered_map<std::uint64_t, std::vector<Candidate>> pair_candidates;
+  std::size_t rounds = 0, frozen = 0, considered = 0, expanded = 0;
+  // Dense per-link accumulator, all zero between expansions; `touched`
+  // lists the links to read back and reset.
+  std::vector<double> frac(topo.num_links(), 0.0);
+  std::vector<topo::LinkId> touched;
+
+  const auto candidates_of = [&](topo::NodeId src, topo::NodeId dst) {
+    const auto [it, inserted] =
+        pair_candidates.try_emplace(node_pair_key(src, dst));
+    if (inserted) {
+      for (SegmentRoute& route :
+           segment_route_candidates(underlay, src, dst, middlepoints, sr_)) {
+        it->second.emplace_back().segments = std::move(route.segments);
+      }
+      considered += it->second.size();
+    }
+    return &it->second;
+  };
+  // Expands on first use; true when the candidate has a loop-free
+  // expansion (the only ones the waterfill may charge).
+  const auto usable = [&](topo::NodeId src, Candidate& cand) {
+    if (!cand.expanded) {
+      cand.expanded = true;
+      ++expanded;
+      cand.expansions = expander.expand(src, cand.segments);
+      // Same summation order as a dense per-candidate vector: expansions
+      // in order, links in path order. A link may be listed twice if a
+      // weight is 0; the second read finds it reset and skips it.
+      for (const WeightedPath& wp : cand.expansions) {
+        for (topo::LinkId l : wp.path.links) {
+          if (frac[l] == 0.0) touched.push_back(l);
+          frac[l] += wp.weight;
+        }
+      }
+      std::sort(touched.begin(), touched.end());
+      for (topo::LinkId l : touched) {
+        if (frac[l] > 0.0) cand.link_frac.push_back({l, frac[l]});
+        frac[l] = 0.0;
+      }
+      touched.clear();
+    }
+    return !cand.expansions.empty();
   };
 
   for (int cls = 0; cls < metrics::kNumPriorityClasses; ++cls) {
@@ -289,66 +395,65 @@ Solution SrSolver::solve(const topo::Topology& topo,
       st.index = i;
       st.rate = d.rate_gbps;
       st.remaining = d.rate_gbps;
-      const std::vector<SegmentRoute> routes =
-          segment_route_candidates(underlay, d.src, d.dst, middlepoints, sr_);
-      for (const SegmentRoute& route : routes) {
-        Candidate cand;
-        cand.segments = route.segments;
-        cand.expansions =
-            expand_segment_route(topo, underlay, d.src, route.segments, sr_);
-        if (cand.expansions.empty()) continue;
-        std::vector<double> frac(topo.num_links(), 0.0);
-        for (const WeightedPath& wp : cand.expansions) {
-          for (topo::LinkId l : wp.path.links) frac[l] += wp.weight;
+      st.candidates = candidates_of(d.src, d.dst);
+      // Active iff some candidate has a loop-free expansion: expanding in
+      // cost order up to the first one decides it.
+      for (Candidate& cand : *st.candidates) {
+        if (usable(d.src, cand)) {
+          st.active = true;
+          break;
         }
-        for (topo::LinkId l = 0; l < topo.num_links(); ++l) {
-          if (frac[l] > 0.0) cand.link_frac.push_back({l, frac[l]});
-        }
-        st.candidates.push_back(std::move(cand));
       }
-      st.active = !st.candidates.empty();
+      if (!st.active) ++frozen;
       states.push_back(std::move(st));
     }
 
     // Progressive filling, same round discipline as te::Solver.
-    for (std::size_t round = 0; round < options_.max_rounds; ++round) {
+    std::size_t round = 0;
+    for (; round < options_.max_rounds; ++round) {
       double max_remaining = 0.0;
       for (const DemandState& st : states) {
         if (st.active && st.remaining > max_remaining)
           max_remaining = st.remaining;
       }
       if (max_remaining <= options_.epsilon_gbps) break;
+      ++rounds;
       const double quantum = detail::round_quantum(options_, max_remaining);
       bool progressed = false;
       for (DemandState& st : states) {
         if (!st.active) continue;
+        const topo::NodeId src = demands[st.index].src;
         const double sliver =
             detail::sliver_threshold(options_, quantum, st.remaining);
-        Candidate* chosen = nullptr;
+        std::vector<Candidate>& cands = *st.candidates;
+        std::size_t chosen = cands.size();
         double grant = 0.0;
         // First candidate (cost order) able to carry a meaningful sliver
         // of this round's quantum wins -- shortest-first, like the strict
         // solver's preferred-path step.
-        for (Candidate& cand : st.candidates) {
+        for (std::size_t k = 0; k < cands.size(); ++k) {
+          if (!usable(src, cands[k])) continue;
           double g = std::min(quantum, st.remaining);
-          for (const auto& [l, f] : cand.link_frac) {
+          for (const auto& [l, f] : cands[k].link_frac) {
             const double cap = residual[l] / f;
             if (cap < g) g = cap;
           }
           if (g > sliver) {
-            chosen = &cand;
+            chosen = k;
             grant = g;
             break;
           }
         }
-        if (!chosen) {
+        if (chosen == cands.size()) {
           st.active = false;  // frozen: no capacity-feasible candidate
+          ++frozen;
           continue;
         }
-        for (const auto& [l, f] : chosen->link_frac) {
+        for (const auto& [l, f] : cands[chosen].link_frac) {
           residual[l] = std::max(0.0, residual[l] - grant * f);
         }
-        chosen->mass += grant;
+        if (chosen >= st.mass.size()) st.mass.resize(chosen + 1, 0.0);
+        st.mass[chosen] += grant;
         st.remaining -= grant;
         progressed = true;
         if (st.remaining <= st.rate * options_.satisfied_tolerance)
@@ -356,26 +461,37 @@ Solution SrSolver::solve(const topo::Topology& topo,
       }
       if (!progressed) break;
     }
+    if (round == options_.max_rounds) {
+      for (const DemandState& st : states) frozen += st.active;
+    }
 
     for (DemandState& st : states) {
       Allocation& a = sol.allocations[st.index];
+      // Masses sum in candidate order; candidates never granted add 0.
       double total = 0.0;
-      for (const Candidate& cand : st.candidates) total += cand.mass;
+      for (double m : st.mass) total += m;
       a.allocated_gbps = total;
       if (total <= options_.epsilon_gbps) {
         a.allocated_gbps = 0.0;
         continue;
       }
-      for (const Candidate& cand : st.candidates) {
-        if (cand.mass <= 0.0) continue;
-        for (const WeightedPath& wp : cand.expansions) {
+      for (std::size_t k = 0; k < st.mass.size(); ++k) {
+        if (st.mass[k] <= 0.0) continue;
+        for (const WeightedPath& wp : (*st.candidates)[k].expansions) {
           WeightedPath placed = wp;
-          placed.weight = cand.mass * wp.weight / total;
+          placed.weight = st.mass[k] * wp.weight / total;
           a.paths.push_back(std::move(placed));
         }
       }
     }
   }
+
+  m_solves.inc();
+  m_rounds.add(rounds);
+  m_frozen.add(frozen);
+  m_legs.add(expander.legs_enumerated());
+  m_considered.add(considered);
+  m_expanded.add(expanded);
   return sol;
 }
 

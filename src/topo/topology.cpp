@@ -1,6 +1,7 @@
 #include "topo/topology.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -23,6 +24,10 @@ LinkId Topology::add_link(NodeId src, NodeId dst, double capacity_gbps,
     throw std::out_of_range("add_link: bad endpoint");
   if (src == dst) throw std::invalid_argument("add_link: self loop");
   if (capacity_gbps <= 0) throw std::invalid_argument("add_link: capacity <= 0");
+  // A zero-cost cycle makes shortest-path DAGs cyclic (the SR ECMP DFS
+  // would never terminate); negative or NaN costs break Dijkstra outright.
+  if (!std::isfinite(igp_metric) || igp_metric <= 0)
+    throw std::invalid_argument("add_link: igp_metric must be finite and > 0");
   Link l;
   l.id = static_cast<LinkId>(links_.size());
   l.src = src;

@@ -50,7 +50,9 @@ class Topology {
   NodeId add_node(std::string name, std::string metro = "",
                   double gravity_weight = 1.0);
 
-  // Adds one directed link. Returns its id.
+  // Adds one directed link. Returns its id. Throws std::invalid_argument
+  // on a self loop, capacity <= 0, or an igp_metric that is not finite
+  // and > 0.
   LinkId add_link(NodeId src, NodeId dst, double capacity_gbps,
                   double igp_metric = 1.0, double delay_s = 0.001);
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <set>
 #include <stdexcept>
 
@@ -8,6 +11,7 @@
 #include "core/upgrade.hpp"
 #include "dataplane/forwarder.hpp"
 #include "dataplane/label.hpp"
+#include "obs/metrics.hpp"
 #include "sim/invariants.hpp"
 #include "te/dijkstra.hpp"
 #include "te/segment_routing.hpp"
@@ -379,6 +383,205 @@ TEST(SrSolver, DeterministicAcrossRepeatSolves) {
     EXPECT_EQ(a.allocations[i].allocated_gbps, b.allocations[i].allocated_gbps);
     EXPECT_EQ(a.allocations[i].paths, b.allocations[i].paths);
   }
+}
+
+TEST(SrSolver, ZeroMetricLinkIsRejectedBeforeItCanCrashTheSolve) {
+  // Repro: a-b at metric 0, b-c at metric 1, one demand a->c. Each of a
+  // and b lies on the other's shortest path to c, so the ECMP DAG had a
+  // cycle and the per-segment DFS recursed until the stack overflowed.
+  topo::Topology t;
+  const topo::NodeId a = t.add_node("a");
+  const topo::NodeId b = t.add_node("b");
+  const topo::NodeId c = t.add_node("c");
+  EXPECT_THROW(t.add_duplex(a, b, 10.0, 0.0), std::invalid_argument);
+  EXPECT_EQ(t.num_links(), 0u);
+  t.add_duplex(a, b, 10.0, 1.0);
+  t.add_duplex(b, c, 10.0, 1.0);
+  traffic::TrafficMatrix tm;
+  tm.add({a, c, PriorityClass::kHigh, 1.0});
+  const te::Solution sol = te::SrSolver().solve(t, tm);
+  ASSERT_EQ(sol.allocations.size(), 1u);
+  EXPECT_NEAR(sol.allocations[0].allocated_gbps, 1.0, 1e-2);  // satisfied
+}
+
+TEST(SrSolver, EmitsSrCountersAndInternsLegsAndPairs) {
+  const auto topo = topo::make_b4_like();
+  traffic::GravityParams gp;
+  gp.pair_fraction = 0.15;
+  const auto tm = traffic::generate_gravity(topo, gp).aggregated();
+  const auto before = obs::Registry::global().snapshot();
+  te::SrSolver().solve(topo, tm);
+  const auto delta = obs::Registry::global().snapshot().diff(before);
+  const auto counter = [&](const char* name) {
+    const auto it = delta.counters.find(name);
+    return it == delta.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  EXPECT_EQ(counter("te.sr.solves"), 1u);
+  EXPECT_GT(counter("te.sr.rounds"), 0u);
+
+  // What the solve may touch: one candidate list per distinct (src, dst)
+  // pair, and the distinct (at, target) legs of those lists.
+  const auto underlay = te::SrUnderlay::build(topo);
+  const te::SrOptions opts;
+  const auto mids = te::rank_middlepoints(
+      underlay, std::max(opts.num_middlepoints, opts.pair_middlepoints));
+  std::set<std::pair<topo::NodeId, topo::NodeId>> pairs, legs;
+  std::uint64_t listed = 0;
+  for (const auto& d : tm.demands()) {
+    if (d.rate_gbps <= te::SolverOptions{}.epsilon_gbps) continue;
+    if (!pairs.insert({d.src, d.dst}).second) continue;
+    const auto cands =
+        te::segment_route_candidates(underlay, d.src, d.dst, mids, opts);
+    listed += cands.size();
+    for (const auto& route : cands) {
+      topo::NodeId at = d.src;
+      for (topo::NodeId target : route.segments) {
+        legs.insert({at, target});
+        at = target;
+      }
+    }
+  }
+  ASSERT_LT(pairs.size(), tm.size());  // pairs recur across classes
+  // Candidate lists are built once per pair, not once per class...
+  EXPECT_EQ(counter("te.sr.candidates_considered"), listed);
+  // ...each leg is enumerated at most once...
+  EXPECT_GT(counter("te.sr.legs_enumerated"), 0u);
+  EXPECT_LE(counter("te.sr.legs_enumerated"), legs.size());
+  // ...and on an uncongested matrix most candidates are never expanded.
+  EXPECT_GE(counter("te.sr.candidates_expanded"), pairs.size());
+  EXPECT_LT(counter("te.sr.candidates_expanded"),
+            counter("te.sr.candidates_considered"));
+  EXPECT_EQ(counter("te.sr.frozen_demands"), 0u);
+
+  // Overloaded, the waterfill moves past some pairs' first candidate and
+  // some demands freeze unsatisfied.
+  gp.target_max_utilization = 1.4;
+  const auto hot = traffic::generate_gravity(topo, gp).aggregated();
+  std::set<std::pair<topo::NodeId, topo::NodeId>> hot_pairs;
+  for (const auto& d : hot.demands()) hot_pairs.insert({d.src, d.dst});
+  const auto before_hot = obs::Registry::global().snapshot();
+  te::SrSolver().solve(topo, hot);
+  const auto hot_delta = obs::Registry::global().snapshot().diff(before_hot);
+  EXPECT_GT(hot_delta.counters.at("te.sr.candidates_expanded"),
+            hot_pairs.size());
+  EXPECT_GT(hot_delta.counters.at("te.sr.frozen_demands"), 0u);
+}
+
+// ---- Golden placements: SrSolver output pinned bit for bit ----
+
+// FNV-1a over 64-bit words, byte by byte (perfbench's solution_digest
+// recipe); doubles enter by bit pattern.
+struct Fnv {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t x) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (x >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(double d) { add(std::bit_cast<std::uint64_t>(d)); }
+  void add(const te::Solution& s) {
+    add(static_cast<std::uint64_t>(s.allocations.size()));
+    for (const auto& a : s.allocations) {
+      add(static_cast<std::uint64_t>(a.demand.src));
+      add(static_cast<std::uint64_t>(a.demand.dst));
+      add(a.allocated_gbps);
+      add(static_cast<std::uint64_t>(a.paths.size()));
+      for (const auto& wp : a.paths) {
+        add(wp.weight);
+        for (auto l : wp.path.links) add(static_cast<std::uint64_t>(l));
+        for (auto n : wp.segments) add(static_cast<std::uint64_t>(n) << 32);
+      }
+    }
+  }
+};
+
+// Golden digests, one row per (load, seed) -- loads {0.6, 1.4} outer,
+// gravity seeds 1..4 inner -- and one column per view: intact, one fiber
+// cut, two fibers cut. Each digest covers two solves of the view: with
+// full capacities, and with a residual_override at half capacity. The
+// overloaded and half-capacity solves exercise lazy expansion: 106 of
+// those 108 move the waterfill past some pair's first candidate, against
+// 2 of the other 36 solves.
+using GoldenTable = std::array<std::array<std::uint64_t, 3>, 8>;
+
+void expect_golden_digests(const topo::Topology& base, double pair_fraction,
+                           const GoldenTable& golden, const char* name) {
+  std::vector<topo::LinkId> fibers;
+  for (const topo::Link& l : base.links()) {
+    if (l.reverse != topo::kInvalidLink && l.id < l.reverse)
+      fibers.push_back(l.id);
+  }
+  std::vector<double> half(base.num_links());
+  for (topo::LinkId l = 0; l < base.num_links(); ++l)
+    half[l] = 0.5 * base.link(l).capacity_gbps;
+  const te::SrSolver solver;
+  std::size_t row = 0;
+  for (double load : {0.6, 1.4}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed, ++row) {
+      traffic::GravityParams gp;
+      gp.pair_fraction = pair_fraction;
+      gp.target_max_utilization = load;
+      gp.seed = seed;
+      const auto tm = traffic::generate_gravity(base, gp).aggregated();
+      const std::size_t first = util::splitmix64(seed) % fibers.size();
+      std::size_t second = util::splitmix64(seed + 100) % fibers.size();
+      if (second == first) second = (first + 1) % fibers.size();
+      topo::Topology view = base;
+      for (std::size_t cuts = 0; cuts < 3; ++cuts) {
+        if (cuts == 1) view.set_duplex_up(fibers[first], false);
+        if (cuts == 2) view.set_duplex_up(fibers[second], false);
+        Fnv f;
+        f.add(solver.solve(view, tm));
+        f.add(solver.solve(view, tm, &half));
+        EXPECT_EQ(f.h, golden[row][cuts])
+            << name << " load " << std::lround(load * 100) << "% seed "
+            << seed << " cuts " << cuts << ": 0x" << std::hex << f.h;
+      }
+    }
+  }
+}
+
+TEST(SrGolden, AbileneDigestsArePinned) {
+  constexpr GoldenTable kGolden = {{
+      {0xbbb07ee23b5334a2, 0xe22f6eeb15ad3ba8, 0xefe276146fea194e},
+      {0xd5eaefa777f3e939, 0x0f914cb8b00c2f39, 0x580aa219e48b3e75},
+      {0xae99c9892b5442a3, 0x98fd69da96398c5a, 0xda40507456fd3540},
+      {0xdf896d8ab6e09ac6, 0xa87b5ae24e463f32, 0x6af7d661f197d118},
+      {0x43cb537552c37b04, 0x791faff2220c5061, 0x20e33b6b98b0769d},
+      {0x05bf1605c51058d6, 0x1b13f0aac594c476, 0xb8a7c1e41896d34a},
+      {0x07ac3bcdd1b88dd4, 0x49b1da0587c8dc42, 0x48f7823832419d5f},
+      {0xfc5981be192cf5bf, 0xd5fe6da0557960c6, 0x8d5a0ac26d744b1b},
+  }};
+  expect_golden_digests(topo::make_abilene(), 1.0, kGolden, "abilene");
+}
+
+TEST(SrGolden, GeantDigestsArePinned) {
+  constexpr GoldenTable kGolden = {{
+      {0x1c2027ad5bdc689c, 0x147732b3b0f7a0dd, 0x45bb241a57cdbe6a},
+      {0xc7a50c06dc63cb83, 0xbd15e85dc9dadb4a, 0xb97fb3f6d83b025d},
+      {0x2a8b7eed7f2b126d, 0xb9ea82b4f7ab1802, 0xfd4abe349aa67372},
+      {0x6caf91f0deef4167, 0xbfbc4e139e4770d8, 0xa7b5c5c002141355},
+      {0x7718ed2471f1d459, 0x9e845499088c4c29, 0x5845adb25e1262e3},
+      {0x232af133e15301a7, 0xc445d478510fc9b7, 0xf870efa4e6d2fcd0},
+      {0xa5fc8c7ef1f2592a, 0x1aed98d9e73e695c, 0x934d33d230ac01fb},
+      {0x7fc707524e233dbb, 0x166cf9932cc86de8, 0xa1c60e9d8fcd6c49},
+  }};
+  expect_golden_digests(topo::make_geant(), 1.0, kGolden, "geant");
+}
+
+TEST(SrGolden, B4DigestsArePinned) {
+  constexpr GoldenTable kGolden = {{
+      {0x25d96357757d66b1, 0xc0139d24c45274da, 0x586999f1c51b4214},
+      {0xf8ea4b38a80ba76f, 0x2551ded2f53816e3, 0xbd3150e3f2f6a565},
+      {0xd11ef70aca60e2f3, 0x1ad2ce645a0163df, 0xad055e8194481f21},
+      {0xa5c290b529820c14, 0xb0e4259ad93bdd90, 0x608cfd8b77539d84},
+      {0x9f1c72c94df9604c, 0xb62b891eff90bcdf, 0xd45219978952747b},
+      {0x7204d394f67ad4bc, 0xbd122dda33006597, 0x07c80aa0480947fa},
+      {0x9537f299de1b9818, 0x84fbfdd4f1c46621, 0xb1f7989df5a34184},
+      {0x40be635e7410990c, 0xd3ad1d0fde9ba684, 0xae952506b6bbbb7e},
+  }};
+  expect_golden_digests(topo::make_b4_like(), 0.15, kGolden, "b4");
 }
 
 // ---- The SR-vs-strict differential oracle (the tentpole) ----

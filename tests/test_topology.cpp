@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "topo/builder.hpp"
 #include "topo/prefix.hpp"
 #include "topo/synthetic.hpp"
@@ -30,6 +32,17 @@ TEST(Topology, RejectsBadLinks) {
   EXPECT_THROW(t.add_link(a, a, 10), std::invalid_argument);
   EXPECT_THROW(t.add_link(a, 99, 10), std::out_of_range);
   EXPECT_THROW(t.add_link(a, b, 0.0), std::invalid_argument);
+  // IGP metrics must be finite and positive: zero-cost cycles make the
+  // shortest-path DAGs cyclic.
+  for (double metric : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity()}) {
+    EXPECT_THROW(t.add_link(a, b, 10.0, metric), std::invalid_argument)
+        << metric;
+    EXPECT_THROW(t.add_duplex(a, b, 10.0, metric), std::invalid_argument)
+        << metric;
+  }
+  EXPECT_EQ(t.num_links(), 0u);
+  t.add_link(a, b, 10.0, 1e-3);
 }
 
 TEST(Topology, DuplexCrossReferences) {
