@@ -62,40 +62,25 @@ int main() {
     run.out().metric("dispatch_overhead_us", per_call * 1e6);
   }
 
-  // Cold-solve backend comparison (ROADMAP item 2): the legacy
-  // one-Dijkstra-per-demand waterfill vs the SoA batch solver, both
-  // single-threaded and cacheless -- the convergence floor the warm
-  // path's 100x win (PR 4) left behind.
+  // Cold-solve median: single-threaded and cacheless -- the convergence
+  // floor the warm path's 100x win left behind.
   {
-    auto median_of = [&](te::SolverBackend backend) {
-      te::SolverOptions opt;
-      opt.backend = backend;
-      te::Solver solver(opt);
-      std::vector<double> times;
-      for (std::size_t r = 0; r < runs; ++r) {
-        te::SolveStats s;
-        solver.solve(w.topo, w.tm, &s);
-        times.push_back(s.wall_time_s);
-      }
-      std::sort(times.begin(), times.end());
-      return times[times.size() / 2];
-    };
-    const double legacy_med = median_of(te::SolverBackend::kLegacy);
-    const double batch_med = median_of(te::SolverBackend::kBatch);
-    std::printf("cold solve median (1 thread, %zu runs): legacy %s, "
-                "batch %s -- %.1fx\n\n",
-                runs, util::format_duration(legacy_med).c_str(),
-                util::format_duration(batch_med).c_str(),
-                legacy_med / batch_med);
-    run.out().metric("cold_median_legacy_s", legacy_med);
+    te::Solver solver;
+    std::vector<double> times;
+    for (std::size_t r = 0; r < runs; ++r) {
+      te::SolveStats s;
+      solver.solve(w.topo, w.tm, &s);
+      times.push_back(s.wall_time_s);
+    }
+    std::sort(times.begin(), times.end());
+    const double batch_med = times[times.size() / 2];
+    std::printf("cold solve median (1 thread, %zu runs): %s\n\n", runs,
+                util::format_duration(batch_med).c_str());
     run.out().metric("cold_median_batch_s", batch_med);
-    run.out().metric("cold_speedup", legacy_med / batch_med);
   }
 
   // Measure at each available thread count, sharing one persistent pool
-  // per thread count across the repeat runs (workers spawn once). The
-  // solver here is the default (batch) backend: this is the Fig 13
-  // core-scaling curve after the SoA rework.
+  // per thread count across the repeat runs (workers spawn once).
   std::vector<std::pair<std::size_t, double>> measured;
   double alloc_share = 0.0;  // timer-based share of the serialized step
   for (std::size_t threads = 1; threads <= hw; ++threads) {

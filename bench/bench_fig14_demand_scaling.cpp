@@ -14,6 +14,7 @@
 #include "bench_common.hpp"
 
 #include "metrics/calibration.hpp"
+#include "te/parallel_solver.hpp"
 #include "te/solver.hpp"
 
 using namespace dsdn;
@@ -30,9 +31,10 @@ int main() {
   for (const auto& d : w.tm.demands())
     max_rate = std::max(max_rate, d.rate_gbps);
 
+  te::ThreadPool pool(std::min<std::size_t>(
+      4, std::max<std::size_t>(1, std::thread::hardware_concurrency())));
   te::SolverOptions opt;
-  opt.num_threads = std::min<std::size_t>(
-      4, std::max<std::size_t>(1, std::thread::hardware_concurrency()));
+  opt.pool = &pool;
   opt.quantum_gbps = max_rate / 8.0;
   te::Solver solver(opt);
 

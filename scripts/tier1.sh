@@ -1,142 +1,246 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, the concurrency suites
-# (thread pool, event queue, metrics shards) again under ThreadSanitizer,
-# the obs/metrics suites under UBSan, the wire fuzz corpus under ASan,
-# a bench-artifact run validated against scripts/bench_schema.json, and
-# the repository benchmark's smoke test.
+# (thread pool, event queue, metrics shards, plane runtime) again under
+# ThreadSanitizer, the obs/metrics suites under UBSan, the wire fuzz
+# corpus under ASan, bench-artifact runs validated against
+# scripts/bench_schema.json, and the repository benchmark's smoke test.
+#
+# Every leg runs even when an earlier one fails; the script exits
+# nonzero at the end and names each failed leg.
 #
 #   scripts/tier1.sh [jobs]
-set -euo pipefail
+set -uo pipefail
 
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
-
-echo "==> tier-1: build + ctest (build/)"
-cmake -B build -S . >/dev/null
-cmake --build build -j "${JOBS}"
-(cd build && ctest --output-on-failure -j "${JOBS}")
-
-echo "==> tier-1: bench artifact (build/) -- DSDN_BENCH_JSON schema check"
 ARTIFACT_DIR="build/bench-artifacts"
-rm -rf "${ARTIFACT_DIR}"
-DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
-  ./build/bench/bench_fig08_convergence_components >/dev/null
-DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
-  ./build/bench/bench_fig09_b2_convergence >/dev/null
-# Dataplane pps smoke: short phase 1, a couple of churn cycles; the bench
-# exits nonzero on any forwarding invariant violation (loops, unknown
-# labels, quiesced hard drops).
-DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
-  ./build/bench/bench_dataplane_pps --seconds=0.5 --churn=2 >/dev/null
-# Sharding ablation (flows exposed / NSU fan-out by K) artifact.
-DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
-  ./build/bench/bench_ablation_sharding >/dev/null
-# Hierarchical scale smoke: the bench exits nonzero when the >= 5x
-# speedup / <= 10% gap gate or the 1/K plane-containment bar fails.
-DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
-  ./build/bench/bench_hier_scale >/dev/null
-# Closed-loop online TE: controllers steer on estimated demand while
-# the oracle drifts; exits nonzero on any invariant violation or when
-# the hybrid policy misses the <= 10% regret / <= 25% recompute gate.
-DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
-  ./build/bench/bench_online_te >/dev/null
+
+FAILED_LEGS=()
+# leg <name> <function>: runs the function in a subshell under `set -e`
+# and records the leg as failed if any command in it fails.
+leg() {
+  local name="$1"
+  shift
+  echo "==> tier-1: ${name}"
+  ( set -e; "$@" )
+  local rc=$?
+  if [[ ${rc} -ne 0 ]]; then
+    echo "!! tier-1: FAILED (exit ${rc}): ${name}"
+    FAILED_LEGS+=("${name}")
+  fi
+}
+
+build_and_ctest() {
+  cmake -B build -S . >/dev/null
+  cmake --build build -j "${JOBS}"
+  (cd build && ctest --output-on-failure -j "${JOBS}")
+}
+
+figure_artifacts() {
+  rm -rf "${ARTIFACT_DIR}"
+  DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
+    ./build/bench/bench_fig08_convergence_components >/dev/null
+  DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
+    ./build/bench/bench_fig09_b2_convergence >/dev/null
+  # Dataplane pps smoke: short phase 1, a couple of churn cycles; the
+  # bench exits nonzero on any forwarding invariant violation (loops,
+  # unknown labels, quiesced hard drops).
+  DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
+    ./build/bench/bench_dataplane_pps --seconds=0.5 --churn=2 >/dev/null
+}
+
+# Sharding ablation on hier::PlaneRuntime: exits nonzero when K > 1
+# planes expose more than 1/K + 5% of flows to a plane-local cut or
+# disturb more than one plane per event.
+sharding_ablation() {
+  DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
+    ./build/bench/bench_ablation_sharding >/dev/null
+}
+
+# Hierarchical scale: exits nonzero when the >= 5x speedup / <= 10% gap
+# solve gate or the 1/K plane-containment bar fails, and prints each
+# verdict on its own line.
+hier_scale() {
+  local rc=0
+  DSDN_BENCH_JSON="${ARTIFACT_DIR}" ./build/bench/bench_hier_scale \
+    >build/bench_hier_scale.log || rc=$?
+  grep -E '^(solve gate|containment):' build/bench_hier_scale.log || true
+  return "${rc}"
+}
+
+# Closed-loop online TE: controllers steer on estimated demand while the
+# oracle drifts; exits nonzero on any invariant violation or when the
+# hybrid policy misses the <= 10% regret / <= 25% recompute gate.
+online_te() {
+  DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
+    ./build/bench/bench_online_te >/dev/null
+}
+
 # SR-vs-strict trade: exits nonzero when segment stacks exceed 3 labels,
 # SR route/FIB state is not below strict MPLS, or the SrSolver placement
 # gap exceeds 10% on the fig 8/15 workloads.
-DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
-  ./build/bench/bench_sr_trade >/dev/null
-python3 scripts/validate_bench_json.py "${ARTIFACT_DIR}"/BENCH_*.json
+sr_trade() {
+  DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
+    ./build/bench/bench_sr_trade >/dev/null
+}
 
-echo "==> tier-1: repository benchmark smoke test (.bench_build/) -- Abilene scale"
+schema_check() {
+  python3 scripts/validate_bench_json.py "${ARTIFACT_DIR}"/BENCH_*.json
+}
+
 # Builds perfbench on first use, then runs every workload for 2 s,
-# untraced and traced; fails on a nonzero error rate or a metric
-# missing from BENCHMARK.json.
-python3 perfbench/tests/smoke_test.py
+# untraced and traced; fails on a nonzero error rate or a metric missing
+# from BENCHMARK.json.
+perfbench_smoke() {
+  python3 perfbench/tests/smoke_test.py
+}
 
-echo "==> tier-1: perf regression (warn-only) -- fig13 cold medians vs baseline"
-DSDN_BENCH_JSON="${ARTIFACT_DIR}" ./build/bench/bench_fig13_cores >/dev/null
-python3 scripts/validate_bench_json.py \
-  "${ARTIFACT_DIR}"/BENCH_fig13_cores.json \
-  --baseline scripts/bench_baselines/BENCH_fig13_cores.json \
-  --regress cold_median_batch_s,tcomp_8thread_best_s
+fig13_regression() {
+  DSDN_BENCH_JSON="${ARTIFACT_DIR}" ./build/bench/bench_fig13_cores >/dev/null
+  python3 scripts/validate_bench_json.py \
+    "${ARTIFACT_DIR}"/BENCH_fig13_cores.json \
+    --baseline scripts/bench_baselines/BENCH_fig13_cores.json \
+    --regress cold_median_batch_s,tcomp_8thread_best_s
+}
 
-echo "==> tier-1: perf regression (warn-only) -- hier solve time + gap vs baseline"
-python3 scripts/validate_bench_json.py \
-  "${ARTIFACT_DIR}"/BENCH_hier_scale.json \
-  --baseline scripts/bench_baselines/BENCH_hier_scale.json \
-  --regress hier_solve_s,gap_fraction
+hier_regression() {
+  python3 scripts/validate_bench_json.py \
+    "${ARTIFACT_DIR}"/BENCH_hier_scale.json \
+    --baseline scripts/bench_baselines/BENCH_hier_scale.json \
+    --regress hier_solve_s,gap_fraction
+}
 
-echo "==> tier-1: perf regression (warn-only) -- online TE regret vs baseline"
-python3 scripts/validate_bench_json.py \
-  "${ARTIFACT_DIR}"/BENCH_online_te.json \
-  --baseline scripts/bench_baselines/BENCH_online_te.json \
-  --regress abilene_hybrid_regret_fraction,abilene_hybrid_bad_seconds
+online_regression() {
+  python3 scripts/validate_bench_json.py \
+    "${ARTIFACT_DIR}"/BENCH_online_te.json \
+    --baseline scripts/bench_baselines/BENCH_online_te.json \
+    --regress abilene_hybrid_regret_fraction,abilene_hybrid_bad_seconds
+}
 
-echo "==> tier-1: perf regression (warn-only) -- SR trade vs baseline"
-python3 scripts/validate_bench_json.py \
-  "${ARTIFACT_DIR}"/BENCH_sr_trade.json \
-  --baseline scripts/bench_baselines/BENCH_sr_trade.json \
-  --regress worst_gap_fraction,worst_fib_entries_ratio
+sr_regression() {
+  python3 scripts/validate_bench_json.py \
+    "${ARTIFACT_DIR}"/BENCH_sr_trade.json \
+    --baseline scripts/bench_baselines/BENCH_sr_trade.json \
+    --regress worst_gap_fraction,worst_fib_entries_ratio
+}
 
-echo "==> tier-1: TSan build (build-tsan/) -- concurrency suites + batched dataplane"
-cmake -B build-tsan -S . -DDSDN_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "${JOBS}" --target test_parallel test_sim test_obs \
-  test_dataplane test_batch_pipeline test_batch_solver
-(cd build-tsan && ctest --output-on-failure \
-  -R '^(test_parallel|test_sim|test_obs|test_dataplane|test_batch_pipeline|test_batch_solver)$')
+# test_plane_runtime: plane scenarios bootstrap and reprogram planes
+# concurrently on a shared pool.
+tsan_suites() {
+  cmake -B build-tsan -S . -DDSDN_SANITIZE=thread >/dev/null
+  cmake --build build-tsan -j "${JOBS}" --target test_parallel test_sim \
+    test_obs test_dataplane test_batch_pipeline test_batch_solver \
+    test_plane_runtime
+  (cd build-tsan && ctest --output-on-failure \
+    -R '^(test_parallel|test_sim|test_obs|test_dataplane|test_batch_pipeline|test_batch_solver|test_plane_runtime)$')
+}
 
-echo "==> tier-1: UBSan build (build-ubsan/) -- test_obs + test_metrics"
-cmake -B build-ubsan -S . -DDSDN_SANITIZE=undefined >/dev/null
-cmake --build build-ubsan -j "${JOBS}" --target test_obs test_metrics
-(cd build-ubsan && ctest --output-on-failure -R '^(test_obs|test_metrics)$')
+ubsan_suites() {
+  cmake -B build-ubsan -S . -DDSDN_SANITIZE=undefined >/dev/null
+  cmake --build build-ubsan -j "${JOBS}" --target test_obs test_metrics
+  (cd build-ubsan && ctest --output-on-failure -R '^(test_obs|test_metrics)$')
+}
 
-echo "==> tier-1: ASan build (build-asan/) -- wire fuzz corpus + fault injection"
-cmake -B build-asan -S . -DDSDN_SANITIZE=address -DDSDN_FUZZ=ON >/dev/null
-cmake --build build-asan -j "${JOBS}" --target fuzz_wire test_wire test_fault_injection
-./build-asan/fuzz/fuzz_wire -max_total_time=30 tests/corpus/wire
-(cd build-asan && ctest --output-on-failure -R '^(test_wire|test_fault_injection)$')
+asan_wire() {
+  cmake -B build-asan -S . -DDSDN_SANITIZE=address -DDSDN_FUZZ=ON >/dev/null
+  cmake --build build-asan -j "${JOBS}" --target fuzz_wire test_wire \
+    test_fault_injection
+  ./build-asan/fuzz/fuzz_wire -max_total_time=30 tests/corpus/wire
+  (cd build-asan && ctest --output-on-failure \
+    -R '^(test_wire|test_fault_injection)$')
+}
 
-echo "==> tier-1: ASan dataplane -- batched pipeline + sublabel bounds"
-cmake --build build-asan -j "${JOBS}" --target test_batch_pipeline test_sublabel
-(cd build-asan && ctest --output-on-failure -R '^(test_batch_pipeline|test_sublabel)$')
+asan_dataplane() {
+  cmake -B build-asan -S . -DDSDN_SANITIZE=address -DDSDN_FUZZ=ON >/dev/null
+  cmake --build build-asan -j "${JOBS}" --target test_batch_pipeline \
+    test_sublabel
+  (cd build-asan && ctest --output-on-failure \
+    -R '^(test_batch_pipeline|test_sublabel)$')
+}
 
-echo "==> tier-1: ASan differential check -- incremental TE, batch + SR solver parity"
 # test_segment_routing: the SR solver's per-solve memos hand out
 # references into hash-map nodes; ASan catches a dangling one.
-cmake --build build-asan -j "${JOBS}" --target test_incremental \
-  test_batch_solver test_segment_routing
-(cd build-asan && ctest --output-on-failure \
-  -R '^(test_incremental|test_batch_solver|test_segment_routing)$')
+asan_differential() {
+  cmake -B build-asan -S . -DDSDN_SANITIZE=address -DDSDN_FUZZ=ON >/dev/null
+  cmake --build build-asan -j "${JOBS}" --target test_incremental \
+    test_batch_solver test_segment_routing
+  (cd build-asan && ctest --output-on-failure \
+    -R '^(test_incremental|test_batch_solver|test_segment_routing)$')
+}
 
-echo "==> tier-1: scenario seed swarm (build/) -- 32 seeds, invariants each event"
 # Bounded ~60 s: 28 Abilene histories (24 events each, lossy flooding)
-# plus 2 B4-like and 2 B2-small histories. scripts/scenario_swarm.sh
-# runs the full-size sweeps.
-cmake --build build -j "${JOBS}" --target scenario_swarm
-./build/tests/scenario_swarm --topo abilene --seeds 28 --lossy
-./build/tests/scenario_swarm --topo b4 --seeds 2
-./build/tests/scenario_swarm --topo b2small --seeds 2
+# plus 2 B4-like and 2 B2-small histories. scripts/scenario_swarm.sh runs
+# the full-size sweeps.
+scenario_swarm() {
+  cmake --build build -j "${JOBS}" --target scenario_swarm
+  ./build/tests/scenario_swarm --topo abilene --seeds 28 --lossy
+  ./build/tests/scenario_swarm --topo b4 --seeds 2
+  ./build/tests/scenario_swarm --topo b2small --seeds 2
+}
 
-echo "==> tier-1: mixed SR/strict fleet swarm (build/) -- 29 seeds, invariants each event"
 # Deterministic mixed fleet (SR majority + strict TE + shortest-path
 # members): every event re-checks loop-freedom, delivery, conservation,
 # and per-view placement agreement with segment stacks in play.
-./build/tests/scenario_swarm --topo abilene --seeds 23 --sr
-./build/tests/scenario_swarm --topo b4 --seeds 6 --sr
+sr_swarm() {
+  ./build/tests/scenario_swarm --topo abilene --seeds 23 --sr
+  ./build/tests/scenario_swarm --topo b4 --seeds 6 --sr
+}
 
-echo "==> tier-1: hierarchical plane swarm (build/) -- cuts, SRLGs, crash/rebalance"
 # Full checker battery (solution parity on): per-plane invariants plus
 # cross-plane conservation, HRW placement agreement, and blast radius.
-./build/tests/scenario_swarm --topo abilene --planes 3 --seeds 24
-./build/tests/scenario_swarm --topo b4 --planes 4 --seeds 2
+plane_swarm() {
+  ./build/tests/scenario_swarm --topo abilene --planes 3 --seeds 24
+  ./build/tests/scenario_swarm --topo b4 --planes 4 --seeds 2
+}
 
-echo "==> tier-1: closed-loop online TE swarm (build/) -- estimated demand only"
 # 10 Abilene seeds x 64 epochs of diurnal + flash-crowd drift + churn,
 # hybrid recompute policy, invariant suite sampled every 16 epochs.
-./build/tests/scenario_swarm --topo abilene --closed-loop --seeds 10
+closed_loop_swarm() {
+  ./build/tests/scenario_swarm --topo abilene --closed-loop --seeds 10
+}
 
-echo "==> tier-1: ASan scenario swarm (build-asan/) -- lossy churn under ASan"
-cmake --build build-asan -j "${JOBS}" --target scenario_swarm
-./build-asan/tests/scenario_swarm --topo abilene --seeds 4 --lossy
+asan_swarm() {
+  cmake -B build-asan -S . -DDSDN_SANITIZE=address -DDSDN_FUZZ=ON >/dev/null
+  cmake --build build-asan -j "${JOBS}" --target scenario_swarm
+  ./build-asan/tests/scenario_swarm --topo abilene --seeds 4 --lossy
+}
 
+leg "build + ctest (build/)" build_and_ctest
+leg "bench artifacts: fig08, fig09, dataplane pps smoke" figure_artifacts
+leg "sharding ablation: plane containment on PlaneRuntime" sharding_ablation
+leg "hierarchical scale: solve gate + plane containment" hier_scale
+leg "closed-loop online TE gate" online_te
+leg "SR-vs-strict trade gate" sr_trade
+leg "bench artifact schema check" schema_check
+leg "repository benchmark smoke test (.bench_build/) -- Abilene scale" \
+  perfbench_smoke
+leg "perf regression (warn-only) -- fig13 cold medians vs baseline" \
+  fig13_regression
+leg "perf regression (warn-only) -- hier solve time + gap vs baseline" \
+  hier_regression
+leg "perf regression (warn-only) -- online TE regret vs baseline" \
+  online_regression
+leg "perf regression (warn-only) -- SR trade vs baseline" sr_regression
+leg "TSan build (build-tsan/) -- concurrency suites + batched dataplane" \
+  tsan_suites
+leg "UBSan build (build-ubsan/) -- test_obs + test_metrics" ubsan_suites
+leg "ASan build (build-asan/) -- wire fuzz corpus + fault injection" \
+  asan_wire
+leg "ASan dataplane -- batched pipeline + sublabel bounds" asan_dataplane
+leg "ASan differential check -- incremental TE, batch + SR solver parity" \
+  asan_differential
+leg "scenario seed swarm (build/) -- 32 seeds, invariants each event" \
+  scenario_swarm
+leg "mixed SR/strict fleet swarm (build/) -- 29 seeds" sr_swarm
+leg "hierarchical plane swarm (build/) -- cuts, SRLGs, crash/rebalance" \
+  plane_swarm
+leg "closed-loop online TE swarm (build/) -- estimated demand only" \
+  closed_loop_swarm
+leg "ASan scenario swarm (build-asan/) -- lossy churn under ASan" asan_swarm
+
+if [[ ${#FAILED_LEGS[@]} -gt 0 ]]; then
+  echo "==> tier-1: ${#FAILED_LEGS[@]} leg(s) failed:"
+  for name in "${FAILED_LEGS[@]}"; do echo "  - ${name}"; done
+  exit 1
+fi
 echo "==> tier-1: all green"

@@ -44,6 +44,10 @@ ForwardResult Forwarder::forward(Packet packet, topo::NodeId ingress_node,
   topo::NodeId at = ingress_node;
   r.trace.push_back(at);
   const std::size_t max_hops = forward_hop_bound(topo_);
+  const std::vector<char>* link_up = provider_->link_up();
+  const auto up = [&](topo::LinkId l) {
+    return link_up ? (*link_up)[l] != 0 : topo_.link(l).up;
+  };
 
   // Headend: two-stage lookup to build the source route.
   if (packet.stack.empty()) {
@@ -102,7 +106,7 @@ ForwardResult Forwarder::forward(Packet packet, topo::NodeId ingress_node,
       // FRR splice for node segments; the next recompute reprograms).
       std::size_t n_up = 0;
       for (const SrNextHop& m : *members) {
-        if (topo_.link(m.link).up) ++n_up;
+        if (up(m.link)) ++n_up;
       }
       if (n_up == 0) {
         down_link_drops().inc();
@@ -113,7 +117,7 @@ ForwardResult Forwarder::forward(Packet packet, topo::NodeId ingress_node,
       std::size_t pick = sr_ecmp_pick(packet.entropy, at, n_up);
       const SrNextHop* chosen = nullptr;
       for (const SrNextHop& m : *members) {
-        if (!topo_.link(m.link).up) continue;
+        if (!up(m.link)) continue;
         if (pick-- == 0) {
           chosen = &m;
           break;
@@ -143,7 +147,7 @@ ForwardResult Forwarder::forward(Packet packet, topo::NodeId ingress_node,
     }
     const topo::Link& link = topo_.link(*out_link);
 
-    if (!link.up) {
+    if (!up(*out_link)) {
       // Local repair: pop the invalid label, prepend a bypass route to the
       // link's far end, continue as the headend intended (§3.2). The
       // router's own pre-installed BypassFib is consulted first; a

@@ -20,11 +20,16 @@ struct RouterDataplane {
 };
 
 // Where the forwarder reads each router's tables from. Implemented over a
-// plain vector, or over live controllers in the emulation.
+// plain vector, over live controllers in the emulation, or over one
+// published FibSnapshot.
 class DataplaneProvider {
  public:
   virtual ~DataplaneProvider() = default;
   virtual const RouterDataplane& at(topo::NodeId node) const = 0;
+  // Per-link up flags as this provider's dataplane saw them when they
+  // were published, or null when the provider tracks the live topology
+  // (the forwarder then reads Link::up).
+  virtual const std::vector<char>* link_up() const { return nullptr; }
 };
 
 class VectorDataplanes final : public DataplaneProvider {

@@ -273,120 +273,30 @@ void BatchPipeline::account(const PacketVerdict& v) {
 
 void BatchPipeline::slow_path(const BatchPacket& p, PacketVerdict* out,
                               std::size_t trace_base) {
-  // Rerun the whole packet from scratch with an unbounded heap stack,
-  // on the snapshot this batch pinned. Same steps as the fast path (and
-  // the scalar Forwarder), so the verdict is identical to what the fast
+  // Rerun the whole packet from scratch through the scalar Forwarder on
+  // the snapshot this batch pinned -- its tables and its link state. The
+  // walk is deterministic, so the verdict is identical to what the fast
   // path would have produced with an unlimited inline array. Reads only
   // snapshot + immutable topology fields: safe under concurrent churn.
-  const FibSnapshot& snap = *pinned_;
-  std::vector<Label> stack;  // bottom-first, like the inline array
-  std::vector<topo::NodeId>* trace =
-      opts_.record_traces ? &traces_[trace_base + p.index] : nullptr;
-  if (trace) {
-    trace->clear();
-    trace->push_back(p.ingress);
-  }
+  const SnapshotView view(pinned_);
+  const Forwarder forwarder(topo_, &view, opts_.bypasses);
+  Packet pkt;
+  pkt.dst_ip = p.dst_ip;
+  pkt.priority = p.priority;
+  pkt.entropy = p.entropy;
+  pkt.ttl = p.orig_ttl;
+  ForwardResult r = forwarder.forward(std::move(pkt), p.ingress,
+                                      opts_.residual_gbps);
 
   PacketVerdict& v = out[p.index];
-  v = PacketVerdict{};
-  v.final_node = p.ingress;
-  topo::NodeId at = p.ingress;
-  int ttl = p.orig_ttl;
-
-  const auto finish_slow = [&](ForwardOutcome o) {
-    v.outcome = o;
-    v.final_node = at;
-    slow_path_.fetch_add(1, std::memory_order_relaxed);
-    account(v);
-  };
-
-  const RouterDataplane& ird = snap.at(at);
-  const LabelStack* head =
-      ird.ingress.lookup_stack(p.dst_ip, p.priority, p.entropy);
-  if (!head) {
-    const auto egress = ird.ingress.egress_for(p.dst_ip);
-    finish_slow(egress && *egress == at
-                    ? ForwardOutcome::kDelivered
-                    : ForwardOutcome::kDroppedNoIngressRoute);
-    return;
-  }
-  stack.assign(head->labels().rbegin(), head->labels().rend());
-
-  while (true) {
-    if (--ttl <= 0) return finish_slow(ForwardOutcome::kDroppedTtlExpired);
-    if (stack.empty()) {
-      const auto egress = snap.at(at).ingress.egress_for(p.dst_ip);
-      return finish_slow(egress && *egress == at
-                             ? ForwardOutcome::kDelivered
-                             : ForwardOutcome::kDroppedNotLocal);
-    }
-    const Label outer = stack.back();
-    if (is_node_segment_label(outer)) {
-      const topo::NodeId target = segment_node(outer);
-      if (target == at) {
-        stack.pop_back();  // segment complete (ttl tick consumed)
-        continue;
-      }
-      const std::vector<SrNextHop>* members = snap.at(at).sr.members(target);
-      if (!members)
-        return finish_slow(ForwardOutcome::kDroppedUnknownLabel);
-      std::size_t n_up = 0;
-      for (const SrNextHop& m : *members) {
-        if (snap.up(m.link)) ++n_up;
-      }
-      if (n_up == 0) {
-        down_link_drops().inc();
-        return finish_slow(ForwardOutcome::kDroppedLinkDownNoBypass);
-      }
-      std::size_t pick = sr_ecmp_pick(p.entropy, at, n_up);
-      const SrNextHop* chosen = nullptr;
-      for (const SrNextHop& m : *members) {
-        if (!snap.up(m.link)) continue;
-        if (pick-- == 0) {
-          chosen = &m;
-          break;
-        }
-      }
-      const topo::Link& link = topo_.link(chosen->link);
-      at = link.dst;
-      v.latency_s += link.delay_s;
-      ++v.hops;
-      if (trace) trace->push_back(at);
-      if (v.hops > max_hops_)
-        return finish_slow(ForwardOutcome::kDroppedLoop);
-      continue;
-    }
-    const auto out_link = snap.at(at).transit.lookup(outer);
-    if (!out_link) return finish_slow(ForwardOutcome::kDroppedUnknownLabel);
-    const topo::Link& link = topo_.link(*out_link);
-    if (!snap.up(*out_link)) {
-      stack.pop_back();
-      const LabelStack* bypass =
-          snap.at(at).bypass.select_stack(*out_link, p.entropy);
-      std::optional<LabelStack> plan_stack;
-      if (!bypass && opts_.bypasses) {
-        plan_stack = opts_.bypasses->select_encoded(
-            topo_, *out_link, /*rate_gbps=*/0.0, p.entropy,
-            opts_.residual_gbps);
-        if (plan_stack) bypass = &*plan_stack;
-      }
-      if (!bypass) {
-        down_link_drops().inc();
-        return finish_slow(ForwardOutcome::kDroppedLinkDownNoBypass);
-      }
-      stack.insert(stack.end(), bypass->labels().rbegin(),
-                   bypass->labels().rend());
-      ++v.frr_activations;
-      continue;
-    }
-    stack.pop_back();
-    at = link.dst;
-    v.latency_s += link.delay_s;
-    ++v.hops;
-    if (trace) trace->push_back(at);
-    if (v.hops > max_hops_)
-      return finish_slow(ForwardOutcome::kDroppedLoop);
-  }
+  v.outcome = r.outcome;
+  v.final_node = r.final_node;
+  v.latency_s = r.latency_s;
+  v.hops = static_cast<std::uint32_t>(r.hops);
+  v.frr_activations = static_cast<std::uint32_t>(r.frr_activations);
+  if (opts_.record_traces) traces_[trace_base + p.index] = std::move(r.trace);
+  slow_path_.fetch_add(1, std::memory_order_relaxed);
+  account(v);
 }
 
 // Flat working record for one in-flight sublabel packet (Appendix A

@@ -98,8 +98,9 @@ class SnapshotHub {
 };
 
 // Adapts one pinned FibSnapshot to the scalar Forwarder's provider
-// interface -- the differential tests and the pipeline's rare slow path
-// run the scalar walk against the exact snapshot a batch pinned.
+// interface, tables and link state both -- the differential tests and the
+// pipeline's rare slow path run the scalar walk against the exact
+// snapshot a batch pinned.
 class SnapshotView final : public DataplaneProvider {
  public:
   explicit SnapshotView(std::shared_ptr<const FibSnapshot> snap)
@@ -107,6 +108,9 @@ class SnapshotView final : public DataplaneProvider {
 
   const RouterDataplane& at(topo::NodeId node) const override {
     return snap_->at(node);
+  }
+  const std::vector<char>* link_up() const override {
+    return &snap_->link_up;
   }
   const FibSnapshot& snapshot() const { return *snap_; }
 

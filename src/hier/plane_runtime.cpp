@@ -1,6 +1,7 @@
 #include "hier/plane_runtime.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -18,6 +19,46 @@ std::uint64_t flow_key(topo::NodeId src, topo::NodeId dst,
 }
 
 }  // namespace
+
+std::vector<topo::Topology> make_planes(const topo::Topology& base,
+                                        std::size_t k) {
+  if (k == 0) throw std::invalid_argument("make_planes: k == 0");
+  // Striping is exact in integer kbps units so that the K planes' stripes
+  // sum to the base link's capacity even when it does not divide evenly
+  // (naive capacity/k loses up to (k-1)/k kbps per link). The remainder
+  // units rotate across planes by fiber index, so no plane is
+  // systematically fatter than the others.
+  constexpr double kUnitsPerGbps = 1e6;  // 1 kbps resolution
+  std::vector<topo::Topology> planes;
+  planes.reserve(k);
+  for (std::size_t p = 0; p < k; ++p) {
+    topo::Topology plane;
+    for (const topo::Node& n : base.nodes()) {
+      plane.add_node(n.name, n.metro, n.gravity_weight);
+    }
+    std::size_t fiber_index = 0;
+    for (const topo::Link& l : base.links()) {
+      // One pass per fiber: a simplex link, or the lower id of a duplex
+      // pair (add_duplex numbers the pair id, id + 1 in both topologies).
+      const bool duplex = l.reverse != topo::kInvalidLink;
+      if (duplex && l.reverse < l.id) continue;
+      const auto units = static_cast<std::uint64_t>(
+          std::llround(l.capacity_gbps * kUnitsPerGbps));
+      std::uint64_t stripe = units / k;
+      if ((p + fiber_index) % k < units % k) ++stripe;
+      const double capacity = static_cast<double>(stripe) / kUnitsPerGbps;
+      if (duplex) {
+        plane.add_duplex(l.src, l.dst, capacity, l.igp_metric, l.delay_s);
+      } else {
+        plane.add_link(l.src, l.dst, capacity, l.igp_metric, l.delay_s);
+      }
+      ++fiber_index;
+    }
+    plane.validate();
+    planes.push_back(std::move(plane));
+  }
+  return planes;
+}
 
 std::size_t place_flow(topo::NodeId src, topo::NodeId dst,
                        metrics::PriorityClass priority,
@@ -46,7 +87,7 @@ PlaneRuntime::PlaneRuntime(const topo::Topology& base,
   if (config_.planes == 0) {
     throw std::invalid_argument("PlaneRuntime: 0 planes");
   }
-  auto plane_topos = shard::make_planes(base, config_.planes);
+  auto plane_topos = make_planes(base, config_.planes);
   alive_.assign(config_.planes, 1);
   demands_.resize(config_.planes);
   for (const traffic::Demand& d : tm.demands()) {
@@ -227,7 +268,8 @@ dataplane::ForwardResult PlaneRuntime::send_packet(
   const sim::DsdnEmulation& plane = *planes_[p];
   if (dataplane::SnapshotHub* hub = plane.fib_hub()) {
     // Plane-aware snapshot path: forward on the selected plane's
-    // published RCU epoch, the same tables its BatchPipelines read.
+    // published RCU epoch, the same tables and port state its
+    // BatchPipelines read.
     dataplane::SnapshotView view(hub->acquire(0));
     dataplane::Packet pkt;
     pkt.dst_ip = plane.address_of(dst);

@@ -1,9 +1,14 @@
 #pragma once
 
-// First-class sharded dSDN runtime (§6 + ROADMAP item 1): K parallel
-// planes, each a full dSDN instance (flooding, StateDbs, TE, FIBs),
-// running concurrently on the shared te::ThreadPool, with cross-plane
-// demand placement and rebalancing when a plane dies.
+// Sharded dSDN runtime (§6): the paper observes that EBB's sharding
+// principle is orthogonal to dSDN -- "dSDN could run on a horizontally
+// sharded network (akin to EBB), thus containing data plane failures to
+// a single shard." The WAN is built as K parallel planes: every router
+// participates in every plane, but each plane has its own fibers. Each
+// plane is a full dSDN instance (flooding, StateDbs, TE, FIBs), so a
+// fiber cut or a controller fault in plane k is invisible to the other
+// K-1 planes. Planes run concurrently on the shared te::ThreadPool, with
+// cross-plane demand placement and rebalancing when a plane dies.
 //
 // Placement is rendezvous (HRW) hashing over the *live* plane set: each
 // flow key scores every plane and picks the argmax. With all planes
@@ -25,7 +30,6 @@
 #include <memory>
 #include <vector>
 
-#include "shard/sharded_wan.hpp"
 #include "sim/emulation.hpp"
 #include "sim/packet_score.hpp"
 
@@ -34,6 +38,15 @@ class ThreadPool;
 }
 
 namespace dsdn::hier {
+
+// Splits a base topology into `k` parallel planes (EBB-style striping):
+// the node set is shared and every base link appears once per plane, with
+// the same link id, endpoints, metric and delay, and 1/k of its capacity
+// (the k stripes sum to the base capacity exactly). A duplex fiber stays
+// duplex and a simplex link stays simplex, so a base link id names the
+// same link in every plane.
+std::vector<topo::Topology> make_planes(const topo::Topology& base,
+                                        std::size_t k);
 
 // Rendezvous hash: the live plane with the highest per-flow score.
 // `alive[p] != 0` marks live planes; at least one must be alive.

@@ -2,7 +2,7 @@
 
 // Two-level hierarchical TE solve over the logical-node abstraction.
 //
-// Top level: te::BatchSolver on the logical graph (O(regions) nodes),
+// Top level: te::Solver on the logical graph (O(regions) nodes),
 // inter-region demands aggregated by (src region, dst region, class).
 // Bottom level: one independent solve per region, run in parallel on the
 // shared te::ThreadPool, placing the segments the top-level paths induce
@@ -54,7 +54,7 @@ struct HierOptions {
   }
 
   PartitionOptions partition;
-  // Solver for the logical graph (kBatch default).
+  // Solver for the logical graph.
   te::SolverOptions top;
   // Solver for the per-region segment solves.
   te::SolverOptions region;

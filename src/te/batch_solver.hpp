@@ -1,42 +1,15 @@
 #pragma once
 
-// Structure-of-arrays batch TE solver (the GATE direction, ROADMAP
-// item 2): the same approximate max-min waterfill as te::Solver's legacy
-// backend, restructured so the per-round path-search step runs one
-// batched multi-destination SSSP per (source, residual-rank) bucket over
-// flat CSR arrays instead of one heap-allocating Dijkstra per demand.
-//
-// Bit-parity contract: without a PathCache, BatchSolver produces a
-// Solution bit-identical to the legacy backend for any (topology,
-// demands, options, thread count). The load-bearing arguments:
-//
-//  * A Dijkstra run popping (dist, node) pairs in total order finalizes
-//    each node exactly once, and a finalized target's predecessor chain
-//    consists only of already-finalized nodes -- so continuing the run
-//    past one target (to finalize the bucket's remaining targets) can
-//    never change an extracted path. One multi-destination run therefore
-//    yields exactly the per-demand paths of N single-target runs.
-//  * Two demands share a usable-link set iff no link residual falls in
-//    the half-open interval between their sliver thresholds. Bucketing
-//    by (source, rank of threshold among sub-threshold link residuals)
-//    makes sharing exact, not approximate.
-//  * CSR adjacency is laid out in topo.node(u).out_links order and the
-//    heap key is (dist, node), so relaxation and pop order -- and hence
-//    tie-breaks among equal-cost paths -- match te/dijkstra.cpp.
-//  * Grants accumulate into flat (path_id, rate) runs in round order and
-//    finalize in lexicographic link-sequence order, reproducing the
-//    legacy per-allocation std::map<links, double> both in float
-//    summation order and in output path order.
-//
-// With a PathCache the search step delegates to PathCache::get per
-// demand exactly as the legacy backend does (the cache's primary table
-// already amortizes the Dijkstra), keeping cached parity trivially.
+// The path-search seam of te::Solver's batched waterfill: the flat CSR
+// graph and SSSP scratch one batched shortest-path run works on, and the
+// BatchSolverBackend interface that runs it. The CPU backend is the
+// bit-exact reference; an accelerator backend (GATE, PAPERS.md) plugs in
+// through SolverOptions::batch_backend.
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "te/solver.hpp"
 #include "te/types.hpp"
 
 namespace dsdn::te {
@@ -95,22 +68,5 @@ class BatchSolverBackend {
 
 // Process-wide CPU backend (stateless).
 const BatchSolverBackend& cpu_batch_backend();
-
-// Drop-in implementation behind Solver's options/solve API; Solver
-// dispatches here when options.backend == SolverBackend::kBatch.
-class BatchSolver {
- public:
-  explicit BatchSolver(SolverOptions options) : options_(options) {}
-
-  Solution solve(const topo::Topology& topo,
-                 const traffic::TrafficMatrix& tm,
-                 SolveStats* stats = nullptr,
-                 const std::vector<double>* residual_override = nullptr) const;
-
-  const SolverOptions& options() const { return options_; }
-
- private:
-  SolverOptions options_;
-};
 
 }  // namespace dsdn::te

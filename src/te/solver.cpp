@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <map>
+#include <functional>
+#include <limits>
+#include <memory>
+#include <mutex>
+#include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -15,24 +19,12 @@ namespace dsdn::te {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-struct ActiveDemand {
-  std::size_t alloc_index;  // into Solution::allocations
-  double remaining_gbps;
-  double satisfied_below;  // freeze threshold (tolerance * original rate)
-  // Per-round chosen path (empty = none found this round).
-  Path round_path;
-  // The min_residual the round path was searched with; a smaller
-  // bottleneck at grant time means earlier demands drained it.
-  double search_min_residual;
-};
-
-// te.solver.* counters cover every solve regardless of backend; the batch
-// solver additionally records te.batch.* internals.
 void record_solver_obs(const SolveStats& s) {
   auto& reg = obs::Registry::global();
   static obs::Counter& m_solves = reg.counter("te.solver.solves");
@@ -58,21 +50,194 @@ void record_solver_obs(const SolveStats& s) {
   m_alloc_t.record(s.allocation_time_s);
 }
 
+BatchGraph build_graph(const topo::Topology& topo) {
+  BatchGraph g;
+  g.num_nodes = static_cast<std::uint32_t>(topo.num_nodes());
+  g.link_src.resize(topo.num_links());
+  for (std::size_t l = 0; l < topo.num_links(); ++l)
+    g.link_src[l] = topo.link(static_cast<topo::LinkId>(l)).src;
+  g.row_offsets.reserve(g.num_nodes + 1);
+  g.row_offsets.push_back(0);
+  for (std::uint32_t u = 0; u < g.num_nodes; ++u) {
+    // out_links order is te::shortest_path's relaxation order; keeping
+    // it is what makes equal-cost tie-breaks match. Down links are
+    // excluded up front (the solver always requires up, and link state
+    // is immutable for the duration of a solve).
+    for (topo::LinkId lid : topo.node(u).out_links) {
+      const topo::Link& l = topo.link(lid);
+      if (!l.up) continue;
+      g.edge_dst.push_back(l.dst);
+      g.edge_link.push_back(lid);
+      g.edge_cost.push_back(l.igp_metric);
+    }
+    g.row_offsets.push_back(static_cast<std::uint32_t>(g.edge_dst.size()));
+  }
+  return g;
+}
+
+class CpuBatchBackend final : public BatchSolverBackend {
+ public:
+  const char* name() const override { return "cpu"; }
+
+  void sssp(const BatchGraph& g, const std::vector<double>& residual,
+            double min_residual, std::uint32_t src,
+            const std::uint32_t* targets, std::size_t num_targets,
+            SsspWorkspace& ws) const override {
+    ws.ensure(g.num_nodes);
+    if (++ws.epoch == 0) {  // stamp wrap: one full clear every 2^32 runs
+      std::fill(ws.stamp.begin(), ws.stamp.end(), 0u);
+      std::fill(ws.target_stamp.begin(), ws.target_stamp.end(), 0u);
+      ws.epoch = 1;
+    }
+    const std::uint32_t epoch = ws.epoch;
+    std::size_t remaining = 0;
+    for (std::size_t i = 0; i < num_targets; ++i) {
+      if (ws.target_stamp[targets[i]] != epoch) {
+        ws.target_stamp[targets[i]] = epoch;
+        ++remaining;
+      }
+    }
+    auto touch = [&](std::uint32_t v) {
+      if (ws.stamp[v] != epoch) {
+        ws.stamp[v] = epoch;
+        ws.dist[v] = kInf;
+        ws.pred_link[v] = topo::kInvalidLink;
+      }
+    };
+    const auto cmp = std::greater<std::pair<double, std::uint32_t>>{};
+    ws.heap.clear();
+    touch(src);
+    ws.dist[src] = 0.0;
+    ws.heap.emplace_back(0.0, src);
+    while (!ws.heap.empty() && remaining > 0) {
+      std::pop_heap(ws.heap.begin(), ws.heap.end(), cmp);
+      const auto [d, u] = ws.heap.back();
+      ws.heap.pop_back();
+      // (dist, node) keys are unique -- relaxation requires strict
+      // improvement -- so pops follow the same total order as
+      // te::shortest_path's std::priority_queue, and a node is finalized
+      // on its first non-stale pop.
+      if (d > ws.dist[u]) continue;
+      if (ws.target_stamp[u] == epoch) {
+        ws.target_stamp[u] = epoch - 1;  // finalize each target once
+        if (--remaining == 0) break;
+      }
+      for (std::uint32_t e = g.row_offsets[u]; e < g.row_offsets[u + 1];
+           ++e) {
+        if (residual[g.edge_link[e]] < min_residual) continue;
+        const std::uint32_t v = g.edge_dst[e];
+        const double nd = d + g.edge_cost[e];
+        touch(v);
+        if (nd < ws.dist[v]) {
+          ws.dist[v] = nd;
+          ws.pred_link[v] = g.edge_link[e];
+          ws.heap.emplace_back(nd, v);
+          std::push_heap(ws.heap.begin(), ws.heap.end(), cmp);
+        }
+      }
+    }
+  }
+};
+
+// Walks the predecessor chain dst -> src. Only targets of the preceding
+// sssp() call may be extracted: their chains consist of finalized nodes
+// and are therefore stable even under early stop.
+void extract_links(const BatchGraph& g, const SsspWorkspace& ws,
+                   std::uint32_t src, std::uint32_t dst,
+                   std::vector<topo::LinkId>& out) {
+  out.clear();
+  if (!ws.reached(dst)) return;
+  std::uint32_t at = dst;
+  while (at != src) {
+    const std::uint32_t lid = ws.pred_link[at];
+    if (lid == topo::kInvalidLink) {
+      out.clear();
+      return;
+    }
+    out.push_back(lid);
+    at = g.link_src[lid];
+  }
+  std::reverse(out.begin(), out.end());
+}
+
+// Mutex-guarded freelist: SSSP scratch scales with concurrency, not with
+// the number of distinct sources.
+class WorkspacePool {
+ public:
+  std::unique_ptr<SsspWorkspace> acquire() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (free_.empty()) return std::make_unique<SsspWorkspace>();
+    auto ws = std::move(free_.back());
+    free_.pop_back();
+    return ws;
+  }
+  void release(std::unique_ptr<SsspWorkspace> ws) {
+    std::lock_guard<std::mutex> lock(mu_);
+    free_.push_back(std::move(ws));
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::unique_ptr<SsspWorkspace>> free_;
+};
+
+std::uint64_t hash_links(const std::vector<topo::LinkId>& links) {
+  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over link ids
+  for (topo::LinkId l : links) {
+    h ^= l;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+// One demand's grant history entry; per-allocation histories are
+// singly-linked chains through one flat array (newest first).
+struct GrantEntry {
+  std::uint32_t path_id;
+  std::uint32_t prev;  // previous entry for the same allocation
+  double rate;
+};
+constexpr std::uint32_t kNoEntry = std::numeric_limits<std::uint32_t>::max();
+
+// A (source, residual-rank) search bucket: every member demand has the
+// same usable-link set this round, so one multi-destination SSSP serves
+// all of them exactly.
+struct Bucket {
+  std::uint32_t src = 0;
+  double min_residual = 0.0;  // any member's threshold (all equivalent)
+  std::vector<std::uint32_t> slots;
+  std::vector<std::uint32_t> targets;
+};
+
 }  // namespace
+
+void SsspWorkspace::ensure(std::uint32_t num_nodes) {
+  if (dist.size() < num_nodes) {
+    dist.resize(num_nodes);
+    pred_link.resize(num_nodes);
+    stamp.resize(num_nodes, 0u);
+    target_stamp.resize(num_nodes, 0u);
+  }
+}
+
+const BatchSolverBackend& cpu_batch_backend() {
+  static const CpuBatchBackend backend;
+  return backend;
+}
 
 Solution Solver::solve(const topo::Topology& topo,
                        const traffic::TrafficMatrix& tm, SolveStats* stats,
                        const std::vector<double>* residual_override) const {
-  if (options_.backend == SolverBackend::kBatch) {
-    SolveStats batch_stats;
-    Solution solution =
-        BatchSolver(options_).solve(topo, tm, &batch_stats, residual_override);
-    record_solver_obs(batch_stats);
-    if (stats) *stats = batch_stats;
-    return solution;
-  }
+  DSDN_TRACE_SPAN("te.batch.solve");
+  auto& reg = obs::Registry::global();
+  static obs::Counter& m_solves = reg.counter("te.batch.solves");
+  static obs::Counter& m_batches = reg.counter("te.batch.sssp_batches");
+  static obs::Counter& m_batched = reg.counter("te.batch.batched_searches");
+  static obs::Counter& m_rechecks = reg.counter("te.batch.grant_rechecks");
+  static obs::Counter& m_reused = reg.counter("te.batch.path_reuses");
+  static obs::Counter& m_interned = reg.counter("te.batch.interned_paths");
+  static obs::Histogram& m_fill = reg.histogram("te.batch.batch_fill");
 
-  DSDN_TRACE_SPAN("te.solve");
   SolveStats local_stats;
 
   Solution solution;
@@ -98,33 +263,129 @@ Solution Solver::solve(const topo::Topology& topo,
     if (!topo.link(static_cast<topo::LinkId>(l)).up) residual[l] = 0.0;
   }
 
-  // The pool's workers start once -- here when solver-owned, or at the
-  // caller's pool construction when shared across solves.
-  ThreadPool local_pool(options_.pool ? 1 : options_.num_threads);
-  const ThreadPool& pool = options_.pool ? *options_.pool : local_pool;
+  // Path searches fan out on the caller's pool; without one the solve
+  // runs serially on the calling thread.
+  const auto parallel_for =
+      [pool = options_.pool](std::size_t n,
+                             const std::function<void(std::size_t)>& fn) {
+        if (pool) {
+          pool->parallel_for(n, fn);
+        } else {
+          for (std::size_t i = 0; i < n; ++i) fn(i);
+        }
+      };
 
-  // Clock starts after pool setup: wall_time_s measures the solve, not
-  // thread spawning, so single-shot and pooled runs report comparably.
   const auto t_start = Clock::now();
 
-  // Accumulates (path -> rate) per allocation; converted to weights at
-  // the end.
-  std::vector<std::map<std::vector<topo::LinkId>, double>> placed(
-      solution.allocations.size());
+  const BatchGraph graph = build_graph(topo);
+  const BatchSolverBackend& backend =
+      options_.batch_backend ? *options_.batch_backend : cpu_batch_backend();
 
-  // Strict priority: satisfy higher classes before lower ones.
+  WorkspacePool ws_pool;
+  SsspWorkspace grant_ws;  // dedicated scratch for serialized re-searches
+
+  // Interned paths: concatenated link sequences plus offsets; the id is
+  // the insertion index. Duplicate detection via hash buckets with full
+  // sequence compare on collision.
+  std::vector<topo::LinkId> path_pool;
+  std::vector<std::uint32_t> path_offsets{0};
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> path_by_hash;
+  auto path_span = [&](std::uint32_t id) {
+    return std::pair<const topo::LinkId*, const topo::LinkId*>{
+        path_pool.data() + path_offsets[id],
+        path_pool.data() + path_offsets[id + 1]};
+  };
+  auto intern_path = [&](const std::vector<topo::LinkId>& links) {
+    auto& bucket = path_by_hash[hash_links(links)];
+    for (std::uint32_t id : bucket) {
+      auto [b, e] = path_span(id);
+      if (static_cast<std::size_t>(e - b) == links.size() &&
+          std::equal(b, e, links.begin()))
+        return id;
+    }
+    const auto id = static_cast<std::uint32_t>(path_offsets.size() - 1);
+    path_pool.insert(path_pool.end(), links.begin(), links.end());
+    path_offsets.push_back(static_cast<std::uint32_t>(path_pool.size()));
+    bucket.push_back(id);
+    m_interned.inc();
+    return id;
+  };
+
+  // Flat grant log, chained per allocation: one (path_id, rate) entry per
+  // distinct path, summed in grant order.
+  std::vector<GrantEntry> grant_entries;
+  std::vector<std::uint32_t> grant_head(solution.allocations.size(), kNoEntry);
+  auto accumulate_grant = [&](std::size_t alloc, std::uint32_t path_id,
+                              double grant) {
+    for (std::uint32_t at = grant_head[alloc]; at != kNoEntry;
+         at = grant_entries[at].prev) {
+      if (grant_entries[at].path_id == path_id) {
+        grant_entries[at].rate += grant;
+        return;
+      }
+    }
+    grant_entries.push_back({path_id, grant_head[alloc], grant});
+    grant_head[alloc] = static_cast<std::uint32_t>(grant_entries.size() - 1);
+  };
+
+  // Per-class demand state, SoA keyed by slot.
+  std::vector<std::size_t> alloc_index;
+  std::vector<std::uint32_t> slot_src, slot_dst;
+  std::vector<double> remaining, satisfied_below, threshold;
+  std::vector<std::vector<topo::LinkId>> round_path;
+  // The sliver threshold round_path was last searched or validated at;
+  // negative = no cached path yet.
+  std::vector<double> cached_at;
+
+  // Round-local scratch, reused across rounds.
+  std::vector<std::uint32_t> active, next_active, search_list;
+  std::vector<double> rank_values;
+  std::vector<Bucket> buckets;
+  std::unordered_map<std::uint64_t, std::uint32_t> bucket_of;
+
+  // Cross-class path carry: residuals decrease monotonically across the
+  // whole solve, so a path validated in an earlier class obeys the same
+  // reuse invariant as one from an earlier round. Classes share (src,
+  // dst) pairs, which turns class boundaries from cold restarts into
+  // warm ones. Keyed (src << 32) | dst into parallel arrays.
+  std::unordered_map<std::uint64_t, std::uint32_t> carry_of;
+  std::vector<std::vector<topo::LinkId>> carry_path;
+  std::vector<double> carry_at;
+
   for (int cls = 0; cls < metrics::kNumPriorityClasses; ++cls) {
-    std::vector<ActiveDemand> active;
+    alloc_index.clear();
+    slot_src.clear();
+    slot_dst.clear();
+    remaining.clear();
+    satisfied_below.clear();
+    threshold.clear();
+    round_path.clear();
+    cached_at.clear();
+    active.clear();
     for (std::size_t i = 0; i < solution.allocations.size(); ++i) {
       const auto& d = solution.allocations[i].demand;
       if (static_cast<int>(d.priority) == cls &&
           d.rate_gbps > options_.epsilon_gbps) {
-        active.push_back(
-            {i, d.rate_gbps,
-             std::max(options_.epsilon_gbps,
-                      options_.satisfied_tolerance * d.rate_gbps),
-             {},
-             0.0});
+        active.push_back(static_cast<std::uint32_t>(alloc_index.size()));
+        alloc_index.push_back(i);
+        slot_src.push_back(d.src);
+        slot_dst.push_back(d.dst);
+        remaining.push_back(d.rate_gbps);
+        satisfied_below.push_back(
+            std::max(options_.epsilon_gbps,
+                     options_.satisfied_tolerance * d.rate_gbps));
+        threshold.push_back(0.0);
+        round_path.emplace_back();
+        cached_at.push_back(-1.0);
+        if (!options_.cache) {
+          const std::uint64_t key =
+              (static_cast<std::uint64_t>(d.src) << 32) | d.dst;
+          const auto it = carry_of.find(key);
+          if (it != carry_of.end()) {
+            round_path.back() = carry_path[it->second];
+            cached_at.back() = carry_at[it->second];
+          }
+        }
       }
     }
 
@@ -133,130 +394,250 @@ Solution Solver::solve(const topo::Topology& topo,
       ++round;
       ++local_stats.rounds;
 
-      // Quantum for this round: a fraction of the largest remaining
-      // demand; geometric shrink gives log-round convergence while
-      // approximating progressive filling.
       double max_remaining = 0.0;
-      for (const ActiveDemand& ad : active)
-        max_remaining = std::max(max_remaining, ad.remaining_gbps);
+      for (std::uint32_t slot : active)
+        max_remaining = std::max(max_remaining, remaining[slot]);
       const double quantum = detail::round_quantum(options_, max_remaining);
+      for (std::uint32_t slot : active)
+        threshold[slot] =
+            detail::sliver_threshold(options_, quantum, remaining[slot]);
 
-      // ---- Step 1: data-parallel path search ----
-      DSDN_TRACE_SPAN("te.round");
+      // ---- Step 1: batched path search ----
+      DSDN_TRACE_SPAN("te.batch.round");
       const auto t_search = Clock::now();
-      {
-        DSDN_TRACE_SPAN("te.path_search");
-        pool.parallel_for(active.size(), [&](std::size_t i) {
-          ActiveDemand& ad = active[i];
-          const auto& d = solution.allocations[ad.alloc_index].demand;
+      if (options_.cache) {
+        // The cache's primary table already amortizes the Dijkstra;
+        // delegate per demand.
+        DSDN_TRACE_SPAN("te.batch.path_search");
+        const PathCache* cache = options_.cache;
+        parallel_for(active.size(), [&](std::size_t i) {
+          const std::uint32_t slot = active[i];
           SpConstraints c;
           c.residual_gbps = &residual;
-          // Require room for at least a sliver of this round's grant so
-          // we don't select paths we cannot use.
-          c.min_residual =
-              detail::sliver_threshold(options_, quantum, ad.remaining_gbps);
+          c.min_residual = threshold[slot];
           std::optional<Path> p =
-              options_.cache
-                  ? options_.cache->get(topo, d.src, d.dst, c)
-                  : shortest_path(topo, d.src, d.dst, c);
-          ad.round_path = p ? std::move(*p) : Path{};
-          ad.search_min_residual = c.min_residual;
+              cache->get(topo, slot_src[slot], slot_dst[slot], c);
+          round_path[slot] = p ? std::move(p->links)
+                               : std::vector<topo::LinkId>{};
         });
+      } else {
+        DSDN_TRACE_SPAN("te.batch.path_search");
+        // Residual-rank values: thresholds t1 <= t2 see the same
+        // usable-link set iff no link residual lies in [t1, t2), so the
+        // rank of a threshold among the sorted distinct sub-threshold
+        // residuals is an exact equivalence key -- used both to bucket
+        // fresh searches and to validate cached round paths. value_cap
+        // bounds every threshold in play this round (current thresholds
+        // via t_max, cached ones explicitly).
+        const double t_max =
+            detail::sliver_threshold(options_, quantum, max_remaining);
+        double value_cap = t_max;
+        for (std::uint32_t slot : active)
+          value_cap = std::max(value_cap, cached_at[slot]);
+        rank_values.clear();
+        for (std::size_t e = 0; e < graph.edge_link.size(); ++e) {
+          const double r = residual[graph.edge_link[e]];
+          if (r < value_cap) rank_values.push_back(r);
+        }
+        std::sort(rank_values.begin(), rank_values.end());
+        rank_values.erase(
+            std::unique(rank_values.begin(), rank_values.end()),
+            rank_values.end());
+
+        // Path reuse: within a class, residuals only decrease, so the
+        // usable-link set for this demand can only have grown through
+        // links whose residual now sits in [threshold, cached_at). If
+        // none does and the cached path still clears the new threshold,
+        // a fresh Dijkstra would reproduce the cached path bit-exactly
+        // (shrinking the usable set can neither beat it on cost nor
+        // steal its tie-breaks) -- skip the search.
+        search_list.clear();
+        std::size_t reused = 0;
+        for (std::uint32_t slot : active) {
+          bool reuse = false;
+          if (cached_at[slot] >= 0.0) {
+            const double t_new = threshold[slot];
+            const auto lo = std::lower_bound(rank_values.begin(),
+                                             rank_values.end(), t_new);
+            const auto hi =
+                std::lower_bound(lo, rank_values.end(), cached_at[slot]);
+            if (lo == hi) {
+              double bn = kInf;
+              for (topo::LinkId l : round_path[slot])
+                bn = std::min(bn, residual[l]);
+              reuse = bn >= t_new;
+            }
+          }
+          if (reuse) {
+            cached_at[slot] = threshold[slot];
+            ++reused;
+          } else {
+            search_list.push_back(slot);
+          }
+        }
+        m_reused.add(reused);
+
+        buckets.clear();
+        bucket_of.clear();
+        for (std::uint32_t slot : search_list) {
+          const auto rank = static_cast<std::uint64_t>(
+              std::lower_bound(rank_values.begin(), rank_values.end(),
+                               threshold[slot]) -
+              rank_values.begin());
+          const std::uint64_t key =
+              (static_cast<std::uint64_t>(slot_src[slot]) << 32) | rank;
+          auto [it, inserted] = bucket_of.try_emplace(
+              key, static_cast<std::uint32_t>(buckets.size()));
+          if (inserted) {
+            buckets.emplace_back();
+            buckets.back().src = slot_src[slot];
+            buckets.back().min_residual = threshold[slot];
+          }
+          Bucket& b = buckets[it->second];
+          b.slots.push_back(slot);
+          b.targets.push_back(slot_dst[slot]);
+        }
+
+        parallel_for(buckets.size(), [&](std::size_t bi) {
+          const Bucket& b = buckets[bi];
+          auto ws = ws_pool.acquire();
+          backend.sssp(graph, residual, b.min_residual, b.src,
+                       b.targets.data(), b.targets.size(), *ws);
+          for (std::uint32_t slot : b.slots) {
+            extract_links(graph, *ws, b.src, slot_dst[slot],
+                          round_path[slot]);
+            cached_at[slot] = threshold[slot];
+          }
+          ws_pool.release(std::move(ws));
+        });
+        m_batches.add(buckets.size());
+        m_batched.add(search_list.size());
+        for (const Bucket& b : buckets)
+          m_fill.record(static_cast<double>(b.slots.size()));
       }
-      local_stats.path_searches += active.size();
+      // Searches actually performed (reused paths are free, so this can
+      // undercut one search per active demand per round).
+      local_stats.path_searches +=
+          options_.cache ? active.size() : search_list.size();
       local_stats.path_search_time_s += seconds_since(t_search);
 
-      // ---- Step 2: serialized fair allocation ----
-      DSDN_TRACE_SPAN("te.waterfill");
+      // ---- Step 2: serialized grant kernel ----
+      // Demands grant in slot order; paths are contiguous LinkId runs so
+      // the bottleneck scan and the residual subtraction are flat-array
+      // loops.
+      DSDN_TRACE_SPAN("te.batch.waterfill");
       const auto t_alloc = Clock::now();
-      std::vector<ActiveDemand> next_active;
-      next_active.reserve(active.size());
-      for (ActiveDemand& ad : active) {
-        Allocation& alloc = solution.allocations[ad.alloc_index];
-        if (ad.round_path.empty()) {
-          // No feasible path: freeze (possibly partially filled).
+      next_active.clear();
+      for (std::uint32_t slot : active) {
+        Allocation& alloc = solution.allocations[alloc_index[slot]];
+        std::vector<topo::LinkId>& rp = round_path[slot];
+        if (rp.empty()) {
           ++local_stats.frozen_no_path;
           continue;
         }
-        // Grant: at most the quantum, the remaining demand, and the
-        // path's bottleneck residual.
-        double bottleneck = std::numeric_limits<double>::infinity();
-        for (topo::LinkId l : ad.round_path.links)
-          bottleneck = std::min(bottleneck, residual[l]);
-        // Earlier demands in this serialized loop may have drained the
-        // path below the residual floor it was searched with. Granting
-        // the sub-sliver remainder would leave the demand spinning on an
-        // infeasible path until max_rounds; re-search against current
-        // residuals instead, and freeze if nothing is left.
-        if (bottleneck < ad.search_min_residual) {
-          SpConstraints c;
-          c.residual_gbps = &residual;
-          c.min_residual = ad.search_min_residual;
-          const auto& d = alloc.demand;
-          std::optional<Path> p =
-              options_.cache
-                  ? options_.cache->get(topo, d.src, d.dst, c)
-                  : shortest_path(topo, d.src, d.dst, c);
+        double bottleneck = kInf;
+        for (topo::LinkId l : rp) bottleneck = std::min(bottleneck, residual[l]);
+        if (bottleneck < threshold[slot]) {
+          // Earlier demands drained this round's path below the residual
+          // floor it was searched with; re-search at current residuals
+          // rather than granting a sub-sliver and spinning.
+          m_rechecks.inc();
           ++local_stats.path_searches;
-          if (!p) {
+          if (options_.cache) {
+            SpConstraints c;
+            c.residual_gbps = &residual;
+            c.min_residual = threshold[slot];
+            std::optional<Path> p = options_.cache->get(
+                topo, slot_src[slot], slot_dst[slot], c);
+            rp = p ? std::move(p->links) : std::vector<topo::LinkId>{};
+          } else {
+            const std::uint32_t target = slot_dst[slot];
+            backend.sssp(graph, residual, threshold[slot], slot_src[slot],
+                         &target, 1, grant_ws);
+            extract_links(graph, grant_ws, slot_src[slot], target, rp);
+            cached_at[slot] = threshold[slot];
+          }
+          if (rp.empty()) {
             ++local_stats.frozen_no_path;
             continue;
           }
-          ad.round_path = std::move(*p);
-          bottleneck = std::numeric_limits<double>::infinity();
-          for (topo::LinkId l : ad.round_path.links)
+          bottleneck = kInf;
+          for (topo::LinkId l : rp)
             bottleneck = std::min(bottleneck, residual[l]);
         }
-        double grant = std::min({quantum, ad.remaining_gbps, bottleneck});
-        // Top off: when the remainder after this grant would fall under
-        // the satisfaction tolerance and the path has room, finish the
-        // demand exactly rather than leaving a sliver unserved.
-        if (ad.remaining_gbps - grant <= ad.satisfied_below &&
-            bottleneck >= ad.remaining_gbps) {
-          grant = ad.remaining_gbps;
+        double grant = std::min({quantum, remaining[slot], bottleneck});
+        if (remaining[slot] - grant <= satisfied_below[slot] &&
+            bottleneck >= remaining[slot]) {
+          grant = remaining[slot];
         }
         if (grant > options_.epsilon_gbps) {
-          for (topo::LinkId l : ad.round_path.links) residual[l] -= grant;
-          placed[ad.alloc_index][ad.round_path.links] += grant;
+          for (topo::LinkId l : rp) residual[l] -= grant;
+          accumulate_grant(alloc_index[slot], intern_path(rp), grant);
           alloc.allocated_gbps += grant;
-          ad.remaining_gbps -= grant;
+          remaining[slot] -= grant;
         }
-        if (ad.remaining_gbps > ad.satisfied_below) {
-          next_active.push_back(std::move(ad));
-        }
+        if (remaining[slot] > satisfied_below[slot])
+          next_active.push_back(slot);
       }
-      active = std::move(next_active);
+      std::swap(active, next_active);
       local_stats.allocation_time_s += seconds_since(t_alloc);
     }
-    // Demands still wanting capacity when the round cap fired: they are
-    // frozen (possibly part-filled) without a feasibility verdict.
-    // Account them so starvation is visible instead of silent.
     local_stats.frozen_round_cap += active.size();
+    if (!options_.cache) {
+      for (std::size_t slot = 0; slot < alloc_index.size(); ++slot) {
+        // An empty path records "nothing found", which a later class at
+        // a lower threshold must not inherit; keep the older positive
+        // entry instead (still valid -- validation re-proves it).
+        if (cached_at[slot] < 0.0 || round_path[slot].empty()) continue;
+        const std::uint64_t key =
+            (static_cast<std::uint64_t>(slot_src[slot]) << 32) |
+            slot_dst[slot];
+        const auto [it, inserted] = carry_of.try_emplace(
+            key, static_cast<std::uint32_t>(carry_path.size()));
+        if (inserted) {
+          carry_path.emplace_back();
+          carry_at.push_back(0.0);
+        }
+        carry_path[it->second] = std::move(round_path[slot]);
+        carry_at[it->second] = cached_at[slot];
+      }
+    }
   }
   local_stats.frozen_demands =
       local_stats.frozen_no_path + local_stats.frozen_round_cap;
 
-  // Convert accumulated per-path rates into weighted paths.
+  // Finalize: gather each allocation's grant chain, merge order already
+  // guaranteed by accumulate_grant, and emit paths sorted by link
+  // sequence.
+  std::vector<std::pair<std::uint32_t, double>> entries;
   for (std::size_t i = 0; i < solution.allocations.size(); ++i) {
     Allocation& a = solution.allocations[i];
     if (a.allocated_gbps <= options_.epsilon_gbps) {
       a.allocated_gbps = 0.0;
       continue;
     }
-    for (const auto& [links, rate] : placed[i]) {
+    entries.clear();
+    for (std::uint32_t at = grant_head[i]; at != kNoEntry;
+         at = grant_entries[at].prev)
+      entries.emplace_back(grant_entries[at].path_id, grant_entries[at].rate);
+    std::sort(entries.begin(), entries.end(),
+              [&](const auto& lhs, const auto& rhs) {
+                auto [lb, le] = path_span(lhs.first);
+                auto [rb, re] = path_span(rhs.first);
+                return std::lexicographical_compare(lb, le, rb, re);
+              });
+    a.paths.reserve(entries.size());
+    for (const auto& [path_id, rate] : entries) {
+      auto [b, e] = path_span(path_id);
       WeightedPath wp;
-      wp.path.links = links;
+      wp.path.links.assign(b, e);
       wp.weight = rate / a.allocated_gbps;
       a.paths.push_back(std::move(wp));
     }
   }
 
-  const ThreadPool::Stats pool_stats = pool.stats();
-  local_stats.pool_parallel_calls = pool_stats.parallel_calls;
-  local_stats.pool_tasks = pool_stats.tasks_executed;
-  local_stats.pool_imbalance = pool_stats.imbalance();
-
   local_stats.wall_time_s = seconds_since(t_start);
+  m_solves.inc();
   record_solver_obs(local_stats);
   if (stats) *stats = local_stats;
   return solution;

@@ -10,20 +10,52 @@
 // Algorithm: strict priority across classes; within a class, progressive
 // filling ("waterfill") in rounds. Each round every still-active demand
 // (1) finds its current preferred path -- the shortest path with residual
-// capacity, via Dijkstra or the PathCache -- this step is data-parallel
-// across demands; then (2) a *serialized* allocation step grants each
-// demand a fair increment along its path, updating residual capacity.
-// Demands freeze when satisfied or when no capacity-feasible path remains
-// (they may be partially allocated). Decreasing available capacity makes
-// demands churn through more rounds, matching the paper's observation
-// that TE runtime grows as allocation gets harder (§5.3).
+// capacity -- this step is data-parallel across demands; then (2) a
+// *serialized* allocation step grants each demand a fair increment along
+// its path, updating residual capacity. Demands freeze when satisfied or
+// when no capacity-feasible path remains (they may be partially
+// allocated). Decreasing available capacity makes demands churn through
+// more rounds, matching the paper's observation that TE runtime grows as
+// allocation gets harder (§5.3).
 //
 // The serialized step (2) is what limits parallel speedup ("our current
 // TE algorithm serializes on the final step in flow assignment", Fig 13).
 //
+// Structure of arrays (the GATE direction, PAPERS.md): step (1) runs one
+// batched multi-destination SSSP per (source, residual-rank) bucket over
+// flat CSR arrays through the BatchSolverBackend seam
+// (te/batch_solver.hpp), instead of one Dijkstra per demand. Without a
+// PathCache the result is bit-identical to running te::shortest_path for
+// every active demand every round and accumulating grants per
+// allocation in a std::map<links, rate> (the test-only reference solver
+// in tests/ does exactly that). The load-bearing arguments:
+//
+//  * A Dijkstra run popping (dist, node) pairs in total order finalizes
+//    each node exactly once, and a finalized target's predecessor chain
+//    consists only of already-finalized nodes -- so continuing the run
+//    past one target (to finalize the bucket's remaining targets) can
+//    never change an extracted path. One multi-destination run therefore
+//    yields exactly the per-demand paths of N single-target runs.
+//  * Two demands share a usable-link set iff no link residual falls in
+//    the half-open interval between their sliver thresholds. Bucketing
+//    by (source, rank of threshold among sub-threshold link residuals)
+//    makes sharing exact, not approximate.
+//  * CSR adjacency is laid out in topo.node(u).out_links order and the
+//    heap key is (dist, node), so relaxation and pop order -- and hence
+//    tie-breaks among equal-cost paths -- match te/dijkstra.cpp.
+//  * A path validated in an earlier round or class is reused only when
+//    a fresh search would provably return it (residuals only decrease).
+//  * Grants accumulate into flat (path_id, rate) runs in round order and
+//    finalize in lexicographic link-sequence order, which is a
+//    per-allocation std::map's float summation order and output order.
+//
+// With a PathCache (Fig 15) the search step calls PathCache::get per
+// demand instead.
+//
 // Determinism: the solver is a pure function of (topology, demands,
-// options). Every dSDN controller running it on an identical NodeStateDB
-// computes the identical Solution -- the consensus-free property.
+// options), whatever SolverOptions::pool's size. Every dSDN controller
+// running it on an identical NodeStateDB computes the identical Solution
+// -- the consensus-free property.
 
 #include <cstddef>
 
@@ -35,32 +67,13 @@ namespace dsdn::te {
 class ThreadPool;
 class BatchSolverBackend;
 
-// Which waterfill implementation Solver::solve runs. Both compute the
-// same algorithm; without a PathCache they produce bit-identical
-// Solutions (asserted in tests/test_batch_solver.cpp), so the backend is
-// a pure performance choice and every router in a fleet may pick either.
-enum class SolverBackend {
-  // One heap-allocating Dijkstra per demand per round (the paper's
-  // original shape; kept as the differential-testing reference).
-  kLegacy,
-  // Structure-of-arrays batch solver (te::BatchSolver): demands bucketed
-  // by source, one multi-destination SSSP per bucket per round over flat
-  // arrays, interned path IDs. The GATE direction (PAPERS.md).
-  kBatch,
-};
-
 struct SolverOptions {
-  // Waterfill implementation. Batch is the default: same results,
-  // order-of-magnitude faster cold solves on large topologies.
-  SolverBackend backend = SolverBackend::kBatch;
-  // Optional accelerator backend for the batch solver's path-search
-  // kernels. Null = the process-wide CPU backend. Ignored by kLegacy.
+  // Optional accelerator backend for the path-search kernel. Null = the
+  // process-wide CPU backend.
   BatchSolverBackend* batch_backend = nullptr;
-  // Threads for the path-search step. 1 = fully serial.
-  std::size_t num_threads = 1;
-  // Optional externally owned thread pool, reused across solves so the
-  // workers are spawned exactly once per process instead of once per
-  // solve. When set it takes precedence over num_threads. May be null.
+  // Optional externally owned thread pool for the path-search step,
+  // reused across solves so the workers are spawned exactly once per
+  // process. Null = the solve runs serially on the calling thread.
   ThreadPool* pool = nullptr;
   // Optional shortest-path cache (Fig 15 optimization). May be null.
   const PathCache* cache = nullptr;
@@ -95,12 +108,6 @@ struct SolveStats {
   std::size_t frozen_demands = 0;
   std::size_t frozen_no_path = 0;
   std::size_t frozen_round_cap = 0;
-  // Thread-pool scheduling counters, snapshotted at solve end (for a
-  // solver-owned pool these cover exactly this solve; for an external
-  // SolverOptions::pool they are the pool's lifetime totals).
-  std::size_t pool_parallel_calls = 0;
-  std::size_t pool_tasks = 0;
-  double pool_imbalance = 1.0;  // max/mean per-worker busy time
 };
 
 class Solver {
@@ -123,10 +130,10 @@ class Solver {
 
 namespace detail {
 
-// Round math shared by the legacy and batch solvers. Bit-parity between
-// the two backends depends on both computing quantum and the sliver
-// threshold with the exact same expressions, so they live here instead
-// of being duplicated.
+// Round math shared by every waterfill (the strict solver, SrSolver, and
+// the test-only reference solver). Bit-parity with the reference depends
+// on computing quantum and the sliver threshold with the exact same
+// expressions, so they live here instead of being duplicated.
 
 // Per-round grant quantum for a class whose largest remaining demand is
 // max_remaining.

@@ -184,6 +184,35 @@ TEST(BatchPipeline, DownLinkWithoutBypassDropsAndCounts) {
             1u);
 }
 
+TEST(BatchPipeline, ScalarWalkOverSnapshotReadsPublishedLinkState) {
+  // Published port state differs from the live topology: the snapshot
+  // says the direct link is down, the topology still says up. The scalar
+  // walk over a SnapshotView must read the snapshot's flags, exactly as
+  // the pipeline does, and both drop the packet.
+  Fig5Hub f;
+  const topo::LinkId cut = f.topo.find_link(0, 1);
+  te::Path direct;
+  direct.links = {cut};
+  f.hub.publish_router(0, f.with_route(0, 1, direct));
+  topo::Topology published = f.topo;
+  published.set_duplex_up(cut, false);
+  f.hub.publish_link_state(published);
+  ASSERT_TRUE(f.topo.link(cut).up);
+
+  BatchPipeline pipe(f.topo, &f.hub, {});
+  const auto v = pipe.process(std::vector<PacketSpec>{f.spec_to(1)});
+  EXPECT_EQ(v[0].outcome, ForwardOutcome::kDroppedLinkDownNoBypass);
+
+  const SnapshotView view(f.hub.acquire(0));
+  const Forwarder fwd(f.topo, &view);
+  Packet pkt;
+  pkt.dst_ip = f.spec_to(1).dst_ip;
+  pkt.entropy = f.spec_to(1).entropy;
+  const ForwardResult r = fwd.forward(pkt, 0);
+  EXPECT_EQ(r.outcome, ForwardOutcome::kDroppedLinkDownNoBypass);
+  EXPECT_EQ(r.final_node, v[0].final_node);
+}
+
 TEST(BatchPipeline, StatsAccountEveryPacketOnce) {
   Fig5Hub f;
   te::Path via;

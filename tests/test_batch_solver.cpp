@@ -2,10 +2,13 @@
 
 #include "obs/metrics.hpp"
 #include "sim/scenario.hpp"
+#include "solver_golden.hpp"
 #include "te/batch_solver.hpp"
 #include "te/incremental.hpp"
+#include "te/parallel_solver.hpp"
 #include "te/path_cache.hpp"
 #include "te/solver.hpp"
+#include "te_reference.hpp"
 #include "topo/builder.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
@@ -16,10 +19,9 @@ namespace {
 
 using metrics::PriorityClass;
 
-// Exact (bitwise) solution equality: the batch backend's contract is
-// that cacheless solves reproduce the legacy waterfill to the last ULP,
-// so every router may pick either backend without breaking the
-// consensus-free property.
+// Exact (bitwise) solution equality: the batched solver's contract is
+// that cacheless solves reproduce the reference per-demand waterfill to
+// the last ULP, at any pool size.
 void expect_bit_identical(const Solution& a, const Solution& b,
                           const std::string& context) {
   ASSERT_EQ(a.allocations.size(), b.allocations.size()) << context;
@@ -38,19 +40,18 @@ void expect_bit_identical(const Solution& a, const Solution& b,
   }
 }
 
-SolverOptions backend_options(SolverBackend backend,
-                              std::size_t num_threads = 1) {
+SolverOptions pooled(ThreadPool& pool) {
   SolverOptions opt;
-  opt.backend = backend;
-  opt.num_threads = num_threads;
+  opt.pool = &pool;
   return opt;
 }
 
-TEST(BatchSolver, BitIdenticalToLegacyAcrossSeedsAndThreadCounts) {
-  // The satellite-4 determinism sweep: for 16 gravity seeds on two real
-  // topologies, the batch solver at pool sizes 1/4/8 must reproduce the
-  // legacy solver bit-for-bit (the batched SSSP must introduce no
-  // ordering nondeterminism).
+TEST(BatchWaterfill, BitIdenticalToReferenceAcrossSeedsAndPoolSizes) {
+  // The determinism sweep: for 16 gravity seeds on two real topologies,
+  // the solver at pool sizes 1/4/8 must reproduce the reference solver
+  // bit-for-bit (the batched SSSP must introduce no ordering
+  // nondeterminism).
+  ThreadPool pools[] = {ThreadPool(1), ThreadPool(4), ThreadPool(8)};
   const topo::Topology topos[] = {topo::make_abilene(), topo::make_geant()};
   for (const auto& t : topos) {
     for (std::uint64_t seed = 0; seed < 16; ++seed) {
@@ -58,25 +59,21 @@ TEST(BatchSolver, BitIdenticalToLegacyAcrossSeedsAndThreadCounts) {
       gp.seed = seed;
       gp.target_max_utilization = 0.9;  // some contention every seed
       const auto tm = traffic::generate_gravity(t, gp);
-      const auto reference =
-          Solver(backend_options(SolverBackend::kLegacy)).solve(t, tm);
-      for (std::size_t threads : {std::size_t{1}, std::size_t{4},
-                                  std::size_t{8}}) {
-        const auto batch =
-            Solver(backend_options(SolverBackend::kBatch, threads))
-                .solve(t, tm);
+      const auto reference = ReferenceSolver().solve(t, tm);
+      for (ThreadPool& pool : pools) {
+        const auto batch = Solver(pooled(pool)).solve(t, tm);
         expect_bit_identical(reference, batch,
                              "seed " + std::to_string(seed) + " threads " +
-                                 std::to_string(threads) + " nodes " +
-                                 std::to_string(t.num_nodes()));
+                                 std::to_string(pool.n_threads()) +
+                                 " nodes " + std::to_string(t.num_nodes()));
       }
     }
   }
 }
 
-TEST(BatchSolver, BitIdenticalUnderOverloadAndDownLinks) {
+TEST(BatchWaterfill, BitIdenticalUnderOverloadAndDownLinks) {
   // Heavy contention drives the drained-path re-search and no-path
-  // freeze codepaths in both backends; a down fiber exercises the CSR
+  // freeze codepaths in both solvers; a down fiber exercises the CSR
   // up-link filtering. Parity must survive all of it.
   auto t = topo::make_geant();
   t.set_duplex_up(t.links().front().id, false);
@@ -84,57 +81,55 @@ TEST(BatchSolver, BitIdenticalUnderOverloadAndDownLinks) {
   gp.seed = 7;
   gp.target_max_utilization = 2.0;  // well past capacity
   const auto tm = traffic::generate_gravity(t, gp);
-  SolveStats legacy_stats, batch_stats;
-  const auto legacy = Solver(backend_options(SolverBackend::kLegacy))
-                          .solve(t, tm, &legacy_stats);
-  const auto batch = Solver(backend_options(SolverBackend::kBatch, 4))
-                         .solve(t, tm, &batch_stats);
-  expect_bit_identical(legacy, batch, "overload");
-  EXPECT_EQ(legacy_stats.rounds, batch_stats.rounds);
+  ThreadPool pool(4);
+  SolveStats ref_stats, batch_stats;
+  const auto reference = ReferenceSolver().solve(t, tm, &ref_stats);
+  const auto batch = Solver(pooled(pool)).solve(t, tm, &batch_stats);
+  expect_bit_identical(reference, batch, "overload");
+  EXPECT_EQ(ref_stats.rounds, batch_stats.rounds);
   // Validated cross-round path reuse makes batch searches a subset of the
-  // legacy one-search-per-active-demand-per-round count.
-  EXPECT_LE(batch_stats.path_searches, legacy_stats.path_searches);
+  // reference's one-search-per-active-demand-per-round count.
+  EXPECT_LE(batch_stats.path_searches, ref_stats.path_searches);
   EXPECT_GT(batch_stats.path_searches, 0u);
-  EXPECT_EQ(legacy_stats.frozen_no_path, batch_stats.frozen_no_path);
-  EXPECT_EQ(legacy_stats.frozen_round_cap, batch_stats.frozen_round_cap);
-  EXPECT_GT(legacy_stats.frozen_demands, 0u);  // the sweep has teeth
+  EXPECT_EQ(ref_stats.frozen_no_path, batch_stats.frozen_no_path);
+  EXPECT_EQ(ref_stats.frozen_round_cap, batch_stats.frozen_round_cap);
+  EXPECT_GT(ref_stats.frozen_demands, 0u);  // the sweep has teeth
 }
 
-TEST(BatchSolver, BitIdenticalWithResidualOverride) {
+TEST(BatchWaterfill, BitIdenticalWithResidualOverride) {
   const auto t = topo::make_abilene();
   const auto tm = traffic::generate_gravity(t);
   std::vector<double> residual(t.num_links());
   for (const auto& l : t.links()) residual[l.id] = l.capacity_gbps * 0.5;
-  const auto legacy = Solver(backend_options(SolverBackend::kLegacy))
-                          .solve(t, tm, nullptr, &residual);
-  const auto batch = Solver(backend_options(SolverBackend::kBatch))
-                         .solve(t, tm, nullptr, &residual);
-  expect_bit_identical(legacy, batch, "residual override");
+  const auto reference = ReferenceSolver().solve(t, tm, nullptr, &residual);
+  const auto batch = Solver().solve(t, tm, nullptr, &residual);
+  expect_bit_identical(reference, batch, "residual override");
 }
 
-TEST(BatchSolver, CachedSolvesMatchCachedLegacy) {
-  // With a PathCache both backends delegate the search step to the
-  // cache per demand, so parity holds there too (independent cache
-  // instances keep the memoization histories identical).
+TEST(BatchWaterfill, CachedSolvesMatchCachedReference) {
+  // With a PathCache both solvers delegate the search step to the cache
+  // per demand, so parity holds there too (independent cache instances
+  // keep the memoization histories identical).
   const auto t = topo::make_geant();
   const auto tm = traffic::generate_gravity(t);
   PathCache cache_a(t), cache_b(t);
-  SolverOptions legacy = backend_options(SolverBackend::kLegacy);
-  legacy.cache = &cache_a;
-  SolverOptions batch = backend_options(SolverBackend::kBatch);
+  SolverOptions reference;
+  reference.cache = &cache_a;
+  SolverOptions batch;
   batch.cache = &cache_b;
-  expect_bit_identical(Solver(legacy).solve(t, tm),
+  expect_bit_identical(ReferenceSolver(reference).solve(t, tm),
                        Solver(batch).solve(t, tm), "cached");
   EXPECT_GT(cache_b.hits(), 0u);
 }
 
-TEST(BatchSolver, DiffCheckerParityOverScenarioEras) {
-  // Walk the PR 5 scenario harness's deterministic cut/repair schedule,
-  // solving each topology era with the batch backend and validating it
-  // through the DiffChecker against a legacy reference solve -- zero
-  // violations, and (cacheless) exact parity era by era.
+TEST(BatchWaterfill, DiffCheckerParityOverScenarioEras) {
+  // Walk the scenario harness's deterministic cut/repair schedule,
+  // solving each topology era with the solver and validating it through
+  // the DiffChecker against a reference solve -- zero violations, and
+  // (cacheless) exact parity era by era.
   const auto base = topo::make_abilene();
   const auto tm = traffic::generate_gravity(base);
+  ThreadPool pool(4);
   for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
     sim::Scenario scenario(base, tm, sim::ScenarioOptions{}, seed);
     auto era = base;
@@ -147,23 +142,22 @@ TEST(BatchSolver, DiffCheckerParityOverScenarioEras) {
       } else {
         continue;
       }
-      const auto batch =
-          Solver(backend_options(SolverBackend::kBatch, 4)).solve(era, tm);
-      const auto report = DiffChecker::check(
-          era, tm, batch, backend_options(SolverBackend::kLegacy));
+      const auto batch = Solver(pooled(pool)).solve(era, tm);
+      const auto reference = ReferenceSolver().solve(era, tm);
+      const auto report = DiffChecker::check_against(
+          era, tm, batch, reference, DiffChecker::Options{});
       EXPECT_TRUE(report.ok())
           << "seed " << seed << " era " << eras_checked << ": "
           << (report.violations.empty() ? "" : report.violations.front());
-      expect_bit_identical(
-          Solver(backend_options(SolverBackend::kLegacy)).solve(era, tm),
-          batch, "era " + std::to_string(eras_checked));
+      expect_bit_identical(reference, batch,
+                           "era " + std::to_string(eras_checked));
       ++eras_checked;
     }
     EXPECT_GT(eras_checked, 0u) << "seed " << seed;
   }
 }
 
-TEST(BatchSolver, AcceleratorBackendSeamIsHonored) {
+TEST(BatchWaterfill, AcceleratorBackendSeamIsHonored) {
   // A custom backend must receive every batched SSSP call; delegating to
   // the CPU reference keeps results bit-identical, which is exactly the
   // contract a GPU backend has to meet.
@@ -186,22 +180,20 @@ TEST(BatchSolver, AcceleratorBackendSeamIsHonored) {
   const auto t = topo::make_geant();
   const auto tm = traffic::generate_gravity(t);
   CountingBackend counting;
-  SolverOptions opt = backend_options(SolverBackend::kBatch);
+  SolverOptions opt;
   opt.batch_backend = &counting;
   const auto via_stub = Solver(opt).solve(t, tm);
   EXPECT_GT(counting.calls, 0u);
   // Bucketing is what makes it a *batch* backend: strictly fewer SSSP
   // runs than demand searches.
   EXPECT_GT(counting.targets_seen, counting.calls);
-  expect_bit_identical(
-      Solver(backend_options(SolverBackend::kBatch)).solve(t, tm), via_stub,
-      "backend stub");
+  expect_bit_identical(Solver().solve(t, tm), via_stub, "backend stub");
 }
 
-TEST(BatchSolver, EmitsBatchCounters) {
+TEST(BatchWaterfill, EmitsBatchCounters) {
   const auto t = topo::make_abilene();
   const auto tm = traffic::generate_gravity(t);
-  Solver(backend_options(SolverBackend::kBatch)).solve(t, tm);
+  Solver().solve(t, tm);
   const auto snap = obs::Registry::global().snapshot();
   const auto counter = [&](const char* name) {
     const auto it = snap.counters.find(name);
@@ -213,11 +205,11 @@ TEST(BatchSolver, EmitsBatchCounters) {
   EXPECT_GT(counter("te.solver.solves"), 0u);  // shared counters still move
 }
 
-TEST(BatchSolver, SsspWorkspaceReuseAcrossEpochs) {
+TEST(BatchWaterfill, SsspWorkspaceReuseAcrossEpochs) {
   // The workspace's epoch stamping must isolate runs: a second SSSP on
   // the same scratch must not see the first run's dist/pred state.
   const auto t = topo::make_abilene();
-  BatchSolver solver{SolverOptions{}};
+  const Solver solver;
   const auto tm1 = traffic::generate_gravity(t);
   traffic::GravityParams gp;
   gp.seed = 99;
@@ -228,6 +220,78 @@ TEST(BatchSolver, SsspWorkspaceReuseAcrossEpochs) {
   const auto third = solver.solve(t, tm1);
   expect_bit_identical(first, again, "workspace reuse");
   expect_bit_identical(first, third, "workspace reuse after interleave");
+}
+
+// ---- Golden placements: the strict solver's output pinned bit for bit ----
+
+// The corpus of tests/solver_golden.hpp through te::Solver at pool sizes
+// 1 and 4, and in cached mode (a fresh PathCache per solve). All three
+// reproduce the same digests on this corpus. The tables pin the
+// production solver on their own, independently of ReferenceSolver.
+void expect_strict_golden(const topo::Topology& base, double pair_fraction,
+                          const golden::GoldenTable& golden,
+                          const std::string& name) {
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ThreadPool pool(threads);
+    golden::expect_golden_digests(
+        base, pair_fraction, golden,
+        (name + " pool " + std::to_string(threads)).c_str(),
+        [&](const topo::Topology& view, const traffic::TrafficMatrix& tm,
+            const std::vector<double>* residual) {
+          return Solver(pooled(pool)).solve(view, tm, nullptr, residual);
+        });
+  }
+  golden::expect_golden_digests(
+      base, pair_fraction, golden, (name + " cached").c_str(),
+      [](const topo::Topology& view, const traffic::TrafficMatrix& tm,
+         const std::vector<double>* residual) {
+        const PathCache cache(view);
+        SolverOptions opt;
+        opt.cache = &cache;
+        return Solver(opt).solve(view, tm, nullptr, residual);
+      });
+}
+
+TEST(StrictGolden, AbileneDigestsArePinned) {
+  constexpr golden::GoldenTable kGolden = {{
+      {0x853e94fd08a03f72, 0xfa8178a95aa499e7, 0x8c2b81c50304ae31},
+      {0x04b3b3fbc518dfd8, 0x75692e3291c930c6, 0xcfb9595eda637f9d},
+      {0x7c800df8a00955ef, 0x08acc0646700e22b, 0xfebb3b583076c551},
+      {0xca1170d02bd85514, 0x738d1f372b3fb693, 0x477bd740db390d26},
+      {0xe711e1144aea07c0, 0x86352771ee2c014d, 0x4d2ea81c6df04c92},
+      {0x7d9adcbe2a1a1910, 0x3a1542b693a7f374, 0x1df9d79b9c02836b},
+      {0x5c632b482b96eb95, 0x8dbdde593d66909d, 0xe92953b4e406034e},
+      {0x81f083d7ede14abc, 0x53c9200abefc7f19, 0x25083532e1ed73a7},
+  }};
+  expect_strict_golden(topo::make_abilene(), 1.0, kGolden, "abilene");
+}
+
+TEST(StrictGolden, GeantDigestsArePinned) {
+  constexpr golden::GoldenTable kGolden = {{
+      {0xe25ae017385c2628, 0x043b2154d75733b8, 0x60eaf4e6bd3336c9},
+      {0xc8ab330a06b3690d, 0x434da9ff3b6c563f, 0x954170d391ee6ba1},
+      {0xdb26e66f81f8fff6, 0x23874627ae5ea9ff, 0x3fc795d94b9965af},
+      {0x242cd78f784a86bb, 0xfb8ff03ed95a8fbf, 0x1fd26ea9e254c011},
+      {0x6175822d68f22509, 0xba9665a4f372c737, 0xfafc6e0ceef168e9},
+      {0x5d44c8a31d7c69ac, 0x635454424a2befcc, 0x64ddf3d393b9afe3},
+      {0x90bcda2f6bd7739c, 0x9247a163f7697df5, 0x2253393eb56dce01},
+      {0xdfd7e540f47b8a81, 0x852207e1edceb91f, 0xce2beabe3bacf254},
+  }};
+  expect_strict_golden(topo::make_geant(), 1.0, kGolden, "geant");
+}
+
+TEST(StrictGolden, B4DigestsArePinned) {
+  constexpr golden::GoldenTable kGolden = {{
+      {0xf40e832a965aee96, 0xd5fd8f6ca63b3cef, 0xeb54073450d1244b},
+      {0xd4aa80d121318c00, 0x683b7fadbfa1ad74, 0x314012402c572b40},
+      {0xcb2d10dde3570a40, 0xa26509408a71f9dc, 0xe2fcb546f316a960},
+      {0x8e93916e3a4c2ea4, 0xa70353ae3f030458, 0xc08e53228ce903e4},
+      {0x7162aae21d7d3b66, 0x6bd214302af0ec4c, 0xb653a9acd8215d2b},
+      {0x05b41aaafa603603, 0xad0dd3adee4ae477, 0xaa15d1635e43f1ca},
+      {0xec471891fddb6e7d, 0x93bf168944288064, 0x3e835b10491c8fa2},
+      {0x3840e92e5c4aeefe, 0x5837e25265bb195b, 0xced28def57229c28},
+  }};
+  expect_strict_golden(topo::make_b4_like(), 0.15, kGolden, "b4");
 }
 
 }  // namespace

@@ -170,23 +170,20 @@ TEST(ThreadPoolPersistent, StatsCountTasksCallsAndBalance) {
 
 // ---- solver on a shared pool ----
 
-TEST(SolverPool, ExternalPoolSharedAcrossSolvesMatchesOwned) {
+TEST(SolverPool, ExternalPoolSharedAcrossSolvesMatchesSerial) {
   const auto t = topo::make_geant();
   const auto tm = traffic::generate_gravity(t);
 
-  te::SolverOptions owned;
-  owned.num_threads = 4;
-  const auto a = te::Solver(owned).solve(t, tm);
+  const auto a = te::Solver().solve(t, tm);
 
   te::ThreadPool shared(4);
   te::SolverOptions external;
   external.pool = &shared;
-  te::SolveStats stats;
-  const auto b = te::Solver(external).solve(t, tm, &stats);
+  const auto b = te::Solver(external).solve(t, tm);
   const auto c = te::Solver(external).solve(t, tm);  // pool reused
 
-  EXPECT_GT(stats.pool_parallel_calls, 0u);
-  EXPECT_GT(stats.pool_tasks, 0u);
+  EXPECT_GT(shared.stats().parallel_calls, 0u);
+  EXPECT_GT(shared.stats().tasks_executed, 0u);
   ASSERT_EQ(a.allocations.size(), b.allocations.size());
   for (std::size_t i = 0; i < a.allocations.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.allocations[i].allocated_gbps,
@@ -206,11 +203,11 @@ TEST(SolverPool, CachedParallelMatchesCachedSerial) {
   const auto tm = traffic::generate_gravity(t, gp);
 
   te::PathCache c1(t), c2(t);
+  te::ThreadPool pool(4);
   te::SolverOptions serial;
-  serial.num_threads = 1;
   serial.cache = &c1;
   te::SolverOptions parallel;
-  parallel.num_threads = 4;
+  parallel.pool = &pool;
   parallel.cache = &c2;
   const auto a = te::Solver(serial).solve(t, tm);
   const auto b = te::Solver(parallel).solve(t, tm);

@@ -1,9 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
-#include <bit>
-#include <cmath>
 #include <set>
 #include <stdexcept>
 
@@ -13,6 +10,7 @@
 #include "dataplane/label.hpp"
 #include "obs/metrics.hpp"
 #include "sim/invariants.hpp"
+#include "solver_golden.hpp"
 #include "te/dijkstra.hpp"
 #include "te/segment_routing.hpp"
 #include "topo/prefix.hpp"
@@ -469,81 +467,24 @@ TEST(SrSolver, EmitsSrCountersAndInternsLegsAndPairs) {
 
 // ---- Golden placements: SrSolver output pinned bit for bit ----
 
-// FNV-1a over 64-bit words, byte by byte (perfbench's solution_digest
-// recipe); doubles enter by bit pattern.
-struct Fnv {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  void add(std::uint64_t x) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (x >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ULL;
-    }
-  }
-  void add(double d) { add(std::bit_cast<std::uint64_t>(d)); }
-  void add(const te::Solution& s) {
-    add(static_cast<std::uint64_t>(s.allocations.size()));
-    for (const auto& a : s.allocations) {
-      add(static_cast<std::uint64_t>(a.demand.src));
-      add(static_cast<std::uint64_t>(a.demand.dst));
-      add(a.allocated_gbps);
-      add(static_cast<std::uint64_t>(a.paths.size()));
-      for (const auto& wp : a.paths) {
-        add(wp.weight);
-        for (auto l : wp.path.links) add(static_cast<std::uint64_t>(l));
-        for (auto n : wp.segments) add(static_cast<std::uint64_t>(n) << 32);
-      }
-    }
-  }
-};
-
-// Golden digests, one row per (load, seed) -- loads {0.6, 1.4} outer,
-// gravity seeds 1..4 inner -- and one column per view: intact, one fiber
-// cut, two fibers cut. Each digest covers two solves of the view: with
-// full capacities, and with a residual_override at half capacity. The
-// overloaded and half-capacity solves exercise lazy expansion: 106 of
-// those 108 move the waterfill past some pair's first candidate, against
-// 2 of the other 36 solves.
-using GoldenTable = std::array<std::array<std::uint64_t, 3>, 8>;
-
+// The corpus (tests/solver_golden.hpp) through SrSolver. Its overloaded
+// and half-capacity solves exercise lazy expansion: 106 of those 108
+// move the waterfill past some pair's first candidate, against 2 of the
+// other 36 solves.
 void expect_golden_digests(const topo::Topology& base, double pair_fraction,
-                           const GoldenTable& golden, const char* name) {
-  std::vector<topo::LinkId> fibers;
-  for (const topo::Link& l : base.links()) {
-    if (l.reverse != topo::kInvalidLink && l.id < l.reverse)
-      fibers.push_back(l.id);
-  }
-  std::vector<double> half(base.num_links());
-  for (topo::LinkId l = 0; l < base.num_links(); ++l)
-    half[l] = 0.5 * base.link(l).capacity_gbps;
+                           const golden::GoldenTable& golden,
+                           const char* name) {
   const te::SrSolver solver;
-  std::size_t row = 0;
-  for (double load : {0.6, 1.4}) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed, ++row) {
-      traffic::GravityParams gp;
-      gp.pair_fraction = pair_fraction;
-      gp.target_max_utilization = load;
-      gp.seed = seed;
-      const auto tm = traffic::generate_gravity(base, gp).aggregated();
-      const std::size_t first = util::splitmix64(seed) % fibers.size();
-      std::size_t second = util::splitmix64(seed + 100) % fibers.size();
-      if (second == first) second = (first + 1) % fibers.size();
-      topo::Topology view = base;
-      for (std::size_t cuts = 0; cuts < 3; ++cuts) {
-        if (cuts == 1) view.set_duplex_up(fibers[first], false);
-        if (cuts == 2) view.set_duplex_up(fibers[second], false);
-        Fnv f;
-        f.add(solver.solve(view, tm));
-        f.add(solver.solve(view, tm, &half));
-        EXPECT_EQ(f.h, golden[row][cuts])
-            << name << " load " << std::lround(load * 100) << "% seed "
-            << seed << " cuts " << cuts << ": 0x" << std::hex << f.h;
-      }
-    }
-  }
+  golden::expect_golden_digests(
+      base, pair_fraction, golden, name,
+      [&](const topo::Topology& view, const traffic::TrafficMatrix& tm,
+          const std::vector<double>* residual) {
+        return solver.solve(view, tm, residual);
+      });
 }
 
 TEST(SrGolden, AbileneDigestsArePinned) {
-  constexpr GoldenTable kGolden = {{
+  constexpr golden::GoldenTable kGolden = {{
       {0xbbb07ee23b5334a2, 0xe22f6eeb15ad3ba8, 0xefe276146fea194e},
       {0xd5eaefa777f3e939, 0x0f914cb8b00c2f39, 0x580aa219e48b3e75},
       {0xae99c9892b5442a3, 0x98fd69da96398c5a, 0xda40507456fd3540},
@@ -557,7 +498,7 @@ TEST(SrGolden, AbileneDigestsArePinned) {
 }
 
 TEST(SrGolden, GeantDigestsArePinned) {
-  constexpr GoldenTable kGolden = {{
+  constexpr golden::GoldenTable kGolden = {{
       {0x1c2027ad5bdc689c, 0x147732b3b0f7a0dd, 0x45bb241a57cdbe6a},
       {0xc7a50c06dc63cb83, 0xbd15e85dc9dadb4a, 0xb97fb3f6d83b025d},
       {0x2a8b7eed7f2b126d, 0xb9ea82b4f7ab1802, 0xfd4abe349aa67372},
@@ -571,7 +512,7 @@ TEST(SrGolden, GeantDigestsArePinned) {
 }
 
 TEST(SrGolden, B4DigestsArePinned) {
-  constexpr GoldenTable kGolden = {{
+  constexpr golden::GoldenTable kGolden = {{
       {0x25d96357757d66b1, 0xc0139d24c45274da, 0x586999f1c51b4214},
       {0xf8ea4b38a80ba76f, 0x2551ded2f53816e3, 0xbd3150e3f2f6a565},
       {0xd11ef70aca60e2f3, 0x1ad2ce645a0163df, 0xad055e8194481f21},

@@ -1,18 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <vector>
 
-#include "shard/sharded_wan.hpp"
+#include "hier/plane_runtime.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/gravity.hpp"
 #include "util/rng.hpp"
 
-namespace dsdn::shard {
+namespace dsdn::hier {
 namespace {
 
 using metrics::PriorityClass;
 
-TEST(Planes, SplitPreservesStructureAndStripesCapacity) {
+// ---- make_planes: EBB-style capacity striping ----
+
+TEST(MakePlanes, SplitPreservesStructureAndStripesCapacity) {
   const auto base = topo::make_geant();
   const auto planes = make_planes(base, 4);
   ASSERT_EQ(planes.size(), 4u);
@@ -35,7 +39,7 @@ TEST(Planes, SplitPreservesStructureAndStripesCapacity) {
   EXPECT_THROW(make_planes(base, 0), std::invalid_argument);
 }
 
-TEST(Planes, StripingConservesCapacityWithIndivisibleRemainder) {
+TEST(MakePlanes, StripingConservesCapacityWithIndivisibleRemainder) {
   // 10 Gbps across k=3 does not divide evenly (naive /k loses a third of
   // a kbps per fiber); quantized striping must conserve the total.
   topo::Topology base;
@@ -60,7 +64,32 @@ TEST(Planes, StripingConservesCapacityWithIndivisibleRemainder) {
   }
 }
 
-TEST(Planes, FlowHashBalancesRateAcrossPlanes) {
+TEST(MakePlanes, SimplexBaseLinkKeepsEveryLinkId) {
+  // Regression: striping a simplex link as a duplex added a phantom
+  // reverse link and shifted every later id, so fail_conduit and
+  // fail_fiber_in_plane -- which pass base ids to every plane -- cut the
+  // wrong link. Plane link l must join base link l's endpoints.
+  topo::Topology base;
+  base.add_node("a");
+  base.add_node("b");
+  base.add_node("c");
+  base.add_link(0, 1, 10.0);    // a->b simplex: id 0
+  base.add_duplex(1, 2, 10.0);  // b<->c: ids 1, 2
+  base.add_duplex(0, 2, 10.0);  // a<->c: ids 3, 4
+  ASSERT_EQ(base.num_links(), 5u);
+  for (const auto& plane : make_planes(base, 2)) {
+    ASSERT_EQ(plane.num_links(), base.num_links());
+    for (topo::LinkId l = 0; l < base.num_links(); ++l) {
+      EXPECT_EQ(plane.link(l).src, base.link(l).src) << "link " << l;
+      EXPECT_EQ(plane.link(l).dst, base.link(l).dst) << "link " << l;
+      EXPECT_EQ(plane.link(l).reverse, base.link(l).reverse) << "link " << l;
+    }
+  }
+}
+
+// ---- place_flow: rendezvous placement ----
+
+TEST(PlaceFlow, BalancesRateAcrossPlanes) {
   // No plane may carry more than 1/K + epsilon of the total rate -- the
   // property that makes 1/K capacity stripes sufficient.
   const auto base = topo::make_geant();
@@ -68,18 +97,21 @@ TEST(Planes, FlowHashBalancesRateAcrossPlanes) {
   gp.pair_fraction = 1.0;  // every metro pair, for a stable estimate
   const auto tm = traffic::generate_gravity(base, gp).aggregated();
   for (std::size_t k : {2, 4, 8}) {
-    const auto split = split_demands(tm, k);
+    const std::vector<char> alive(k, 1);
+    std::vector<double> rate(k, 0.0);
+    for (const auto& d : tm.demands())
+      rate[place_flow(d.src, d.dst, d.priority, alive)] += d.rate_gbps;
     for (std::size_t p = 0; p < k; ++p) {
-      EXPECT_LT(split[p].total_rate_gbps(),
+      EXPECT_LT(rate[p],
                 tm.total_rate_gbps() * (1.0 / static_cast<double>(k) + 0.10))
           << "k=" << k << " plane " << p;
     }
   }
 }
 
-TEST(Planes, PacketAndDemandPlaneAgreeOverSeededFlowKeys) {
-  // plane_of_flow is the one hash both sides use; over seeded random flow
-  // keys it must be stable call-to-call and in range.
+TEST(PlaceFlow, StableAndInRangeOverSeededFlowKeys) {
+  // place_flow is the one hash demands and packets both use; over seeded
+  // random flow keys it must be stable call-to-call and in range.
   util::Rng rng(0x5EED);
   for (int i = 0; i < 1000; ++i) {
     const auto src = static_cast<topo::NodeId>(rng.uniform_int(0, 4000));
@@ -87,109 +119,46 @@ TEST(Planes, PacketAndDemandPlaneAgreeOverSeededFlowKeys) {
     const auto priority =
         rng.bernoulli(0.5) ? PriorityClass::kHigh : PriorityClass::kLow;
     for (std::size_t k : {1, 3, 4}) {
-      const std::size_t p = plane_of_flow(src, dst, priority, k);
+      const std::vector<char> alive(k, 1);
+      const std::size_t p = place_flow(src, dst, priority, alive);
       EXPECT_LT(p, k);
-      EXPECT_EQ(plane_of_flow(src, dst, priority, k), p);
+      EXPECT_EQ(place_flow(src, dst, priority, alive), p);
     }
   }
 }
 
-TEST(Planes, DemandSplitIsPartitionAndConsistentWithFlowHash) {
-  const auto base = topo::make_geant();
-  const auto tm = traffic::generate_gravity(base);
-  const auto split = split_demands(tm, 4);
-  std::size_t total = 0;
-  double volume = 0;
-  for (std::size_t p = 0; p < split.size(); ++p) {
-    total += split[p].size();
-    volume += split[p].total_rate_gbps();
-    for (const auto& d : split[p].demands()) {
-      EXPECT_EQ(plane_of_flow(d.src, d.dst, d.priority, 4), p);
+TEST(PlaceFlow, RendezvousMovesOnlyTheFailedPlanesFlows) {
+  // HRW property: when plane 2 dies, exactly the flows whose all-alive
+  // argmax was 2 re-place; every other flow keeps its plane. When it
+  // returns, the same set -- and only it -- moves home.
+  std::vector<char> all(4, 1);
+  std::vector<char> degraded = all;
+  degraded[2] = 0;
+  std::size_t moved = 0, kept = 0;
+  for (topo::NodeId src = 0; src < 40; ++src) {
+    for (topo::NodeId dst = 0; dst < 40; ++dst) {
+      if (src == dst) continue;
+      std::size_t before = place_flow(src, dst, PriorityClass::kHigh, all);
+      std::size_t after = place_flow(src, dst, PriorityClass::kHigh, degraded);
+      if (before == 2) {
+        EXPECT_NE(after, 2u);
+        ++moved;
+      } else {
+        EXPECT_EQ(after, before);
+        ++kept;
+      }
+      EXPECT_EQ(place_flow(src, dst, PriorityClass::kHigh, all), before);
     }
   }
-  EXPECT_EQ(total, tm.size());
-  EXPECT_NEAR(volume, tm.total_rate_gbps(), 1e-6);
-  // Hashing spreads flows across all planes (within a loose band).
-  for (const auto& plane_tm : split) {
-    EXPECT_GT(plane_tm.size(), tm.size() / 16);
-  }
-}
-
-class ShardedWanTest : public ::testing::Test {
- protected:
-  ShardedWanTest() {
-    base_ = topo::make_geant();
-    traffic::GravityParams gp;
-    gp.pair_fraction = 0.4;
-    tm_ = traffic::generate_gravity(base_, gp).aggregated();
-    wan_ = std::make_unique<ShardedWan>(base_, tm_, 3);
-    wan_->bootstrap();
-  }
-
-  // Delivery rate over sampled demands of one plane.
-  double delivery_rate(std::size_t plane) {
-    const auto& demands = wan_->plane_demands(plane).demands();
-    if (demands.empty()) return 1.0;
-    std::size_t ok = 0;
-    for (const auto& d : demands) {
-      const auto r = wan_->send_packet(d.src, d.dst, d.priority);
-      if (r.outcome == dataplane::ForwardOutcome::kDelivered) ++ok;
-    }
-    return static_cast<double>(ok) / static_cast<double>(demands.size());
-  }
-
-  topo::Topology base_;
-  traffic::TrafficMatrix tm_;
-  std::unique_ptr<ShardedWan> wan_;
-};
-
-TEST_F(ShardedWanTest, AllPlanesBootAndDeliver) {
-  EXPECT_TRUE(wan_->all_planes_converged());
-  for (std::size_t p = 0; p < wan_->num_planes(); ++p) {
-    EXPECT_DOUBLE_EQ(delivery_rate(p), 1.0) << "plane " << p;
-  }
-}
-
-TEST_F(ShardedWanTest, FailureContainedToOnePlane) {
-  // Cut a fiber in plane 1 only. Planes 0 and 2 must be bit-identical
-  // undisturbed: no NSUs, no recomputation, no delivery impact.
-  const auto msgs0 = wan_->plane(0).messages_delivered();
-  const auto msgs2 = wan_->plane(2).messages_delivered();
-  const auto digest0 = wan_->plane(0).controller(0).state().digest();
-
-  const topo::LinkId fiber = wan_->plane(1).network().find_link(
-      5, wan_->plane(1).network().up_neighbors(5).front());
-  wan_->fail_fiber_in_plane(1, fiber);
-
-  EXPECT_TRUE(wan_->all_planes_converged());
-  EXPECT_EQ(wan_->plane(0).messages_delivered(), msgs0);
-  EXPECT_EQ(wan_->plane(2).messages_delivered(), msgs2);
-  EXPECT_EQ(wan_->plane(0).controller(0).state().digest(), digest0);
-  // All planes still deliver (plane 1 reconverged around the cut).
-  for (std::size_t p = 0; p < wan_->num_planes(); ++p) {
-    EXPECT_DOUBLE_EQ(delivery_rate(p), 1.0) << "plane " << p;
-  }
-  wan_->repair_fiber_in_plane(1, fiber);
-  EXPECT_TRUE(wan_->all_planes_converged());
-}
-
-TEST_F(ShardedWanTest, ControllerCrashContainedToOnePlane) {
-  const auto digest2 = wan_->plane(2).controller(0).state().digest();
-  wan_->plane(0).crash_and_recover(4);
-  EXPECT_TRUE(wan_->all_planes_converged());
-  EXPECT_EQ(wan_->plane(2).controller(0).state().digest(), digest2);
-}
-
-TEST_F(ShardedWanTest, PacketsRouteOnTheirDemandsPlane) {
-  // Every sampled flow must find its route on the plane its key hashes
-  // to -- the consistency contract between split_demands and send_packet.
-  for (std::size_t p = 0; p < wan_->num_planes(); ++p) {
-    for (const auto& d : wan_->plane_demands(p).demands()) {
-      EXPECT_EQ(plane_of_flow(d.src, d.dst, d.priority, wan_->num_planes()),
-                p);
-    }
-  }
+  EXPECT_GT(moved, 0u);
+  EXPECT_GT(kept, 0u);
+  // Roughly 1/4 of flows lived on plane 2.
+  double fraction = static_cast<double>(moved) /
+                    static_cast<double>(moved + kept);
+  EXPECT_NEAR(fraction, 0.25, 0.06);
+  EXPECT_THROW(place_flow(0, 1, PriorityClass::kHigh, {0, 0}),
+               std::logic_error);
 }
 
 }  // namespace
-}  // namespace dsdn::shard
+}  // namespace dsdn::hier

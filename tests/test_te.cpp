@@ -5,6 +5,7 @@
 #include "te/parallel_solver.hpp"
 #include "te/path_cache.hpp"
 #include "te/solver.hpp"
+#include "te_reference.hpp"
 #include "topo/builder.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
@@ -295,10 +296,10 @@ TEST(Solver, ParallelMatchesSerial) {
   // thread count (path search is parallel, allocation serialized).
   const auto t = topo::make_geant();
   const auto tm = traffic::generate_gravity(t);
+  ThreadPool pool(4);
   SolverOptions serial;
-  serial.num_threads = 1;
   SolverOptions parallel;
-  parallel.num_threads = 4;
+  parallel.pool = &pool;
   const auto a = Solver(serial).solve(t, tm);
   const auto b = Solver(parallel).solve(t, tm);
   ASSERT_EQ(a.allocations.size(), b.allocations.size());
@@ -427,16 +428,16 @@ TEST(Solver, NoPathFreezesAreCounted) {
   const auto t = topo::make_line(2, 10.0);  // one 10G bottleneck
   traffic::TrafficMatrix tm;
   tm.add({0, 1, PriorityClass::kHigh, 20.0});
-  for (SolverBackend backend : {SolverBackend::kLegacy, SolverBackend::kBatch}) {
-    SolverOptions opt;
-    opt.backend = backend;
+  const auto check = [&](const auto& solver) {
     SolveStats stats;
-    const auto sol = Solver(opt).solve(t, tm, &stats);
+    const auto sol = solver.solve(t, tm, &stats);
     EXPECT_NEAR(sol.allocations[0].allocated_gbps, 10.0, 1e-6);
     EXPECT_EQ(stats.frozen_no_path, 1u);
     EXPECT_EQ(stats.frozen_round_cap, 0u);
     EXPECT_EQ(stats.frozen_demands, 1u);
-  }
+  };
+  check(Solver());
+  check(ReferenceSolver());
 }
 
 TEST(Solver, DrainedRoundPathIsResearchedNotSpun) {
@@ -449,18 +450,19 @@ TEST(Solver, DrainedRoundPathIsResearchedNotSpun) {
   traffic::TrafficMatrix tm;
   tm.add({0, 1, PriorityClass::kHigh, 10.0});
   tm.add({0, 1, PriorityClass::kHigh, 10.0});
-  for (SolverBackend backend : {SolverBackend::kLegacy, SolverBackend::kBatch}) {
-    SolverOptions opt;
-    opt.backend = backend;
-    opt.quantum_gbps = 10.0;
+  SolverOptions opt;
+  opt.quantum_gbps = 10.0;
+  const auto check = [&](const auto& solver) {
     SolveStats stats;
-    const auto sol = Solver(opt).solve(t, tm, &stats);
+    const auto sol = solver.solve(t, tm, &stats);
     EXPECT_EQ(stats.rounds, 1u);  // no wasted spin rounds
     EXPECT_EQ(stats.frozen_no_path, 1u);
     EXPECT_EQ(stats.frozen_round_cap, 0u);
     EXPECT_NEAR(sol.allocations[0].allocated_gbps, 10.0, 1e-6);
     EXPECT_NEAR(sol.allocations[1].allocated_gbps, 0.0, 1e-9);
-  }
+  };
+  check(Solver(opt));
+  check(ReferenceSolver(opt));
 }
 
 TEST(Solver, DrainedRoundPathResearchFindsAlternate) {
@@ -471,32 +473,29 @@ TEST(Solver, DrainedRoundPathResearchFindsAlternate) {
   traffic::TrafficMatrix tm;
   tm.add({0, 3, PriorityClass::kHigh, 10.0});
   tm.add({0, 3, PriorityClass::kHigh, 10.0});
-  for (SolverBackend backend : {SolverBackend::kLegacy, SolverBackend::kBatch}) {
-    SolverOptions opt;
-    opt.backend = backend;
-    opt.quantum_gbps = 10.0;
+  SolverOptions opt;
+  opt.quantum_gbps = 10.0;
+  const auto check = [&](const auto& solver) {
     SolveStats stats;
-    const auto sol = Solver(opt).solve(t, tm, &stats);
+    const auto sol = solver.solve(t, tm, &stats);
     EXPECT_EQ(stats.rounds, 1u);
     EXPECT_EQ(stats.frozen_demands, 0u);
     EXPECT_NEAR(sol.allocations[0].allocated_gbps, 10.0, 1e-6);
     EXPECT_NEAR(sol.allocations[1].allocated_gbps, 10.0, 1e-6);
     for (double r : sol.residual_capacity(t)) EXPECT_GE(r, -1e-6);
-  }
+  };
+  check(Solver(opt));
+  check(ReferenceSolver(opt));
 }
 
 TEST(Solver, PooledAndUnpooledStatsAgree) {
-  // wall_time_s must measure the solve, not thread spawning: a solve
-  // with a solver-owned pool reports the same work statistics as one
-  // reusing an external pool, and neither folds pool setup into wall
-  // time (the clock starts after the pool exists).
+  // A serial solve reports the same work statistics as one on an
+  // external pool, and wall_time_s measures the solve alone.
   const auto t = diamond();
   traffic::TrafficMatrix tm;
   tm.add({0, 3, PriorityClass::kHigh, 5.0});
 
   SolverOptions unpooled;
-  unpooled.backend = SolverBackend::kLegacy;
-  unpooled.num_threads = 4;
   SolveStats a;
   Solver(unpooled).solve(t, tm, &a);
 
@@ -511,9 +510,8 @@ TEST(Solver, PooledAndUnpooledStatsAgree) {
   EXPECT_EQ(a.frozen_demands, b.frozen_demands);
   EXPECT_GT(a.wall_time_s, 0.0);
   EXPECT_GT(b.wall_time_s, 0.0);
-  // A trivial solve is microseconds; spawning 3 workers is what used to
-  // dominate the unpooled number. Generous bound so the assertion only
-  // trips on accounting regressions, not scheduler noise.
+  // A trivial solve is microseconds. Generous bound so the assertion
+  // only trips on accounting regressions, not scheduler noise.
   EXPECT_LT(a.wall_time_s, 0.25);
   EXPECT_LT(b.wall_time_s, 0.25);
 }
