@@ -124,7 +124,7 @@ int main() {
   std::printf("\n--- dSDN under injected flood loss (bounded retransmits) ---\n");
   for (const double loss : {0.0, 0.01, 0.05, 0.10}) {
     auto lcfg = dcfg;
-    lcfg.flood.loss_prob = loss;
+    lcfg.flood_loss_prob = loss;
     lcfg.prog_fail_prob = loss;
     const auto lossy = sim::measure_dsdn_convergence(w.topo, lcfg);
     std::printf("%4.0f%%     %s\n", loss * 100,

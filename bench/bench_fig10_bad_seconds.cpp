@@ -57,7 +57,7 @@ int main() {
   for (const double loss : {0.01, 0.05, 0.10}) {
     auto cfg = base;
     cfg.scheme = sim::Scheme::kDsdn;
-    cfg.flood.loss_prob = loss;
+    cfg.flood_loss_prob = loss;
     sim::TransientSimulator simulator(w.topo, w.tm, cfg, &provider);
     const auto result = simulator.run();
     std::printf("loss=%2.0f%%\n", loss * 100);

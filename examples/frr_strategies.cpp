@@ -7,7 +7,7 @@
 
 #include <cstdio>
 
-#include "dataplane/forwarder.hpp"
+#include "core/programmer.hpp"
 #include "te/solver.hpp"
 #include "topo/zoo.hpp"
 #include "topo/prefix.hpp"
@@ -48,7 +48,7 @@ int main() {
   }
 
   // Find a demand whose route has >= 2 hops, and cut its middle fiber.
-  const dataplane::Forwarder plain(topo, &routers);
+  const dataplane::Forwarder fwd(topo, &routers);
   topo::NodeId src = 0, dst = 0;
   for (const auto& a : solution.allocations) {
     if (!a.paths.empty() && a.paths[0].path.hops() >= 2) {
@@ -59,7 +59,7 @@ int main() {
   }
   dataplane::Packet probe;
   probe.dst_ip = topo::host_in(prefixes[dst]);
-  const auto before = plain.forward(probe, src);
+  const auto before = fwd.forward(probe, src);
   std::printf("healthy route %s -> %s: ", topo.node(src).name.c_str(),
               topo.node(dst).name.c_str());
   for (std::size_t i = 0; i < before.trace.size(); ++i) {
@@ -74,15 +74,16 @@ int main() {
               topo.node(topo.link(fiber).src).name.c_str(),
               topo.node(topo.link(fiber).dst).name.c_str());
 
-  // Pre-install bypasses under each strategy, then cut and re-probe.
+  // Each fiber endpoint pre-installs its own bypasses under each
+  // strategy, as its Programmer would; then cut and re-probe.
   for (const auto strategy : {dataplane::BypassStrategy::kShortestPath,
                               dataplane::BypassStrategy::kCapacityAware,
                               dataplane::BypassStrategy::kKShortestPaths,
                               dataplane::BypassStrategy::kKCapacityAware}) {
-    const auto plan = dataplane::BypassPlan::compute_for_links(
-        topo, strategy, {fiber, topo.link(fiber).reverse}, residual, 16);
+    for (const topo::NodeId end : {topo.link(fiber).src, topo.link(fiber).dst})
+      core::Programmer(end).program_bypasses(topo, residual, strategy, 16,
+                                             routers.mutable_at(end));
     topo.set_duplex_up(fiber, false);
-    const dataplane::Forwarder fwd(topo, &routers, &plan);
     const auto after = fwd.forward(probe, src);
     std::printf("%-18s %s: ", dataplane::bypass_strategy_name(strategy),
                 dataplane::forward_outcome_name(after.outcome));

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite, the concurrency suites
-# (thread pool, event queue, metrics shards, plane runtime) again under
-# ThreadSanitizer, the obs/metrics suites under UBSan, the wire fuzz
-# corpus under ASan, bench-artifact runs validated against
-# scripts/bench_schema.json, and the repository benchmark's smoke test.
+# Tier-1 verification: full build + test suite, every example run end to
+# end, the concurrency suites (thread pool, event queue, metrics shards,
+# plane runtime) again under ThreadSanitizer, the obs/metrics suites
+# under UBSan, the wire fuzz corpus under ASan, bench-artifact runs
+# validated against scripts/bench_schema.json, and the repository
+# benchmark's smoke test.
 #
 # Every leg runs even when an earlier one fails; the script exits
 # nonzero at the end and names each failed leg.
@@ -34,6 +35,16 @@ build_and_ctest() {
   cmake -B build -S . >/dev/null
   cmake --build build -j "${JOBS}"
   (cd build && ctest --output-on-failure -j "${JOBS}")
+}
+
+# Runs each example once; any nonzero exit fails the leg.
+run_examples() {
+  local name
+  for name in quickstart wan_failover sublabel_routing te_explorer \
+      frr_strategies incremental_deployment; do
+    echo "--- example_${name}"
+    ./build/examples/"example_${name}" >/dev/null
+  done
 }
 
 figure_artifacts() {
@@ -206,6 +217,7 @@ asan_swarm() {
 }
 
 leg "build + ctest (build/)" build_and_ctest
+leg "examples (build/) -- each runs to a zero exit" run_examples
 leg "bench artifacts: fig08, fig09, dataplane pps smoke" figure_artifacts
 leg "sharding ablation: plane containment on PlaneRuntime" sharding_ablation
 leg "hierarchical scale: solve gate + plane containment" hier_scale

@@ -140,9 +140,6 @@ Controller::RecomputeResult Controller::recompute() {
   encap_totals_.routes_installed += result.encap.routes_installed;
   encap_totals_.routes_too_deep += result.encap.routes_too_deep;
   encap_totals_.sr_routes_installed += result.encap.sr_routes_installed;
-  encap_totals_.install_retries += result.encap.install_retries;
-  encap_totals_.routes_gave_up += result.encap.routes_gave_up;
-  encap_totals_.retry_time_s += result.encap.retry_time_s;
   if (config_.program_sr) {
     result.sr = programmer_.program_sr(state_.view(), hw_);
   }

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "obs/export.hpp"
 #include "util/format.hpp"
 
 namespace dsdn::core {
@@ -40,8 +39,6 @@ ControllerStatus collect_status(const Controller& controller) {
   const auto& encap = controller.encap_totals();
   s.recomputes = controller.recomputes();
   s.routes_installed = encap.routes_installed;
-  s.install_retries = encap.install_retries;
-  s.installs_gave_up = encap.routes_gave_up;
   s.routes_too_deep = encap.routes_too_deep;
   s.te_frozen_demands = controller.last_solve_stats().frozen_demands;
   s.te_frozen_no_path = controller.last_solve_stats().frozen_no_path;
@@ -66,10 +63,6 @@ void merge_flood_counters(ControllerStatus& s,
       counter_or_zero(host_metrics, "flood.decode_errors");
 }
 
-std::string render_metrics(const obs::Snapshot& snapshot) {
-  return obs::to_text(snapshot);
-}
-
 std::string render_status(const ControllerStatus& s,
                           const topo::Topology& view) {
   std::ostringstream os;
@@ -88,9 +81,8 @@ std::string render_status(const ControllerStatus& s,
      << s.encap_entries << " encap groups, " << s.transit_entries
      << " transit labels, " << s.protected_links << " FRR-protected links\n";
   os << "  programming     : " << s.recomputes << " recomputes, "
-     << s.routes_installed << " routes installed, " << s.install_retries
-     << " retries, " << s.installs_gave_up << " gave up, "
-     << s.routes_too_deep << " too deep\n";
+     << s.routes_installed << " routes installed, " << s.routes_too_deep
+     << " too deep\n";
   os << "  flooding        : " << s.flood_transmissions << " transmissions, "
      << s.flood_retransmits << " retransmits, " << s.flood_gave_up
      << " gave up, " << s.flood_decode_errors << " decode errors\n";
@@ -136,7 +128,7 @@ std::string render_fleet_digest(
     os << "  r" << util::pad_left(std::to_string(s.self), 4) << "  digest="
        << std::hex << (s.view_digest >> 40) << std::dec << "..  heard="
        << s.origins_heard << "  encap=" << s.encap_entries << "  frr="
-       << s.protected_links << "  retries=" << s.install_retries << "\n";
+       << s.protected_links << "\n";
   }
   return os.str();
 }

@@ -27,12 +27,9 @@ struct ControllerStatus {
   std::size_t encap_entries = 0;
   std::size_t transit_entries = 0;
   std::size_t protected_links = 0;
-  // Programming accounting (PR 2's retry/give-up counters), from the
-  // controller's lifetime totals.
+  // Programming accounting, from the controller's lifetime totals.
   std::size_t recomputes = 0;
   std::size_t routes_installed = 0;
-  std::size_t install_retries = 0;
-  std::size_t installs_gave_up = 0;
   std::size_t routes_too_deep = 0;
   // Flooding-plane accounting (PR 2's retransmit counters). The flooder
   // is host-owned (the emulation transport), so these arrive via
@@ -62,10 +59,6 @@ ControllerStatus collect_status(const Controller& controller);
 // transport's registry (e.g. DsdnEmulation::obs()).
 void merge_flood_counters(ControllerStatus& status,
                           const obs::Snapshot& host_metrics);
-
-// Operator rendering of a full registry snapshot ("show dsdn metrics");
-// thin alias of obs::to_text so every surface prints metrics one way.
-std::string render_metrics(const obs::Snapshot& snapshot);
 
 // Multi-line human-readable rendering ("show dsdn status").
 std::string render_status(const ControllerStatus& status,

@@ -56,7 +56,6 @@ class LocalState {
   NodeStateUpdate snapshot(const TelemetrySource& telemetry);
 
   topo::NodeId self() const { return self_; }
-  std::uint64_t last_seq() const { return seq_; }
 
   // Restart recovery: resume sequence numbers above anything the network
   // may have seen from us (learned from a neighbor's StateDb).

@@ -6,19 +6,6 @@
 
 namespace dsdn::core {
 
-const char* nsu_validity_name(NsuValidity v) {
-  switch (v) {
-    case NsuValidity::kValid: return "valid";
-    case NsuValidity::kBadOrigin: return "bad-origin";
-    case NsuValidity::kDuplicateLinkAdvert: return "duplicate-link-advert";
-    case NsuValidity::kNegativeCapacity: return "negative-capacity";
-    case NsuValidity::kNegativeDemand: return "negative-demand";
-    case NsuValidity::kSelfDemand: return "self-demand";
-    case NsuValidity::kBadPrefix: return "bad-prefix";
-  }
-  return "?";
-}
-
 NsuValidity validate_nsu(const NodeStateUpdate& nsu) {
   if (nsu.origin == topo::kInvalidNode) return NsuValidity::kBadOrigin;
   // Duplicate-link-advert detection without a per-NSU heap allocation:

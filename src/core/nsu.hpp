@@ -68,8 +68,6 @@ enum class NsuValidity {
   kBadPrefix,
 };
 
-const char* nsu_validity_name(NsuValidity v);
-
 // Invariant checks for malformed NSUs (§3.2 fault tolerance): run by
 // every receiver before applying; invalid NSUs are dropped, not flooded.
 NsuValidity validate_nsu(const NodeStateUpdate& nsu);

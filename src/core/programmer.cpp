@@ -1,6 +1,6 @@
 #include "core/programmer.hpp"
 
-#include <cmath>
+#include <limits>
 #include <map>
 
 #include "dataplane/label.hpp"
@@ -26,42 +26,12 @@ void Programmer::program_prefixes(const StateDb& state,
 Programmer::EncapReport Programmer::program_encap(
     const std::vector<te::Allocation>& own,
     dataplane::RouterDataplane& hw) const {
-  return program_encap(own, hw, ProgramRetryPolicy{}, nullptr, nullptr);
-}
-
-Programmer::EncapReport Programmer::program_encap(
-    const std::vector<te::Allocation>& own, dataplane::RouterDataplane& hw,
-    const ProgramRetryPolicy& policy, const InstallGate& gate,
-    util::Rng* rng) const {
   DSDN_TRACE_SPAN("program.encap");
   auto& reg = obs::Registry::global();
   static obs::Counter& m_installed = reg.counter("program.routes_installed");
   static obs::Counter& m_too_deep = reg.counter("program.routes_too_deep");
-  static obs::Counter& m_retries = reg.counter("program.retries");
-  static obs::Counter& m_gave_up = reg.counter("program.gave_up");
-  static obs::Histogram& m_retry_time = reg.histogram("program.retry_time_s");
   EncapReport report;
   hw.ingress.clear_routes();
-  std::size_t op_index = 0;
-  // One install op per route: attempt through the gate, retrying with
-  // exponential backoff; an exhausted route is skipped (gave up), never
-  // half-programmed.
-  auto install_succeeds = [&](std::size_t op) {
-    if (!gate) return true;
-    for (int attempt = 0; attempt < policy.max_attempts; ++attempt) {
-      if (gate(op, attempt)) return true;
-      report.retry_time_s += policy.attempt_timeout_s;
-      if (attempt + 1 >= policy.max_attempts) break;
-      double backoff =
-          policy.backoff_base_s * std::pow(policy.backoff_multiplier, attempt);
-      if (rng && policy.backoff_jitter > 0) {
-        backoff *= 1.0 + rng->uniform(0.0, policy.backoff_jitter);
-      }
-      report.retry_time_s += backoff;
-      ++report.install_retries;
-    }
-    return false;
-  };
   for (const te::Allocation& a : own) {
     dataplane::EncapEntry entry;
     // An SR allocation carries one WeightedPath per ECMP *expansion*, many
@@ -77,10 +47,6 @@ Programmer::EncapReport Programmer::program_encap(
         ++report.routes_too_deep;
         continue;
       }
-      if (!install_succeeds(op_index++)) {
-        ++report.routes_gave_up;
-        continue;
-      }
       dataplane::WeightedRoute route;
       route.stack = dataplane::encode_strict_route(wp.path);
       route.weight = wp.weight;
@@ -88,10 +54,6 @@ Programmer::EncapReport Programmer::program_encap(
       ++report.routes_installed;
     }
     for (const auto& [segments, weight] : sr_weights) {
-      if (!install_succeeds(op_index++)) {
-        ++report.routes_gave_up;
-        continue;
-      }
       dataplane::WeightedRoute route;
       route.stack = dataplane::encode_segment_route(segments);
       route.weight = weight;
@@ -105,9 +67,6 @@ Programmer::EncapReport Programmer::program_encap(
   }
   m_installed.add(report.routes_installed);
   m_too_deep.add(report.routes_too_deep);
-  m_retries.add(report.install_retries);
-  m_gave_up.add(report.routes_gave_up);
-  if (report.retry_time_s > 0.0) m_retry_time.record(report.retry_time_s);
   return report;
 }
 

@@ -8,34 +8,12 @@
 // two-phase network-wide process (§4): a dSDN router only ever touches
 // its own tables, so Tprog is a single-router operation.
 
-#include <functional>
-
 #include "core/state_db.hpp"
 #include "dataplane/forwarder.hpp"
 #include "dataplane/frr.hpp"
 #include "te/types.hpp"
-#include "util/rng.hpp"
 
 namespace dsdn::core {
-
-// Retry/backoff policy for gRIBI-style install operations. A real NOS
-// RPC can time out or transiently fail (Fig 19's programming tail); the
-// Programmer retries each install with exponential backoff plus jitter
-// and gives up after max_attempts so one wedged route cannot stall the
-// whole batch.
-struct ProgramRetryPolicy {
-  int max_attempts = 4;
-  double attempt_timeout_s = 0.200;  // wall time charged per failed attempt
-  double backoff_base_s = 0.050;
-  double backoff_multiplier = 2.0;
-  double backoff_jitter = 0.2;  // fraction of the backoff added uniformly
-};
-
-// Transient-failure oracle for install attempts: returns true when the
-// attempt succeeds. op_index identifies the route within the batch,
-// attempt counts from 0. Null gate = the hardware never fails (the
-// in-process dataplane of this repo).
-using InstallGate = std::function<bool(std::size_t op_index, int attempt)>;
 
 class Programmer {
  public:
@@ -60,26 +38,9 @@ class Programmer {
     // Of routes_installed, how many were segment stacks (1-3 node
     // segments) rather than strict per-link stacks.
     std::size_t sr_routes_installed = 0;
-    // Retry accounting (meaningful when a gate is supplied).
-    std::size_t install_retries = 0;
-    std::size_t routes_gave_up = 0;
-    // Wall time the failed attempts cost: per-attempt timeouts plus
-    // backoff waits. Success latency itself is sampled by the Tprog
-    // calibration; this is the *extra* tail retries add (Fig 19).
-    double retry_time_s = 0.0;
   };
   EncapReport program_encap(const std::vector<te::Allocation>& own,
                             dataplane::RouterDataplane& hw) const;
-
-  // Flaky-channel variant: each route install is attempted through
-  // `gate` under `policy`; routes whose installs exhaust max_attempts
-  // are counted in routes_gave_up and left uninstalled. `rng` (optional)
-  // drives backoff jitter.
-  EncapReport program_encap(const std::vector<te::Allocation>& own,
-                            dataplane::RouterDataplane& hw,
-                            const ProgramRetryPolicy& policy,
-                            const InstallGate& gate,
-                            util::Rng* rng = nullptr) const;
 
   // Installs this router's node-segment FIB (SrFib): for every reachable
   // target, the ECMP shortest-path members toward it over the view's up

@@ -7,15 +7,6 @@
 
 namespace dsdn::core {
 
-const char* pathing_algorithm_name(PathingAlgorithm a) {
-  switch (a) {
-    case PathingAlgorithm::kMaxMinFairTe: return "max-min-fair-te";
-    case PathingAlgorithm::kShortestPath: return "shortest-path";
-    case PathingAlgorithm::kSegmentRouting: return "segment-routing";
-  }
-  return "?";
-}
-
 OpaqueTlv make_algorithm_tlv(PathingAlgorithm a) {
   OpaqueTlv tlv;
   tlv.type = kAlgorithmTlvType;

@@ -29,8 +29,6 @@ enum class PathingAlgorithm {
   kSegmentRouting = 2, // node-segment stacks over underlay ECMP (te::SrSolver)
 };
 
-const char* pathing_algorithm_name(PathingAlgorithm a);
-
 // TLV carrying the originator's algorithm (one byte of payload).
 inline constexpr std::uint32_t kAlgorithmTlvType = 0xA190;
 

@@ -353,9 +353,4 @@ DecodeResult decode_nsu(std::span<const std::uint8_t> bytes) {
   return result;
 }
 
-std::optional<NodeStateUpdate> parse_nsu(
-    const std::vector<std::uint8_t>& bytes) {
-  return decode_nsu(bytes).nsu;
-}
-
 }  // namespace dsdn::core

@@ -86,7 +86,4 @@ std::vector<std::uint8_t> serialize_nsu(const NodeStateUpdate& nsu);
 // buffers are rejected.
 DecodeResult decode_nsu(std::span<const std::uint8_t> bytes);
 
-// Legacy strict-parse surface: nullopt on any malformation.
-std::optional<NodeStateUpdate> parse_nsu(const std::vector<std::uint8_t>& bytes);
-
 }  // namespace dsdn::core

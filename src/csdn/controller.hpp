@@ -47,9 +47,6 @@ class CsdnController {
   }
 
   ControlPlaneNetwork& cpn() { return cpn_; }
-  const metrics::ProgrammingLatencyModel& programming_model() const {
-    return programming_;
-  }
   util::Rng& rng() { return rng_; }
 
  private:

@@ -8,7 +8,7 @@ namespace dsdn::dataplane {
 namespace {
 
 // Packets dropped at a transit router because the out-link was down and
-// no bypass (local or plan-level) could repair around it. The packet-level
+// the router's BypassFib had no bypass around it. The packet-level
 // counterpart of flow_eval's structural loss scoring.
 obs::Counter& down_link_drops() {
   static obs::Counter& c =
@@ -32,14 +32,13 @@ const char* forward_outcome_name(ForwardOutcome o) {
 }
 
 Forwarder::Forwarder(const topo::Topology& topo,
-                     const DataplaneProvider* provider,
-                     const BypassPlan* bypasses)
-    : topo_(topo), provider_(provider), bypasses_(bypasses) {
+                     const DataplaneProvider* provider)
+    : topo_(topo), provider_(provider) {
   if (!provider) throw std::invalid_argument("Forwarder: null provider");
 }
 
-ForwardResult Forwarder::forward(Packet packet, topo::NodeId ingress_node,
-                                 const std::vector<double>& residual) const {
+ForwardResult Forwarder::forward(Packet packet,
+                                 topo::NodeId ingress_node) const {
   ForwardResult r;
   topo::NodeId at = ingress_node;
   r.trace.push_back(at);
@@ -149,18 +148,11 @@ ForwardResult Forwarder::forward(Packet packet, topo::NodeId ingress_node,
 
     if (!up(*out_link)) {
       // Local repair: pop the invalid label, prepend a bypass route to the
-      // link's far end, continue as the headend intended (§3.2). The
-      // router's own pre-installed BypassFib is consulted first; a
-      // simulation-level BypassPlan (if any) is the fallback.
+      // link's far end, continue as the headend intended (§3.2). Only the
+      // router's own pre-installed BypassFib can repair.
       packet.stack.pop();
       const LabelStack* bypass_stack =
           provider_->at(at).bypass.select_stack(*out_link, packet.entropy);
-      std::optional<LabelStack> plan_stack;
-      if (!bypass_stack && bypasses_) {
-        plan_stack = bypasses_->select_encoded(
-            topo_, *out_link, /*rate_gbps=*/0.0, packet.entropy, residual);
-        if (plan_stack) bypass_stack = &*plan_stack;
-      }
       if (!bypass_stack) {
         down_link_drops().inc();
         r.outcome = ForwardOutcome::kDroppedLinkDownNoBypass;

@@ -5,8 +5,6 @@
 // and pushes the label stack; transit routers pop the outer label and
 // forward on the named link; a down link triggers local FRR repair.
 
-#include <optional>
-
 #include "dataplane/fib.hpp"
 #include "dataplane/frr.hpp"
 
@@ -79,18 +77,14 @@ struct ForwardResult {
 class Forwarder {
  public:
   // `provider` must outlive the Forwarder.
-  Forwarder(const topo::Topology& topo, const DataplaneProvider* provider,
-            const BypassPlan* bypasses = nullptr);
+  Forwarder(const topo::Topology& topo, const DataplaneProvider* provider);
 
   // Injects `packet` at `ingress_node` and walks it to completion.
-  // `residual_gbps` feeds capacity-aware bypass selection (may be empty).
-  ForwardResult forward(Packet packet, topo::NodeId ingress_node,
-                        const std::vector<double>& residual_gbps = {}) const;
+  ForwardResult forward(Packet packet, topo::NodeId ingress_node) const;
 
  private:
   const topo::Topology& topo_;
   const DataplaneProvider* provider_;
-  const BypassPlan* bypasses_;
 };
 
 }  // namespace dsdn::dataplane

@@ -214,12 +214,4 @@ std::optional<te::Path> BypassPlan::select(
   return std::nullopt;
 }
 
-std::optional<LabelStack> BypassPlan::select_encoded(
-    const topo::Topology& topo, topo::LinkId link, double rate_gbps,
-    std::uint64_t entropy, const std::vector<double>& residual_gbps) const {
-  const auto path = select(topo, link, rate_gbps, entropy, residual_gbps);
-  if (!path) return std::nullopt;
-  return encode_strict_route(*path, /*enforce_depth=*/false);
-}
-
 }  // namespace dsdn::dataplane

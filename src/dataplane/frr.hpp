@@ -81,13 +81,6 @@ class BypassPlan {
                                  const std::vector<double>& residual_gbps)
       const;
 
-  // select() plus strict-route encoding, the form the forwarders splice
-  // onto a packet's stack (depth enforcement off: FRR legitimately
-  // deepens a stack past what a headend would push).
-  std::optional<LabelStack> select_encoded(
-      const topo::Topology& topo, topo::LinkId link, double rate_gbps,
-      std::uint64_t entropy, const std::vector<double>& residual_gbps) const;
-
   std::size_t num_protected_links() const { return bypasses_.size(); }
 
  private:

@@ -206,13 +206,6 @@ std::size_t BatchPipeline::stage_round(BatchPacket* pkts, std::size_t live,
       --p.depth;  // pop the invalid label
       const LabelStack* bypass =
           snap.at(p.at).bypass.select_stack(*out_link, p.entropy);
-      std::optional<LabelStack> plan_stack;
-      if (!bypass && opts_.bypasses) {
-        plan_stack = opts_.bypasses->select_encoded(
-            topo_, *out_link, /*rate_gbps=*/0.0, p.entropy,
-            opts_.residual_gbps);
-        if (plan_stack) bypass = &*plan_stack;
-      }
       if (!bypass) {
         down_link_drops().inc();
         finish(p, ForwardOutcome::kDroppedLinkDownNoBypass, out);
@@ -279,14 +272,13 @@ void BatchPipeline::slow_path(const BatchPacket& p, PacketVerdict* out,
   // path would have produced with an unlimited inline array. Reads only
   // snapshot + immutable topology fields: safe under concurrent churn.
   const SnapshotView view(pinned_);
-  const Forwarder forwarder(topo_, &view, opts_.bypasses);
+  const Forwarder forwarder(topo_, &view);
   Packet pkt;
   pkt.dst_ip = p.dst_ip;
   pkt.priority = p.priority;
   pkt.entropy = p.entropy;
   pkt.ttl = p.orig_ttl;
-  ForwardResult r = forwarder.forward(std::move(pkt), p.ingress,
-                                      opts_.residual_gbps);
+  ForwardResult r = forwarder.forward(std::move(pkt), p.ingress);
 
   PacketVerdict& v = out[p.index];
   v.outcome = r.outcome;
@@ -299,126 +291,6 @@ void BatchPipeline::slow_path(const BatchPacket& p, PacketVerdict* out,
   account(v);
 }
 
-// Flat working record for one in-flight sublabel packet (Appendix A
-// walk). Labels bottom-first, like BatchPacket; a Table-1 pop is a
-// depth decrement.
-struct BatchPipeline::SubPacket {
-  topo::NodeId at;
-  std::uint32_t ttl;      // remaining iterations of the scalar while-loop
-  std::uint16_t index;    // slot in the batch: out[index]
-  std::uint16_t depth;
-  std::uint32_t hops;
-  Label labels[kInlineLabels];
-};
-
-void BatchPipeline::process_sublabel(std::span<const SublabelSpec> specs,
-                                     const std::vector<SublabelFib>& fibs,
-                                     std::vector<SublabelForwardResult>& out) {
-  out.assign(specs.size(), SublabelForwardResult{});
-  for (std::size_t off = 0; off < specs.size(); off += kBatchSize) {
-    const std::size_t n = std::min(kBatchSize, specs.size() - off);
-    run_sublabel_batch(specs.data() + off, n, fibs, out.data() + off);
-  }
-}
-
-void BatchPipeline::run_sublabel_batch(const SublabelSpec* specs,
-                                       std::size_t n,
-                                       const std::vector<SublabelFib>& fibs,
-                                       SublabelForwardResult* out) {
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  const std::uint32_t ttl_budget =
-      static_cast<std::uint32_t>(4 * topo_.num_nodes() + 8);
-
-  SubPacket pkts[kBatchSize];
-  std::size_t live = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const SublabelSpec& s = specs[i];
-    const auto& labels = s.stack.labels();  // top-first
-    if (labels.size() > kInlineLabels) {
-      // Scalar rerun: deterministic, so the verdict matches what the
-      // fast path would produce with an unlimited inline array.
-      out[i] = forward_sublabel(topo_, fibs, s.start, s.stack);
-      slow_path_.fetch_add(1, std::memory_order_relaxed);
-      sublabel_packets_.fetch_add(1, std::memory_order_relaxed);
-      if (out[i].delivered)
-        sublabel_delivered_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    SubPacket& p = pkts[live];
-    p.at = s.start;
-    p.ttl = ttl_budget;
-    p.index = static_cast<std::uint16_t>(i);
-    p.depth = static_cast<std::uint16_t>(labels.size());
-    p.hops = 0;
-    for (std::size_t j = 0; j < labels.size(); ++j)
-      p.labels[labels.size() - 1 - j] = labels[j];
-    out[i].trace.push_back(p.at);
-    ++live;
-  }
-  while (live > 0) live = sublabel_round(pkts, live, fibs, out);
-}
-
-std::size_t BatchPipeline::sublabel_round(SubPacket* pkts, std::size_t live,
-                                          const std::vector<SublabelFib>& fibs,
-                                          SublabelForwardResult* out) {
-  std::size_t keep = 0;
-  const auto finish_sub = [&](SubPacket& p, bool delivered) {
-    SublabelForwardResult& r = out[p.index];
-    r.delivered = delivered;
-    r.final_node = p.at;
-    r.hops = p.hops;
-    sublabel_packets_.fetch_add(1, std::memory_order_relaxed);
-    if (delivered) sublabel_delivered_.fetch_add(1, std::memory_order_relaxed);
-  };
-  for (std::size_t i = 0; i < live; ++i) {
-    SubPacket& p = pkts[i];
-    // Exactly one iteration of forward_sublabel's `while (ttl-- > 0)`.
-    if (p.ttl == 0) {
-      finish_sub(p, false);
-      continue;
-    }
-    --p.ttl;
-    if (p.depth == 0) {
-      finish_sub(p, true);
-      continue;
-    }
-    if (p.at >= fibs.size()) {
-      finish_sub(p, false);  // uncovered node: miss, not out-of-range index
-      continue;
-    }
-    const auto entry = fibs[p.at].lookup(p.labels[p.depth - 1]);
-    if (!entry) {
-      finish_sub(p, false);  // table miss: drop
-      continue;
-    }
-    bool done = false;
-    switch (entry->action) {
-      case SublabelAction::kPopDeliver:
-        --p.depth;
-        finish_sub(p, p.depth == 0);
-        done = true;
-        break;
-      case SublabelAction::kPopForward:
-        --p.depth;
-        break;
-      case SublabelAction::kKeepForward:
-        break;
-    }
-    if (done) continue;
-    const topo::Link& l = topo_.link(entry->out_link);
-    if (!l.up) {
-      finish_sub(p, false);  // no FRR modeled in the sublabel walk
-      continue;
-    }
-    p.at = l.dst;
-    ++p.hops;
-    out[p.index].trace.push_back(p.at);
-    if (&p != &pkts[keep]) pkts[keep] = p;
-    ++keep;
-  }
-  return keep;
-}
-
 PipelineStats BatchPipeline::stats() const {
   PipelineStats s;
   s.packets = packets_.load(std::memory_order_relaxed);
@@ -427,8 +299,6 @@ PipelineStats BatchPipeline::stats() const {
   s.dropped = dropped_.load(std::memory_order_relaxed);
   s.frr_activations = frr_.load(std::memory_order_relaxed);
   s.slow_path_packets = slow_path_.load(std::memory_order_relaxed);
-  s.sublabel_packets = sublabel_packets_.load(std::memory_order_relaxed);
-  s.sublabel_delivered = sublabel_delivered_.load(std::memory_order_relaxed);
   s.last_epoch = last_epoch_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < s.by_outcome.size(); ++i)
     s.by_outcome[i] = by_outcome_[i].load(std::memory_order_relaxed);

@@ -32,7 +32,6 @@
 #include <span>
 
 #include "dataplane/snapshot.hpp"
-#include "dataplane/sublabel.hpp"
 
 namespace dsdn::dataplane {
 
@@ -51,13 +50,6 @@ struct PacketSpec {
   topo::NodeId ingress = 0;
 };
 
-// A sublabel-encoded packet (Appendix A): injected at `start` with its
-// packed sublabel-pair stack already built by encode_sublabel_route.
-struct SublabelSpec {
-  topo::NodeId start = 0;
-  LabelStack stack;
-};
-
 // Per-packet result, mirroring ForwardResult minus the trace (traces are
 // opt-in via PipelineOptions::record_traces; the hot path skips them).
 struct PacketVerdict {
@@ -69,14 +61,8 @@ struct PacketVerdict {
 };
 
 struct PipelineOptions {
-  std::size_t core = 0;             // SnapshotHub slot this pipeline reads
-  // Plan-level FRR fallback. BypassPlan::select validates candidates
-  // against *live* topology link state, so set this only when nothing
-  // mutates the topology concurrently (single-threaded tests); routers'
-  // snapshot-resident BypassFib tables are always safe.
-  const BypassPlan* bypasses = nullptr;
-  std::vector<double> residual_gbps;     // for capacity-aware bypass picks
-  bool record_traces = false;            // per-packet node traces (tests)
+  std::size_t core = 0;          // SnapshotHub slot this pipeline reads
+  bool record_traces = false;    // per-packet node traces (tests)
 };
 
 // Aggregate counters, safe to read from another thread while the
@@ -89,8 +75,6 @@ struct PipelineStats {
   std::uint64_t dropped = 0;
   std::uint64_t frr_activations = 0;
   std::uint64_t slow_path_packets = 0;
-  std::uint64_t sublabel_packets = 0;
-  std::uint64_t sublabel_delivered = 0;
   std::uint64_t last_epoch = 0;  // epoch of the most recent batch
   // Drops by ForwardOutcome enum value (kDelivered slot unused).
   std::array<std::uint64_t, 8> by_outcome{};
@@ -108,18 +92,6 @@ class BatchPipeline {
                std::vector<PacketVerdict>& out);
   std::vector<PacketVerdict> process(std::span<const PacketSpec> specs);
 
-  // Batched sublabel walk (Appendix A). Runs every sublabel-encoded
-  // packet through the Table-1 walk in kBatchSize batches of flat
-  // records, bit-for-bit matching forward_sublabel: same live-topology
-  // liveness, same 4n+8 ttl budget, no FRR, kPopDeliver delivers only if
-  // the pop empties the stack. `fibs` are the static per-router tables --
-  // they are not snapshot-resident, so no snapshot epoch is pinned.
-  // Stacks deeper than kInlineLabels rerun through the scalar walk
-  // (counted as slow path). Results land in `out` in spec order.
-  void process_sublabel(std::span<const SublabelSpec> specs,
-                        const std::vector<SublabelFib>& fibs,
-                        std::vector<SublabelForwardResult>& out);
-
   PipelineStats stats() const;
 
   // Node traces of the packets from the most recent process() call, in
@@ -130,18 +102,9 @@ class BatchPipeline {
 
  private:
   struct BatchPacket;
-  struct SubPacket;
 
   void run_batch(const PacketSpec* specs, std::size_t n, PacketVerdict* out,
                  std::size_t trace_base);
-  void run_sublabel_batch(const SublabelSpec* specs, std::size_t n,
-                          const std::vector<SublabelFib>& fibs,
-                          SublabelForwardResult* out);
-  // One scalar sublabel-loop step for every live packet; compacts and
-  // returns the still-live count.
-  std::size_t sublabel_round(SubPacket* pkts, std::size_t live,
-                             const std::vector<SublabelFib>& fibs,
-                             SublabelForwardResult* out);
   // Headend two-stage lookup for the whole batch; returns live count
   // (live packets compacted to the front of `pkts`).
   std::size_t stage_ingress(const PacketSpec* specs, BatchPacket* pkts,
@@ -173,8 +136,6 @@ class BatchPipeline {
   std::atomic<std::uint64_t> dropped_{0};
   std::atomic<std::uint64_t> frr_{0};
   std::atomic<std::uint64_t> slow_path_{0};
-  std::atomic<std::uint64_t> sublabel_packets_{0};
-  std::atomic<std::uint64_t> sublabel_delivered_{0};
   std::atomic<std::uint64_t> last_epoch_{0};
   std::array<std::atomic<std::uint64_t>, 8> by_outcome_{};
 };

@@ -79,7 +79,6 @@ class SnapshotHub {
 
   std::uint64_t epoch() const;
   std::size_t num_cores() const { return slots_.size(); }
-  std::size_t num_routers() const { return num_routers_; }
 
  private:
   struct alignas(64) Slot {

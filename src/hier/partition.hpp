@@ -29,10 +29,6 @@ struct RegionPartition {
   std::vector<std::vector<topo::NodeId>> members;
   // region -> border nodes (endpoints of inter-region links), ascending.
   std::vector<std::vector<topo::NodeId>> borders;
-
-  bool intra_region(const topo::Link& l) const {
-    return region_of[l.src] == region_of[l.dst];
-  }
 };
 
 struct PartitionOptions {

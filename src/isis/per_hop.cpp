@@ -20,16 +20,6 @@ NextHopTable compute_next_hops(const topo::Topology& view,
   return table;
 }
 
-const char* per_hop_outcome_name(PerHopOutcome o) {
-  switch (o) {
-    case PerHopOutcome::kDelivered: return "delivered";
-    case PerHopOutcome::kLoop: return "loop";
-    case PerHopOutcome::kDeadEnd: return "dead-end";
-    case PerHopOutcome::kLinkDown: return "link-down";
-  }
-  return "?";
-}
-
 PerHopResult forward_per_hop(const topo::Topology& ground_truth,
                              const std::vector<NextHopTable>& tables,
                              topo::NodeId src, topo::NodeId dst) {

@@ -39,8 +39,6 @@ enum class PerHopOutcome {
   kLinkDown,  // next hop pointed at a dead link in ground truth
 };
 
-const char* per_hop_outcome_name(PerHopOutcome o);
-
 struct PerHopResult {
   PerHopOutcome outcome = PerHopOutcome::kDeadEnd;
   std::size_t hops = 0;

@@ -131,12 +131,4 @@ double sample_dsdn_hop_process(const DsdnCalibration& c, util::Rng& rng);
 double sample_dsdn_tprog(const DsdnCalibration& c, util::Rng& rng);
 double sample_dsdn_tcomp(const DsdnCalibration& c, util::Rng& rng);
 
-// Builds an empirical distribution by drawing n samples from a sampler.
-template <typename Sampler>
-EmpiricalDistribution materialize(Sampler&& s, std::size_t n, util::Rng& rng) {
-  EmpiricalDistribution d;
-  for (std::size_t i = 0; i < n; ++i) d.add(s(rng));
-  return d;
-}
-
 }  // namespace dsdn::metrics

@@ -17,10 +17,6 @@ void EmpiricalDistribution::add(double sample) {
   samples_.push_back(sample);
 }
 
-void EmpiricalDistribution::add_all(std::span<const double> samples) {
-  samples_.insert(samples_.end(), samples.begin(), samples.end());
-}
-
 void EmpiricalDistribution::ensure_sorted() const {
   // Samples are append-only, so the cache only ever needs the new tail:
   // sort it and merge it into the already-sorted prefix.

@@ -24,7 +24,6 @@ class EmpiricalDistribution {
   explicit EmpiricalDistribution(std::vector<double> samples);
 
   void add(double sample);
-  void add_all(std::span<const double> samples);
 
   std::size_t size() const { return samples_.size(); }
   bool empty() const { return samples_.empty(); }

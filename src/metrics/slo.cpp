@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <sstream>
-#include <stdexcept>
 
 #include "util/format.hpp"
 
@@ -20,15 +19,6 @@ const char* priority_name(PriorityClass c) {
 double slo_loss_threshold(PriorityClass c) {
   // kHigh: <0.01% loss; each lower class one nine less.
   return 1e-4 * std::pow(10.0, static_cast<double>(c));
-}
-
-void BadSecondsIntegrator::advance(double now, double blast_radius_since_last) {
-  if (now < last_time_)
-    throw std::invalid_argument("BadSecondsIntegrator: time went backwards");
-  if (blast_radius_since_last < 0.0 || blast_radius_since_last > 1.0)
-    throw std::invalid_argument("BadSecondsIntegrator: blast radius out of [0,1]");
-  bad_seconds_ += (now - last_time_) * blast_radius_since_last;
-  last_time_ = now;
 }
 
 std::string render_timeline(const std::vector<BlastSample>& samples,

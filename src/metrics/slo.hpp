@@ -35,26 +35,6 @@ double slo_loss_threshold(PriorityClass c);
 // group to count as violating (the paper uses 5%).
 inline constexpr double kGroupViolationFraction = 0.05;
 
-// Integrates blast radius over piecewise-constant intervals.
-// add(t, blast_radius) records that `blast_radius` held from the previous
-// timestamp until t. Total is available as bad_seconds().
-class BadSecondsIntegrator {
- public:
-  explicit BadSecondsIntegrator(double start_time)
-      : last_time_(start_time) {}
-
-  // Advances to `now`, accumulating the blast radius that held since the
-  // previous call. `now` must be monotonically non-decreasing.
-  void advance(double now, double blast_radius_since_last);
-
-  double bad_seconds() const { return bad_seconds_; }
-  double last_time() const { return last_time_; }
-
- private:
-  double last_time_;
-  double bad_seconds_ = 0.0;
-};
-
 // A single sample of blast radius at a point in time (for Fig 12's
 // timeline plot).
 struct BlastSample {

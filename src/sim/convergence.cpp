@@ -4,9 +4,10 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <queue>
 
 #include "obs/trace.hpp"
+#include "sim/faulty_bus.hpp"
+#include "te/dijkstra.hpp"
 #include "topo/builder.hpp"
 
 namespace dsdn::sim {
@@ -16,18 +17,15 @@ namespace {
 // Extra hop latency from a sampled run of lost transfers: exponential
 // backoff with jitter per retry; +inf when the transfer exhausts its
 // retransmit budget (the flooder gives up on this hop).
-double sample_retx_delay(const LossyFloodModel& loss, util::Rng& rng) {
-  if (loss.loss_prob <= 0) return 0.0;
+double sample_retx_delay(double loss_prob, util::Rng& rng) {
+  if (loss_prob <= 0) return 0.0;
   double delay = 0.0;
   for (int attempt = 0;; ++attempt) {
-    if (!rng.bernoulli(loss.loss_prob)) return delay;
-    if (attempt >= loss.max_retransmits)
+    if (!rng.bernoulli(loss_prob)) return delay;
+    if (attempt >= flood_retransmit::kMaxRetransmits)
       return std::numeric_limits<double>::infinity();
-    double backoff =
-        loss.retx_base_s * std::pow(loss.retx_multiplier, attempt);
-    if (loss.retx_jitter > 0)
-      backoff *= 1.0 + rng.uniform(0.0, loss.retx_jitter);
-    delay += backoff;
+    delay += flood_retransmit::backoff(
+        attempt, rng.uniform(0.0, flood_retransmit::kJitter));
   }
 }
 
@@ -37,7 +35,7 @@ double sample_tprog_with_retries(const DsdnConvergenceConfig& config,
                                  util::Rng& rng) {
   double t = 0.0;
   if (config.prog_fail_prob > 0) {
-    const core::ProgramRetryPolicy& p = config.prog_retry;
+    const ProgramRetryPolicy& p = config.prog_retry;
     for (int attempt = 0; attempt + 1 < p.max_attempts; ++attempt) {
       if (!rng.bernoulli(config.prog_fail_prob)) break;
       t += p.attempt_timeout_s;
@@ -56,45 +54,19 @@ double sample_tprog_with_retries(const DsdnConvergenceConfig& config,
 std::vector<double> nsu_arrival_times(const topo::Topology& topo,
                                       topo::NodeId origin,
                                       const metrics::DsdnCalibration& calib,
-                                      util::Rng& rng) {
-  return nsu_arrival_times(topo, origin, calib, LossyFloodModel{}, rng);
-}
-
-std::vector<double> nsu_arrival_times(const topo::Topology& topo,
-                                      topo::NodeId origin,
-                                      const metrics::DsdnCalibration& calib,
-                                      const LossyFloodModel& loss,
-                                      util::Rng& rng) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+                                      util::Rng& rng,
+                                      double flood_loss_prob) {
   // Sample one processing delay per link for this event, then run
   // earliest-arrival Dijkstra over delay + processing (+ any sampled
   // retransmission backoff under flood loss).
-  std::vector<double> hop_cost(topo.num_links(), kInf);
+  std::vector<double> hop_cost(topo.num_links(),
+                               std::numeric_limits<double>::infinity());
   for (const topo::Link& l : topo.links()) {
     if (!l.up) continue;
     hop_cost[l.id] = l.delay_s + metrics::sample_dsdn_hop_process(calib, rng) +
-                     sample_retx_delay(loss, rng);
+                     sample_retx_delay(flood_loss_prob, rng);
   }
-  std::vector<double> arrival(topo.num_nodes(), kInf);
-  using Entry = std::pair<double, topo::NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  arrival[origin] = 0.0;
-  pq.emplace(0.0, origin);
-  while (!pq.empty()) {
-    const auto [t, u] = pq.top();
-    pq.pop();
-    if (t > arrival[u]) continue;
-    for (topo::LinkId lid : topo.node(u).out_links) {
-      const topo::Link& l = topo.link(lid);
-      if (!l.up) continue;
-      const double nt = t + hop_cost[lid];
-      if (nt < arrival[l.dst]) {
-        arrival[l.dst] = nt;
-        pq.emplace(nt, l.dst);
-      }
-    }
-  }
-  return arrival;
+  return te::shortest_distances(topo, origin, hop_cost);
 }
 
 std::vector<topo::LinkId> pick_failure_fibers(const topo::Topology& topo,
@@ -138,10 +110,10 @@ ComponentDistributions measure_dsdn_convergence(
     // earliest arrival from either.
     const topo::NodeId a = scratch.link(fiber).src;
     const topo::NodeId b = scratch.link(fiber).dst;
-    const auto from_a =
-        nsu_arrival_times(scratch, a, config.calib, config.flood, rng);
-    const auto from_b =
-        nsu_arrival_times(scratch, b, config.calib, config.flood, rng);
+    const auto from_a = nsu_arrival_times(scratch, a, config.calib, rng,
+                                          config.flood_loss_prob);
+    const auto from_b = nsu_arrival_times(scratch, b, config.calib, rng,
+                                          config.flood_loss_prob);
 
     double event_total = 0.0;
     for (topo::NodeId i = 0; i < scratch.num_nodes(); ++i) {

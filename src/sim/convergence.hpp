@@ -12,7 +12,6 @@
 // Tcomp, then two-phase programming of every changed path; Tconv is gated
 // by the slowest path (Appendix B).
 
-#include "core/programmer.hpp"
 #include "csdn/controller.hpp"
 #include "metrics/calibration.hpp"
 #include "metrics/distribution.hpp"
@@ -21,40 +20,39 @@
 
 namespace dsdn::sim {
 
-// Statistical counterpart of the emulation's FaultyBus + FloodRetryPolicy
-// (sim/faulty_bus.hpp): each hop-level NSU transfer is lost with
-// loss_prob; a lost transfer is retried after exponential backoff with
-// jitter, up to max_retransmits, then abandoned (the hop contributes +inf
-// and flooding must route around it).
-struct LossyFloodModel {
-  double loss_prob = 0.0;  // 0 = lossless (the baseline Fig 8/9 setting)
-  double retx_base_s = 0.050;
-  double retx_multiplier = 2.0;
-  double retx_jitter = 0.2;
-  int max_retransmits = 5;
-};
-
 // Earliest NSU arrival time at every router when `origin` floods after
 // the (already applied) failure. Per-hop cost = link propagation delay +
 // a sampled per-hop processing time. Unreachable routers get +inf.
+//
+// Statistical counterpart of the emulation's FaultyBus flooding: with
+// flood_loss_prob > 0 each hop-level transfer is lost with that
+// probability and retried per sim::flood_retransmit (faulty_bus.hpp), so
+// the hop also pays its sampled run of retransmit backoffs, or +inf when
+// the run exhausts the retry budget and flooding must route around the
+// hop (Fig 9/10 under 1-10% flood loss).
 std::vector<double> nsu_arrival_times(const topo::Topology& topo,
                                       topo::NodeId origin,
                                       const metrics::DsdnCalibration& calib,
-                                      util::Rng& rng);
-
-// Lossy-flood variant: each hop additionally pays the retransmission
-// backoff of its sampled loss run (Fig 9/10 under 1-10% flood loss).
-std::vector<double> nsu_arrival_times(const topo::Topology& topo,
-                                      topo::NodeId origin,
-                                      const metrics::DsdnCalibration& calib,
-                                      const LossyFloodModel& loss,
-                                      util::Rng& rng);
+                                      util::Rng& rng,
+                                      double flood_loss_prob = 0.0);
 
 struct ComponentDistributions {
   metrics::EmpiricalDistribution tprop;
   metrics::EmpiricalDistribution tcomp;
   metrics::EmpiricalDistribution tprog;
   metrics::EmpiricalDistribution total;  // per-event network convergence
+};
+
+// Retry/backoff policy for local route installs in the Tprog model: a
+// NOS RPC can time out or transiently fail, so a failed attempt is
+// retried with exponential backoff plus jitter, at most max_attempts
+// times.
+struct ProgramRetryPolicy {
+  int max_attempts = 4;
+  double attempt_timeout_s = 0.200;  // wall time charged per failed attempt
+  double backoff_base_s = 0.050;
+  double backoff_multiplier = 2.0;
+  double backoff_jitter = 0.2;  // fraction of the backoff added uniformly
 };
 
 struct DsdnConvergenceConfig {
@@ -65,13 +63,14 @@ struct DsdnConvergenceConfig {
   metrics::EmpiricalDistribution measured_tcomp;
   std::size_t n_events = 200;
   std::uint64_t seed = 21;
-  // Flood loss injected on every NSU hop (loss_prob 0 = off).
-  LossyFloodModel flood;
+  // Flood loss injected on every NSU hop (0 = lossless, the baseline
+  // Fig 8/9 setting).
+  double flood_loss_prob = 0.0;
   // Per-attempt local-programming failure probability; failed attempts
-  // pay timeout + backoff per prog_retry before Tprog's success sample,
-  // so the Fig 19 programming tail reflects retries.
+  // pay timeout + backoff per prog_retry before Tprog's success sample
+  // (Fig 9's lossy rows).
   double prog_fail_prob = 0.0;
-  core::ProgramRetryPolicy prog_retry;
+  ProgramRetryPolicy prog_retry;
 };
 
 // Measures dSDN's convergence components over random fiber failures.

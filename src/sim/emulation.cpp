@@ -83,7 +83,7 @@ void DsdnEmulation::set_fiber_up(topo::LinkId fiber, bool up) {
 void DsdnEmulation::originate_and_flood(topo::NodeId n) {
   const auto directive = controllers_[n]->originate(telemetry_for(n));
   dirty_[n] = 1;
-  flood(directive, n);
+  flood(directive);
 }
 
 const core::Controller& DsdnEmulation::controller(topo::NodeId n) const {
@@ -102,9 +102,7 @@ std::uint32_t DsdnEmulation::address_of(topo::NodeId dst) const {
   return topo::host_in(prefixes_.at(dst));
 }
 
-void DsdnEmulation::flood(const core::FloodDirective& directive,
-                          topo::NodeId from) {
-  (void)from;
+void DsdnEmulation::flood(const core::FloodDirective& directive) {
   // NSUs cross the wire as bytes: every delivery round-trips through the
   // real serialization so the emulation exercises the gRPC payload path.
   const auto bytes =
@@ -166,15 +164,12 @@ void DsdnEmulation::transmit(
   // No intact copy made it onto the wire: the transfer times out at the
   // sender (gRPC deadline) and is retransmitted with exponential backoff
   // plus jitter -- bounded, so a dead link cannot retransmit forever.
-  const FloodRetryPolicy& retry = config_.flood_retry;
-  if (attempt >= retry.max_retransmits) {
+  if (attempt >= flood_retransmit::kMaxRetransmits) {
     c_gave_up_.inc();
     return;
   }
-  double backoff = retry.base_s * std::pow(retry.multiplier, attempt);
-  if (retry.jitter > 0) {
-    backoff *= 1.0 + faults_->uniform(lid, 0.0, retry.jitter);
-  }
+  const double backoff = flood_retransmit::backoff(
+      attempt, faults_->uniform(lid, 0.0, flood_retransmit::kJitter));
   c_retransmits_.inc();
   queue_.schedule_in(base_delay + backoff, [this, bytes, lid, attempt] {
     transmit(bytes, lid, attempt + 1);
@@ -191,7 +186,7 @@ void DsdnEmulation::deliver(const core::NodeStateUpdate& nsu,
   if (!onward.empty() || receiver.state().seq_of(nsu.origin) == nsu.seq) {
     dirty_[l.dst] = 1;
   }
-  if (!onward.empty()) flood(onward, l.dst);
+  if (!onward.empty()) flood(onward);
 }
 
 void DsdnEmulation::run_to_quiescence() {
@@ -273,10 +268,10 @@ void DsdnEmulation::repair_fiber(topo::LinkId fiber) {
   // reach both sides. Receivers' sequence checks stop the reflood where
   // nothing is new.
   for (const auto& directive : controllers_[a]->resync_with(*controllers_[b])) {
-    flood(directive, a);
+    flood(directive);
   }
   for (const auto& directive : controllers_[b]->resync_with(*controllers_[a])) {
-    flood(directive, b);
+    flood(directive);
   }
   for (topo::NodeId origin : {a, b}) originate_and_flood(origin);
   run_to_quiescence();
@@ -333,7 +328,7 @@ void DsdnEmulation::crash_and_cold_restart(topo::NodeId node) {
   // discard the copies as stale, terminating the reflood.
   for (topo::NodeId nb : neighbors) {
     for (const auto& directive : controllers_[nb]->advertise_database()) {
-      flood(directive, nb);
+      flood(directive);
     }
   }
   run_to_quiescence();
@@ -465,7 +460,7 @@ void DsdnEmulation::measurement_epoch() {
     if (!advert_changed(n)) continue;
     const auto directive = controllers_[n]->originate(telemetry_for(n));
     dirty_[n] = 1;
-    flood(directive, n);
+    flood(directive);
   }
   run_to_quiescence();
   // Tick every controller's recompute policy on its converged view --

@@ -26,19 +26,6 @@
 
 namespace dsdn::sim {
 
-// Bounded retransmission for NSU transfers over one link. The flooder
-// treats a transmit attempt as failed when no intact copy reaches the
-// far end (gRPC would surface this as a deadline-exceeded RPC) and
-// retries with exponential backoff plus jitter, up to max_retransmits,
-// after which it gives up on that link (the NSU can still arrive via
-// other flooding paths, or with the next originated sequence number).
-struct FloodRetryPolicy {
-  double base_s = 0.050;
-  double multiplier = 2.0;
-  double jitter = 0.2;  // fraction of the backoff added uniformly
-  int max_retransmits = 5;
-};
-
 struct EmulationConfig {
   te::SolverOptions solver_options;
   // Fixed per-hop NSU processing delay added to link propagation.
@@ -48,7 +35,6 @@ struct EmulationConfig {
   bool use_bypasses = true;
   dataplane::BypassStrategy bypass_strategy =
       dataplane::BypassStrategy::kCapacityAware;
-  FloodRetryPolicy flood_retry;
   // Warm-start incremental TE recompute on every controller. Safe here
   // because the emulation recomputes all dirty controllers at the same
   // quiescent points, keeping warm-state histories in lockstep; a
@@ -165,7 +151,6 @@ class DsdnEmulation final : public dataplane::DataplaneProvider {
                                   = {});
   void observe_traffic(const traffic::TrafficMatrix& offered);
   void measurement_epoch();
-  bool in_band_measurement() const { return !estimators_.empty(); }
 
   // Replaces the oracle matrix withOUT flooding anything: with in-band
   // measurement the controllers must only ever learn demand through
@@ -178,7 +163,8 @@ class DsdnEmulation final : public dataplane::DataplaneProvider {
   // Interposes a FaultyBus between flooders and links: per-link
   // drop/dup/corrupt/reorder/jitter with seeded per-link RNG streams.
   // Transfers that lose every intact copy are retransmitted per
-  // config.flood_retry. Deterministic: same seed, same run.
+  // flood_retransmit (faulty_bus.hpp). Deterministic: same seed, same
+  // run.
   void enable_fault_injection(const LinkFaultProfile& default_profile,
                               std::uint64_t seed);
   void set_link_fault_profile(topo::LinkId link, const LinkFaultProfile& p);
@@ -236,7 +222,7 @@ class DsdnEmulation final : public dataplane::DataplaneProvider {
   // plane reconvergence).
   void set_fiber_up(topo::LinkId fiber, bool up);
   void originate_and_flood(topo::NodeId n);
-  void flood(const core::FloodDirective& directive, topo::NodeId from);
+  void flood(const core::FloodDirective& directive);
   // One transmit attempt (attempt 0 = first try) of a serialized NSU
   // over a link; schedules deliveries and, on loss, the retransmit.
   void transmit(std::shared_ptr<const std::vector<std::uint8_t>> bytes,

@@ -12,6 +12,7 @@
 // streams), and streams are consumed in event order, so a fixed seed
 // reproduces a lossy run bit-for-bit.
 
+#include <cmath>
 #include <cstdint>
 #include <unordered_map>
 #include <vector>
@@ -37,6 +38,27 @@ struct LinkFaultProfile {
            reorder == 0.0 && jitter_s == 0.0;
   }
 };
+
+// The one NSU flood-retransmit policy, used by DsdnEmulation's flooder
+// and by the statistical flood model (sim/convergence.hpp). A transfer
+// that gets no intact copy to the far end times out at the sender (gRPC
+// would surface a deadline-exceeded RPC) and is retried after
+// exponential backoff plus jitter. After kMaxRetransmits retries the
+// sender gives up on that link; the NSU can still arrive via other
+// flooding paths, or with the next originated sequence number.
+namespace flood_retransmit {
+
+inline constexpr int kMaxRetransmits = 5;
+// Each retry draws exactly one u uniform in [0, kJitter).
+inline constexpr double kJitter = 0.2;
+
+// Wait before resending once attempt `attempt` (0 = the first try) is
+// lost; `u` is that retry's jitter draw.
+inline double backoff(int attempt, double u) {
+  return 0.050 * std::pow(2.0, attempt) * (1.0 + u);
+}
+
+}  // namespace flood_retransmit
 
 class FaultyBus {
  public:

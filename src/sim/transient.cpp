@@ -72,37 +72,20 @@ TransientSimulator::TransientSimulator(const topo::Topology& topo,
 }
 
 std::vector<TransientSimulator::PendingSwitch>
-TransientSimulator::schedule_switches(double t0, const topo::Topology& state,
-                                      const te::Solution& target,
+TransientSimulator::schedule_switches(double t0, const te::Solution& target,
                                       const std::vector<char>& changed) {
-  (void)state;  // dSDN scheduling needs the flood origins; handled in run()
   std::vector<PendingSwitch> out;
-  switch (config_.scheme) {
-    case Scheme::kOmniscient: {
-      for (std::size_t i = 0; i < target.allocations.size(); ++i) {
-        if (!changed[i]) continue;
-        out.push_back(PendingSwitch{t0, i, &target.allocations[i]});
-      }
-      break;
+  if (config_.scheme == Scheme::kCsdn) {
+    const auto timing = csdn_->time_reconvergence(t0, target, changed);
+    for (const auto& [demand, when] : timing.demand_switch) {
+      out.push_back(PendingSwitch{when, demand, &target.allocations[demand]});
     }
-    case Scheme::kCsdn: {
-      const auto timing = csdn_->time_reconvergence(t0, target, changed);
-      for (const auto& [demand, when] : timing.demand_switch) {
-        out.push_back(PendingSwitch{when, demand, &target.allocations[demand]});
-      }
-      break;
-    }
-    case Scheme::kDsdn: {
-      // Per-headend convergence: Tprop from the flooding origins (we use
-      // the earliest arrival over all routers adjacent to changed state;
-      // here: every router is a potential origin of the event's NSUs, so
-      // we flood from the routers whose links changed).
-      // Identify origins: endpoints of links whose up-state differs
-      // between the configured topology's current scratch and... the
-      // caller passes `state` == live topology; origins are supplied via
-      // the most recent event, tracked in origins_.
-      break;
-    }
+    return out;
+  }
+  // Omniscient: every changed demand switches at the event instant.
+  for (std::size_t i = 0; i < target.allocations.size(); ++i) {
+    if (!changed[i]) continue;
+    out.push_back(PendingSwitch{t0, i, &target.allocations[i]});
   }
   return out;
 }
@@ -240,12 +223,10 @@ TransientResult TransientSimulator::run() {
       // Flood from both fiber endpoints on the post-event topology.
       const topo::NodeId a = scratch_.link(e.fiber).src;
       const topo::NodeId b = scratch_.link(e.fiber).dst;
-      const auto from_a =
-          nsu_arrival_times(scratch_, a, config_.dsdn_calib, config_.flood,
-                            rng_);
-      const auto from_b =
-          nsu_arrival_times(scratch_, b, config_.dsdn_calib, config_.flood,
-                            rng_);
+      const auto from_a = nsu_arrival_times(scratch_, a, config_.dsdn_calib,
+                                            rng_, config_.flood_loss_prob);
+      const auto from_b = nsu_arrival_times(scratch_, b, config_.dsdn_calib,
+                                            rng_, config_.flood_loss_prob);
       // One convergence instant per headend.
       std::vector<double> headend_switch(topo_.num_nodes(), -1.0);
       for (std::size_t i = 0; i < target.allocations.size(); ++i) {
@@ -267,7 +248,7 @@ TransientResult TransientSimulator::run() {
         }
       }
     } else {
-      switches = schedule_switches(e.time_s, scratch_, target, changed);
+      switches = schedule_switches(e.time_s, target, changed);
     }
 
     // Quantize switch times to bound evaluation cost (conservative:

@@ -60,9 +60,9 @@ struct TransientConfig {
   FailureParams failures;
   metrics::CsdnCalibration csdn_calib;
   metrics::DsdnCalibration dsdn_calib;
-  // Flood loss injected on every dSDN NSU hop (loss_prob 0 = off); lost
-  // transfers pay bounded retransmit backoff (Fig 10 under lossy flood).
-  LossyFloodModel flood;
+  // Flood loss injected on every dSDN NSU hop (0 = off); lost transfers
+  // pay bounded retransmit backoff (Fig 10 under lossy flood).
+  double flood_loss_prob = 0.0;
   te::SolverOptions solver_options;
   // Pre-installed bypass paths (Appendix D). Recomputed per topology
   // state when enabled.
@@ -111,9 +111,10 @@ class TransientSimulator {
     const te::Allocation* target;
   };
 
-  // Computes scheme-specific switch times for the changed demands.
+  // Switch times of the changed demands under kOmniscient and kCsdn;
+  // run() schedules dSDN's per-headend switches from its flood origins.
   std::vector<PendingSwitch> schedule_switches(
-      double t0, const topo::Topology& state, const te::Solution& target,
+      double t0, const te::Solution& target,
       const std::vector<char>& changed);
 
   const topo::Topology& topo_;

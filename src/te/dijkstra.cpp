@@ -123,10 +123,12 @@ bool link_usable(const topo::Link& l, const SpConstraints& c) {
 
 struct DijkstraResult {
   std::vector<double> dist;
-  std::vector<topo::LinkId> pred_link;  // link arriving at each node
+  // Link arriving at each node (kReverse: the link leaving it toward src).
+  std::vector<topo::LinkId> pred_link;
 };
 
-template <typename CostFn>
+// kReverse walks in-links, so dist[v] is the distance from v to src.
+template <bool kReverse = false, typename CostFn>
 DijkstraResult run_dijkstra(const topo::Topology& topo, topo::NodeId src,
                             const SpConstraints& c, CostFn cost,
                             topo::NodeId early_stop = topo::kInvalidNode) {
@@ -143,14 +145,16 @@ DijkstraResult run_dijkstra(const topo::Topology& topo, topo::NodeId src,
     pq.pop();
     if (d > r.dist[u]) continue;
     if (u == early_stop) break;
-    for (topo::LinkId lid : topo.node(u).out_links) {
+    const topo::Node& node = topo.node(u);
+    for (topo::LinkId lid : kReverse ? node.in_links : node.out_links) {
       const topo::Link& l = topo.link(lid);
       if (!link_usable(l, c)) continue;
+      const topo::NodeId v = kReverse ? l.src : l.dst;
       const double nd = d + cost(l);
-      if (nd < r.dist[l.dst]) {
-        r.dist[l.dst] = nd;
-        r.pred_link[l.dst] = lid;
-        pq.emplace(nd, l.dst);
+      if (nd < r.dist[v]) {
+        r.dist[v] = nd;
+        r.pred_link[v] = lid;
+        pq.emplace(nd, v);
       }
     }
   }
@@ -197,15 +201,13 @@ std::vector<Path> shortest_path_tree(const topo::Topology& topo,
   return out;
 }
 
-std::optional<Path> min_latency_path(const topo::Topology& topo,
-                                     topo::NodeId src, topo::NodeId dst,
-                                     const SpConstraints& c) {
-  if (src == dst) throw std::invalid_argument("min_latency_path: src == dst");
-  const auto r = run_dijkstra(
-      topo, src, c, [](const topo::Link& l) { return l.delay_s; }, dst);
-  Path p = extract_path(topo, r, src, dst);
-  if (p.empty()) return std::nullopt;
-  return p;
+std::vector<double> shortest_distances(const topo::Topology& topo,
+                                       topo::NodeId root,
+                                       std::span<const double> link_cost,
+                                       bool reverse) {
+  const auto cost = [&](const topo::Link& l) { return link_cost[l.id]; };
+  return reverse ? run_dijkstra<true>(topo, root, {}, cost).dist
+                 : run_dijkstra<false>(topo, root, {}, cost).dist;
 }
 
 }  // namespace dsdn::te

@@ -6,6 +6,7 @@
 // baseline headend computation [48].
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "te/types.hpp"
@@ -34,10 +35,13 @@ std::vector<Path> shortest_path_tree(const topo::Topology& topo,
                                      topo::NodeId src,
                                      const SpConstraints& c = {});
 
-// Latency-weighted variant (cost = link delay), used for FRR latency
-// inflation accounting.
-std::optional<Path> min_latency_path(const topo::Topology& topo,
-                                     topo::NodeId src, topo::NodeId dst,
-                                     const SpConstraints& c = {});
+// Shortest distance from `root` to every node over up links, where
+// traversing link l costs link_cost[l]; +inf when unreachable. With
+// `reverse`, the distance from every node to `root` (walks in-links).
+// Same heap and relaxation order as shortest_path.
+std::vector<double> shortest_distances(const topo::Topology& topo,
+                                       topo::NodeId root,
+                                       std::span<const double> link_cost,
+                                       bool reverse = false);
 
 }  // namespace dsdn::te

@@ -60,7 +60,6 @@ class RecomputePolicy {
   void reset();
 
   const RecomputePolicyOptions& options() const { return options_; }
-  std::uint32_t epochs_since_recompute() const { return epochs_since_; }
 
   // L1 demand drift of `now` vs. `solved`, normalized by the solved
   // total (union of keys: appearing and vanishing rows both count).

@@ -2,43 +2,24 @@
 
 #include <algorithm>
 #include <functional>
-#include <queue>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "te/dijkstra.hpp"
 
 namespace dsdn::te {
 
 SrUnderlay SrUnderlay::build(const topo::Topology& topo) {
   SrUnderlay u;
   u.n_ = topo.num_nodes();
-  u.dist_to_.assign(u.n_, std::vector<double>(u.n_, kInf));
-  // One reverse Dijkstra per target over up links (in_links traversal)
-  // gives dist(v, t) for every v in a single pass.
-  using QueueEntry = std::pair<double, topo::NodeId>;
-  for (topo::NodeId t = 0; t < u.n_; ++t) {
-    std::vector<double>& dist = u.dist_to_[t];
-    std::priority_queue<QueueEntry, std::vector<QueueEntry>,
-                        std::greater<QueueEntry>>
-        pq;
-    dist[t] = 0.0;
-    pq.push({0.0, t});
-    while (!pq.empty()) {
-      const auto [d, v] = pq.top();
-      pq.pop();
-      if (d > dist[v]) continue;
-      for (topo::LinkId lid : topo.node(v).in_links) {
-        const topo::Link& l = topo.link(lid);
-        if (!l.up) continue;
-        const double nd = d + l.igp_metric;
-        if (nd < dist[l.src]) {
-          dist[l.src] = nd;
-          pq.push({nd, l.src});
-        }
-      }
-    }
-  }
+  // One reverse Dijkstra per target over up links gives dist(v, t) for
+  // every v in a single pass.
+  std::vector<double> metric(topo.num_links());
+  for (const topo::Link& l : topo.links()) metric[l.id] = l.igp_metric;
+  u.dist_to_.reserve(u.n_);
+  for (topo::NodeId t = 0; t < u.n_; ++t)
+    u.dist_to_.push_back(shortest_distances(topo, t, metric, /*reverse=*/true));
   return u;
 }
 

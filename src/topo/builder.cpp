@@ -62,27 +62,4 @@ bool is_strongly_connected(const Topology& topo) {
   return true;
 }
 
-std::size_t hop_diameter(const Topology& topo) {
-  std::size_t best = 0;
-  for (NodeId s = 0; s < topo.num_nodes(); ++s) {
-    std::vector<int> dist(topo.num_nodes(), -1);
-    std::deque<NodeId> q{s};
-    dist[s] = 0;
-    while (!q.empty()) {
-      const NodeId u = q.front();
-      q.pop_front();
-      for (NodeId v : topo.up_neighbors(u)) {
-        if (dist[v] < 0) {
-          dist[v] = dist[u] + 1;
-          q.push_back(v);
-        }
-      }
-    }
-    for (int d : dist) {
-      if (d > 0) best = std::max(best, static_cast<std::size_t>(d));
-    }
-  }
-  return best;
-}
-
 }  // namespace dsdn::topo

@@ -32,7 +32,4 @@ Topology build_from_specs(const std::vector<NodeSpec>& nodes,
 // True iff every node can reach every other over up links.
 bool is_strongly_connected(const Topology& topo);
 
-// Computes the graph diameter in hops over up links (0 for <=1 node).
-std::size_t hop_diameter(const Topology& topo);
-
 }  // namespace dsdn::topo

@@ -55,11 +55,6 @@ const Node& Topology::node(NodeId id) const {
   return nodes_[id];
 }
 
-Node& Topology::mutable_node(NodeId id) {
-  if (id >= nodes_.size()) throw std::out_of_range("mutable_node: bad id");
-  return nodes_[id];
-}
-
 const Link& Topology::link(LinkId id) const {
   if (id >= links_.size()) throw std::out_of_range("link: bad id");
   return links_[id];

@@ -66,7 +66,6 @@ class Topology {
 
   const Node& node(NodeId id) const;
   const Link& link(LinkId id) const;
-  Node& mutable_node(NodeId id);
 
   std::span<const Node> nodes() const { return nodes_; }
   std::span<const Link> links() const { return links_; }

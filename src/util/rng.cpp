@@ -61,13 +61,6 @@ double Rng::pareto(double x_m, double alpha) {
   return x_m / std::pow(u, 1.0 / alpha);
 }
 
-int Rng::poisson(double mean) {
-  if (mean < 0) throw std::invalid_argument("poisson: mean < 0");
-  if (mean == 0) return 0;
-  std::poisson_distribution<int> d(mean);
-  return d(engine_);
-}
-
 std::size_t Rng::weighted_pick(std::span<const double> weights) {
   const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
   if (total <= 0) throw std::invalid_argument("weighted_pick: no positive weight");

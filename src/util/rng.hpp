@@ -50,8 +50,6 @@ class Rng {
   // alpha <= 2); used for programming-latency tails.
   double pareto(double x_m, double alpha);
 
-  int poisson(double mean);
-
   // Picks an index in [0, weights.size()) proportionally to weights.
   // Requires at least one strictly positive weight.
   std::size_t weighted_pick(std::span<const double> weights);

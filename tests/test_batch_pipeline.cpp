@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "dataplane/pipeline.hpp"
-#include "dataplane/sublabel.hpp"
 #include "obs/metrics.hpp"
 #include "te/dijkstra.hpp"
 #include "sim/convergence.hpp"
@@ -469,125 +468,6 @@ TEST(BatchPipeline, SrRepickOnStaleSnapshotMatchesScalar) {
     // Stale SR walks may dead-end but must never cycle.
     ASSERT_NE(r.outcome, ForwardOutcome::kDroppedLoop) << "packet " << i;
   }
-}
-
-// ---- Sublabel batching: scalar walk vs batched rounds (Appendix A) ----
-
-struct SublabelFabric {
-  topo::Topology topo;
-  SublabelAssignment assignment;
-  std::vector<SublabelFib> fibs;
-
-  explicit SublabelFabric(topo::Topology t) : topo(std::move(t)) {
-    assignment = assign_sublabels(topo);
-    for (topo::NodeId n = 0; n < topo.num_nodes(); ++n)
-      fibs.push_back(SublabelFib::build(topo, n, assignment));
-  }
-
-  void rebuild_fibs() {
-    fibs.clear();
-    for (topo::NodeId n = 0; n < topo.num_nodes(); ++n)
-      fibs.push_back(SublabelFib::build(topo, n, assignment));
-  }
-};
-
-// Bit-for-bit: batched process_sublabel vs the scalar forward_sublabel.
-void expect_sublabel_parity(const SublabelFabric& f,
-                            std::span<const SublabelSpec> specs,
-                            const char* what) {
-  SnapshotHub hub(f.topo, 1);
-  BatchPipeline pipe(f.topo, &hub, {});
-  std::vector<SublabelForwardResult> batched;
-  pipe.process_sublabel(specs, f.fibs, batched);
-  ASSERT_EQ(batched.size(), specs.size());
-  std::size_t delivered = 0;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const SublabelForwardResult r =
-        forward_sublabel(f.topo, f.fibs, specs[i].start, specs[i].stack);
-    ASSERT_EQ(r.delivered, batched[i].delivered) << what << " packet " << i;
-    ASSERT_EQ(r.final_node, batched[i].final_node) << what << " packet " << i;
-    ASSERT_EQ(r.hops, batched[i].hops) << what << " packet " << i;
-    ASSERT_EQ(r.trace, batched[i].trace) << what << " packet " << i;
-    delivered += r.delivered ? 1 : 0;
-  }
-  const PipelineStats s = pipe.stats();
-  EXPECT_EQ(s.sublabel_packets, specs.size());
-  EXPECT_EQ(s.sublabel_delivered, delivered);
-}
-
-std::vector<SublabelSpec> random_sublabel_specs(const SublabelFabric& f,
-                                                std::size_t n,
-                                                std::uint64_t seed) {
-  util::Rng rng(util::splitmix64(seed));
-  std::vector<SublabelSpec> specs;
-  while (specs.size() < n) {
-    const auto src =
-        static_cast<topo::NodeId>(rng.uniform_int(0, f.topo.num_nodes() - 1));
-    const auto dst =
-        static_cast<topo::NodeId>(rng.uniform_int(0, f.topo.num_nodes() - 1));
-    if (src == dst) continue;
-    const auto path = te::shortest_path(f.topo, src, dst);
-    if (!path) continue;
-    SublabelSpec s;
-    s.start = src;
-    s.stack = encode_sublabel_route(*path, f.assignment);
-    // A third of the packets get one label corrupted: both walks must
-    // reach the identical miss/drop verdict.
-    if (rng.uniform_int(0, 2) == 0 && s.stack.depth() > 0) {
-      std::vector<Label> labels = s.stack.labels();
-      const auto idx = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<std::int64_t>(labels.size()) - 1));
-      labels[idx] ^= static_cast<Label>(rng.uniform_int(1, kMaxLabelValue));
-      labels[idx] &= kMaxLabelValue;
-      s.stack = LabelStack(std::move(labels));
-    }
-    specs.push_back(std::move(s));
-  }
-  return specs;
-}
-
-TEST(BatchPipeline, SublabelDifferentialAgainstScalarWalk) {
-  SublabelFabric f(topo::make_abilene());
-  for (std::uint64_t seed = 1; seed <= 8; ++seed)
-    expect_sublabel_parity(f, random_sublabel_specs(f, 64, seed), "abilene");
-
-  // A dead link mid-path: the batched walk must stop exactly where the
-  // scalar walk does (liveness reads the live topology, not a snapshot --
-  // sublabel tables are static).
-  f.topo.set_duplex_up(f.topo.find_link(0, 1), false);
-  for (std::uint64_t seed = 11; seed <= 14; ++seed)
-    expect_sublabel_parity(f, random_sublabel_specs(f, 64, seed),
-                           "abilene cut");
-}
-
-TEST(BatchPipeline, SublabelDeepStackFallsBackToScalarSlowPath) {
-  // A 139-hop line path compresses to 70 sublabel-pair labels -- past the
-  // 64-label inline array -- so the batch must route it through the
-  // scalar fallback and still match forward_sublabel bit for bit.
-  SublabelFabric f(topo::make_line(140));
-  te::Path path;
-  for (topo::NodeId i = 0; i + 1 < 140; ++i)
-    path.links.push_back(f.topo.find_link(i, i + 1));
-  SublabelSpec deep;
-  deep.start = 0;
-  deep.stack = encode_sublabel_route(path, f.assignment);
-  ASSERT_GT(deep.stack.depth(), kInlineLabels);
-
-  SnapshotHub hub(f.topo, 1);
-  BatchPipeline pipe(f.topo, &hub, {});
-  std::vector<SublabelForwardResult> out;
-  pipe.process_sublabel(std::vector<SublabelSpec>{deep}, f.fibs, out);
-  ASSERT_EQ(out.size(), 1u);
-  const SublabelForwardResult r =
-      forward_sublabel(f.topo, f.fibs, deep.start, deep.stack);
-  EXPECT_TRUE(r.delivered);
-  EXPECT_EQ(out[0].delivered, r.delivered);
-  EXPECT_EQ(out[0].final_node, r.final_node);
-  EXPECT_EQ(out[0].hops, r.hops);
-  EXPECT_EQ(out[0].trace, r.trace);
-  EXPECT_EQ(pipe.stats().slow_path_packets, 1u);
-  EXPECT_EQ(pipe.stats().sublabel_packets, 1u);
-  EXPECT_EQ(pipe.stats().sublabel_delivered, 1u);
 }
 
 // ---- Reprogram during forward: the TSan stress ----

@@ -558,8 +558,7 @@ TEST(Introspection, StatusReflectsControllerState) {
   // Programming accounting flows from the controller's lifetime totals.
   EXPECT_EQ(status.recomputes, 1u);
   EXPECT_GT(status.routes_installed, 0u);
-  EXPECT_EQ(status.install_retries, 0u);
-  EXPECT_EQ(status.installs_gave_up, 0u);
+  EXPECT_EQ(status.routes_too_deep, 0u);
 
   const auto text = render_status(status, c.state().view());
   EXPECT_NE(text.find("origins heard"), std::string::npos);
@@ -587,8 +586,6 @@ TEST(Introspection, RenderStatusGolden) {
   s.protected_links = 3;
   s.recomputes = 9;
   s.routes_installed = 12;
-  s.install_retries = 4;
-  s.installs_gave_up = 1;
   s.routes_too_deep = 2;
   s.flood_transmissions = 120;
   s.flood_retransmits = 6;
@@ -610,8 +607,7 @@ TEST(Introspection, RenderStatusGolden) {
       "  view link state : 7 up, 1 down\n"
       "  FIBs            : 4 prefixes, 6 encap groups, 2 transit labels, "
       "3 FRR-protected links\n"
-      "  programming     : 9 recomputes, 12 routes installed, 4 retries, "
-      "1 gave up, 2 too deep\n"
+      "  programming     : 9 recomputes, 12 routes installed, 2 too deep\n"
       "  flooding        : 120 transmissions, 6 retransmits, 1 gave up, "
       "3 decode errors\n"
       "  TE solver       : 2 frozen demands (1 no-path, 1 round-cap); "

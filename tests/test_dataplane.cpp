@@ -217,12 +217,18 @@ TEST(Forwarder, FrrBypassRepairsAroundFailure) {
   direct.links = {f.topo.find_link(0, 1)};
   f.install_route(0, 1, direct);
 
-  // Precompute bypasses on the healthy network, then cut the link.
+  // Precompute bypasses on the healthy network, install R0's into its
+  // BypassFib, then cut the link.
   const auto bypasses =
       BypassPlan::compute(f.topo, BypassStrategy::kShortestPath);
+  const auto& candidates = bypasses.candidates(direct.links[0]);
+  ASSERT_EQ(candidates.size(), 1u);
+  f.routers.mutable_at(0).bypass.set_bypasses(
+      direct.links[0],
+      {{encode_strict_route(candidates[0], /*enforce_depth=*/false), 1.0}});
   f.topo.set_duplex_up(direct.links[0], false);
 
-  const Forwarder fwd(f.topo, &f.routers, &bypasses);
+  const Forwarder fwd(f.topo, &f.routers);
   Packet pkt;
   pkt.dst_ip = topo::host_in(f.prefixes[1]);
   const auto r = fwd.forward(pkt, 0);
@@ -367,27 +373,6 @@ TEST(BypassFib, ValidationAndClear) {
   fib.set_bypasses(2, {{LabelStack({1}), 1.0}});
   fib.clear();
   EXPECT_EQ(fib.num_protected_links(), 0u);
-}
-
-TEST(Forwarder, LocalBypassFibPreferredOverGlobalPlan) {
-  // The router's own table, not the simulation-level plan, does repair.
-  Fig5Fixture f;
-  te::Path direct;
-  direct.links = {f.topo.find_link(0, 1)};
-  f.install_route(0, 1, direct);
-  // Local bypass via R2.
-  te::Path via;
-  via.links = {f.topo.find_link(0, 2), f.topo.find_link(2, 1)};
-  f.routers.mutable_at(0).bypass.set_bypasses(
-      direct.links[0], {{encode_strict_route(via), 1.0}});
-  f.topo.set_duplex_up(direct.links[0], false);
-  const Forwarder fwd(f.topo, &f.routers);  // no global plan at all
-  Packet pkt;
-  pkt.dst_ip = topo::host_in(f.prefixes[1]);
-  const auto r = fwd.forward(pkt, 0);
-  EXPECT_EQ(r.outcome, ForwardOutcome::kDelivered);
-  EXPECT_EQ(r.frr_activations, 1u);
-  EXPECT_EQ(r.trace, (std::vector<topo::NodeId>{0, 2, 1}));
 }
 
 }  // namespace

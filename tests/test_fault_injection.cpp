@@ -120,7 +120,7 @@ TEST(FaultInjection, GarbledWireBytesNeverReachTheStateDb) {
     const auto at = static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(corrupt.size()) - 1));
     corrupt[at] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    const auto parsed = core::parse_nsu(corrupt);
+    const auto parsed = core::decode_nsu(corrupt).nsu;
     if (!parsed) continue;
     // Whatever still parses must clear the semantic validator before a
     // StateDb would accept it; count how often both layers pass.

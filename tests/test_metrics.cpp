@@ -141,21 +141,6 @@ TEST(Slo, ThresholdsLoosenOneNinePerClass) {
   EXPECT_DOUBLE_EQ(slo_loss_threshold(PriorityClass::kLow), 1e-2);
 }
 
-TEST(Slo, BadSecondsIntegratorMatchesPaperExample) {
-  // Paper example (§5.2): 100 groups over 10 s; 50 violate for 5 s, then
-  // 10 violate for another 5 s => 50/100*5 + 10/100*5 = 3 bad seconds.
-  BadSecondsIntegrator integ(0.0);
-  integ.advance(5.0, 0.5);
-  integ.advance(10.0, 0.1);
-  EXPECT_DOUBLE_EQ(integ.bad_seconds(), 3.0);
-}
-
-TEST(Slo, IntegratorRejectsBackwardTimeAndBadRadius) {
-  BadSecondsIntegrator integ(1.0);
-  EXPECT_THROW(integ.advance(0.5, 0.1), std::invalid_argument);
-  EXPECT_THROW(integ.advance(2.0, 1.5), std::invalid_argument);
-}
-
 TEST(Calibration, CsdnTpropMedianNearCalibratedValue) {
   CsdnCalibration calib;
   util::Rng rng(5);

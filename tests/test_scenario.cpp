@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 
 #include "sim/scenario.hpp"
 #include "topo/synthetic.hpp"
@@ -233,6 +234,61 @@ TEST(Scenario, PacketScoringCrossChecksEveryQuiescentPoint) {
   EXPECT_TRUE(pr.ok());
   EXPECT_EQ(pr.packets_scored, 0u);
   EXPECT_NE(pr.fingerprint(), r.fingerprint());
+}
+
+// Golden replay fingerprints. Flooding, retransmit backoff, TE,
+// programming, FRR and forwarding all feed a history's fingerprint, so
+// a change to any of them that moves one bit of a run fails here.
+TEST(ScenarioGolden, LossyAbileneFingerprints) {
+  constexpr std::array<std::uint64_t, 6> kGolden = {
+      0xea9c53265ba77d6eULL, 0xcd5c245c21b49c1cULL, 0xba4e8213e969a7b6ULL,
+      0x097b1be3b5f0f0bcULL, 0x5e1cc056c3de3741ULL, 0x7dd8dac364907614ULL};
+  const auto topo = topo::make_abilene();
+  const auto tm = tm_for(topo);
+  ScenarioOptions options;
+  options.lossy_flooding = true;
+  for (std::uint64_t seed = 1; seed <= kGolden.size(); ++seed) {
+    const ScenarioResult r = Scenario(topo, tm, options, seed).run();
+    EXPECT_TRUE(r.ok()) << "seed " << seed;
+    EXPECT_EQ(r.fingerprint(), kGolden[seed - 1])
+        << "seed " << seed << ": 0x" << std::hex << r.fingerprint();
+  }
+}
+
+// The scenario_swarm --sr fleet: a third of the routers on strict TE,
+// every seventh on shortest path, the rest on segment routing.
+std::vector<core::PathingAlgorithm> sr_fleet(std::size_t num_nodes) {
+  std::vector<core::PathingAlgorithm> algos(num_nodes);
+  for (std::size_t n = 0; n < num_nodes; ++n) {
+    if (n % 3 == 1) {
+      algos[n] = core::PathingAlgorithm::kMaxMinFairTe;
+    } else if (n % 7 == 5) {
+      algos[n] = core::PathingAlgorithm::kShortestPath;
+    } else {
+      algos[n] = core::PathingAlgorithm::kSegmentRouting;
+    }
+  }
+  return algos;
+}
+
+TEST(ScenarioGolden, MixedSrFleetScoredFingerprints) {
+  constexpr std::array<std::uint64_t, 6> kGolden = {
+      0x4cc44dbc635692abULL, 0x530d1e175cd1cd4dULL, 0xcb41f3caa59e338aULL,
+      0x239f738f320a897bULL, 0x5f5e2ef0035f449bULL, 0xd935c2b25b2f0515ULL};
+  const auto topo = topo::make_abilene();
+  const auto tm = tm_for(topo);
+  ScenarioOptions options;
+  options.algorithms = sr_fleet(topo.num_nodes());
+  options.packet_scoring = true;
+  options.packets_per_check = 128;
+  for (std::uint64_t seed = 1; seed <= kGolden.size(); ++seed) {
+    options.lossy_flooding = seed % 2 == 0;
+    const ScenarioResult r = Scenario(topo, tm, options, seed).run();
+    EXPECT_TRUE(r.ok()) << "seed " << seed;
+    EXPECT_GT(r.packets_scored, 0u);
+    EXPECT_EQ(r.fingerprint(), kGolden[seed - 1])
+        << "seed " << seed << ": 0x" << std::hex << r.fingerprint();
+  }
 }
 
 TEST(Invariants, CleanBootstrapPasses) {

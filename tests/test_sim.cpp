@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "sim/convergence.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/failure.hpp"
 #include "sim/flow_eval.hpp"
 #include "sim/transient.hpp"
+#include "solver_golden.hpp"
 #include "topo/builder.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
@@ -375,6 +378,78 @@ TEST(Convergence, CsdnSlowerThanDsdnOnSameNetwork) {
   EXPECT_GT(csdn.tprop.median() / dsdn.tprop.median(), 3.0);
   EXPECT_GT(csdn.tprog.median() / dsdn.tprog.median(), 10.0);
   EXPECT_GT(csdn.total.median() / dsdn.total.median(), 5.0);
+}
+
+// Golden digests of the statistical flood model, one per (topology,
+// flood loss) with loss in {0, 5%, 20%}. They pin the retry backoff
+// expression and its one uniform draw per retry bit for bit, and the
+// earliest-arrival Dijkstra's relaxation order.
+TEST(ConvergenceGolden, NsuArrivalTimesEveryOrigin) {
+  constexpr std::array<std::array<std::uint64_t, 3>, 2> kGolden = {{
+      {0xf4b6d87ac7065f8dULL, 0x27de916c13b61ca9ULL, 0xb4398f65986b0b2cULL},
+      {0xe6b9e7d39b09b37dULL, 0xd965a07db36b880cULL, 0x37039faa376534bdULL},
+  }};
+  const std::array<topo::Topology, 2> topos = {topo::make_abilene(),
+                                               topo::make_geant()};
+  const metrics::DsdnCalibration calib;
+  for (std::size_t t = 0; t < topos.size(); ++t) {
+    std::size_t col = 0;
+    for (double loss : {0.0, 0.05, 0.20}) {
+      util::Rng rng(42);
+      golden::Fnv f;
+      for (topo::NodeId o = 0; o < topos[t].num_nodes(); ++o) {
+        for (double a :
+             nsu_arrival_times(topos[t], o, calib, rng, loss))
+          f.add(a);
+      }
+      EXPECT_EQ(f.h, kGolden[t][col++])
+          << "topology " << t << " loss " << loss << ": 0x" << std::hex
+          << f.h;
+    }
+  }
+}
+
+// Digest of every component sample of a convergence run.
+std::uint64_t component_digest(const ComponentDistributions& d) {
+  golden::Fnv f;
+  for (const metrics::EmpiricalDistribution* dist :
+       {&d.tprop, &d.tcomp, &d.tprog, &d.total}) {
+    f.add(static_cast<std::uint64_t>(dist->size()));
+    for (double s : dist->samples()) f.add(s);
+  }
+  return f.h;
+}
+
+TEST(ConvergenceGolden, DsdnComponentsUnderProgrammingRetries) {
+  // Failed local installs pay timeout + jittered backoff per retry.
+  DsdnConvergenceConfig cfg;
+  cfg.n_events = 40;
+  cfg.flood_loss_prob = 0.05;
+  cfg.prog_fail_prob = 0.2;
+  const std::uint64_t h =
+      component_digest(measure_dsdn_convergence(topo::make_geant(), cfg));
+  EXPECT_EQ(h, 0xa3f2a719f6f955f0ULL) << "0x" << std::hex << h;
+}
+
+TEST(ConvergenceGolden, DsdnComponentsUnderFloodLoss) {
+  constexpr std::array<std::array<std::uint64_t, 3>, 2> kGolden = {{
+      {0x0a72f817715ae3baULL, 0xb7b1356c70ef64dbULL, 0x942c927698205ad5ULL},
+      {0x5014011825033c9aULL, 0xbf8034f39f7343a5ULL, 0xaf4fdafb2a521f92ULL},
+  }};
+  const std::array<topo::Topology, 2> topos = {topo::make_abilene(),
+                                               topo::make_geant()};
+  for (std::size_t t = 0; t < topos.size(); ++t) {
+    std::size_t col = 0;
+    for (double loss : {0.0, 0.05, 0.20}) {
+      DsdnConvergenceConfig cfg;
+      cfg.n_events = 40;
+      cfg.flood_loss_prob = loss;
+      const std::uint64_t h =
+          component_digest(measure_dsdn_convergence(topos[t], cfg));
+      EXPECT_EQ(h, kGolden[t][col++])
+          << "topology " << t << " loss " << loss << ": 0x" << std::hex << h;
+    }
+  }
 }
 
 // ---- transient impact ----

@@ -282,5 +282,85 @@ TEST_P(SublabelRandomPathTest, RandomShortestPathsForwardCorrectly) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SublabelRandomPathTest,
                          ::testing::Values(1, 2, 3, 4, 5));
 
+TEST(Sublabel, CorruptedLabelsStayOnRealLinksAndTerminate) {
+  // One label of every stack is garbled: the walk may deliver, miss or
+  // wander, but each step must follow a real link, the walk must end
+  // within the 4n+8 budget, and it must stop where its trace ends.
+  const auto t = topo::make_abilene();
+  const auto a = assign_sublabels(t);
+  const auto fibs = build_all_fibs(t, a);
+  const std::size_t budget = 4 * t.num_nodes() + 8;
+  const auto n = static_cast<std::int64_t>(t.num_nodes());
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    util::Rng rng(util::splitmix64(seed));
+    for (int trial = 0; trial < 64; ++trial) {
+      const auto src = static_cast<topo::NodeId>(rng.uniform_int(0, n - 1));
+      const auto dst = static_cast<topo::NodeId>(rng.uniform_int(0, n - 1));
+      if (src == dst) continue;
+      const auto p = te::shortest_path(t, src, dst);
+      ASSERT_TRUE(p.has_value());
+      std::vector<Label> labels = encode_sublabel_route(*p, a).labels();
+      const auto idx = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(labels.size()) - 1));
+      labels[idx] ^= static_cast<Label>(rng.uniform_int(1, kMaxLabelValue));
+      labels[idx] &= kMaxLabelValue;
+      const auto r =
+          forward_sublabel(t, fibs, src, LabelStack(std::move(labels)));
+      ASSERT_EQ(r.trace.front(), src);
+      for (std::size_t i = 0; i + 1 < r.trace.size(); ++i) {
+        EXPECT_NE(t.find_link(r.trace[i], r.trace[i + 1]), topo::kInvalidLink)
+            << "seed " << seed << " trial " << trial << " step " << i;
+      }
+      EXPECT_LE(r.hops, budget);
+      EXPECT_EQ(r.hops + 1, r.trace.size());
+      EXPECT_EQ(r.final_node, r.trace.back());
+    }
+  }
+}
+
+TEST(Sublabel, DeadLinkMidPathStopsAtItsTail) {
+  // Sublabel tables are static and the walk has no FRR: a packet whose
+  // path crosses a dead link is dropped at that link's tail.
+  const auto t0 = topo::make_abilene();
+  const auto a = assign_sublabels(t0);
+  const auto fibs = build_all_fibs(t0, a);
+  std::size_t checked = 0;
+  for (topo::NodeId src = 0; src < t0.num_nodes(); ++src) {
+    for (topo::NodeId dst = 0; dst < t0.num_nodes(); ++dst) {
+      if (src == dst) continue;
+      const auto p = te::shortest_path(t0, src, dst);
+      ASSERT_TRUE(p.has_value());
+      if (p->hops() < 3) continue;
+      const topo::LinkId cut = p->links[p->hops() / 2];
+      auto t = t0;
+      t.set_duplex_up(cut, false);
+      const auto r =
+          forward_sublabel(t, fibs, src, encode_sublabel_route(*p, a));
+      EXPECT_FALSE(r.delivered) << src << "->" << dst;
+      EXPECT_EQ(r.final_node, t.link(cut).src) << src << "->" << dst;
+      EXPECT_EQ(r.hops, p->hops() / 2);
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u);
+}
+
+TEST(Sublabel, StackDeeperThanSixtyFourLabelsDelivers) {
+  // A 139-hop line path packs into 70 sublabel-pair labels.
+  const auto t = topo::make_line(140);
+  const auto a = assign_sublabels(t);
+  const auto fibs = build_all_fibs(t, a);
+  te::Path p;
+  for (topo::NodeId i = 0; i + 1 < 140; ++i)
+    p.links.push_back(t.find_link(i, i + 1));
+  const LabelStack s = encode_sublabel_route(p, a);
+  ASSERT_EQ(s.depth(), 70u);
+  const auto r = forward_sublabel(t, fibs, 0, s);
+  EXPECT_TRUE(r.delivered);
+  EXPECT_EQ(r.final_node, 139u);
+  EXPECT_EQ(r.hops, 139u);
+  EXPECT_EQ(r.trace.size(), 140u);
+}
+
 }  // namespace
 }  // namespace dsdn::dataplane

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "te/dijkstra.hpp"
 #include "te/ksp.hpp"
 #include "te/parallel_solver.hpp"
@@ -81,6 +83,27 @@ TEST(Dijkstra, RejectsSrcEqualsDst) {
   EXPECT_THROW(shortest_path(t, 0, 0), std::invalid_argument);
 }
 
+TEST(Dijkstra, DistancesFromAndToARoot) {
+  // One-way ring a -> b -> c -> a: distances from a follow the ring
+  // forward, distances to a walk it backward; down links are skipped.
+  topo::Topology t;
+  const auto a = t.add_node("a");
+  const auto b = t.add_node("b");
+  const auto c = t.add_node("c");
+  t.add_link(a, b, 10);
+  t.add_link(b, c, 10);
+  const auto back = t.add_link(c, a, 10);
+  const std::vector<double> cost = {1.0, 2.0, 4.0};
+  EXPECT_EQ(shortest_distances(t, a, cost),
+            (std::vector<double>{0.0, 1.0, 3.0}));
+  EXPECT_EQ(shortest_distances(t, a, cost, /*reverse=*/true),
+            (std::vector<double>{0.0, 6.0, 4.0}));
+  t.set_link_up(back, false);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(shortest_distances(t, a, cost, /*reverse=*/true),
+            (std::vector<double>{0.0, inf, inf}));
+}
+
 TEST(Dijkstra, TreeMatchesPointQueries) {
   const auto t = topo::make_abilene();
   const auto tree = shortest_path_tree(t, 0);
@@ -91,7 +114,7 @@ TEST(Dijkstra, TreeMatchesPointQueries) {
   }
 }
 
-TEST(Dijkstra, MinLatencyDiffersFromMinCost) {
+TEST(Dijkstra, ShortestPathMinimizesMetricNotDelay) {
   topo::Topology t;
   const auto a = t.add_node("a");
   const auto b = t.add_node("b");
@@ -100,7 +123,6 @@ TEST(Dijkstra, MinLatencyDiffersFromMinCost) {
   t.add_duplex(a, c, 10, 5.0, 0.001);
   t.add_duplex(c, b, 10, 5.0, 0.001);
   EXPECT_EQ(shortest_path(t, a, b)->hops(), 1u);
-  EXPECT_EQ(min_latency_path(t, a, b)->hops(), 2u);
 }
 
 TEST(PathValidity, DetectsLoopsAndBreaks) {

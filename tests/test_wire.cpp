@@ -50,7 +50,7 @@ bool nsu_equal(const NodeStateUpdate& a, const NodeStateUpdate& b) {
 TEST(Wire, RoundTripsFullNsu) {
   const auto nsu = sample_nsu();
   const auto bytes = serialize_nsu(nsu);
-  const auto back = parse_nsu(bytes);
+  const auto back = decode_nsu(bytes).nsu;
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(nsu_equal(nsu, *back));
   EXPECT_EQ(validate_nsu(*back), NsuValidity::kValid);
@@ -60,7 +60,7 @@ TEST(Wire, RoundTripsEmptySections) {
   NodeStateUpdate minimal;
   minimal.origin = 1;
   minimal.seq = 1;
-  const auto back = parse_nsu(serialize_nsu(minimal));
+  const auto back = decode_nsu(serialize_nsu(minimal)).nsu;
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(nsu_equal(minimal, *back));
 }
@@ -69,10 +69,10 @@ TEST(Wire, RejectsBadMagicAndVersion) {
   auto bytes = serialize_nsu(sample_nsu());
   auto bad_magic = bytes;
   bad_magic[0] ^= 0xFF;
-  EXPECT_FALSE(parse_nsu(bad_magic).has_value());
+  EXPECT_FALSE(decode_nsu(bad_magic).nsu.has_value());
   auto bad_version = bytes;
   bad_version[4] = 0x7F;
-  EXPECT_FALSE(parse_nsu(bad_version).has_value());
+  EXPECT_FALSE(decode_nsu(bad_version).nsu.has_value());
 }
 
 TEST(Wire, TruncationNeverYieldsTheOriginal) {
@@ -87,7 +87,7 @@ TEST(Wire, TruncationNeverYieldsTheOriginal) {
     std::vector<std::uint8_t> truncated(bytes.begin(),
                                         bytes.begin() +
                                             static_cast<std::ptrdiff_t>(cut));
-    const auto parsed = parse_nsu(truncated);
+    const auto parsed = decode_nsu(truncated).nsu;
     if (parsed) {
       EXPECT_FALSE(nsu_equal(original, *parsed)) << "cut at " << cut;
     }
@@ -100,7 +100,7 @@ TEST(Wire, RejectsOversizedLengthField) {
   // + section type = 4+2+4+8+2 = 20.
   bytes[20] = 0xFF;
   bytes[21] = 0xFF;
-  EXPECT_FALSE(parse_nsu(bytes).has_value());
+  EXPECT_FALSE(decode_nsu(bytes).nsu.has_value());
   const auto result = decode_nsu(bytes);
   EXPECT_EQ(result.error.status, DecodeStatus::kBadSectionLength);
 }
@@ -241,7 +241,7 @@ TEST(Wire, RejectsInvalidPriorityClass) {
   for (std::size_t i = 0; i < bytes.size(); ++i) {
     auto corrupt = bytes;
     corrupt[i] = 0x6B;
-    const auto parsed = parse_nsu(corrupt);  // must not crash
+    const auto parsed = decode_nsu(corrupt).nsu;  // must not crash
     if (!parsed.has_value()) ++rejected;
   }
   EXPECT_GT(rejected, 0u);
@@ -258,7 +258,7 @@ TEST(Wire, SkipsUnknownSectionsForForwardCompat) {
   for (int i = 0; i < 4; ++i)
     bytes.push_back(static_cast<std::uint8_t>(len >> (8 * i)));
   bytes.insert(bytes.end(), {0xAA, 0xBB, 0xCC});
-  const auto back = parse_nsu(bytes);
+  const auto back = decode_nsu(bytes).nsu;
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(nsu_equal(sample_nsu(), *back));
 }
@@ -270,7 +270,7 @@ TEST(Wire, FuzzRandomBuffersNeverCrash) {
         static_cast<std::size_t>(rng.uniform_int(0, 256)));
     for (auto& b : garbage)
       b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-    (void)parse_nsu(garbage);  // must neither crash nor hang
+    (void)decode_nsu(garbage).nsu;  // must neither crash nor hang
   }
   SUCCEED();
 }
@@ -286,7 +286,7 @@ TEST(Wire, FuzzMutatedValidBuffersNeverCrash) {
           rng.uniform_int(0, static_cast<std::int64_t>(mutated.size()) - 1));
       mutated[at] = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     }
-    const auto parsed = parse_nsu(mutated);
+    const auto parsed = decode_nsu(mutated).nsu;
     // Anything that *does* parse must still pass the semantic validator
     // or be rejected by it -- either way, no crash and no acceptance of
     // structurally inconsistent data downstream.
@@ -297,7 +297,7 @@ TEST(Wire, FuzzMutatedValidBuffersNeverCrash) {
 
 TEST(Wire, RejectsMessagesAboveSizeCap) {
   std::vector<std::uint8_t> huge(kMaxWireSize + 1, 0);
-  EXPECT_FALSE(parse_nsu(huge).has_value());
+  EXPECT_FALSE(decode_nsu(huge).nsu.has_value());
 }
 
 TEST(Wire, SizeTracksWireSizeEstimate) {
