@@ -195,12 +195,13 @@ void BM_IngressLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_IngressLookup);
 
+// The transit step's table read: decoding the label to router 0's
+// out-link.
 void BM_TransitLookup(benchmark::State& state) {
-  const auto fib = dataplane::build_transit_fib(b4(), 0);
-  const dataplane::Label l =
-      dataplane::link_label(b4().node(0).out_links.front());
+  const auto& t = b4();
+  const dataplane::Label l = dataplane::link_label(t.node(0).out_links.front());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(fib.lookup(l));
+    benchmark::DoNotOptimize(dataplane::transit_link(t, 0, l));
   }
 }
 BENCHMARK(BM_TransitLookup);

@@ -72,7 +72,7 @@ FibCount count_fib(const sim::DsdnEmulation& emu, std::size_t num_nodes) {
         c.max_depth = std::max(c.max_depth, route.stack.depth());
       }
     }
-    c.transit += dp.transit.size();
+    c.transit += emu.network().node(n).out_links.size();
     c.sr_next_hops += dp.sr.num_next_hops();
   }
   return c;

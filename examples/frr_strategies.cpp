@@ -28,7 +28,6 @@ int main() {
   dataplane::VectorDataplanes routers(topo.num_nodes());
   for (topo::NodeId n = 0; n < topo.num_nodes(); ++n) {
     auto& rd = routers.mutable_at(n);
-    rd.transit = dataplane::build_transit_fib(topo, n);
     for (topo::NodeId m = 0; m < topo.num_nodes(); ++m) {
       rd.ingress.set_prefix(prefixes[m], m);
     }

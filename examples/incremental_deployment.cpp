@@ -65,7 +65,6 @@ int main() {
   auto program_primary = [&](const te::Solution& solution) {
     for (topo::NodeId n = 0; n < topo.num_nodes(); ++n) {
       auto& rd = primary.mutable_at(n);
-      rd.transit = dataplane::build_transit_fib(topo, n);
       rd.ingress.clear_routes();
       for (topo::NodeId m = 0; m < topo.num_nodes(); ++m) {
         rd.ingress.set_prefix(prefixes[m], m);

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, every example run end to
 # end, the concurrency suites (thread pool, event queue, metrics shards,
-# plane runtime) again under ThreadSanitizer, the obs/metrics suites
-# under UBSan, the wire fuzz corpus under ASan, bench-artifact runs
-# validated against scripts/bench_schema.json, and the repository
-# benchmark's smoke test.
+# plane runtime) again under ThreadSanitizer, the obs/metrics and
+# dataplane/topology suites under UBSan, the wire fuzz corpus and the
+# dataplane suites under ASan, bench-artifact runs validated against
+# scripts/bench_schema.json, and the repository benchmark's smoke test.
 #
 # Every leg runs even when an earlier one fails; the script exits
 # nonzero at the end and names each failed leg.
@@ -146,10 +146,14 @@ tsan_suites() {
     -R '^(test_parallel|test_sim|test_obs|test_dataplane|test_batch_pipeline|test_batch_solver|test_plane_runtime)$')
 }
 
+# test_dataplane + test_topology: the flat FIB tables' open addressing
+# and index arithmetic.
 ubsan_suites() {
   cmake -B build-ubsan -S . -DDSDN_SANITIZE=undefined >/dev/null
-  cmake --build build-ubsan -j "${JOBS}" --target test_obs test_metrics
-  (cd build-ubsan && ctest --output-on-failure -R '^(test_obs|test_metrics)$')
+  cmake --build build-ubsan -j "${JOBS}" --target test_obs test_metrics \
+    test_dataplane test_topology
+  (cd build-ubsan && ctest --output-on-failure \
+    -R '^(test_obs|test_metrics|test_dataplane|test_topology)$')
 }
 
 asan_wire() {
@@ -164,9 +168,9 @@ asan_wire() {
 asan_dataplane() {
   cmake -B build-asan -S . -DDSDN_SANITIZE=address -DDSDN_FUZZ=ON >/dev/null
   cmake --build build-asan -j "${JOBS}" --target test_batch_pipeline \
-    test_sublabel
+    test_sublabel test_dataplane test_topology
   (cd build-asan && ctest --output-on-failure \
-    -R '^(test_batch_pipeline|test_sublabel)$')
+    -R '^(test_batch_pipeline|test_sublabel|test_dataplane|test_topology)$')
 }
 
 # test_segment_routing: the SR solver's per-solve memos hand out
@@ -235,10 +239,12 @@ leg "perf regression (warn-only) -- online TE regret vs baseline" \
 leg "perf regression (warn-only) -- SR trade vs baseline" sr_regression
 leg "TSan build (build-tsan/) -- concurrency suites + batched dataplane" \
   tsan_suites
-leg "UBSan build (build-ubsan/) -- test_obs + test_metrics" ubsan_suites
+leg "UBSan build (build-ubsan/) -- obs, metrics, dataplane, topology" \
+  ubsan_suites
 leg "ASan build (build-asan/) -- wire fuzz corpus + fault injection" \
   asan_wire
-leg "ASan dataplane -- batched pipeline + sublabel bounds" asan_dataplane
+leg "ASan dataplane -- batched pipeline, sublabel bounds, flat FIB tables" \
+  asan_dataplane
 leg "ASan differential check -- incremental TE, batch + SR solver parity" \
   asan_differential
 leg "scenario seed swarm (build/) -- 32 seeds, invariants each event" \

@@ -28,10 +28,12 @@ class Bus {
   // Synchronously delivers to all current subscribers of the topic.
   void publish(const std::string& topic, const std::any& message) const;
 
-  // Typed convenience: publishes T and lets subscribers any_cast it.
+  // Typed convenience: publishes T and lets subscribers any_cast it. The
+  // message is copied into a std::any only when the topic has a
+  // subscriber.
   template <typename T>
   void publish_as(const std::string& topic, const T& message) const {
-    publish(topic, std::any(message));
+    if (num_subscribers(topic) > 0) publish(topic, std::any(message));
   }
 
   std::size_t num_subscribers(const std::string& topic) const;

@@ -32,8 +32,6 @@ Controller::Controller(const ControllerConfig& config,
   } else if (config.incremental_te) {
     set_incremental_te(true);
   }
-  programmer_.program_static_transit(configured, hw_);
-  transit_programmed_ = true;
 }
 
 void Controller::set_incremental_te(bool enabled) {
@@ -77,6 +75,12 @@ std::vector<topo::LinkId> Controller::flood_links(
   return out;
 }
 
+void Controller::publish_state_changed() const {
+  // The digest walks the whole database: compute it only for a listener.
+  if (bus_.num_subscribers(topics::kStateChanged) > 0)
+    bus_.publish_as(topics::kStateChanged, state_.digest());
+}
+
 FloodDirective Controller::originate(const TelemetrySource& telemetry) {
   FloodDirective d;
   d.nsu = local_.snapshot(telemetry);
@@ -85,7 +89,7 @@ FloodDirective Controller::originate(const TelemetrySource& telemetry) {
   }
   if (!state_.apply(d.nsu))
     throw std::logic_error("own NSU rejected by own StateDb");
-  bus_.publish_as(topics::kStateChanged, state_.digest());
+  publish_state_changed();
   d.out_links = flood_links(topo::kInvalidLink);
   return d;
 }
@@ -104,7 +108,7 @@ FloodDirective Controller::handle_nsu(const NodeStateUpdate& nsu,
   }
   if (!state_.apply(nsu)) return d;  // stale/malformed: flooding stops here
   bus_.publish_as(topics::kNsuReceived, nsu);
-  bus_.publish_as(topics::kStateChanged, state_.digest());
+  publish_state_changed();
   d.nsu = nsu;
   d.out_links = flood_links(arrival_link);
   return d;
@@ -133,7 +137,7 @@ Controller::RecomputeResult Controller::recompute() {
   result.own_allocations = pr.own.size();
   last_solve_ = pr.stats;
   last_incremental_ = result.incremental;
-  last_solution_ = pr.solution;
+  last_solution_ = std::move(pr.solution);
   programmer_.program_prefixes(state_, hw_);
   result.encap = programmer_.program_encap(pr.own, hw_);
   ++recomputes_;
@@ -145,14 +149,14 @@ Controller::RecomputeResult Controller::recompute() {
   }
   if (config_.program_bypasses) {
     result.bypasses = programmer_.program_bypasses(
-        state_.view(), pr.solution.residual_capacity(state_.view()),
+        state_.view(), last_solution_.residual_capacity(state_.view()),
         config_.bypass_strategy, config_.bypass_k, hw_);
   }
   // All tables for this epoch are installed; publish them as one atomic
   // snapshot swap. Batches already in flight finish on the old epoch.
   if (fib_hub_) fib_hub_->publish_router(config_.self, hw_);
   if (recompute_policy_) recompute_policy_->note_recompute(state_.demands());
-  bus_.publish_as(topics::kSolutionReady, pr.solution);
+  bus_.publish_as(topics::kSolutionReady, last_solution_);
   return result;
 }
 
@@ -164,13 +168,13 @@ void Controller::attach_fib_hub(dataplane::SnapshotHub* hub) {
 void Controller::recover_from(const Controller& neighbor) {
   state_.load_from(neighbor.state_);
   local_.resume_after(state_.seq_of(config_.self));
-  bus_.publish_as(topics::kStateChanged, state_.digest());
+  publish_state_changed();
 }
 
 std::vector<FloodDirective> Controller::resync_with(
     const Controller& neighbor) {
   state_.load_from(neighbor.state_);
-  bus_.publish_as(topics::kStateChanged, state_.digest());
+  publish_state_changed();
   return advertise_database();
 }
 

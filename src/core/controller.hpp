@@ -103,7 +103,7 @@ class Controller {
   };
 
   // Runs TE on the current view and programs the local dataplane:
-  // prefixes, encap routes, and (once) static transit entries.
+  // prefixes, encap routes, segment and bypass tables.
   RecomputeResult recompute();
 
   const StateDb& state() const { return state_; }
@@ -208,6 +208,8 @@ class Controller {
 
  private:
   std::vector<topo::LinkId> flood_links(topo::LinkId except_arrival) const;
+  // kStateChanged with the StateDb digest, when anyone subscribes.
+  void publish_state_changed() const;
 
   ControllerConfig config_;
   Bus bus_;
@@ -219,7 +221,6 @@ class Controller {
   Programmer programmer_;
   dataplane::RouterDataplane hw_;
   dataplane::SnapshotHub* fib_hub_ = nullptr;
-  bool transit_programmed_ = false;
   Programmer::EncapReport encap_totals_;
   std::size_t recomputes_ = 0;
   te::SolveStats last_solve_;

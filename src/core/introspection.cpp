@@ -34,7 +34,8 @@ ControllerStatus collect_status(const Controller& controller) {
   const auto& hw = controller.dataplane();
   s.prefixes = hw.ingress.num_prefixes();
   s.encap_entries = hw.ingress.num_encap_entries();
-  s.transit_entries = hw.transit.size();
+  // The transit table is decoded from the label: one entry per out-link.
+  s.transit_entries = db.view().node(s.self).out_links.size();
   s.protected_links = hw.bypass.num_protected_links();
   const auto& encap = controller.encap_totals();
   s.recomputes = controller.recomputes();

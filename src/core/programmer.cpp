@@ -10,11 +10,6 @@
 
 namespace dsdn::core {
 
-void Programmer::program_static_transit(const topo::Topology& configured,
-                                        dataplane::RouterDataplane& hw) const {
-  hw.transit = dataplane::build_transit_fib(configured, self_);
-}
-
 void Programmer::program_prefixes(const StateDb& state,
                                   dataplane::RouterDataplane& hw) const {
   hw.ingress.clear_prefixes();

@@ -19,11 +19,6 @@ class Programmer {
  public:
   explicit Programmer(topo::NodeId self) : self_(self) {}
 
-  // One-time setup when the controller comes up: static transit entries
-  // for every local link ID (§3.2).
-  void program_static_transit(const topo::Topology& configured,
-                              dataplane::RouterDataplane& hw) const;
-
   // Installs prefix->egress mappings from the current global view.
   void program_prefixes(const StateDb& state,
                         dataplane::RouterDataplane& hw) const;

@@ -1,7 +1,6 @@
 #include "core/state_db.hpp"
 
 #include <algorithm>
-#include <map>
 
 #include "util/rng.hpp"
 
@@ -81,16 +80,14 @@ te::ViewDelta StateDb::take_delta() {
 traffic::TrafficMatrix StateDb::demands() const {
   // Deterministic order: iterate origins ascending so every router
   // assembles the identical matrix.
-  std::map<topo::NodeId, const NodeStateUpdate*> ordered;
-  for (const auto& [origin, nsu] : latest_) ordered[origin] = &nsu;
   traffic::TrafficMatrix tm;
-  for (const auto& [origin, nsu] : ordered) {
+  for (const NodeStateUpdate* nsu : all_latest()) {
     for (const DemandAdvert& d : nsu->demands) {
       if (d.rate_gbps <= 0) continue;
       // An egress outside the configured inventory (possible only from a
       // corrupted-yet-decodable NSU) must never reach the TE solver.
       if (d.egress >= view_.num_nodes()) continue;
-      tm.add(traffic::Demand{origin, d.egress, d.priority, d.rate_gbps});
+      tm.add(traffic::Demand{nsu->origin, d.egress, d.priority, d.rate_gbps});
     }
   }
   return tm;
@@ -98,11 +95,9 @@ traffic::TrafficMatrix StateDb::demands() const {
 
 std::vector<std::pair<topo::Prefix, topo::NodeId>> StateDb::prefix_entries()
     const {
-  std::map<topo::NodeId, const NodeStateUpdate*> ordered;
-  for (const auto& [origin, nsu] : latest_) ordered[origin] = &nsu;
   std::vector<std::pair<topo::Prefix, topo::NodeId>> out;
-  for (const auto& [origin, nsu] : ordered) {
-    for (const topo::Prefix& p : nsu->prefixes) out.emplace_back(p, origin);
+  for (const NodeStateUpdate* nsu : all_latest()) {
+    for (const topo::Prefix& p : nsu->prefixes) out.emplace_back(p, nsu->origin);
   }
   return out;
 }
@@ -113,11 +108,13 @@ const NodeStateUpdate* StateDb::latest(topo::NodeId origin) const {
 }
 
 std::vector<const NodeStateUpdate*> StateDb::all_latest() const {
-  std::map<topo::NodeId, const NodeStateUpdate*> ordered;
-  for (const auto& [origin, nsu] : latest_) ordered[origin] = &nsu;
   std::vector<const NodeStateUpdate*> out;
-  out.reserve(ordered.size());
-  for (const auto& [origin, nsu] : ordered) out.push_back(nsu);
+  out.reserve(latest_.size());
+  for (const auto& [origin, nsu] : latest_) out.push_back(&nsu);
+  std::sort(out.begin(), out.end(),
+            [](const NodeStateUpdate* a, const NodeStateUpdate* b) {
+              return a->origin < b->origin;
+            });
   return out;
 }
 

@@ -8,23 +8,34 @@
 namespace dsdn::dataplane {
 namespace {
 
-// Deterministic weighted choice by hashing the entropy field -- the
-// ASIC's ECMP hash stand-in. `salt` decorrelates independent tables
-// keyed by the same flow entropy (encap vs bypass picks).
+// The point in [0, total] a flow's entropy selects -- the ASIC's ECMP
+// hash stand-in. `salt` decorrelates independent tables keyed by the
+// same flow entropy (encap vs bypass picks).
+double hash_point(std::uint64_t entropy, std::uint64_t salt, double total) {
+  return static_cast<double>(util::splitmix64(entropy ^ salt) >> 11) /
+         static_cast<double>(1ull << 53) * total;
+}
+
+// Deterministic weighted choice: the first route whose running weight
+// sum reaches the hashed point.
 const WeightedRoute* pick_weighted(const std::vector<WeightedRoute>& routes,
                                    std::uint64_t entropy,
                                    std::uint64_t salt) {
   double total = 0.0;
   for (const WeightedRoute& r : routes) total += r.weight;
-  const double point =
-      static_cast<double>(util::splitmix64(entropy ^ salt) >> 11) /
-      static_cast<double>(1ull << 53) * total;
+  const double point = hash_point(entropy, salt, total);
   double acc = 0.0;
   for (const WeightedRoute& r : routes) {
     acc += r.weight;
     if (point <= acc) return &r;
   }
   return &routes.back();
+}
+
+// Slot of (egress, class) in IngressFib's dense stage-2 index.
+std::size_t index_slot(topo::NodeId egress, int cls) {
+  return static_cast<std::size_t>(egress) * metrics::kNumPriorityClasses +
+         static_cast<std::size_t>(cls);
 }
 
 }  // namespace
@@ -35,29 +46,81 @@ void IngressFib::set_prefix(const topo::Prefix& p, topo::NodeId egress) {
 
 void IngressFib::clear_prefixes() { prefixes_.clear(); }
 
+std::size_t IngressFib::position(topo::NodeId egress, int cls) const {
+  if (cls < 0 || cls >= metrics::kNumPriorityClasses) return npos;
+  const std::size_t slot = index_slot(egress, cls);
+  if (slot >= index_.size() || index_[slot] == 0) return npos;
+  return index_[slot] - 1;
+}
+
+void IngressFib::reindex_from(std::size_t pos) {
+  for (std::size_t i = pos; i < encap_.size(); ++i) {
+    const auto& [egress, cls] = encap_[i].first;
+    index_[index_slot(egress, cls)] = static_cast<std::uint32_t>(i + 1);
+  }
+}
+
 void IngressFib::set_routes(topo::NodeId egress,
                             metrics::PriorityClass priority,
                             EncapEntry entry) {
+  const int cls = static_cast<int>(priority);
+  if (cls < 0 || cls >= metrics::kNumPriorityClasses)
+    throw std::invalid_argument("bad priority class");
+  const EncapKey key{egress, cls};
+  std::size_t pos = position(egress, cls);
   if (entry.routes.empty()) {
-    encap_.erase({egress, static_cast<int>(priority)});
+    if (pos == npos) return;
+    index_[index_slot(egress, cls)] = 0;
+    encap_.erase(encap_.begin() + static_cast<std::ptrdiff_t>(pos));
+    weight_sums_.erase(weight_sums_.begin() + static_cast<std::ptrdiff_t>(pos));
+    reindex_from(pos);
     return;
   }
+  // Running sums in pick_weighted's order: the last is its total.
+  std::vector<double> sums;
+  sums.reserve(entry.routes.size());
   double total = 0.0;
   for (const WeightedRoute& r : entry.routes) {
     if (r.weight < 0) throw std::invalid_argument("negative route weight");
     total += r.weight;
+    sums.push_back(total);
   }
   if (total <= 0) throw std::invalid_argument("route weights sum to zero");
-  encap_[{egress, static_cast<int>(priority)}] = std::move(entry);
+  if (pos != npos) {
+    encap_[pos].second = std::move(entry);
+    weight_sums_[pos] = std::move(sums);
+    return;
+  }
+  // New key. The Programmer installs in key order, so this appends; an
+  // out-of-order insert renumbers only the entries after it.
+  pos = static_cast<std::size_t>(
+      std::lower_bound(encap_.begin(), encap_.end(), key,
+                       [](const auto& e, const EncapKey& k) {
+                         return e.first < k;
+                       }) -
+      encap_.begin());
+  encap_.emplace(encap_.begin() + static_cast<std::ptrdiff_t>(pos), key,
+                 std::move(entry));
+  weight_sums_.emplace(
+      weight_sums_.begin() + static_cast<std::ptrdiff_t>(pos),
+      std::move(sums));
+  if (index_.size() <= index_slot(egress, cls))
+    index_.resize(index_slot(egress, cls) + 1, 0);
+  reindex_from(pos);
 }
 
-void IngressFib::clear_routes() { encap_.clear(); }
+void IngressFib::clear_routes() {
+  for (const auto& [key, entry] : encap_)
+    index_[index_slot(key.first, key.second)] = 0;
+  encap_.clear();
+  weight_sums_.clear();
+}
 
 const EncapEntry* IngressFib::routes_for(topo::NodeId egress,
                                          metrics::PriorityClass priority)
     const {
-  const auto it = encap_.find({egress, static_cast<int>(priority)});
-  return it == encap_.end() ? nullptr : &it->second;
+  const std::size_t pos = position(egress, static_cast<int>(priority));
+  return pos == npos ? nullptr : &encap_[pos].second;
 }
 
 std::optional<topo::NodeId> IngressFib::egress_for(
@@ -78,27 +141,14 @@ const LabelStack* IngressFib::lookup_stack(std::uint32_t dst_ip,
                                            std::uint64_t entropy) const {
   const auto egress = prefixes_.lookup(dst_ip);
   if (!egress) return nullptr;
-  const auto it = encap_.find({*egress, static_cast<int>(priority)});
-  if (it == encap_.end()) return nullptr;
-  return &pick_weighted(it->second.routes, entropy, /*salt=*/0)->stack;
-}
-
-void TransitFib::set_entry(Label label, topo::LinkId out_link) {
-  entries_[label] = out_link;
-}
-
-std::optional<topo::LinkId> TransitFib::lookup(Label label) const {
-  const auto it = entries_.find(label);
-  if (it == entries_.end()) return std::nullopt;
-  return it->second;
-}
-
-TransitFib build_transit_fib(const topo::Topology& topo, topo::NodeId node) {
-  TransitFib fib;
-  for (topo::LinkId lid : topo.node(node).out_links) {
-    fib.set_entry(link_label(lid), lid);
-  }
-  return fib;
+  const std::size_t pos = position(*egress, static_cast<int>(priority));
+  if (pos == npos) return nullptr;
+  // pick_weighted over the stored running sums: same point, same scan.
+  const std::vector<double>& sums = weight_sums_[pos];
+  const double point = hash_point(entropy, /*salt=*/0, sums.back());
+  std::size_t i = 0;
+  while (i + 1 < sums.size() && !(point <= sums[i])) ++i;
+  return &encap_[pos].second.routes[i].stack;
 }
 
 void SrFib::set_members(topo::NodeId target, std::vector<SrNextHop> members) {

@@ -7,8 +7,9 @@
 // carried in NSUs. Stage 2 (egress router -> weighted source routes) is
 // programmed by the dSDN Pathing/Programmer from the TE solution; one
 // route is picked per packet by hashing header entropy. Transit packets
-// bypass both stages: the outer label indexes the static transit table,
-// which the controller programs once from its own link IDs.
+// bypass both stages: the outer label names the out-link directly, so
+// the static transit table is a pure function of the label and the
+// topology (transit_link) rather than stored state.
 
 #include <map>
 #include <optional>
@@ -63,35 +64,43 @@ class IngressFib {
   // currently installed for one (egress, class), or null when none are.
   const EncapEntry* routes_for(topo::NodeId egress,
                                metrics::PriorityClass priority) const;
-  // The full stage-2 table, keyed by (egress, class). Deterministic
-  // iteration order (std::map) so checkers walking it stay reproducible.
-  const std::map<std::pair<topo::NodeId, int>, EncapEntry>& encap_table()
-      const {
+  // The full stage-2 table as (egress, class) -> entry pairs, sorted by
+  // key so checkers walking it stay reproducible.
+  using EncapKey = std::pair<topo::NodeId, int>;
+  const std::vector<std::pair<EncapKey, EncapEntry>>& encap_table() const {
     return encap_;
   }
 
  private:
+  // Position of (egress, class) in encap_, or npos.
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  std::size_t position(topo::NodeId egress, int cls) const;
+  // Points index_ at encap_[pos..] after entries moved.
+  void reindex_from(std::size_t pos);
+
   topo::PrefixTable prefixes_;
-  std::map<std::pair<topo::NodeId, int>, EncapEntry> encap_;
+  std::vector<std::pair<EncapKey, EncapEntry>> encap_;
+  // Parallel to encap_: each entry's running weight sums, accumulated in
+  // route order, so a pick scans one flat array and never re-sums.
+  std::vector<std::vector<double>> weight_sums_;
+  // egress * kNumPriorityClasses + class -> position in encap_ plus one
+  // (0 = no entry): the O(1) stage-2 index.
+  std::vector<std::uint32_t> index_;
 };
 
-class TransitFib {
- public:
-  // Programs one static entry: packets whose outer label names `link`
-  // leave through it. Installed when the controller comes up.
-  void set_entry(Label label, topo::LinkId out_link);
-
-  std::optional<topo::LinkId> lookup(Label label) const;
-
-  std::size_t size() const { return entries_.size(); }
-
- private:
-  std::unordered_map<Label, topo::LinkId> entries_;
-};
-
-// Convenience: builds the complete transit table for router `node` --
-// one entry per local outgoing link ID, as advertised in its NSUs.
-TransitFib build_transit_fib(const topo::Topology& topo, topo::NodeId node);
+// The static transit table of §3.2, decoded instead of stored: label
+// k + 16 names directed link k, and router `at` forwards on it only when
+// the link leaves `at`. Null for a reserved label, a link id past the
+// topology, or another router's link -- a transit miss. Node-segment
+// labels are not transit labels; forwarders try the SrFib first.
+inline const topo::Link* transit_link(const topo::Topology& topo,
+                                      topo::NodeId at, Label label) {
+  if (label < kReservedLabels) return nullptr;
+  const std::size_t link = label - kReservedLabels;
+  if (link >= topo.num_links()) return nullptr;
+  const topo::Link& l = topo.links()[link];
+  return l.src == at ? &l : nullptr;
+}
 
 // One ECMP next hop of a segment entry. Carrying the far-end node makes
 // the entry self-contained: checkers and flow evaluation can replay a

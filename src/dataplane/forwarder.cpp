@@ -138,21 +138,21 @@ ForwardResult Forwarder::forward(Packet packet,
       }
       continue;
     }
-    const auto out_link = provider_->at(at).transit.lookup(outer);
+    const topo::Link* out_link = transit_link(topo_, at, outer);
     if (!out_link) {
       r.outcome = ForwardOutcome::kDroppedUnknownLabel;
       r.final_node = at;
       return r;
     }
-    const topo::Link& link = topo_.link(*out_link);
+    const topo::Link& link = *out_link;
 
-    if (!up(*out_link)) {
+    if (!up(link.id)) {
       // Local repair: pop the invalid label, prepend a bypass route to the
       // link's far end, continue as the headend intended (§3.2). Only the
       // router's own pre-installed BypassFib can repair.
       packet.stack.pop();
       const LabelStack* bypass_stack =
-          provider_->at(at).bypass.select_stack(*out_link, packet.entropy);
+          provider_->at(at).bypass.select_stack(link.id, packet.entropy);
       if (!bypass_stack) {
         down_link_drops().inc();
         r.outcome = ForwardOutcome::kDroppedLinkDownNoBypass;

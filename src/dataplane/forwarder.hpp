@@ -10,9 +10,10 @@
 
 namespace dsdn::dataplane {
 
+// One router's programmed tables. Transit needs none: the label decodes
+// to the out-link (transit_link).
 struct RouterDataplane {
   IngressFib ingress;
-  TransitFib transit;
   BypassFib bypass;
   SrFib sr;  // node-segment entries (empty unless the fleet runs SR)
 };
@@ -47,7 +48,7 @@ class VectorDataplanes final : public DataplaneProvider {
 enum class ForwardOutcome {
   kDelivered,
   kDroppedNoIngressRoute,   // headend has no route to the destination
-  kDroppedUnknownLabel,     // transit FIB miss (malformed/stale route)
+  kDroppedUnknownLabel,     // transit miss (malformed/stale route)
   kDroppedLinkDownNoBypass, // hit a dead link and FRR had no path
   kDroppedTtlExpired,
   kDroppedNotLocal,         // stack ran out at a router not owning the dst

@@ -18,9 +18,10 @@ obs::Counter& down_link_drops() {
 
 }  // namespace
 
-// Flat working record for one in-flight packet. Labels are stored
-// bottom-first (top of stack = labels[depth - 1]) so a transit pop is a
-// decrement and an FRR splice appends -- no memmove on the hot path.
+// Flat working record for one in-flight packet; record i is spec i of
+// the batch. Labels are stored bottom-first (top of stack =
+// labels[depth - 1]) so a transit pop is a decrement and an FRR splice
+// appends -- no memmove on the hot path.
 struct BatchPipeline::BatchPacket {
   std::uint32_t dst_ip;
   metrics::PriorityClass priority;
@@ -29,13 +30,14 @@ struct BatchPipeline::BatchPacket {
   topo::NodeId at;
   topo::NodeId ingress;   // original injection point (slow-path rerun)
   int orig_ttl;           // original ttl budget (slow-path rerun)
-  std::uint16_t index;    // slot in the batch: out[index], trace addressing
   std::uint16_t depth;
   std::uint32_t hops;
   std::uint32_t frr;
   double latency_s;
   Label labels[kInlineLabels];
 };
+
+static_assert(kBatchSize <= 256, "live slots are listed as bytes");
 
 BatchPipeline::BatchPipeline(const topo::Topology& topo,
                              const SnapshotHub* hub, PipelineOptions opts)
@@ -73,20 +75,22 @@ void BatchPipeline::run_batch(const PacketSpec* specs, std::size_t n,
   batches_.fetch_add(1, std::memory_order_relaxed);
 
   BatchPacket pkts[kBatchSize];
-  std::size_t live = stage_ingress(specs, pkts, n, out, trace_base);
-  while (live > 0) live = stage_round(pkts, live, out, trace_base);
+  std::uint8_t live[kBatchSize];
+  std::size_t n_live = stage_ingress(specs, pkts, n, live, out, trace_base);
+  while (n_live > 0) n_live = stage_round(pkts, live, n_live, out, trace_base);
   pinned_.reset();
 }
 
 std::size_t BatchPipeline::stage_ingress(const PacketSpec* specs,
                                          BatchPacket* pkts, std::size_t n,
+                                         std::uint8_t* live,
                                          PacketVerdict* out,
                                          std::size_t trace_base) {
   const FibSnapshot& snap = *pinned_;
-  std::size_t live = 0;
+  std::size_t n_live = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const PacketSpec& s = specs[i];
-    BatchPacket& p = pkts[live];
+    BatchPacket& p = pkts[i];
     p.dst_ip = s.dst_ip;
     p.priority = s.priority;
     p.entropy = s.entropy;
@@ -94,7 +98,6 @@ std::size_t BatchPipeline::stage_ingress(const PacketSpec* specs,
     p.at = s.ingress;
     p.ingress = s.ingress;
     p.orig_ttl = s.ttl;
-    p.index = static_cast<std::uint16_t>(i);
     p.depth = 0;
     p.hops = 0;
     p.frr = 0;
@@ -109,41 +112,43 @@ std::size_t BatchPipeline::stage_ingress(const PacketSpec* specs,
       finish(p, egress && *egress == p.at
                     ? ForwardOutcome::kDelivered
                     : ForwardOutcome::kDroppedNoIngressRoute,
-             out);
+             out[i]);
       continue;
     }
     const auto& labels = stack->labels();  // top-first
     if (labels.size() > kInlineLabels) {
-      slow_path(p, out, trace_base);
+      slow_path(p, i, out, trace_base);
       continue;
     }
     p.depth = static_cast<std::uint16_t>(labels.size());
     for (std::size_t j = 0; j < labels.size(); ++j)
       p.labels[labels.size() - 1 - j] = labels[j];
-    ++live;
+    live[n_live++] = static_cast<std::uint8_t>(i);
   }
-  return live;
+  return n_live;
 }
 
-std::size_t BatchPipeline::stage_round(BatchPacket* pkts, std::size_t live,
+std::size_t BatchPipeline::stage_round(BatchPacket* pkts, std::uint8_t* live,
+                                       std::size_t n_live,
                                        PacketVerdict* out,
                                        std::size_t trace_base) {
   const FibSnapshot& snap = *pinned_;
   std::size_t keep = 0;
-  for (std::size_t i = 0; i < live; ++i) {
+  for (std::size_t k = 0; k < n_live; ++k) {
+    const std::size_t i = live[k];
     BatchPacket& p = pkts[i];
     // Exactly one iteration of the scalar forward loop (see
     // Forwarder::forward) -- an FRR splice consumes a ttl tick without
     // advancing, matching the scalar `continue`.
     if (--p.ttl <= 0) {
-      finish(p, ForwardOutcome::kDroppedTtlExpired, out);
+      finish(p, ForwardOutcome::kDroppedTtlExpired, out[i]);
       continue;
     }
     if (p.depth == 0) {
       const auto egress = snap.at(p.at).ingress.egress_for(p.dst_ip);
       finish(p, egress && *egress == p.at ? ForwardOutcome::kDelivered
                                           : ForwardOutcome::kDroppedNotLocal,
-             out);
+             out[i]);
       continue;
     }
 
@@ -152,14 +157,13 @@ std::size_t BatchPipeline::stage_round(BatchPacket* pkts, std::size_t live,
       const topo::NodeId target = segment_node(outer);
       if (target == p.at) {
         --p.depth;  // segment complete: pop, consuming this ttl tick
-        if (&p != &pkts[keep]) pkts[keep] = p;
-        ++keep;
+        live[keep++] = static_cast<std::uint8_t>(i);
         continue;
       }
       const std::vector<SrNextHop>* members =
           snap.at(p.at).sr.members(target);
       if (!members) {
-        finish(p, ForwardOutcome::kDroppedUnknownLabel, out);
+        finish(p, ForwardOutcome::kDroppedUnknownLabel, out[i]);
         continue;
       }
       // ECMP re-pick among up members (snapshot liveness) IS the local
@@ -170,7 +174,7 @@ std::size_t BatchPipeline::stage_round(BatchPacket* pkts, std::size_t live,
       }
       if (n_up == 0) {
         down_link_drops().inc();
-        finish(p, ForwardOutcome::kDroppedLinkDownNoBypass, out);
+        finish(p, ForwardOutcome::kDroppedLinkDownNoBypass, out[i]);
         continue;
       }
       std::size_t pick = sr_ecmp_pick(p.entropy, p.at, n_up);
@@ -186,64 +190,61 @@ std::size_t BatchPipeline::stage_round(BatchPacket* pkts, std::size_t live,
       p.at = link.dst;  // keep the label: consumed only at the target
       p.latency_s += link.delay_s;
       ++p.hops;
-      if (opts_.record_traces) traces_[trace_base + p.index].push_back(p.at);
+      if (opts_.record_traces) traces_[trace_base + i].push_back(p.at);
       if (p.hops > max_hops_) {
-        finish(p, ForwardOutcome::kDroppedLoop, out);
+        finish(p, ForwardOutcome::kDroppedLoop, out[i]);
         continue;
       }
-      if (&p != &pkts[keep]) pkts[keep] = p;
-      ++keep;
+      live[keep++] = static_cast<std::uint8_t>(i);
       continue;
     }
-    const auto out_link = snap.at(p.at).transit.lookup(outer);
-    if (!out_link) {
-      finish(p, ForwardOutcome::kDroppedUnknownLabel, out);
+    // Transit reads only the topology and the snapshot's link flags --
+    // never this hop's router tables -- until a dead link needs FRR.
+    const topo::Link* link = transit_link(topo_, p.at, outer);
+    if (!link) {
+      finish(p, ForwardOutcome::kDroppedUnknownLabel, out[i]);
       continue;
     }
-    const topo::Link& link = topo_.link(*out_link);
 
-    if (!snap.up(*out_link)) {
+    if (!snap.up(link->id)) {
       --p.depth;  // pop the invalid label
       const LabelStack* bypass =
-          snap.at(p.at).bypass.select_stack(*out_link, p.entropy);
+          snap.at(p.at).bypass.select_stack(link->id, p.entropy);
       if (!bypass) {
         down_link_drops().inc();
-        finish(p, ForwardOutcome::kDroppedLinkDownNoBypass, out);
+        finish(p, ForwardOutcome::kDroppedLinkDownNoBypass, out[i]);
         continue;
       }
       const auto& bl = bypass->labels();  // top-first
       if (p.depth + bl.size() > kInlineLabels) {
-        slow_path(p, out, trace_base);
+        slow_path(p, i, out, trace_base);
         continue;
       }
       for (std::size_t j = 0; j < bl.size(); ++j)
         p.labels[p.depth + j] = bl[bl.size() - 1 - j];
       p.depth = static_cast<std::uint16_t>(p.depth + bl.size());
       ++p.frr;
-      if (&p != &pkts[keep]) pkts[keep] = p;
-      ++keep;
+      live[keep++] = static_cast<std::uint8_t>(i);
       continue;
     }
 
     // Normal transit: pop the outer label and forward.
     --p.depth;
-    p.at = link.dst;
-    p.latency_s += link.delay_s;
+    p.at = link->dst;
+    p.latency_s += link->delay_s;
     ++p.hops;
-    if (opts_.record_traces) traces_[trace_base + p.index].push_back(p.at);
+    if (opts_.record_traces) traces_[trace_base + i].push_back(p.at);
     if (p.hops > max_hops_) {
-      finish(p, ForwardOutcome::kDroppedLoop, out);
+      finish(p, ForwardOutcome::kDroppedLoop, out[i]);
       continue;
     }
-    if (&p != &pkts[keep]) pkts[keep] = p;
-    ++keep;
+    live[keep++] = static_cast<std::uint8_t>(i);
   }
   return keep;
 }
 
-void BatchPipeline::finish(BatchPacket& p, ForwardOutcome o,
-                           PacketVerdict* out) {
-  PacketVerdict& v = out[p.index];
+void BatchPipeline::finish(const BatchPacket& p, ForwardOutcome o,
+                           PacketVerdict& v) {
   v.outcome = o;
   v.final_node = p.at;
   v.latency_s = p.latency_s;
@@ -264,8 +265,8 @@ void BatchPipeline::account(const PacketVerdict& v) {
       1, std::memory_order_relaxed);
 }
 
-void BatchPipeline::slow_path(const BatchPacket& p, PacketVerdict* out,
-                              std::size_t trace_base) {
+void BatchPipeline::slow_path(const BatchPacket& p, std::size_t i,
+                              PacketVerdict* out, std::size_t trace_base) {
   // Rerun the whole packet from scratch through the scalar Forwarder on
   // the snapshot this batch pinned -- its tables and its link state. The
   // walk is deterministic, so the verdict is identical to what the fast
@@ -280,13 +281,13 @@ void BatchPipeline::slow_path(const BatchPacket& p, PacketVerdict* out,
   pkt.ttl = p.orig_ttl;
   ForwardResult r = forwarder.forward(std::move(pkt), p.ingress);
 
-  PacketVerdict& v = out[p.index];
+  PacketVerdict& v = out[i];
   v.outcome = r.outcome;
   v.final_node = r.final_node;
   v.latency_s = r.latency_s;
   v.hops = static_cast<std::uint32_t>(r.hops);
   v.frr_activations = static_cast<std::uint32_t>(r.frr_activations);
-  if (opts_.record_traces) traces_[trace_base + p.index] = std::move(r.trace);
+  if (opts_.record_traces) traces_[trace_base + i] = std::move(r.trace);
   slow_path_.fetch_add(1, std::memory_order_relaxed);
   account(v);
 }

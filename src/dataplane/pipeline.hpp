@@ -5,11 +5,11 @@
 // Packets flow through the forwarding stages in fixed-size batches of
 // kBatchSize: one ingress stage performs the two-stage lookup for the
 // whole batch, then transit rounds advance every still-live packet one
-// scalar-loop step (transit label lookup -> down-link check -> FRR bypass
-// splice -> advance) until the batch drains. Working state lives in a
-// flat array of BatchPacket records with an inline label array, so a
-// round touches contiguous memory instead of chasing per-packet heap
-// stacks.
+// scalar-loop step (label decode -> down-link check -> FRR bypass splice
+// -> advance) until the batch drains. Working state lives in a flat
+// array of BatchPacket records with an inline label array, so a round
+// touches contiguous memory instead of chasing per-packet heap stacks;
+// a round compacts a byte list of live slots, never the records.
 //
 // Snapshot discipline: each batch pins one immutable FibSnapshot from the
 // core's SnapshotHub slot at batch start (the RCU read side) and runs to
@@ -105,19 +105,22 @@ class BatchPipeline {
 
   void run_batch(const PacketSpec* specs, std::size_t n, PacketVerdict* out,
                  std::size_t trace_base);
-  // Headend two-stage lookup for the whole batch; returns live count
-  // (live packets compacted to the front of `pkts`).
+  // Headend two-stage lookup for the whole batch: fills pkts[i] from
+  // specs[i], lists the slots still in flight in `live` and returns
+  // their count.
   std::size_t stage_ingress(const PacketSpec* specs, BatchPacket* pkts,
-                            std::size_t n, PacketVerdict* out,
-                            std::size_t trace_base);
-  // One scalar-loop step for every live packet; compacts and returns the
-  // still-live count.
-  std::size_t stage_round(BatchPacket* pkts, std::size_t live,
-                          PacketVerdict* out, std::size_t trace_base);
-  void finish(BatchPacket& p, ForwardOutcome o, PacketVerdict* out);
+                            std::size_t n, std::uint8_t* live,
+                            PacketVerdict* out, std::size_t trace_base);
+  // One scalar-loop step for every slot in `live`; compacts the list in
+  // place (the records never move) and returns the still-live count.
+  std::size_t stage_round(BatchPacket* pkts, std::uint8_t* live,
+                          std::size_t n_live, PacketVerdict* out,
+                          std::size_t trace_base);
+  void finish(const BatchPacket& p, ForwardOutcome o, PacketVerdict& v);
   void account(const PacketVerdict& v);
-  // Deterministic scalar rerun on the pinned snapshot (inline overflow).
-  void slow_path(const BatchPacket& p, PacketVerdict* out,
+  // Deterministic scalar rerun of slot i on the pinned snapshot (inline
+  // overflow).
+  void slow_path(const BatchPacket& p, std::size_t i, PacketVerdict* out,
                  std::size_t trace_base);
 
   const topo::Topology& topo_;

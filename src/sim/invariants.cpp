@@ -108,8 +108,8 @@ bool walk_segment(const DsdnEmulation& emu, const topo::Topology& topo,
 }
 
 // Replays every installed headend route label-by-label through the
-// transit FIBs of the routers it visits: no loops, no down links, no
-// table misses, ends at the route's egress.
+// transit step of the routers it visits: no loops, no down links, no
+// transit misses, ends at the route's egress.
 void check_fib_walk(const DsdnEmulation& emu, InvariantReport& out) {
   const topo::Topology& topo = emu.network();
   for (topo::NodeId n = 0; n < topo.num_nodes(); ++n) {
@@ -157,30 +157,23 @@ void check_fib_walk(const DsdnEmulation& emu, InvariantReport& out) {
         visited[at] = 1;
         bool broken = false;
         for (dataplane::Label label : wr.stack.labels()) {
-          const auto next = emu.at(at).transit.lookup(label);
-          if (!next) {
-            out.violations.push_back(where + ": transit FIB miss at node " +
-                                     std::to_string(at));
+          const topo::Link* l = dataplane::transit_link(topo, at, label);
+          if (!l) {
+            out.violations.push_back(where + ": transit miss at node " +
+                                     std::to_string(at) + " (label " +
+                                     std::to_string(label) +
+                                     " names no link leaving it)");
             broken = true;
             break;
           }
-          const topo::Link& l = topo.link(*next);
-          if (l.src != at) {
-            out.violations.push_back(where +
-                                     ": transit entry leaves from node " +
-                                     std::to_string(l.src) + ", not " +
-                                     std::to_string(at));
-            broken = true;
-            break;
-          }
-          if (!l.up) {
+          if (!l->up) {
             out.violations.push_back(
                 where + ": installed route crosses down link " +
-                std::to_string(*next) + " (stale FIB past convergence)");
+                std::to_string(l->id) + " (stale FIB past convergence)");
             broken = true;
             break;
           }
-          at = l.dst;
+          at = l->dst;
           if (visited[at]) {
             out.violations.push_back(where + ": forwarding loop via node " +
                                      std::to_string(at));

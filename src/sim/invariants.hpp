@@ -11,10 +11,10 @@
 //      view's per-link liveness matches ground truth (the consensus-free
 //      foundation everything else builds on).
 //   2. FIB walk: every installed headend route, replayed label by label
-//      through the *transit* FIBs of the routers it visits, reaches its
+//      through the *transit* step of the routers it visits, reaches its
 //      egress without revisiting a node (no forwarding loop), without
 //      crossing a down link (down-link zeroing -- no stale routes past
-//      the convergence bound), and without a transit-table miss.
+//      the convergence bound), and without a transit miss.
 //   3. No persistent blackholes: flow_eval loss over the FIB-derived
 //      routing; a demand whose endpoints are connected on up links must
 //      not lose everything after reconvergence (congestion loss < 1 from

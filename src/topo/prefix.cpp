@@ -1,14 +1,22 @@
 #include "topo/prefix.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 #include <stdexcept>
 
 namespace dsdn::topo {
+namespace {
+
+std::uint32_t len_mask(int len) {
+  return len == 0 ? 0 : ~std::uint32_t{0} << (32 - len);
+}
+
+}  // namespace
 
 std::uint32_t Prefix::mask() const {
   if (len < 0 || len > 32) throw std::invalid_argument("prefix len");
-  if (len == 0) return 0;
-  return ~std::uint32_t{0} << (32 - len);
+  return len_mask(len);
 }
 
 bool Prefix::contains(std::uint32_t ip) const {
@@ -43,33 +51,94 @@ std::string format_ipv4(std::uint32_t ip) {
   return os.str();
 }
 
+std::size_t PrefixTable::Bucket::home(std::uint32_t key) const {
+  // Fibonacci hashing: the product's high bits mix every key bit.
+  const auto bits = static_cast<unsigned>(std::countr_zero(slots.size()));
+  return static_cast<std::size_t>(
+      (std::uint64_t{key} * 0x9E3779B97F4A7C15ULL) >> (64 - bits));
+}
+
+const PrefixTable::Slot* PrefixTable::Bucket::find(std::uint32_t key) const {
+  if (size == 0) return nullptr;
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    const Slot& s = slots[i];
+    if (!s.used) return nullptr;
+    if (s.key == key) return &s;
+  }
+}
+
+void PrefixTable::Bucket::insert(std::uint32_t key, NodeId egress) {
+  if (2 * (size + 1) > slots.size()) {
+    std::vector<Slot> old(std::max<std::size_t>(8, 2 * slots.size()));
+    old.swap(slots);
+    size = 0;
+    for (const Slot& s : old) {
+      if (s.used) insert(s.key, s.egress);
+    }
+  }
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    Slot& s = slots[i];
+    if (s.used && s.key != key) continue;
+    size += !s.used;
+    s = Slot{key, egress, true};
+    return;
+  }
+}
+
+bool PrefixTable::Bucket::erase(std::uint32_t key) {
+  const Slot* hit = find(key);
+  if (!hit) return false;
+  const std::size_t mask = slots.size() - 1;
+  std::size_t hole = static_cast<std::size_t>(hit - slots.data());
+  // Move back every later member of the run whose home does not lie
+  // cyclically in (hole, j]: it probed past the hole on insert.
+  for (std::size_t j = (hole + 1) & mask; slots[j].used; j = (j + 1) & mask) {
+    const std::size_t h = home(slots[j].key);
+    const bool stays = hole < j ? (hole < h && h <= j) : (hole < h || h <= j);
+    if (stays) continue;
+    slots[hole] = slots[j];
+    hole = j;
+  }
+  slots[hole] = Slot{};
+  --size;
+  return true;
+}
+
 void PrefixTable::insert(const Prefix& p, NodeId egress) {
-  if (p.len < 0 || p.len > 32) throw std::invalid_argument("prefix len");
-  by_len_[p.len][p.addr & p.mask()] = egress;
+  const std::uint32_t mask = p.mask();  // throws on a bad length
+  by_len_[p.len].insert(p.addr & mask, egress);
+  lengths_ |= std::uint64_t{1} << p.len;
 }
 
 void PrefixTable::erase(const Prefix& p) {
-  if (p.len < 0 || p.len > 32) throw std::invalid_argument("prefix len");
-  by_len_[p.len].erase(p.addr & p.mask());
+  const std::uint32_t mask = p.mask();
+  Bucket& bucket = by_len_[p.len];
+  if (bucket.erase(p.addr & mask) && bucket.size == 0)
+    lengths_ &= ~(std::uint64_t{1} << p.len);
 }
 
 void PrefixTable::clear() {
-  for (auto& bucket : by_len_) bucket.clear();
+  for (Bucket& bucket : by_len_) {
+    if (bucket.size == 0) continue;
+    std::fill(bucket.slots.begin(), bucket.slots.end(), Slot{});
+    bucket.size = 0;
+  }
+  lengths_ = 0;
 }
 
 std::size_t PrefixTable::size() const {
   std::size_t total = 0;
-  for (const auto& bucket : by_len_) total += bucket.size();
+  for (const Bucket& bucket : by_len_) total += bucket.size;
   return total;
 }
 
 std::optional<NodeId> PrefixTable::lookup(std::uint32_t ip) const {
-  for (int len = 32; len >= 0; --len) {
-    const auto& bucket = by_len_[len];
-    if (bucket.empty()) continue;
-    const std::uint32_t mask = len == 0 ? 0 : (~std::uint32_t{0} << (32 - len));
-    const auto it = bucket.find(ip & mask);
-    if (it != bucket.end()) return it->second;
+  for (std::uint64_t left = lengths_; left != 0;) {
+    const int len = 63 - std::countl_zero(left);
+    left &= ~(std::uint64_t{1} << len);
+    if (const Slot* s = by_len_[len].find(ip & len_mask(len))) return s->egress;
   }
   return std::nullopt;
 }

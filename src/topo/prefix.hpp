@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "topo/topology.hpp"
@@ -29,12 +28,17 @@ struct Prefix {
 std::uint32_t parse_ipv4(const std::string& dotted);
 std::string format_ipv4(std::uint32_t ip);
 
-// Longest-prefix-match table mapping prefixes to egress routers.
+// Longest-prefix-match table mapping prefixes to egress routers. Each
+// prefix length has its own open-addressed (masked address -> egress)
+// slot array, and a bitmask records which lengths hold entries, so a
+// lookup probes only the lengths in use, longest first -- one probe for
+// a fleet that originates only /24s.
 class PrefixTable {
  public:
   // Inserting the same prefix again replaces the egress (latest NSU wins).
   void insert(const Prefix& p, NodeId egress);
   void erase(const Prefix& p);
+  // Empties the table, keeping the slot arrays for the next fill.
   void clear();
 
   std::size_t size() const;
@@ -43,8 +47,25 @@ class PrefixTable {
   std::optional<NodeId> lookup(std::uint32_t ip) const;
 
  private:
-  // Buckets by prefix length, longest consulted first.
-  std::unordered_map<std::uint32_t, NodeId> by_len_[33];
+  struct Slot {
+    std::uint32_t key = 0;  // masked address
+    NodeId egress = kInvalidNode;
+    bool used = false;
+  };
+  // Linear probing over a power-of-two array at most half full. Erase
+  // shifts the rest of the probe run back, so there are no tombstones.
+  struct Bucket {
+    std::vector<Slot> slots;
+    std::size_t size = 0;
+
+    std::size_t home(std::uint32_t key) const;
+    const Slot* find(std::uint32_t key) const;
+    void insert(std::uint32_t key, NodeId egress);
+    bool erase(std::uint32_t key);
+  };
+
+  Bucket by_len_[33];
+  std::uint64_t lengths_ = 0;  // bit len set iff by_len_[len].size > 0
 };
 
 // Assigns every router a deterministic /24 under 10.0.0.0/8:

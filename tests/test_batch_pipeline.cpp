@@ -9,6 +9,7 @@
 #include "sim/convergence.hpp"
 #include "sim/emulation.hpp"
 #include "sim/packet_score.hpp"
+#include "solver_golden.hpp"
 #include "topo/prefix.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
@@ -23,10 +24,8 @@ using metrics::PriorityClass;
 // ---- SnapshotHub: epochs, COW sharing, pinned reads ----
 
 std::shared_ptr<RouterDataplane> blank_router(
-    const topo::Topology& t, const std::vector<topo::Prefix>& prefixes,
-    topo::NodeId n) {
+    const topo::Topology& t, const std::vector<topo::Prefix>& prefixes) {
   auto rd = std::make_shared<RouterDataplane>();
-  rd->transit = build_transit_fib(t, n);
   for (topo::NodeId m = 0; m < t.num_nodes(); ++m)
     rd->ingress.set_prefix(prefixes[m], m);
   return rd;
@@ -40,7 +39,7 @@ struct Fig5Hub {
   Fig5Hub() {
     std::vector<std::shared_ptr<const RouterDataplane>> routers;
     for (topo::NodeId n = 0; n < 3; ++n)
-      routers.push_back(blank_router(topo, prefixes, n));
+      routers.push_back(blank_router(topo, prefixes));
     hub.publish_all(std::move(routers));
   }
 
@@ -134,6 +133,39 @@ TEST(BatchPipeline, DeliversAlongStrictRoute) {
   EXPECT_EQ(v[0].hops, 2u);
   EXPECT_EQ(pipe.traces()[0], (std::vector<topo::NodeId>{0, 2, 1}));
   EXPECT_EQ(pipe.stats().last_epoch, f.hub.epoch());
+}
+
+TEST(BatchPipeline, UndecodableTransitLabelsDropInBothForwarders) {
+  // R0 -> R2 on a real link, then a label R2 cannot decode: reserved, a
+  // link id past the topology, and R0's own 0 -> 1 link.
+  const auto fig5 = topo::make_fig5();
+  for (const Label bad : {Label{3}, link_label(9999),
+                          link_label(fig5.find_link(0, 1))}) {
+    Fig5Hub f;
+    RouterDataplane r0 = *f.hub.acquire(0)->routers[0];
+    EncapEntry entry;
+    entry.routes.push_back(
+        {LabelStack({link_label(f.topo.find_link(0, 2)), bad}), 1.0});
+    r0.ingress.set_routes(1, PriorityClass::kHigh, entry);
+    f.hub.publish_router(0, r0);
+
+    BatchPipeline pipe(f.topo, &f.hub);
+    const std::vector<PacketSpec> specs{f.spec_to(1)};
+    const PacketVerdict v = pipe.process(specs)[0];
+    EXPECT_EQ(v.outcome, ForwardOutcome::kDroppedUnknownLabel) << bad;
+    EXPECT_EQ(v.final_node, 2u) << bad;
+    EXPECT_EQ(v.hops, 1u) << bad;
+
+    const SnapshotView view(f.hub.acquire(0));
+    const Forwarder fwd(f.topo, &view);
+    Packet pkt;
+    pkt.dst_ip = specs[0].dst_ip;
+    pkt.entropy = specs[0].entropy;
+    const ForwardResult r = fwd.forward(pkt, 0);
+    EXPECT_EQ(r.outcome, ForwardOutcome::kDroppedUnknownLabel) << bad;
+    EXPECT_EQ(r.final_node, 2u) << bad;
+    EXPECT_EQ(r.hops, 1u) << bad;
+  }
 }
 
 TEST(BatchPipeline, CutMidPathTakesSnapshotBypass) {
@@ -247,7 +279,7 @@ TEST(BatchPipeline, DeepStackTakesSlowPathWithIdenticalVerdict) {
   SnapshotHub hub(topo, 1);
   std::vector<std::shared_ptr<const RouterDataplane>> routers;
   for (topo::NodeId n = 0; n < topo.num_nodes(); ++n)
-    routers.push_back(blank_router(topo, prefixes, n));
+    routers.push_back(blank_router(topo, prefixes));
   te::Path path;
   for (topo::NodeId i = 0; i + 1 < 70; ++i)
     path.links.push_back(topo.find_link(i, i + 1));
@@ -339,6 +371,76 @@ void expect_parity(const sim::DsdnEmulation& emu,
     ASSERT_EQ(r.latency_s, verdicts[i].latency_s) << what << " packet " << i;
     ASSERT_EQ(r.trace, pipe.traces()[i]) << what << " packet " << i;
   }
+}
+
+// ---- Golden verdicts: the B4 forwarding workload pinned bit for bit ----
+
+// Digest of every verdict field the parity contract covers, over one
+// pool forwarded by the batched pipeline and again by the scalar
+// Forwarder, both reading `hub`'s snapshot on `topo`.
+std::pair<std::uint64_t, std::uint64_t> verdict_digests(
+    const topo::Topology& topo, const SnapshotHub& hub,
+    std::span<const PacketSpec> pool) {
+  golden::Fnv batched;
+  BatchPipeline pipe(topo, &hub);
+  for (const PacketVerdict& v : pipe.process(pool)) {
+    batched.add(static_cast<std::uint64_t>(v.outcome));
+    batched.add(static_cast<std::uint64_t>(v.final_node));
+    batched.add(static_cast<std::uint64_t>(v.hops));
+    batched.add(v.latency_s);
+    batched.add(static_cast<std::uint64_t>(v.frr_activations));
+  }
+  golden::Fnv scalar;
+  const SnapshotView view(hub.acquire(0));
+  const Forwarder fwd(topo, &view);
+  for (const PacketSpec& s : pool) {
+    Packet pkt;
+    pkt.dst_ip = s.dst_ip;
+    pkt.priority = s.priority;
+    pkt.entropy = s.entropy;
+    pkt.ttl = s.ttl;
+    const ForwardResult r = fwd.forward(std::move(pkt), s.ingress);
+    scalar.add(static_cast<std::uint64_t>(r.outcome));
+    scalar.add(static_cast<std::uint64_t>(r.final_node));
+    scalar.add(static_cast<std::uint64_t>(r.hops));
+    scalar.add(r.latency_s);
+    scalar.add(static_cast<std::uint64_t>(r.frr_activations));
+  }
+  return {batched.h, scalar.h};
+}
+
+TEST(VerdictGolden, B4PoolThroughPipelineAndForwarder) {
+  // A B4-like fleet bootstrapped the way perfbench's b4_forward builds
+  // it, and a seeded 32,768-packet rate-weighted pool.
+  const auto topo = topo::make_b4_like();
+  traffic::GravityParams gp;
+  gp.pair_fraction = 0.15;
+  gp.target_max_utilization = 0.6;
+  gp.seed = util::splitmix64(0xB4F0);
+  sim::DsdnEmulation emu(topo,
+                         traffic::generate_gravity(topo, gp).aggregated());
+  emu.enable_fib_snapshots(1);
+  emu.bootstrap();
+  const auto pool = random_specs(emu, 1 << 15, 0xDA7A);
+
+  const auto converged = verdict_digests(emu.network(), *emu.fib_hub(), pool);
+  EXPECT_EQ(converged.first, 0x41647880160d60f4ULL) << "0x" << std::hex << converged.first;
+  EXPECT_EQ(converged.second, 0x41647880160d60f4ULL) << "0x" << std::hex << converged.second;
+
+  // The same tables with three fibers down in the snapshot's link flags
+  // only: the window before any controller reprograms, where stale
+  // routes hit dead links and FRR splices bypasses.
+  topo::Topology cut = emu.network();
+  for (topo::LinkId f : sim::pick_failure_fibers(cut, 3, 0xC07))
+    cut.set_duplex_up(f, false);
+  SnapshotHub stale(cut, 1);
+  stale.publish_all(emu.fib_hub()->acquire(0)->routers);
+  BatchPipeline probe(cut, &stale);
+  probe.process(pool);
+  EXPECT_GT(probe.stats().frr_activations, 0u);
+  const auto frr = verdict_digests(cut, stale, pool);
+  EXPECT_EQ(frr.first, 0x1c83a4d0a7ae0fe5ULL) << "0x" << std::hex << frr.first;
+  EXPECT_EQ(frr.second, 0x1c83a4d0a7ae0fe5ULL) << "0x" << std::hex << frr.second;
 }
 
 TEST(BatchPipeline, DifferentialAgainstScalarAcrossSeedsAndChurn) {
@@ -490,7 +592,7 @@ TEST(BatchPipeline, ReprogramDuringForwardNeverTearsABatch) {
   {
     std::vector<std::shared_ptr<const RouterDataplane>> routers;
     for (topo::NodeId n = 0; n < 3; ++n)
-      routers.push_back(blank_router(f.topo, f.prefixes, n));
+      routers.push_back(blank_router(f.topo, f.prefixes));
     hub.publish_all(std::move(routers));
   }
   hub.publish_router(0, prog_a);

@@ -79,7 +79,6 @@ TEST(PerHop, SourceRoutingNeverLoopsUnderTheSameDivergence) {
   dataplane::VectorDataplanes routers(t.num_nodes());
   for (topo::NodeId n = 0; n < t.num_nodes(); ++n) {
     auto& rd = routers.mutable_at(n);
-    rd.transit = dataplane::build_transit_fib(t, n);
     for (topo::NodeId m = 0; m < t.num_nodes(); ++m)
       rd.ingress.set_prefix(prefixes[m], m);
   }

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "dataplane/fib.hpp"
 #include "dataplane/forwarder.hpp"
 #include "dataplane/label.hpp"
 #include "obs/metrics.hpp"
+#include "solver_golden.hpp"
 #include "te/dijkstra.hpp"
 #include "topo/prefix.hpp"
 #include "topo/synthetic.hpp"
@@ -115,6 +119,59 @@ TEST(IngressFib, HashingSpreadsFlowsAcrossRoutes) {
   EXPECT_NEAR(static_cast<double>(first) / n, 0.5, 0.07);
 }
 
+TEST(IngressFib, EncapTableStaysSortedAndIndexedInAnyInstallOrder) {
+  // Installs out of key order, replaces, removes and clears, checking
+  // after every step that the table iterates in (egress, class) order
+  // and that every key's index still finds its own entry.
+  IngressFib fib;
+  std::map<std::pair<topo::NodeId, int>, Label> expect;
+  const auto install = [&](topo::NodeId egress, int cls, Label label) {
+    EncapEntry entry;
+    if (label != 0) entry.routes.push_back({LabelStack({label}), 1.0});
+    fib.set_routes(egress, static_cast<PriorityClass>(cls), entry);
+    if (label != 0) {
+      expect[{egress, cls}] = label;
+    } else {
+      expect.erase({egress, cls});
+    }
+    ASSERT_EQ(fib.num_encap_entries(), expect.size());
+    auto it = expect.begin();
+    for (const auto& [key, e] : fib.encap_table()) {
+      ASSERT_EQ(key, it->first);
+      ASSERT_EQ(e.routes.front().stack.top(), it->second);
+      ++it;
+    }
+    for (topo::NodeId n = 0; n < 12; ++n) {
+      for (int c = 0; c < metrics::kNumPriorityClasses; ++c) {
+        const EncapEntry* e = fib.routes_for(n, static_cast<PriorityClass>(c));
+        const auto want = expect.find({n, c});
+        if (want == expect.end()) {
+          ASSERT_EQ(e, nullptr) << n << "/" << c;
+        } else {
+          ASSERT_NE(e, nullptr) << n << "/" << c;
+          ASSERT_EQ(e->routes.front().stack.top(), want->second);
+        }
+      }
+    }
+  };
+  install(9, 2, 100);
+  install(3, 0, 101);
+  install(9, 0, 102);
+  install(11, 1, 103);
+  install(0, 2, 104);
+  install(3, 0, 105);  // replace
+  install(5, 1, 106);
+  install(3, 0, 0);    // remove from the middle
+  install(0, 2, 0);    // remove the first
+  install(4, 1, 107);
+  fib.clear_routes();
+  expect.clear();
+  EXPECT_EQ(fib.num_encap_entries(), 0u);
+  EXPECT_EQ(fib.routes_for(9, PriorityClass::kLow), nullptr);
+  install(7, 1, 108);
+  install(2, 2, 109);
+}
+
 TEST(IngressFib, RejectsBadWeights) {
   IngressFib fib;
   EncapEntry entry;
@@ -127,14 +184,20 @@ TEST(IngressFib, RejectsBadWeights) {
                std::invalid_argument);
 }
 
-TEST(TransitFib, StaticEntriesCoverLocalLinks) {
+TEST(TransitLink, DecodesExactlyTheLocalOutLinks) {
   const auto t = topo::make_ring(5);
-  const TransitFib fib = build_transit_fib(t, 2);
-  EXPECT_EQ(fib.size(), t.node(2).out_links.size());
   for (topo::LinkId l : t.node(2).out_links) {
-    EXPECT_EQ(fib.lookup(link_label(l)).value(), l);
+    const topo::Link* link = transit_link(t, 2, link_label(l));
+    ASSERT_NE(link, nullptr);
+    EXPECT_EQ(link->id, l);
   }
-  EXPECT_FALSE(fib.lookup(link_label(9999)).has_value());
+  for (const topo::Link& l : t.links()) {
+    if (l.src == 2) continue;
+    EXPECT_EQ(transit_link(t, 2, link_label(l.id)), nullptr);
+  }
+  EXPECT_EQ(transit_link(t, 2, link_label(9999)), nullptr);
+  for (Label reserved = 0; reserved < kReservedLabels; ++reserved)
+    EXPECT_EQ(transit_link(t, 2, reserved), nullptr);
 }
 
 // ---- End-to-end forwarding (the Fig 5 walk) ----
@@ -147,7 +210,6 @@ struct Fig5Fixture {
   Fig5Fixture() {
     for (topo::NodeId n = 0; n < 3; ++n) {
       auto& rd = routers.mutable_at(n);
-      rd.transit = build_transit_fib(topo, n);
       for (topo::NodeId m = 0; m < 3; ++m) rd.ingress.set_prefix(prefixes[m], m);
     }
   }
@@ -373,6 +435,77 @@ TEST(BypassFib, ValidationAndClear) {
   fib.set_bypasses(2, {{LabelStack({1}), 1.0}});
   fib.clear();
   EXPECT_EQ(fib.num_protected_links(), 0u);
+}
+
+// ---- Golden picks: the weighted route choice pinned bit for bit ----
+
+// Uneven weight sets of the kinds TE placements and bypass strategies
+// install: one route, 0.1/0.2/0.7 splits in both orders, 1e-6 slivers,
+// seven routes, rank-biased weights, and a zero-weight member.
+std::vector<std::vector<double>> golden_weight_sets() {
+  return {
+      {1.0},
+      {0.1, 0.2, 0.7},
+      {0.7, 0.2, 0.1},
+      {1e-6, 1.0, 1e-6},
+      {0.5, 1e-6, 0.5},
+      {1, 2, 3, 4, 5, 6, 7},
+      {1.0, 1.0 / 2, 1.0 / 3, 1.0 / 4, 1.0 / 5},
+      {0.3, 0.0, 0.7},
+      {1.0 / 3, 1.0 / 3, 1.0 / 3},
+      {2.5e-7, 0.123456789, 0.876543211, 1e-6, 0.05, 0.05},
+  };
+}
+
+// Route r of set s carries the one label 16 * (s + 1) + r, so the picked
+// stack's top names the pick.
+std::vector<WeightedRoute> golden_routes(std::size_t s,
+                                         const std::vector<double>& weights) {
+  std::vector<WeightedRoute> routes;
+  for (std::size_t r = 0; r < weights.size(); ++r) {
+    routes.push_back(
+        {LabelStack({static_cast<Label>(16 * (s + 1) + r)}), weights[r]});
+  }
+  return routes;
+}
+
+TEST(PickGolden, IngressAndBypassPicksOverEntropies) {
+  const auto sets = golden_weight_sets();
+  IngressFib ingress;
+  BypassFib bypass;
+  std::vector<std::uint32_t> dst;
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    const auto egress = static_cast<topo::NodeId>(s + 1);
+    const topo::Prefix p{(10u << 24) | (egress << 8), 24};
+    ingress.set_prefix(p, egress);
+    dst.push_back(topo::host_in(p));
+    // Class c sees the set rotated by c, so every class orders it anew.
+    for (int c = 0; c < metrics::kNumPriorityClasses; ++c) {
+      std::vector<double> w = sets[s];
+      std::rotate(w.begin(), w.begin() + c % w.size(), w.end());
+      ingress.set_routes(egress, static_cast<PriorityClass>(c),
+                         {golden_routes(s, w)});
+    }
+    bypass.set_bypasses(static_cast<topo::LinkId>(s),
+                        golden_routes(s, sets[s]));
+  }
+  golden::Fnv f;
+  for (std::uint64_t e = 0; e < 16384; ++e) {
+    const std::uint64_t entropy = e * 0x9E3779B97F4A7C15ULL + e;
+    for (std::size_t s = 0; s < sets.size(); ++s) {
+      for (int c = 0; c < metrics::kNumPriorityClasses; ++c) {
+        const LabelStack* stack = ingress.lookup_stack(
+            dst[s], static_cast<PriorityClass>(c), entropy);
+        ASSERT_NE(stack, nullptr);
+        f.add(static_cast<std::uint64_t>(stack->top()));
+      }
+      const LabelStack* b =
+          bypass.select_stack(static_cast<topo::LinkId>(s), entropy);
+      ASSERT_NE(b, nullptr);
+      f.add(static_cast<std::uint64_t>(b->top()));
+    }
+  }
+  EXPECT_EQ(f.h, 0x0b40d60b28357e61ULL) << "0x" << std::hex << f.h;
 }
 
 }  // namespace

@@ -183,16 +183,15 @@ TEST(SrCandidates, OrderedByCostWithDirectRouteFirstAmongEquals) {
 
 // ---- Expansion parity: SR stacks vs strict full stacks (satellite 1) ----
 
-// Programs the full dataplane for one converged view: prefixes, transit
-// tables, and the per-target SR FIBs every router derives from the same
-// underlay -- exactly what core::Programmer::program_sr installs.
+// Programs the full dataplane for one converged view: prefixes and the
+// per-target SR FIBs every router derives from the same underlay --
+// exactly what core::Programmer::program_sr installs.
 dataplane::VectorDataplanes program_all(const topo::Topology& topo,
                                         const te::SrUnderlay& underlay) {
   const auto prefixes = topo::assign_router_prefixes(topo);
   dataplane::VectorDataplanes routers(topo.num_nodes());
   for (topo::NodeId n = 0; n < topo.num_nodes(); ++n) {
     auto& hw = routers.mutable_at(n);
-    hw.transit = dataplane::build_transit_fib(topo, n);
     for (topo::NodeId m = 0; m < topo.num_nodes(); ++m)
       hw.ingress.set_prefix(prefixes[m], m);
     for (topo::NodeId t = 0; t < topo.num_nodes(); ++t) {

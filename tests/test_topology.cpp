@@ -1,12 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
+#include <optional>
 
 #include "topo/builder.hpp"
 #include "topo/prefix.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/topology.hpp"
 #include "topo/zoo.hpp"
+#include "util/rng.hpp"
 
 namespace dsdn::topo {
 namespace {
@@ -206,6 +209,79 @@ TEST(Prefix, RouterPrefixesAreUniqueAndCoverHosts) {
   for (NodeId n = 0; n < t.num_nodes(); ++n) {
     EXPECT_EQ(table.lookup(host_in(prefixes[n])).value(), n);
   }
+}
+
+// Reference LPM: every stored (length, masked address), probed longest
+// length first through an ordered map.
+struct ReferenceLpm {
+  std::map<std::pair<int, std::uint32_t>, NodeId> entries;
+
+  void insert(const Prefix& p, NodeId egress) {
+    entries[{p.len, p.addr & p.mask()}] = egress;
+  }
+  void erase(const Prefix& p) { entries.erase({p.len, p.addr & p.mask()}); }
+  std::optional<NodeId> lookup(std::uint32_t ip) const {
+    for (int len = 32; len >= 0; --len) {
+      const auto it = entries.find({len, ip & Prefix{0, len}.mask()});
+      if (it != entries.end()) return it->second;
+    }
+    return std::nullopt;
+  }
+};
+
+TEST(Prefix, TableMatchesBruteForceLpmUnderRandomEdits) {
+  util::Rng rng(0x1F7AB1E);
+  PrefixTable table;
+  ReferenceLpm ref;
+  std::vector<Prefix> inserted;
+  // Addresses cluster in two /8s so prefixes of different lengths nest.
+  const auto draw_ip = [&] {
+    const std::uint32_t top = rng.bernoulli(0.5) ? 10u : 172u;
+    return (top << 24) |
+           static_cast<std::uint32_t>(rng.uniform_int(0, (1 << 24) - 1));
+  };
+  const auto check = [&](std::uint32_t ip) {
+    ASSERT_EQ(table.lookup(ip), ref.lookup(ip)) << format_ipv4(ip);
+  };
+  for (int step = 0; step < 12000; ++step) {
+    const std::int64_t op = rng.uniform_int(0, 99);
+    if (step == 6000) {
+      table.clear();
+      ref.entries.clear();
+      inserted.clear();
+    } else if (op < 55) {
+      // Lengths /0../32; /24 most often so one bucket grows through
+      // several rehashes.
+      const int len = rng.bernoulli(0.4)
+                          ? 24
+                          : static_cast<int>(rng.uniform_int(0, 32));
+      const Prefix p{draw_ip(), len};
+      const auto egress = static_cast<NodeId>(rng.uniform_int(0, 63));
+      table.insert(p, egress);
+      ref.insert(p, egress);
+      inserted.push_back(p);
+    } else if (op < 80 && !inserted.empty()) {
+      const Prefix p = rng.pick(inserted);  // may already be gone
+      table.erase(p);
+      ref.erase(p);
+    } else if (op < 85) {
+      const Prefix p{draw_ip(), static_cast<int>(rng.uniform_int(0, 32))};
+      table.erase(p);  // mostly absent
+      ref.erase(p);
+    }
+    ASSERT_EQ(table.size(), ref.entries.size()) << "step " << step;
+    check(draw_ip());
+    check(static_cast<std::uint32_t>(rng.engine()()));
+    if (!inserted.empty()) {
+      const Prefix& p = rng.pick(inserted);
+      check((p.addr & p.mask()) |
+            (static_cast<std::uint32_t>(rng.engine()()) & ~p.mask()));
+    }
+  }
+  EXPECT_GT(table.size(), 500u);  // the /24 bucket rehashed several times
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_FALSE(table.lookup(parse_ipv4("10.1.2.3")).has_value());
 }
 
 }  // namespace
