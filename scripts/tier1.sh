@@ -136,14 +136,15 @@ sr_regression() {
 }
 
 # test_plane_runtime: plane scenarios bootstrap and reprogram planes
-# concurrently on a shared pool.
+# concurrently on a shared pool. test_emulation: every fleet recompute
+# runs the dirty controllers concurrently on router-pinned workers.
 tsan_suites() {
   cmake -B build-tsan -S . -DDSDN_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" --target test_parallel test_sim \
     test_obs test_dataplane test_batch_pipeline test_batch_solver \
-    test_plane_runtime
+    test_plane_runtime test_emulation
   (cd build-tsan && ctest --output-on-failure \
-    -R '^(test_parallel|test_sim|test_obs|test_dataplane|test_batch_pipeline|test_batch_solver|test_plane_runtime)$')
+    -R '^(test_parallel|test_sim|test_obs|test_dataplane|test_batch_pipeline|test_batch_solver|test_plane_runtime|test_emulation)$')
 }
 
 # test_dataplane + test_topology: the flat FIB tables' open addressing

@@ -12,6 +12,7 @@ namespace dsdn::core {
 
 void Programmer::program_prefixes(const StateDb& state,
                                   dataplane::RouterDataplane& hw) const {
+  DSDN_TRACE_SPAN("program.prefixes");
   hw.ingress.clear_prefixes();
   for (const auto& [prefix, egress] : state.prefix_entries()) {
     hw.ingress.set_prefix(prefix, egress);
@@ -67,6 +68,7 @@ Programmer::EncapReport Programmer::program_encap(
 
 Programmer::SrReport Programmer::program_sr(
     const topo::Topology& view, dataplane::RouterDataplane& hw) const {
+  DSDN_TRACE_SPAN("program.sr");
   SrReport report;
   hw.sr.clear();
   // Same underlay math the SR solver expands against: membership from
@@ -94,6 +96,7 @@ Programmer::BypassReport Programmer::program_bypasses(
     const topo::Topology& view, const std::vector<double>& residual_gbps,
     dataplane::BypassStrategy strategy, std::size_t k,
     dataplane::RouterDataplane& hw) const {
+  DSDN_TRACE_SPAN("program.bypasses");
   BypassReport report;
   hw.bypass.clear();
   for (topo::LinkId lid : view.node(self_).out_links) {

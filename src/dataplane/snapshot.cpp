@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "obs/trace.hpp"
+
 namespace dsdn::dataplane {
 
 SnapshotHub::SnapshotHub(const topo::Topology& topo, std::size_t num_cores)
@@ -46,6 +48,7 @@ void SnapshotHub::install(std::shared_ptr<const FibSnapshot> next) {
 
 std::uint64_t SnapshotHub::publish_router(topo::NodeId node,
                                           const RouterDataplane& tables) {
+  DSDN_TRACE_SPAN("snapshot.publish_router");
   std::lock_guard<std::mutex> publish(publish_mu_);
   auto next = std::make_shared<FibSnapshot>();
   next->epoch = latest_->epoch + 1;

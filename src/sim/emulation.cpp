@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <exception>
 #include <stdexcept>
+#include <thread>
 
 #include "core/wire.hpp"
 #include "obs/trace.hpp"
@@ -26,6 +28,8 @@ DsdnEmulation::DsdnEmulation(topo::Topology topo, traffic::TrafficMatrix tm,
     controllers_.push_back(make_controller(n));
   }
   dirty_.assign(topo_.num_nodes(), 0);
+  pool_ = std::make_unique<te::ThreadPool>(
+      std::max(1u, std::thread::hardware_concurrency()));
 }
 
 std::unique_ptr<core::Controller> DsdnEmulation::make_controller(
@@ -198,13 +202,33 @@ void DsdnEmulation::run_to_quiescence() {
     throw std::runtime_error("emulation: flooding did not quiesce");
 }
 
+void DsdnEmulation::for_each_router(
+    const std::function<void(topo::NodeId)>& fn) {
+  const std::size_t workers = pool_->n_threads();
+  const std::size_t n = controllers_.size();
+  pool_->for_each_slot([&](std::size_t slot) {
+    // One router's failure does not stop its slot-mates: every router
+    // runs, whatever the worker count, and the slot reports its first
+    // failure at the end.
+    std::exception_ptr failed;
+    for (std::size_t v = slot; v < n; v += workers) {
+      try {
+        fn(static_cast<topo::NodeId>(v));
+      } catch (...) {
+        if (!failed) failed = std::current_exception();
+      }
+    }
+    if (failed) std::rethrow_exception(failed);
+  });
+}
+
 void DsdnEmulation::recompute_dirty() {
   DSDN_TRACE_SPAN("emu.recompute");
-  for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n) {
-    if (!dirty_[n]) continue;
+  for_each_router([&](topo::NodeId n) {
+    if (!dirty_[n]) return;
     controllers_[n]->recompute();
     dirty_[n] = 0;
-  }
+  });
 }
 
 void DsdnEmulation::bootstrap() {
@@ -279,6 +303,7 @@ void DsdnEmulation::repair_fiber(topo::LinkId fiber) {
 }
 
 void DsdnEmulation::degrade_fiber(topo::LinkId fiber, double capacity_gbps) {
+  DSDN_TRACE_SPAN("emu.degrade_fiber");
   const topo::NodeId a = topo_.link(fiber).src;
   const topo::NodeId b = topo_.link(fiber).dst;
   topo_.set_duplex_capacity(fiber, capacity_gbps);
@@ -288,15 +313,18 @@ void DsdnEmulation::degrade_fiber(topo::LinkId fiber, double capacity_gbps) {
 }
 
 void DsdnEmulation::crash_and_recover(topo::NodeId node) {
+  DSDN_TRACE_SPAN("emu.crash_recover");
+  // Check before replacing anything, so an isolated node keeps its
+  // controller when this throws.
+  const auto neighbors = topo_.up_neighbors(node);
+  if (neighbors.empty())
+    throw std::runtime_error("crash_and_recover: isolated node");
   // Fresh controller instance: empty StateDb, seq counter reset, cold
   // incremental warm state (its first recompute is a full solve).
   controllers_[node] = make_controller(node);
 
-  // Recover state from any live neighbor, then re-originate (with a
+  // Recover state from a live neighbor, then re-originate (with a
   // sequence number above anything the network has seen from us).
-  const auto neighbors = topo_.up_neighbors(node);
-  if (neighbors.empty())
-    throw std::runtime_error("crash_and_recover: isolated node");
   controllers_[node]->recover_from(*controllers_[neighbors.front()]);
   originate_and_flood(node);
   run_to_quiescence();
@@ -318,10 +346,10 @@ void DsdnEmulation::crash_and_recover(topo::NodeId node) {
 
 void DsdnEmulation::crash_and_cold_restart(topo::NodeId node) {
   DSDN_TRACE_SPAN("emu.cold_restart");
-  controllers_[node] = make_controller(node);
   const auto neighbors = topo_.up_neighbors(node);
   if (neighbors.empty())
     throw std::runtime_error("crash_and_cold_restart: isolated node");
+  controllers_[node] = make_controller(node);
   // Adjacency-up resync from every live neighbor: full databases cross
   // the wire as ordinary NSU floods; the restarted router rebuilds its
   // StateDb from what it hears, nothing else. Receivers elsewhere
@@ -469,13 +497,13 @@ void DsdnEmulation::measurement_epoch() {
   // bit; the TE it is running is stale but fleet-consistent, and a later
   // epoch (or any topology event, which recomputes unconditionally)
   // picks it up.
-  for (topo::NodeId n = 0; n < topo_.num_nodes(); ++n) {
+  for_each_router([&](topo::NodeId n) {
     const bool due = controllers_[n]->demand_epoch_due();
     if (dirty_[n] && due) {
       controllers_[n]->recompute();
       dirty_[n] = 0;
     }
-  }
+  });
 }
 
 void DsdnEmulation::enable_fault_injection(

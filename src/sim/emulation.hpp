@@ -10,7 +10,21 @@
 // Used by the integration tests, the quickstart, and the examples; the
 // statistical simulators (convergence.hpp / transient.hpp) are used where
 // 1,000-day workloads make functional emulation impractical.
+//
+// Flooding runs on the calling thread. Every fleet-wide recompute (after
+// an event, and in measurement epochs) runs the dirty controllers
+// concurrently on the emulation's own te::ThreadPool, one worker per
+// hardware thread, as every router's on-box controller does in a real
+// fleet. Router n always runs on worker n mod workers (for_each_slot), so
+// its long-lived tables are freed and reallocated in one malloc arena.
+// Each router's result is a pure function of its own view, so the fleet
+// state after an event does not depend on the schedule. Two things do:
+//  - SnapshotHub epochs are numbered in completion order (the hub
+//    serializes publishes); the snapshot after the event is the same.
+//  - Controller bus callbacks fired by recompute() (kSolutionReady) run
+//    on a pool worker, concurrently with other routers' recomputes.
 
+#include <functional>
 #include <memory>
 #include <span>
 
@@ -21,6 +35,7 @@
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/faulty_bus.hpp"
+#include "te/parallel_solver.hpp"
 #include "traffic/estimator.hpp"
 #include "traffic/matrix.hpp"
 
@@ -96,6 +111,8 @@ class DsdnEmulation final : public dataplane::DataplaneProvider {
   void degrade_fiber(topo::LinkId fiber, double capacity_gbps);
 
   // Crashes a controller and recovers it from a live neighbor (§3.2).
+  // Throws std::runtime_error, leaving the fleet untouched, when the node
+  // has no up neighbor.
   void crash_and_recover(topo::NodeId node);
 
   // Crash plus *cold* restart: unlike crash_and_recover, nothing is
@@ -105,7 +122,8 @@ class DsdnEmulation final : public dataplane::DataplaneProvider {
   // own pre-crash NSU comes back too; the controller adopts its sequence
   // number so the post-restart origination supersedes it everywhere.
   // Warm-start TE state is discarded with the crashed instance (the
-  // first recompute after restart is a full solve).
+  // first recompute after restart is a full solve). Throws like
+  // crash_and_recover for an isolated node.
   void crash_and_cold_restart(topo::NodeId node);
 
   // Demand surge/shift: scales the oracle matrix rows originating at
@@ -229,6 +247,13 @@ class DsdnEmulation final : public dataplane::DataplaneProvider {
                 topo::LinkId lid, int attempt);
   void deliver(const core::NodeStateUpdate& nsu, topo::LinkId via);
   void run_to_quiescence();
+  // Calls fn(n) for every router on the fleet pool: router n always on
+  // slot n mod workers. fn may write per-router state (dirty_[n]) only.
+  // Every router runs even when another throws; a failure is rethrown on
+  // the caller once all routers are done.
+  void for_each_router(const std::function<void(topo::NodeId)>& fn);
+  // Recomputes every dirty controller, concurrently (for_each_router). A
+  // router whose recompute throws stays dirty.
   void recompute_dirty();
   const core::TelemetrySource& telemetry_for(topo::NodeId node) const;
   // Does n's current estimator advertisement differ from its last
@@ -247,6 +272,7 @@ class DsdnEmulation final : public dataplane::DataplaneProvider {
   std::vector<std::unique_ptr<core::Controller>> controllers_;
   std::unique_ptr<dataplane::SnapshotHub> fib_hub_;
   std::vector<char> dirty_;
+  std::unique_ptr<te::ThreadPool> pool_;  // fleet-wide recomputes
   sim::EventQueue queue_;
   std::size_t messages_ = 0;
   std::unique_ptr<FaultyBus> faults_;

@@ -30,9 +30,9 @@ struct PoolMetrics {
   }
 };
 
-// Pool whose run_chunks the current thread is executing (nullptr outside
-// the pool). Used to run nested parallel_for calls inline instead of
-// deadlocking on the pool's own idle workers.
+// Pool whose job share the current thread is executing (nullptr outside
+// the pool). Used to run nested calls inline instead of deadlocking on
+// the pool's own idle workers.
 thread_local const ThreadPool* t_current_pool = nullptr;
 
 }  // namespace
@@ -76,7 +76,7 @@ void ThreadPool::worker_main(std::size_t slot) {
       if (stop_) return;
       seen_epoch = job_epoch_;
     }
-    run_chunks(slot);
+    run_share(slot);
     {
       std::lock_guard<std::mutex> lk(mu_);
       if (--workers_active_ == 0) done_cv_.notify_one();
@@ -84,27 +84,39 @@ void ThreadPool::worker_main(std::size_t slot) {
   }
 }
 
-void ThreadPool::run_chunks(std::size_t slot) {
+void ThreadPool::run_share(std::size_t slot) {
   const ThreadPool* outer = t_current_pool;
   t_current_pool = this;
   std::uint64_t tasks = 0;
   const auto t0 = Clock::now();
-  while (true) {
-    const std::size_t lo =
-        next_index_.fetch_add(job_chunk_, std::memory_order_relaxed);
-    if (lo >= job_n_) break;
-    const std::size_t hi = std::min(job_n_, lo + job_chunk_);
+  const auto record_error = [&] {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (!first_error_) first_error_ = std::current_exception();
+  };
+  if (job_pinned_) {
     try {
-      for (std::size_t i = lo; i < hi; ++i) {
-        (*job_fn_)(i);
-        ++tasks;
-      }
+      (*job_fn_)(slot);
     } catch (...) {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (!first_error_) first_error_ = std::current_exception();
-      // Abandon the untouched remainder of the index space; chunks
-      // already claimed by other workers still run to completion.
-      next_index_.store(job_n_, std::memory_order_relaxed);
+      record_error();
+    }
+    tasks = 1;
+  } else {
+    while (true) {
+      const std::size_t lo =
+          next_index_.fetch_add(job_chunk_, std::memory_order_relaxed);
+      if (lo >= job_n_) break;
+      const std::size_t hi = std::min(job_n_, lo + job_chunk_);
+      try {
+        for (std::size_t i = lo; i < hi; ++i) {
+          (*job_fn_)(i);
+          ++tasks;
+        }
+      } catch (...) {
+        record_error();
+        // Abandon the untouched remainder of the index space; chunks
+        // already claimed by other workers still run to completion.
+        next_index_.store(job_n_, std::memory_order_relaxed);
+      }
     }
   }
   const double busy = std::chrono::duration<double>(Clock::now() - t0).count();
@@ -144,6 +156,31 @@ void ThreadPool::parallel_for(
     run_inline(n, fn);
     return;
   }
+  dispatch(n, fn, /*pinned=*/false);
+}
+
+void ThreadPool::for_each_slot(
+    const std::function<void(std::size_t)>& fn) const {
+  if (t_current_pool != this && !workers_.empty()) {
+    dispatch(n_threads(), fn, /*pinned=*/true);
+    return;
+  }
+  // Nested (or single-slot) use: every slot inline, still each exactly
+  // once even when an earlier one throws.
+  std::exception_ptr first;
+  run_inline(n_threads(), [&](std::size_t slot) {
+    try {
+      fn(slot);
+    } catch (...) {
+      if (!first) first = std::current_exception();
+    }
+  });
+  if (first) std::rethrow_exception(first);
+}
+
+void ThreadPool::dispatch(std::size_t n,
+                          const std::function<void(std::size_t)>& fn,
+                          bool pinned) const {
   auto* self = const_cast<ThreadPool*>(this);
   // One job at a time: external callers queue up here.
   std::lock_guard<std::mutex> submit(self->submit_mu_);
@@ -151,6 +188,7 @@ void ThreadPool::parallel_for(
     std::lock_guard<std::mutex> lk(self->mu_);
     self->job_fn_ = &fn;
     self->job_n_ = n;
+    self->job_pinned_ = pinned;
     // Small dynamic blocks (several per worker) so a skewed per-index
     // cost rebalances instead of stranding one static chunk per worker.
     self->job_chunk_ = std::max<std::size_t>(1, n / (n_threads() * 8));
@@ -160,7 +198,7 @@ void ThreadPool::parallel_for(
     ++self->job_epoch_;
   }
   self->work_cv_.notify_all();
-  self->run_chunks(n_threads() - 1);  // the caller takes the last slot
+  self->run_share(n_threads() - 1);  // the caller takes the last slot
   {
     std::unique_lock<std::mutex> lk(self->mu_);
     self->done_cv_.wait(lk, [&] { return self->workers_active_ == 0; });

@@ -15,7 +15,13 @@
 //
 // A parallel_for issued from inside a pool worker (nested use) runs
 // inline on that worker -- never deadlocks, never oversubscribes.
+//
+// for_each_slot is the pinned counterpart: one call per slot, slot s
+// always on the same thread, for callers that keep per-slot state (the
+// emulation pins each router to one worker so its long-lived heap
+// objects stay in that worker's malloc arena).
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <condition_variable>
@@ -37,7 +43,7 @@ class ThreadPool {
   };
   struct Stats {
     std::size_t workers = 1;            // parallelism incl. the caller
-    std::uint64_t parallel_calls = 0;   // parallel_for invocations
+    std::uint64_t parallel_calls = 0;   // parallel_for + for_each_slot
     std::uint64_t inline_calls = 0;     // ... of which ran inline
     std::uint64_t tasks_executed = 0;   // total fn invocations
     std::vector<WorkerStats> per_worker;  // [0..workers-2] pool threads,
@@ -66,15 +72,31 @@ class ThreadPool {
   void parallel_for(std::size_t n,
                     const std::function<void(std::size_t)>& fn) const;
 
+  // Invokes fn(slot) exactly once for each slot in [0, n_threads()). Slot
+  // s < n_threads()-1 always runs on persistent worker s and the last
+  // slot on the calling thread, so state keyed by slot stays on one
+  // thread across calls. Blocks until every slot has returned; the first
+  // exception is rethrown on the caller only after all other slots have
+  // finished. External callers are serialized like parallel_for's; a call
+  // from inside one of this pool's workers runs every slot inline.
+  void for_each_slot(const std::function<void(std::size_t)>& fn) const;
+
   Stats stats() const;
   void reset_stats();
 
  private:
   void worker_main(std::size_t slot);
-  // Grabs chunks until the index space is exhausted; returns tasks run
-  // and accumulates busy time. On exception, records it and drains the
+  // Posts fn to every worker, runs the caller's share as the last slot,
+  // waits for the workers and rethrows the first exception. `pinned`
+  // selects for_each_slot's one-call-per-slot job over parallel_for's
+  // dynamically chunked index space [0, n).
+  void dispatch(std::size_t n, const std::function<void(std::size_t)>& fn,
+                bool pinned) const;
+  // Runs this slot's share of the posted job and accumulates its busy
+  // time. A parallel_for share grabs chunks until the index space is
+  // exhausted; on exception it records the error and drains the
   // remaining indices.
-  void run_chunks(std::size_t slot);
+  void run_share(std::size_t slot);
   void run_inline(std::size_t n, const std::function<void(std::size_t)>& fn)
       const;
 
@@ -94,6 +116,7 @@ class ThreadPool {
   const std::function<void(std::size_t)>* job_fn_ = nullptr;
   std::size_t job_n_ = 0;
   std::size_t job_chunk_ = 1;
+  bool job_pinned_ = false;  // for_each_slot: slot s runs index s only
   mutable std::atomic<std::size_t> next_index_{0};
   mutable std::exception_ptr first_error_;
 

@@ -6,6 +6,9 @@
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <numeric>
+#include <optional>
+#include <span>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -139,25 +142,35 @@ class CpuBatchBackend final : public BatchSolverBackend {
   }
 };
 
-// Walks the predecessor chain dst -> src. Only targets of the preceding
-// sssp() call may be extracted: their chains consist of finalized nodes
-// and are therefore stable even under early stop.
-void extract_links(const BatchGraph& g, const SsspWorkspace& ws,
-                   std::uint32_t src, std::uint32_t dst,
-                   std::vector<topo::LinkId>& out) {
-  out.clear();
-  if (!ws.reached(dst)) return;
-  std::uint32_t at = dst;
-  while (at != src) {
+// A path stored as a run of links in a flat per-solve arena; len 0 means
+// "no path". Runs are written once and never modified, so a run can be
+// shared (round path, cross-class carry) without copying its links.
+struct Run {
+  std::uint32_t off = 0;
+  std::uint32_t len = 0;
+};
+
+// Appends the predecessor chain dst -> src to `out` in src -> dst order
+// and returns its run (len 0, nothing appended, when dst is unreached).
+// Only targets of the preceding sssp() call may be extracted: their
+// chains consist of finalized nodes and are therefore stable even under
+// early stop.
+Run append_links(const BatchGraph& g, const SsspWorkspace& ws,
+                 std::uint32_t src, std::uint32_t dst,
+                 std::vector<topo::LinkId>& out) {
+  const auto off = static_cast<std::uint32_t>(out.size());
+  if (!ws.reached(dst)) return {off, 0};
+  for (std::uint32_t at = dst; at != src;) {
     const std::uint32_t lid = ws.pred_link[at];
     if (lid == topo::kInvalidLink) {
-      out.clear();
-      return;
+      out.resize(off);
+      return {off, 0};
     }
     out.push_back(lid);
     at = g.link_src[lid];
   }
-  std::reverse(out.begin(), out.end());
+  std::reverse(out.begin() + off, out.end());
+  return {off, static_cast<std::uint32_t>(out.size() - off)};
 }
 
 // Mutex-guarded freelist: SSSP scratch scales with concurrency, not with
@@ -181,15 +194,6 @@ class WorkspacePool {
   std::vector<std::unique_ptr<SsspWorkspace>> free_;
 };
 
-std::uint64_t hash_links(const std::vector<topo::LinkId>& links) {
-  std::uint64_t h = 1469598103934665603ull;  // FNV-1a over link ids
-  for (topo::LinkId l : links) {
-    h ^= l;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // One demand's grant history entry; per-allocation histories are
 // singly-linked chains through one flat array (newest first).
 struct GrantEntry {
@@ -201,12 +205,17 @@ constexpr std::uint32_t kNoEntry = std::numeric_limits<std::uint32_t>::max();
 
 // A (source, residual-rank) search bucket: every member demand has the
 // same usable-link set this round, so one multi-destination SSSP serves
-// all of them exactly.
+// all of them exactly. Buckets are recycled across rounds, so their
+// vectors keep their capacity.
 struct Bucket {
   std::uint32_t src = 0;
   double min_residual = 0.0;  // any member's threshold (all equivalent)
   std::vector<std::uint32_t> slots;
   std::vector<std::uint32_t> targets;
+  // The members' extracted paths, back to back (runs index `links`);
+  // searched in parallel, then appended to the solve's arena serially.
+  std::vector<topo::LinkId> links;
+  std::vector<Run> runs;
 };
 
 }  // namespace
@@ -284,20 +293,46 @@ Solution Solver::solve(const topo::Topology& topo,
   WorkspacePool ws_pool;
   SsspWorkspace grant_ws;  // dedicated scratch for serialized re-searches
 
+  // Dense ids for the distinct (src, dst) pairs among the demands. A
+  // non-empty path determines its endpoints, so paths are interned per
+  // pair and the cross-class carry below is one entry per pair.
+  std::vector<std::uint32_t> pair_of(solution.allocations.size());
+  std::uint32_t num_pairs = 0;
+  {
+    const auto endpoints = [&](std::uint32_t i) {
+      const traffic::Demand& d = solution.allocations[i].demand;
+      return std::pair(d.src, d.dst);
+    };
+    std::vector<std::uint32_t> order(pair_of.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return endpoints(a) < endpoints(b);
+              });
+    for (std::size_t k = 0; k < order.size(); ++k) {
+      if (k > 0 && endpoints(order[k]) != endpoints(order[k - 1]))
+        ++num_pairs;
+      pair_of[order[k]] = num_pairs;
+    }
+    if (!order.empty()) ++num_pairs;
+  }
+
   // Interned paths: concatenated link sequences plus offsets; the id is
-  // the insertion index. Duplicate detection via hash buckets with full
-  // sequence compare on collision.
+  // the insertion index. Each pair chains its paths newest first, and a
+  // duplicate is found by comparing against that pair's few paths.
   std::vector<topo::LinkId> path_pool;
   std::vector<std::uint32_t> path_offsets{0};
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> path_by_hash;
+  std::vector<std::uint32_t> pair_newest(num_pairs, kNoEntry);
+  std::vector<std::uint32_t> older_path;  // by path id
   auto path_span = [&](std::uint32_t id) {
     return std::pair<const topo::LinkId*, const topo::LinkId*>{
         path_pool.data() + path_offsets[id],
         path_pool.data() + path_offsets[id + 1]};
   };
-  auto intern_path = [&](const std::vector<topo::LinkId>& links) {
-    auto& bucket = path_by_hash[hash_links(links)];
-    for (std::uint32_t id : bucket) {
+  auto intern_path = [&](std::uint32_t pair,
+                         std::span<const topo::LinkId> links) {
+    for (std::uint32_t id = pair_newest[pair]; id != kNoEntry;
+         id = older_path[id]) {
       auto [b, e] = path_span(id);
       if (static_cast<std::size_t>(e - b) == links.size() &&
           std::equal(b, e, links.begin()))
@@ -306,7 +341,8 @@ Solution Solver::solve(const topo::Topology& topo,
     const auto id = static_cast<std::uint32_t>(path_offsets.size() - 1);
     path_pool.insert(path_pool.end(), links.begin(), links.end());
     path_offsets.push_back(static_cast<std::uint32_t>(path_pool.size()));
-    bucket.push_back(id);
+    older_path.push_back(pair_newest[pair]);
+    pair_newest[pair] = id;
     m_interned.inc();
     return id;
   };
@@ -328,11 +364,24 @@ Solution Solver::solve(const topo::Topology& topo,
     grant_head[alloc] = static_cast<std::uint32_t>(grant_entries.size() - 1);
   };
 
+  // Every path searched during the solve, as runs of one arena: a search
+  // appends a run, nothing is ever overwritten or freed before the solve
+  // ends.
+  std::vector<topo::LinkId> arena;
+  auto links_of = [&](Run r) {
+    return std::span<const topo::LinkId>(arena.data() + r.off, r.len);
+  };
+  auto append_found = [&](const std::optional<Path>& p) {
+    const auto off = static_cast<std::uint32_t>(arena.size());
+    if (p) arena.insert(arena.end(), p->links.begin(), p->links.end());
+    return Run{off, static_cast<std::uint32_t>(arena.size() - off)};
+  };
+
   // Per-class demand state, SoA keyed by slot.
   std::vector<std::size_t> alloc_index;
   std::vector<std::uint32_t> slot_src, slot_dst;
   std::vector<double> remaining, satisfied_below, threshold;
-  std::vector<std::vector<topo::LinkId>> round_path;
+  std::vector<Run> round_path;
   // The sliver threshold round_path was last searched or validated at;
   // negative = no cached path yet.
   std::vector<double> cached_at;
@@ -340,17 +389,18 @@ Solution Solver::solve(const topo::Topology& topo,
   // Round-local scratch, reused across rounds.
   std::vector<std::uint32_t> active, next_active, search_list;
   std::vector<double> rank_values;
-  std::vector<Bucket> buckets;
+  std::vector<Bucket> buckets;  // [0, num_buckets) are this round's
+  std::size_t num_buckets = 0;
   std::unordered_map<std::uint64_t, std::uint32_t> bucket_of;
+  std::vector<std::optional<Path>> cache_found;
 
   // Cross-class path carry: residuals decrease monotonically across the
   // whole solve, so a path validated in an earlier class obeys the same
   // reuse invariant as one from an earlier round. Classes share (src,
   // dst) pairs, which turns class boundaries from cold restarts into
-  // warm ones. Keyed (src << 32) | dst into parallel arrays.
-  std::unordered_map<std::uint64_t, std::uint32_t> carry_of;
-  std::vector<std::vector<topo::LinkId>> carry_path;
-  std::vector<double> carry_at;
+  // warm ones. Indexed by pair; carry_at < 0 = nothing carried.
+  std::vector<Run> carry_path(num_pairs);
+  std::vector<double> carry_at(num_pairs, -1.0);
 
   for (int cls = 0; cls < metrics::kNumPriorityClasses; ++cls) {
     alloc_index.clear();
@@ -375,16 +425,11 @@ Solution Solver::solve(const topo::Topology& topo,
             std::max(options_.epsilon_gbps,
                      options_.satisfied_tolerance * d.rate_gbps));
         threshold.push_back(0.0);
-        round_path.emplace_back();
+        round_path.push_back({});
         cached_at.push_back(-1.0);
-        if (!options_.cache) {
-          const std::uint64_t key =
-              (static_cast<std::uint64_t>(d.src) << 32) | d.dst;
-          const auto it = carry_of.find(key);
-          if (it != carry_of.end()) {
-            round_path.back() = carry_path[it->second];
-            cached_at.back() = carry_at[it->second];
-          }
+        if (!options_.cache && carry_at[pair_of[i]] >= 0.0) {
+          round_path.back() = carry_path[pair_of[i]];
+          cached_at.back() = carry_at[pair_of[i]];
         }
       }
     }
@@ -410,16 +455,17 @@ Solution Solver::solve(const topo::Topology& topo,
         // delegate per demand.
         DSDN_TRACE_SPAN("te.batch.path_search");
         const PathCache* cache = options_.cache;
+        cache_found.resize(active.size());
         parallel_for(active.size(), [&](std::size_t i) {
           const std::uint32_t slot = active[i];
           SpConstraints c;
           c.residual_gbps = &residual;
           c.min_residual = threshold[slot];
-          std::optional<Path> p =
+          cache_found[i] =
               cache->get(topo, slot_src[slot], slot_dst[slot], c);
-          round_path[slot] = p ? std::move(p->links)
-                               : std::vector<topo::LinkId>{};
         });
+        for (std::size_t i = 0; i < active.size(); ++i)
+          round_path[active[i]] = append_found(cache_found[i]);
       } else {
         DSDN_TRACE_SPAN("te.batch.path_search");
         // Residual-rank values: thresholds t1 <= t2 see the same
@@ -463,7 +509,7 @@ Solution Solver::solve(const topo::Topology& topo,
                 std::lower_bound(lo, rank_values.end(), cached_at[slot]);
             if (lo == hi) {
               double bn = kInf;
-              for (topo::LinkId l : round_path[slot])
+              for (topo::LinkId l : links_of(round_path[slot]))
                 bn = std::min(bn, residual[l]);
               reuse = bn >= t_new;
             }
@@ -477,7 +523,7 @@ Solution Solver::solve(const topo::Topology& topo,
         }
         m_reused.add(reused);
 
-        buckets.clear();
+        num_buckets = 0;
         bucket_of.clear();
         for (std::uint32_t slot : search_list) {
           const auto rank = static_cast<std::uint64_t>(
@@ -487,33 +533,45 @@ Solution Solver::solve(const topo::Topology& topo,
           const std::uint64_t key =
               (static_cast<std::uint64_t>(slot_src[slot]) << 32) | rank;
           auto [it, inserted] = bucket_of.try_emplace(
-              key, static_cast<std::uint32_t>(buckets.size()));
+              key, static_cast<std::uint32_t>(num_buckets));
           if (inserted) {
-            buckets.emplace_back();
-            buckets.back().src = slot_src[slot];
-            buckets.back().min_residual = threshold[slot];
+            if (num_buckets == buckets.size()) buckets.emplace_back();
+            Bucket& fresh = buckets[num_buckets++];
+            fresh.src = slot_src[slot];
+            fresh.min_residual = threshold[slot];
+            fresh.slots.clear();
+            fresh.targets.clear();
           }
           Bucket& b = buckets[it->second];
           b.slots.push_back(slot);
           b.targets.push_back(slot_dst[slot]);
         }
 
-        parallel_for(buckets.size(), [&](std::size_t bi) {
-          const Bucket& b = buckets[bi];
+        parallel_for(num_buckets, [&](std::size_t bi) {
+          Bucket& b = buckets[bi];
           auto ws = ws_pool.acquire();
           backend.sssp(graph, residual, b.min_residual, b.src,
                        b.targets.data(), b.targets.size(), *ws);
+          b.links.clear();
+          b.runs.clear();
           for (std::uint32_t slot : b.slots) {
-            extract_links(graph, *ws, b.src, slot_dst[slot],
-                          round_path[slot]);
-            cached_at[slot] = threshold[slot];
+            b.runs.push_back(
+                append_links(graph, *ws, b.src, slot_dst[slot], b.links));
           }
           ws_pool.release(std::move(ws));
         });
-        m_batches.add(buckets.size());
-        m_batched.add(search_list.size());
-        for (const Bucket& b : buckets)
+        for (std::size_t bi = 0; bi < num_buckets; ++bi) {
+          const Bucket& b = buckets[bi];
+          const auto base = static_cast<std::uint32_t>(arena.size());
+          arena.insert(arena.end(), b.links.begin(), b.links.end());
+          for (std::size_t i = 0; i < b.slots.size(); ++i) {
+            round_path[b.slots[i]] = {base + b.runs[i].off, b.runs[i].len};
+            cached_at[b.slots[i]] = threshold[b.slots[i]];
+          }
           m_fill.record(static_cast<double>(b.slots.size()));
+        }
+        m_batches.add(num_buckets);
+        m_batched.add(search_list.size());
       }
       // Searches actually performed (reused paths are free, so this can
       // undercut one search per active demand per round).
@@ -530,13 +588,14 @@ Solution Solver::solve(const topo::Topology& topo,
       next_active.clear();
       for (std::uint32_t slot : active) {
         Allocation& alloc = solution.allocations[alloc_index[slot]];
-        std::vector<topo::LinkId>& rp = round_path[slot];
-        if (rp.empty()) {
+        Run& rp = round_path[slot];
+        if (rp.len == 0) {
           ++local_stats.frozen_no_path;
           continue;
         }
         double bottleneck = kInf;
-        for (topo::LinkId l : rp) bottleneck = std::min(bottleneck, residual[l]);
+        for (topo::LinkId l : links_of(rp))
+          bottleneck = std::min(bottleneck, residual[l]);
         if (bottleneck < threshold[slot]) {
           // Earlier demands drained this round's path below the residual
           // floor it was searched with; re-search at current residuals
@@ -547,22 +606,21 @@ Solution Solver::solve(const topo::Topology& topo,
             SpConstraints c;
             c.residual_gbps = &residual;
             c.min_residual = threshold[slot];
-            std::optional<Path> p = options_.cache->get(
-                topo, slot_src[slot], slot_dst[slot], c);
-            rp = p ? std::move(p->links) : std::vector<topo::LinkId>{};
+            rp = append_found(options_.cache->get(topo, slot_src[slot],
+                                                  slot_dst[slot], c));
           } else {
             const std::uint32_t target = slot_dst[slot];
             backend.sssp(graph, residual, threshold[slot], slot_src[slot],
                          &target, 1, grant_ws);
-            extract_links(graph, grant_ws, slot_src[slot], target, rp);
+            rp = append_links(graph, grant_ws, slot_src[slot], target, arena);
             cached_at[slot] = threshold[slot];
           }
-          if (rp.empty()) {
+          if (rp.len == 0) {
             ++local_stats.frozen_no_path;
             continue;
           }
           bottleneck = kInf;
-          for (topo::LinkId l : rp)
+          for (topo::LinkId l : links_of(rp))
             bottleneck = std::min(bottleneck, residual[l]);
         }
         double grant = std::min({quantum, remaining[slot], bottleneck});
@@ -571,8 +629,9 @@ Solution Solver::solve(const topo::Topology& topo,
           grant = remaining[slot];
         }
         if (grant > options_.epsilon_gbps) {
-          for (topo::LinkId l : rp) residual[l] -= grant;
-          accumulate_grant(alloc_index[slot], intern_path(rp), grant);
+          for (topo::LinkId l : links_of(rp)) residual[l] -= grant;
+          const std::size_t ai = alloc_index[slot];
+          accumulate_grant(ai, intern_path(pair_of[ai], links_of(rp)), grant);
           alloc.allocated_gbps += grant;
           remaining[slot] -= grant;
         }
@@ -588,18 +647,10 @@ Solution Solver::solve(const topo::Topology& topo,
         // An empty path records "nothing found", which a later class at
         // a lower threshold must not inherit; keep the older positive
         // entry instead (still valid -- validation re-proves it).
-        if (cached_at[slot] < 0.0 || round_path[slot].empty()) continue;
-        const std::uint64_t key =
-            (static_cast<std::uint64_t>(slot_src[slot]) << 32) |
-            slot_dst[slot];
-        const auto [it, inserted] = carry_of.try_emplace(
-            key, static_cast<std::uint32_t>(carry_path.size()));
-        if (inserted) {
-          carry_path.emplace_back();
-          carry_at.push_back(0.0);
-        }
-        carry_path[it->second] = std::move(round_path[slot]);
-        carry_at[it->second] = cached_at[slot];
+        if (cached_at[slot] < 0.0 || round_path[slot].len == 0) continue;
+        const std::uint32_t pair = pair_of[alloc_index[slot]];
+        carry_path[pair] = round_path[slot];
+        carry_at[pair] = cached_at[slot];
       }
     }
   }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "sim/emulation.hpp"
+#include "sim/scenario.hpp"
+#include "solver_golden.hpp"
+#include "te/solver.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/gravity.hpp"
@@ -363,6 +366,173 @@ TEST(Emulation, FleetWideSurgeFloodsOnlyDemandOrigins) {
   const std::size_t messages_before = emu.messages_delivered();
   emu.scale_demands(1.0);
   EXPECT_EQ(emu.messages_delivered(), messages_before);
+}
+
+}  // namespace
+}  // namespace dsdn::sim
+
+namespace dsdn::sim {
+namespace {
+
+// ---- fleet-parallel recompute ----
+
+std::uint64_t solution_digest(const te::Solution& s) {
+  golden::Fnv f;
+  f.add(s);
+  return f.h;
+}
+
+// Equal programmed tables: prefixes, every encap route, every bypass pick,
+// and the segment table.
+bool same_tables(const topo::Topology& topo,
+                 const dataplane::RouterDataplane& a,
+                 const dataplane::RouterDataplane& b) {
+  if (a.ingress.num_prefixes() != b.ingress.num_prefixes()) return false;
+  const auto& ea = a.ingress.encap_table();
+  const auto& eb = b.ingress.encap_table();
+  if (ea.size() != eb.size()) return false;
+  for (std::size_t i = 0; i < ea.size(); ++i) {
+    if (ea[i].first != eb[i].first) return false;
+    const auto& ra = ea[i].second.routes;
+    const auto& rb = eb[i].second.routes;
+    if (ra.size() != rb.size()) return false;
+    for (std::size_t r = 0; r < ra.size(); ++r) {
+      if (ra[r].weight != rb[r].weight || !(ra[r].stack == rb[r].stack))
+        return false;
+    }
+  }
+  if (a.bypass.num_protected_links() != b.bypass.num_protected_links())
+    return false;
+  for (topo::LinkId l = 0; l < topo.num_links(); ++l) {
+    for (std::uint64_t entropy = 0; entropy < 4; ++entropy) {
+      const auto* sa = a.bypass.select_stack(l, entropy);
+      const auto* sb = b.bypass.select_stack(l, entropy);
+      if ((sa == nullptr) != (sb == nullptr)) return false;
+      if (sa && !(*sa == *sb)) return false;
+    }
+  }
+  return a.sr.table() == b.sr.table();
+}
+
+TEST(FleetRecompute, EveryRouterMatchesASerialSolveAfterEachEvent) {
+  // Recomputes run concurrently on pinned workers; each router's result
+  // must still be exactly the serial solve of its own view, its published
+  // snapshot must be its installed tables, and the hub must have gained
+  // one epoch per recompute, per link-state publish (one per cut or
+  // repair) and per replacement controller (attaching publishes once).
+  topo::Topology topo = topo::make_geant();
+  traffic::GravityParams gp;
+  gp.target_max_utilization = 0.8;
+  gp.seed = 19;
+  auto tm = traffic::generate_gravity(topo, gp).aggregated();
+  ScenarioOptions so;
+  so.n_events = 16;
+  so.incremental_te = false;
+  so.w_flap = 0.0;
+  so.w_srlg = 0.0;
+  so.w_toggle = 0.0;
+  so.w_crash = 2.0;
+  const auto schedule = Scenario(topo, tm, so, /*seed=*/1907).schedule();
+
+  DsdnEmulation emu(topo, tm);
+  emu.enable_fib_snapshots(1);
+  emu.bootstrap();
+  const std::size_t n = emu.network().num_nodes();
+  std::size_t applied = 0, crashes = 0, surges = 0;
+  for (const ScenarioEvent& ev : schedule) {
+    std::vector<const core::Controller*> before(n);
+    std::vector<std::size_t> recomputes_before(n);
+    for (topo::NodeId v = 0; v < n; ++v) {
+      before[v] = &emu.controller(v);
+      recomputes_before[v] = emu.controller(v).recomputes();
+    }
+    const std::uint64_t epoch_before = emu.fib_hub()->epoch();
+    if (!apply_scenario_event(emu, ev)) continue;
+    ++applied;
+    crashes += ev.kind == ScenarioEventKind::kNodeCrashRecover ||
+               ev.kind == ScenarioEventKind::kNodeColdRestart;
+    surges += ev.kind == ScenarioEventKind::kDemandSurge;
+    ASSERT_TRUE(emu.views_converged()) << ev.to_string();
+
+    std::uint64_t expected = ev.kind == ScenarioEventKind::kFiberCut ||
+                                     ev.kind == ScenarioEventKind::kFiberRepair
+                                 ? 1
+                                 : 0;
+    const auto snap = emu.fib_hub()->acquire(0);
+    for (topo::NodeId v = 0; v < n; ++v) {
+      const core::Controller& c = emu.controller(v);
+      const bool replaced = &c != before[v];
+      expected += replaced ? 1 + c.recomputes()
+                           : c.recomputes() - recomputes_before[v];
+      const te::Solution serial =
+          te::Solver(emu.config().solver_options)
+              .solve(c.state().view(), c.state().demands());
+      EXPECT_EQ(solution_digest(c.last_solution()), solution_digest(serial))
+          << ev.to_string() << " router " << v;
+      EXPECT_TRUE(same_tables(emu.network(), *snap->routers[v], c.dataplane()))
+          << ev.to_string() << " router " << v;
+    }
+    EXPECT_EQ(snap->epoch, epoch_before + expected) << ev.to_string();
+  }
+  EXPECT_GE(applied, 12u);
+  EXPECT_GE(crashes, 1u);
+  EXPECT_GE(surges, 1u);
+}
+
+// A Solve API that fails, as an operator-supplied one might.
+class ThrowingSolver final : public core::SolveApi {
+ public:
+  te::Solution solve(const topo::Topology&, const traffic::TrafficMatrix&,
+                     te::SolveStats*) const override {
+    throw std::runtime_error("solver unavailable");
+  }
+};
+
+TEST(FleetRecompute, ThrowingRouterRethrowsOnTheCaller) {
+  auto emu = make_emulation(topo::make_abilene());
+  emu.bootstrap();
+  emu.mutable_controller(5).set_solve_api(std::make_unique<ThrowingSolver>());
+  const topo::LinkId fiber = emu.network().find_link(0, 1);
+  EXPECT_THROW(emu.fail_fiber(fiber), std::runtime_error);
+  // Every other router finished its recompute on the new view.
+  for (topo::NodeId v = 0; v < emu.network().num_nodes(); ++v) {
+    if (v == 5) continue;
+    EXPECT_EQ(emu.controller(v).recomputes(), 2u) << "router " << v;
+  }
+  // The fleet keeps working once the router solves again.
+  emu.mutable_controller(5).set_solve_api(
+      std::make_unique<core::LocalSolver>());
+  emu.repair_fiber(fiber);
+  EXPECT_TRUE(emu.views_converged());
+  EXPECT_EQ(solution_digest(emu.controller(5).last_solution()),
+            solution_digest(emu.controller(0).last_solution()));
+}
+
+TEST(Emulation, CrashOfIsolatedNodeThrowsAndLeavesFleetUntouched) {
+  // Both crash paths must check for a live neighbor before replacing the
+  // controller: a throw used to leave an empty-StateDb instance behind.
+  traffic::TrafficMatrix tm;
+  tm.add({1, 3, PriorityClass::kHigh, 5.0});
+  tm.add({0, 2, PriorityClass::kLow, 3.0});
+  DsdnEmulation emu(topo::make_ring(5), std::move(tm));
+  emu.bootstrap();
+  emu.fail_fiber(emu.network().find_link(0, 1));
+  emu.fail_fiber(emu.network().find_link(0, 4));
+  ASSERT_TRUE(emu.network().up_neighbors(0).empty());
+
+  const std::size_t n = emu.network().num_nodes();
+  std::vector<std::uint64_t> digests(n);
+  for (topo::NodeId v = 0; v < n; ++v)
+    digests[v] = emu.controller(v).state().digest();
+  const core::Controller* isolated = &emu.controller(0);
+  const bool converged = emu.views_converged();
+
+  EXPECT_THROW(emu.crash_and_recover(0), std::runtime_error);
+  EXPECT_THROW(emu.crash_and_cold_restart(0), std::runtime_error);
+  EXPECT_EQ(&emu.controller(0), isolated);
+  for (topo::NodeId v = 0; v < n; ++v)
+    EXPECT_EQ(emu.controller(v).state().digest(), digests[v]) << "router " << v;
+  EXPECT_EQ(emu.views_converged(), converged);
 }
 
 }  // namespace

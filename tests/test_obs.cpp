@@ -5,16 +5,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
+#include <string>
 #include <thread>
 
+#include "core/programmer.hpp"
 #include "obs/artifact.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/emulation.hpp"
+#include "topo/zoo.hpp"
+#include "traffic/gravity.hpp"
 
 namespace dsdn::obs::testprobe {
 // Defined in obs_disabled_probe.cpp, compiled with -DDSDN_OBS_DISABLED.
@@ -257,6 +265,43 @@ TEST(ObsTracer, ChromeTraceJsonRoundTrips) {
                        std::istreambuf_iterator<char>());
   EXPECT_EQ(contents, json);
   std::filesystem::remove(path);
+  tracer.clear();
+}
+
+TEST(ObsTracer, FleetPathsRecordNamedSpansOnEveryWorker) {
+  // Programming, snapshot publish, capacity changes and both crash paths
+  // carry spans; fleet recomputes land on every pool worker's ring.
+  topo::Topology topo = topo::make_abilene();
+  auto tm = traffic::generate_gravity(topo);
+  sim::DsdnEmulation emu(topo, std::move(tm));
+  emu.enable_fib_snapshots(1);
+  auto& tracer = obs::Tracer::global();
+  tracer.enable();
+  emu.bootstrap();
+  emu.degrade_fiber(emu.network().find_link(0, 1), 50.0);
+  emu.crash_and_recover(3);
+  emu.crash_and_cold_restart(4);
+  dataplane::RouterDataplane hw;
+  core::Programmer(0).program_sr(emu.network(), hw);
+  tracer.disable();
+
+  std::set<std::string> names;
+  std::set<std::uint32_t> recompute_threads;
+  for (const obs::SpanEvent& e : tracer.events()) {
+    names.insert(e.name);
+    if (std::strcmp(e.name, "ctrl.recompute") == 0)
+      recompute_threads.insert(e.tid);
+  }
+  for (const char* expected :
+       {"program.prefixes", "program.encap", "program.sr", "program.bypasses",
+        "snapshot.publish_router", "emu.degrade_fiber", "emu.crash_recover",
+        "emu.cold_restart", "emu.recompute", "ctrl.recompute"}) {
+    EXPECT_EQ(names.count(expected), 1u) << expected;
+  }
+  EXPECT_EQ(recompute_threads.size(),
+            std::min<std::size_t>(
+                std::max(1u, std::thread::hardware_concurrency()),
+                emu.network().num_nodes()));
   tracer.clear();
 }
 

@@ -168,6 +168,90 @@ TEST(ThreadPoolPersistent, StatsCountTasksCallsAndBalance) {
   EXPECT_EQ(pool.stats().tasks_executed, 0u);
 }
 
+// ---- pinned slots ----
+
+TEST(ThreadPoolSlots, EachSlotRunsOncePerCallOnItsOwnThread) {
+  te::ThreadPool pool(4);
+  std::vector<std::thread::id> home(pool.n_threads());
+  for (int call = 0; call < 50; ++call) {
+    std::vector<std::thread::id> ran_on(pool.n_threads());
+    std::vector<std::atomic<int>> runs(pool.n_threads());
+    pool.for_each_slot([&](std::size_t slot) {
+      ran_on[slot] = std::this_thread::get_id();
+      runs[slot].fetch_add(1);
+    });
+    for (std::size_t s = 0; s < pool.n_threads(); ++s)
+      EXPECT_EQ(runs[s].load(), 1) << "call " << call << " slot " << s;
+    if (call == 0) home = ran_on;
+    EXPECT_EQ(ran_on, home) << "call " << call;
+  }
+  // Four distinct threads, and the last slot is the caller's.
+  EXPECT_EQ(std::set<std::thread::id>(home.begin(), home.end()).size(), 4u);
+  EXPECT_EQ(home.back(), std::this_thread::get_id());
+}
+
+TEST(ThreadPoolSlots, ExceptionRethrownAfterEveryOtherSlotFinished) {
+  te::ThreadPool pool(4);
+  std::vector<std::atomic<int>> finished(pool.n_threads());
+  EXPECT_THROW(pool.for_each_slot([&](std::size_t slot) {
+    if (slot == 0) throw std::runtime_error("slot 0");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    finished[slot].store(1);
+  }),
+               std::runtime_error);
+  for (std::size_t s = 1; s < pool.n_threads(); ++s)
+    EXPECT_EQ(finished[s].load(), 1) << "slot " << s;
+  // The pool is fully usable afterward.
+  std::atomic<int> ran{0};
+  pool.for_each_slot([&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 4);
+}
+
+TEST(ThreadPoolSlots, NestedCallFromAWorkerRunsInline) {
+  te::ThreadPool pool(4);
+  std::vector<std::atomic<int>> inner_runs(pool.n_threads());
+  std::atomic<int> off_thread{0};
+  pool.for_each_slot([&](std::size_t outer) {
+    const std::thread::id self = std::this_thread::get_id();
+    pool.for_each_slot([&](std::size_t) {
+      if (std::this_thread::get_id() != self) off_thread.fetch_add(1);
+      inner_runs[outer].fetch_add(1);
+    });
+  });
+  for (std::size_t s = 0; s < pool.n_threads(); ++s)
+    EXPECT_EQ(inner_runs[s].load(), 4) << "outer slot " << s;
+  EXPECT_EQ(off_thread.load(), 0);
+}
+
+TEST(ThreadPoolSlots, ConcurrentExternalCallersAreSerialized) {
+  // Two threads share one pool (as planes bootstrapping concurrently
+  // would): every call must still see each of its slots exactly once,
+  // and two calls never overlap on the workers.
+  te::ThreadPool pool(4);
+  std::atomic<int> in_flight{0}, max_in_flight{0}, bad_calls{0};
+  auto caller = [&] {
+    for (int call = 0; call < 50; ++call) {
+      std::vector<std::atomic<int>> runs(pool.n_threads());
+      pool.for_each_slot([&](std::size_t slot) {
+        const int now = in_flight.fetch_add(1) + 1;
+        int seen = max_in_flight.load();
+        while (now > seen && !max_in_flight.compare_exchange_weak(seen, now)) {
+        }
+        runs[slot].fetch_add(1);
+        std::this_thread::yield();
+        in_flight.fetch_sub(1);
+      });
+      for (const auto& r : runs)
+        if (r.load() != 1) bad_calls.fetch_add(1);
+    }
+  };
+  std::thread a(caller), b(caller);
+  a.join();
+  b.join();
+  EXPECT_EQ(bad_calls.load(), 0);
+  EXPECT_LE(max_in_flight.load(), 4);
+}
+
 // ---- solver on a shared pool ----
 
 TEST(SolverPool, ExternalPoolSharedAcrossSolvesMatchesSerial) {
