@@ -33,7 +33,7 @@ sim::InstalledRouting shortest_path_routing(const topo::Topology& topo,
       have[d.src] = 1;
     }
     const te::Path& p = tree[d.src][d.dst];
-    if (!p.empty()) routing.rows[i].push_back(te::WeightedPath{p, 1.0});
+    if (!p.empty()) routing.rows[i].push_back(te::WeightedPath{p, 1.0, {}});
   }
   return routing;
 }

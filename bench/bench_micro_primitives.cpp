@@ -18,6 +18,7 @@
 #include "te/parallel_solver.hpp"
 #include "dataplane/label.hpp"
 #include "dataplane/sublabel.hpp"
+#include "te/batch_solver.hpp"
 #include "te/ksp.hpp"
 #include "te/path_cache.hpp"
 #include "te/solver.hpp"
@@ -331,6 +332,63 @@ void BM_Solve_B4(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Solve_B4)->Unit(benchmark::kMillisecond);
+
+// One pass of the batched SSSP kernel: every source to the destinations
+// of its gravity-matrix demands, at full residual -- the SSSP runs of a
+// cold solve's first round.
+struct SsspPass {
+  te::BatchGraph graph;
+  std::vector<double> residual;
+  std::vector<std::uint32_t> sources;
+  std::vector<std::vector<std::uint32_t>> targets;  // per source
+};
+
+SsspPass make_sssp_pass(const topo::Topology& t,
+                        const traffic::TrafficMatrix& tm) {
+  SsspPass p;
+  p.graph = te::build_batch_graph(t);
+  for (const topo::Link& l : t.links()) p.residual.push_back(l.capacity_gbps);
+  std::vector<std::vector<std::uint32_t>> by_src(t.num_nodes());
+  for (const traffic::Demand& d : tm.demands()) by_src[d.src].push_back(d.dst);
+  for (std::uint32_t s = 0; s < by_src.size(); ++s) {
+    if (by_src[s].empty()) continue;
+    p.sources.push_back(s);
+    p.targets.push_back(std::move(by_src[s]));
+  }
+  return p;
+}
+
+void run_sssp_pass(benchmark::State& state, const SsspPass& p) {
+  const te::BatchSolverBackend& cpu = te::cpu_batch_backend();
+  te::SsspWorkspace ws;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < p.sources.size(); ++i) {
+      cpu.sssp(p.graph, p.residual, 0.0, p.sources[i], p.targets[i].data(),
+               p.targets[i].size(), ws);
+      benchmark::DoNotOptimize(ws.dist.data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.counters["sssp_runs"] = static_cast<double>(p.sources.size());
+}
+
+void BM_BatchSssp_B4(benchmark::State& state) {
+  static const SsspPass p = make_sssp_pass(b4(), b4_tm());
+  run_sssp_pass(state, p);
+}
+BENCHMARK(BM_BatchSssp_B4)->Unit(benchmark::kMillisecond);
+
+// B2 at the te_solve benchmark's matrix density (1% of pairs).
+void BM_BatchSssp_B2(benchmark::State& state) {
+  static const SsspPass p = [] {
+    const topo::Topology t = topo::make_b2_like();
+    traffic::GravityParams gp;
+    gp.pair_fraction = 0.01;
+    return make_sssp_pass(t, traffic::generate_gravity(t, gp).aggregated());
+  }();
+  run_sssp_pass(state, p);
+}
+BENCHMARK(BM_BatchSssp_B2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

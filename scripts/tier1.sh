@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification: full build + test suite, every example run end to
 # end, the concurrency suites (thread pool, event queue, metrics shards,
-# plane runtime) again under ThreadSanitizer, the obs/metrics and
-# dataplane/topology suites under UBSan, the wire fuzz corpus and the
-# dataplane suites under ASan, bench-artifact runs validated against
-# scripts/bench_schema.json, and the repository benchmark's smoke test.
+# plane runtime) again under ThreadSanitizer, the obs/metrics,
+# dataplane/topology and batch-solver suites under UBSan, the strict and
+# SR golden placements from an -O3 -march=native build, the wire fuzz
+# corpus and the dataplane suites under ASan, bench-artifact runs
+# validated against scripts/bench_schema.json, and the repository
+# benchmark's smoke test.
 #
 # Every leg runs even when an earlier one fails; the script exits
 # nonzero at the end and names each failed leg.
@@ -148,13 +150,29 @@ tsan_suites() {
 }
 
 # test_dataplane + test_topology: the flat FIB tables' open addressing
-# and index arithmetic.
+# and index arithmetic. test_batch_solver: the radix heap's bit counts
+# and shifts.
 ubsan_suites() {
   cmake -B build-ubsan -S . -DDSDN_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "${JOBS}" --target test_obs test_metrics \
-    test_dataplane test_topology
+    test_dataplane test_topology test_batch_solver
   (cd build-ubsan && ctest --output-on-failure \
-    -R '^(test_obs|test_metrics|test_dataplane|test_topology)$')
+    -R '^(test_obs|test_metrics|test_dataplane|test_topology|test_batch_solver)$')
+}
+
+# The golden placements of the strict and SR solvers from an -O3
+# -march=native build: with FMA in the target, only the top-level
+# -ffp-contract=off keeps the placed paths bit-identical to the default
+# build's (ROADMAP item 1).
+native_golden() {
+  cmake -B build-native -S . -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_CXX_FLAGS="-O3 -march=native" >/dev/null
+  cmake --build build-native -j "${JOBS}" --target test_batch_solver \
+    test_segment_routing
+  ./build-native/tests/test_batch_solver \
+    --gtest_filter='StrictGolden.*:SrGolden.*'
+  ./build-native/tests/test_segment_routing \
+    --gtest_filter='StrictGolden.*:SrGolden.*'
 }
 
 asan_wire() {
@@ -240,8 +258,10 @@ leg "perf regression (warn-only) -- online TE regret vs baseline" \
 leg "perf regression (warn-only) -- SR trade vs baseline" sr_regression
 leg "TSan build (build-tsan/) -- concurrency suites + batched dataplane" \
   tsan_suites
-leg "UBSan build (build-ubsan/) -- obs, metrics, dataplane, topology" \
+leg "UBSan build (build-ubsan/) -- obs, metrics, dataplane, topology, batch solver" \
   ubsan_suites
+leg "native build (build-native/) -- -O3 -march=native golden placements" \
+  native_golden
 leg "ASan build (build-asan/) -- wire fuzz corpus + fault injection" \
   asan_wire
 leg "ASan dataplane -- batched pipeline, sublabel bounds, flat FIB tables" \

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace dsdn::core {
@@ -10,6 +11,7 @@ StateDb::StateDb(const topo::Topology& configured)
     : view_(configured), sublabels_(configured.num_links(), 0) {}
 
 bool StateDb::apply(const NodeStateUpdate& nsu) {
+  DSDN_TRACE_SPAN("state_db.apply");
   if (validate_nsu(nsu) != NsuValidity::kValid) {
     ++rejected_invalid_;
     return false;

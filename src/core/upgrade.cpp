@@ -116,7 +116,7 @@ te::Solution MixedAlgorithmSolver::solve(const topo::Topology& view,
     const te::Path& p = sp_tree[d.src][d.dst];
     if (!p.empty()) {
       a.allocated_gbps = d.rate_gbps;  // legacy sends regardless of room
-      a.paths.push_back(te::WeightedPath{p, 1.0});
+      a.paths.push_back(te::WeightedPath{p, 1.0, {}});
       for (topo::LinkId l : p.links) {
         residual[l] = std::max(0.0, residual[l] - d.rate_gbps);
       }

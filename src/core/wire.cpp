@@ -3,6 +3,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "obs/trace.hpp"
+
 namespace dsdn::core {
 
 namespace {
@@ -177,6 +179,7 @@ std::string DecodeError::to_string() const {
 }
 
 std::vector<std::uint8_t> serialize_nsu(const NodeStateUpdate& nsu) {
+  DSDN_TRACE_SPAN("wire.encode");
   Writer w;
   w.u32(kWireMagic);
   w.u16(kWireVersion);
@@ -235,6 +238,7 @@ std::vector<std::uint8_t> serialize_nsu(const NodeStateUpdate& nsu) {
 }
 
 DecodeResult decode_nsu(std::span<const std::uint8_t> bytes) {
+  DSDN_TRACE_SPAN("wire.decode");
   DecodeResult result;
   if (bytes.size() > kMaxWireSize) {
     result.error = {DecodeStatus::kOversized, bytes.size(), 0};

@@ -458,7 +458,7 @@ te::Solution solve_hierarchical(const topo::Topology& topo,
     alloc.allocated_gbps = total;
     alloc.paths.reserve(merged.size());
     for (auto& [links, rate] : merged) {
-      alloc.paths.push_back({te::Path{std::move(links)}, rate / total});
+      alloc.paths.push_back({te::Path{std::move(links)}, rate / total, {}});
     }
   }
   st.stitch_s = since(t_stitch);

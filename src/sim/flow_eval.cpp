@@ -117,7 +117,7 @@ InstalledRouting InstalledRouting::from_dataplane(
         continue;
       }
       r.rows[i].push_back(te::WeightedPath{
-          dataplane::decode_strict_route(wr.stack), wr.weight});
+          dataplane::decode_strict_route(wr.stack), wr.weight, {}});
     }
   }
   return r;

@@ -6,13 +6,102 @@
 // bit-exact reference; an accelerator backend (GATE, PAPERS.md) plugs in
 // through SolverOptions::batch_backend.
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "te/types.hpp"
 
 namespace dsdn::te {
+
+// Exact monotone priority queue of (dist, node) entries for Dijkstra: a
+// radix heap keyed by the bit pattern of the distance. For non-negative
+// doubles (+0.0 up to +inf, no NaN) unsigned order of the bit pattern is
+// value order, so pop() returns the minimum (dist, node) entry held, equal
+// distances in node order -- the sequence a binary heap of pairs under
+// std::greater pops. Precondition: no push below the last popped distance
+// (Dijkstra only adds positive metrics).
+//
+// Bucket b >= 1 holds keys whose highest bit differing from `last_` (the
+// last popped key) is bit b - 1; bucket 0 holds keys equal to `last_`.
+// Buckets keep their capacity across clear().
+class RadixHeap {
+ public:
+  bool empty() const { return size_ == 0; }
+
+  void push(double dist, std::uint32_t node) {
+    const std::uint64_t key = std::bit_cast<std::uint64_t>(dist);
+    const unsigned b = bucket_of(key);
+    buckets_[b].push_back({key, node});
+    if (b != 0) mask_ |= bucket_bit(b);
+    ++size_;
+  }
+
+  // Requires !empty().
+  std::pair<double, std::uint32_t> pop() {
+    if (buckets_[0].empty()) refill();
+    // Bucket 0 holds only keys equal to last_: take its smallest node.
+    std::vector<Entry>& ties = buckets_[0];
+    auto best = ties.begin();
+    for (auto it = best + 1; it != ties.end(); ++it)
+      if (it->node < best->node) best = it;
+    const Entry e = *best;
+    *best = ties.back();
+    ties.pop_back();
+    --size_;
+    return {std::bit_cast<double>(e.key), e.node};
+  }
+
+  // Empties only the non-empty buckets (a run that stopped early leaves
+  // entries behind).
+  void clear() {
+    buckets_[0].clear();
+    for (std::uint64_t m = mask_; m != 0; m &= m - 1)
+      buckets_[static_cast<unsigned>(std::countr_zero(m)) + 1].clear();
+    mask_ = 0;
+    last_ = 0;
+    size_ = 0;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t key;
+    std::uint32_t node;
+  };
+
+  unsigned bucket_of(std::uint64_t key) const {
+    return 64u - static_cast<unsigned>(std::countl_zero(key ^ last_));
+  }
+  static std::uint64_t bucket_bit(unsigned b) {
+    return std::uint64_t{1} << (b - 1);
+  }
+
+  // Bucket 0 is empty: the lowest non-empty bucket's minimum key becomes
+  // last_, and every entry of that bucket moves to a lower bucket.
+  void refill() {
+    const unsigned b = static_cast<unsigned>(std::countr_zero(mask_)) + 1;
+    std::vector<Entry>& from = buckets_[b];
+    std::uint64_t min_key = from.front().key;
+    for (const Entry& e : from) min_key = std::min(min_key, e.key);
+    last_ = min_key;
+    for (const Entry& e : from) {
+      const unsigned to = bucket_of(e.key);
+      buckets_[to].push_back(e);
+      if (to != 0) mask_ |= bucket_bit(to);
+    }
+    from.clear();
+    mask_ &= ~bucket_bit(b);
+  }
+
+  std::array<std::vector<Entry>, 65> buckets_;
+  std::uint64_t mask_ = 0;  // bit b - 1 set iff bucket b (1..64) non-empty
+  std::uint64_t last_ = 0;
+  std::size_t size_ = 0;
+};
 
 // Immutable per-solve CSR view of the topology, restricted to up links
 // when the solver's constraints require up (they always do). SoA so an
@@ -26,8 +115,12 @@ struct BatchGraph {
   std::vector<std::uint32_t> link_src;     // per topo link: tail node
 };
 
+// The CSR view of `topo`'s up links, in out_links order (te::Solver
+// builds one per solve).
+BatchGraph build_batch_graph(const topo::Topology& topo);
+
 // Reusable scratch for one SSSP run: flat dist/pred arrays with epoch
-// stamping (O(1) reset) and a d-ary heap vector. Workspaces are pooled
+// stamping (O(1) reset) and the run's radix heap. Workspaces are pooled
 // per solve so memory scales with concurrency, not with the number of
 // distinct sources.
 struct SsspWorkspace {
@@ -36,10 +129,12 @@ struct SsspWorkspace {
   std::vector<std::uint32_t> stamp;      // dist/pred valid iff == epoch
   std::vector<std::uint32_t> target_stamp;
   std::uint32_t epoch = 0;
-  std::vector<std::pair<double, std::uint32_t>> heap;
+  RadixHeap queue;
 
   void ensure(std::uint32_t num_nodes);
-  // True iff `node` was finalized by the last run (reachable).
+  // True iff the last run stamped `node` (reached it over a usable link,
+  // or it is the source). For that run's targets this equals finalized;
+  // another node may carry a tentative dist/pred under early stop.
   bool reached(std::uint32_t node) const {
     return stamp[node] == epoch;
   }

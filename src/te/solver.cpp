@@ -53,31 +53,6 @@ void record_solver_obs(const SolveStats& s) {
   m_alloc_t.record(s.allocation_time_s);
 }
 
-BatchGraph build_graph(const topo::Topology& topo) {
-  BatchGraph g;
-  g.num_nodes = static_cast<std::uint32_t>(topo.num_nodes());
-  g.link_src.resize(topo.num_links());
-  for (std::size_t l = 0; l < topo.num_links(); ++l)
-    g.link_src[l] = topo.link(static_cast<topo::LinkId>(l)).src;
-  g.row_offsets.reserve(g.num_nodes + 1);
-  g.row_offsets.push_back(0);
-  for (std::uint32_t u = 0; u < g.num_nodes; ++u) {
-    // out_links order is te::shortest_path's relaxation order; keeping
-    // it is what makes equal-cost tie-breaks match. Down links are
-    // excluded up front (the solver always requires up, and link state
-    // is immutable for the duration of a solve).
-    for (topo::LinkId lid : topo.node(u).out_links) {
-      const topo::Link& l = topo.link(lid);
-      if (!l.up) continue;
-      g.edge_dst.push_back(l.dst);
-      g.edge_link.push_back(lid);
-      g.edge_cost.push_back(l.igp_metric);
-    }
-    g.row_offsets.push_back(static_cast<std::uint32_t>(g.edge_dst.size()));
-  }
-  return g;
-}
-
 class CpuBatchBackend final : public BatchSolverBackend {
  public:
   const char* name() const override { return "cpu"; }
@@ -93,49 +68,52 @@ class CpuBatchBackend final : public BatchSolverBackend {
       ws.epoch = 1;
     }
     const std::uint32_t epoch = ws.epoch;
+    double* const dist = ws.dist.data();
+    std::uint32_t* const pred_link = ws.pred_link.data();
+    std::uint32_t* const stamp = ws.stamp.data();
+    std::uint32_t* const target_stamp = ws.target_stamp.data();
+    const double* const res = residual.data();
+    const std::uint32_t* const row = g.row_offsets.data();
+    const std::uint32_t* const edge_dst = g.edge_dst.data();
+    const std::uint32_t* const edge_link = g.edge_link.data();
+    const double* const edge_cost = g.edge_cost.data();
     std::size_t remaining = 0;
     for (std::size_t i = 0; i < num_targets; ++i) {
-      if (ws.target_stamp[targets[i]] != epoch) {
-        ws.target_stamp[targets[i]] = epoch;
+      if (target_stamp[targets[i]] != epoch) {
+        target_stamp[targets[i]] = epoch;
         ++remaining;
       }
     }
-    auto touch = [&](std::uint32_t v) {
-      if (ws.stamp[v] != epoch) {
-        ws.stamp[v] = epoch;
-        ws.dist[v] = kInf;
-        ws.pred_link[v] = topo::kInvalidLink;
-      }
-    };
-    const auto cmp = std::greater<std::pair<double, std::uint32_t>>{};
-    ws.heap.clear();
-    touch(src);
-    ws.dist[src] = 0.0;
-    ws.heap.emplace_back(0.0, src);
-    while (!ws.heap.empty() && remaining > 0) {
-      std::pop_heap(ws.heap.begin(), ws.heap.end(), cmp);
-      const auto [d, u] = ws.heap.back();
-      ws.heap.pop_back();
+    RadixHeap& queue = ws.queue;
+    queue.clear();
+    stamp[src] = epoch;
+    dist[src] = 0.0;
+    pred_link[src] = topo::kInvalidLink;
+    queue.push(0.0, src);
+    while (!queue.empty() && remaining > 0) {
       // (dist, node) keys are unique -- relaxation requires strict
-      // improvement -- so pops follow the same total order as
-      // te::shortest_path's std::priority_queue, and a node is finalized
-      // on its first non-stale pop.
-      if (d > ws.dist[u]) continue;
-      if (ws.target_stamp[u] == epoch) {
-        ws.target_stamp[u] = epoch - 1;  // finalize each target once
+      // improvement -- and the radix heap pops them in the same total
+      // order as te::shortest_path's std::priority_queue, stale entries
+      // included; a node is finalized on its first non-stale pop.
+      const auto [d, u] = queue.pop();
+      if (d > dist[u]) continue;
+      if (target_stamp[u] == epoch) {
+        target_stamp[u] = epoch - 1;  // finalize each target once
         if (--remaining == 0) break;
       }
-      for (std::uint32_t e = g.row_offsets[u]; e < g.row_offsets[u + 1];
-           ++e) {
-        if (residual[g.edge_link[e]] < min_residual) continue;
-        const std::uint32_t v = g.edge_dst[e];
-        const double nd = d + g.edge_cost[e];
-        touch(v);
-        if (nd < ws.dist[v]) {
-          ws.dist[v] = nd;
-          ws.pred_link[v] = g.edge_link[e];
-          ws.heap.emplace_back(nd, v);
-          std::push_heap(ws.heap.begin(), ws.heap.end(), cmp);
+      for (std::uint32_t e = row[u]; e < row[u + 1]; ++e) {
+        if (res[edge_link[e]] < min_residual) continue;
+        const std::uint32_t v = edge_dst[e];
+        const double nd = d + edge_cost[e];
+        if (stamp[v] != epoch) {
+          stamp[v] = epoch;
+          dist[v] = kInf;
+          pred_link[v] = topo::kInvalidLink;
+        }
+        if (nd < dist[v]) {
+          dist[v] = nd;
+          pred_link[v] = edge_link[e];
+          queue.push(nd, v);
         }
       }
     }
@@ -220,6 +198,31 @@ struct Bucket {
 
 }  // namespace
 
+BatchGraph build_batch_graph(const topo::Topology& topo) {
+  BatchGraph g;
+  g.num_nodes = static_cast<std::uint32_t>(topo.num_nodes());
+  g.link_src.resize(topo.num_links());
+  for (std::size_t l = 0; l < topo.num_links(); ++l)
+    g.link_src[l] = topo.link(static_cast<topo::LinkId>(l)).src;
+  g.row_offsets.reserve(g.num_nodes + 1);
+  g.row_offsets.push_back(0);
+  for (std::uint32_t u = 0; u < g.num_nodes; ++u) {
+    // out_links order is te::shortest_path's relaxation order; keeping
+    // it is what makes equal-cost tie-breaks match. Down links are
+    // excluded up front (the solver always requires up, and link state
+    // is immutable for the duration of a solve).
+    for (topo::LinkId lid : topo.node(u).out_links) {
+      const topo::Link& l = topo.link(lid);
+      if (!l.up) continue;
+      g.edge_dst.push_back(l.dst);
+      g.edge_link.push_back(lid);
+      g.edge_cost.push_back(l.igp_metric);
+    }
+    g.row_offsets.push_back(static_cast<std::uint32_t>(g.edge_dst.size()));
+  }
+  return g;
+}
+
 void SsspWorkspace::ensure(std::uint32_t num_nodes) {
   if (dist.size() < num_nodes) {
     dist.resize(num_nodes);
@@ -286,7 +289,7 @@ Solution Solver::solve(const topo::Topology& topo,
 
   const auto t_start = Clock::now();
 
-  const BatchGraph graph = build_graph(topo);
+  const BatchGraph graph = build_batch_graph(topo);
   const BatchSolverBackend& backend =
       options_.batch_backend ? *options_.batch_backend : cpu_batch_backend();
 

@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <optional>
+#include <queue>
+
 #include "obs/metrics.hpp"
 #include "sim/scenario.hpp"
 #include "solver_golden.hpp"
 #include "te/batch_solver.hpp"
+#include "te/dijkstra.hpp"
 #include "te/incremental.hpp"
 #include "te/parallel_solver.hpp"
 #include "te/path_cache.hpp"
@@ -13,6 +21,7 @@
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/gravity.hpp"
+#include "util/rng.hpp"
 
 namespace dsdn::te {
 namespace {
@@ -220,6 +229,185 @@ TEST(BatchWaterfill, SsspWorkspaceReuseAcrossEpochs) {
   const auto third = solver.solve(t, tm1);
   expect_bit_identical(first, again, "workspace reuse");
   expect_bit_identical(first, third, "workspace reuse after interleave");
+}
+
+// ---- The SSSP kernel's queue, and the kernel against te::shortest_path ----
+
+TEST(RadixHeap, PopsTheBinaryHeapSequenceOnMonotoneRuns) {
+  // Random monotone push/pop runs (every push >= the last pop) against
+  // std::priority_queue under std::greater: the pop sequences must be
+  // identical. Keys come from a small set, so equal keys (popped in node
+  // order) are common, plus +0.0, the smallest subnormals, one-ULP
+  // neighbours, DBL_MAX and +inf. A third of the runs stop with entries
+  // left, so the next run starts with clear() on a non-empty heap.
+  using Entry = std::pair<double, std::uint32_t>;
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  const double big = std::numeric_limits<double>::max();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> keys = {  // ascending
+      0.0, tiny, 2 * tiny, 0.25, std::nextafter(1.0, 0.0), 1.0,
+      std::nextafter(1.0, 2.0), 1.5, 2.0, 3.0, 1e300,
+      std::nextafter(big, 0.0), big, inf};
+  util::Rng rng(2024);
+  RadixHeap heap;
+  std::size_t pops = 0;
+  for (int run = 0; run < 3000; ++run) {
+    heap.clear();
+    ASSERT_TRUE(heap.empty());
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<>> ref;
+    double last = 0.0;
+    const auto ops = rng.uniform_int(1, 120);
+    for (std::int64_t op = 0; op < ops; ++op) {
+      if (ref.empty() || rng.uniform_int(0, 2) != 0) {
+        double key;
+        if (rng.uniform_int(0, 3) == 0) {
+          // Off the set: the last pop plus a multiple of 1/4, or one ULP.
+          const auto step = rng.uniform_int(0, 4);
+          key = step == 4 ? std::nextafter(last, inf) : last + 0.25 * step;
+        } else {
+          const auto lo = static_cast<std::int64_t>(
+              std::lower_bound(keys.begin(), keys.end(), last) - keys.begin());
+          key = keys[static_cast<std::size_t>(rng.uniform_int(
+              lo, static_cast<std::int64_t>(keys.size()) - 1))];
+        }
+        const auto node = static_cast<std::uint32_t>(rng.uniform_int(0, 5));
+        heap.push(key, node);
+        ref.emplace(key, node);
+      } else {
+        const Entry got = heap.pop();
+        ASSERT_EQ(got, ref.top()) << "run " << run << " op " << op;
+        ref.pop();
+        last = got.first;
+        ++pops;
+      }
+      ASSERT_EQ(heap.empty(), ref.empty());
+    }
+    if (run % 3 == 0) continue;  // leave entries for the next clear()
+    while (!ref.empty()) {
+      ASSERT_EQ(heap.pop(), ref.top()) << "drain of run " << run;
+      ref.pop();
+      ++pops;
+    }
+    ASSERT_TRUE(heap.empty());
+  }
+  EXPECT_GT(pops, 50000u);
+}
+
+// Unit metrics on a grid with some doubled links: many equal-cost paths,
+// so tie-breaks decide almost every pop. The last node is isolated (an
+// unreachable target).
+topo::Topology tie_heavy_grid(std::size_t w, std::size_t h) {
+  topo::Topology t;
+  for (std::size_t i = 0; i <= w * h; ++i) t.add_node(std::to_string(i));
+  for (std::size_t r = 0; r < h; ++r) {
+    for (std::size_t c = 0; c < w; ++c) {
+      const auto v = static_cast<topo::NodeId>(r * w + c);
+      const double cap = 10.0 * static_cast<double>(1 + (r * 7 + c * 3) % 9);
+      if (c + 1 < w) {
+        t.add_duplex(v, v + 1, cap, 1.0);
+        if ((r + c) % 3 == 0) t.add_duplex(v, v + 1, cap / 2, 1.0);
+      }
+      if (r + 1 < h)
+        t.add_duplex(v, static_cast<topo::NodeId>(v + w), cap, 1.0);
+    }
+  }
+  return t;
+}
+
+// A ring with every link doubled and chords across it whose metric ties
+// the way round.
+topo::Topology tie_heavy_ring(std::size_t n) {
+  topo::Topology t;
+  for (std::size_t i = 0; i < n; ++i) t.add_node(std::to_string(i));
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto a = static_cast<topo::NodeId>(i);
+    const auto b = static_cast<topo::NodeId>((i + 1) % n);
+    t.add_duplex(a, b, 40.0, 1.0);
+    t.add_duplex(a, b, 20.0 + 10.0 * static_cast<double>(i % 4), 1.0);
+  }
+  for (std::size_t i = 0; i < n / 2; i += 3) {
+    t.add_duplex(static_cast<topo::NodeId>(i),
+                 static_cast<topo::NodeId>(i + n / 2), 30.0,
+                 static_cast<double>(n / 2));
+  }
+  return t;
+}
+
+// The predecessor chain the last sssp() left for `dst`, as a path.
+std::optional<Path> extracted_path(const BatchGraph& g,
+                                   const SsspWorkspace& ws,
+                                   std::uint32_t src, std::uint32_t dst) {
+  if (!ws.reached(dst)) return std::nullopt;
+  Path p;
+  for (std::uint32_t at = dst; at != src;) {
+    const std::uint32_t lid = ws.pred_link[at];
+    if (lid == topo::kInvalidLink) return std::nullopt;
+    p.links.push_back(lid);
+    at = g.link_src[lid];
+  }
+  std::reverse(p.links.begin(), p.links.end());
+  return p;
+}
+
+TEST(BatchSssp, MatchesShortestPathOnTieHeavyGraphs) {
+  // The kernel's early-stopped multi-target runs at random residual
+  // thresholds must extract, for every target, exactly the links of
+  // te::shortest_path under the same constraints. Target lists carry
+  // duplicates and unreachable nodes. One workspace serves every run;
+  // midway its epoch is set to 0xffffffff so the next run crosses the
+  // stamp wrap with stale stamps from earlier runs still in place.
+  auto grid = tie_heavy_grid(9, 7);
+  auto ring = tie_heavy_ring(24);
+  auto cut_grid = grid;
+  cut_grid.set_duplex_up(cut_grid.node(10).out_links.front(), false);
+  const topo::Topology* graphs[] = {&grid, &ring, &cut_grid};
+  util::Rng rng(77);
+  const BatchSolverBackend& cpu = cpu_batch_backend();
+  SsspWorkspace ws;
+  std::size_t compared = 0, unreachable = 0, runs = 0;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const topo::Topology* t : graphs) {
+      const BatchGraph g = build_batch_graph(*t);
+      std::vector<double> residual(t->num_links());
+      for (double& r : residual)
+        r = 10.0 * static_cast<double>(rng.uniform_int(0, 9));
+      const auto n = static_cast<std::int64_t>(t->num_nodes());
+      for (int trial = 0; trial < 60; ++trial) {
+        if (pass == 1 && trial == 0) ws.epoch = 0xffffffffu;
+        const auto src = static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
+        const double threshold =
+            10.0 * static_cast<double>(rng.uniform_int(0, 6));
+        std::vector<std::uint32_t> targets;
+        const auto count = rng.uniform_int(1, 8);
+        for (std::int64_t k = 0; k < count; ++k) {
+          const auto v = static_cast<std::uint32_t>(rng.uniform_int(0, n - 1));
+          if (v == src) continue;
+          targets.push_back(v);
+          if (rng.uniform_int(0, 3) == 0) targets.push_back(v);  // duplicate
+        }
+        cpu.sssp(g, residual, threshold, src, targets.data(), targets.size(),
+                 ws);
+        ++runs;
+        if (pass == 1 && trial == 0) {
+          ASSERT_EQ(ws.epoch, 1u);
+        }
+        SpConstraints c;
+        c.residual_gbps = &residual;
+        c.min_residual = threshold;
+        for (std::uint32_t dst : targets) {
+          const auto expected = shortest_path(*t, src, dst, c);
+          ASSERT_EQ(extracted_path(g, ws, src, dst), expected)
+              << "nodes " << t->num_nodes() << " src " << src << " dst "
+              << dst << " threshold " << threshold << " run " << runs;
+          ++compared;
+          if (!expected) ++unreachable;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
+  EXPECT_GT(unreachable, 50u);
+  EXPECT_LT(unreachable, compared / 2);
 }
 
 // ---- Golden placements: the strict solver's output pinned bit for bit ----

@@ -115,7 +115,9 @@ TEST(Logical, AggregatesBorderCapacityAndTransit) {
     for (std::size_t i = 0; i < ln.borders.size(); ++i) {
       EXPECT_TRUE(std::isinf(ln.transit(i, i)));
       for (std::size_t j = 0; j < ln.borders.size(); ++j) {
-        if (i != j) EXPECT_GT(ln.transit(i, j), 0.0);
+        if (i != j) {
+          EXPECT_GT(ln.transit(i, j), 0.0);
+        }
       }
     }
   }

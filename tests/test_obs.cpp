@@ -269,8 +269,9 @@ TEST(ObsTracer, ChromeTraceJsonRoundTrips) {
 }
 
 TEST(ObsTracer, FleetPathsRecordNamedSpansOnEveryWorker) {
-  // Programming, snapshot publish, capacity changes and both crash paths
-  // carry spans; fleet recomputes land on every pool worker's ring.
+  // Programming, snapshot publish, capacity changes, both crash paths and
+  // the flood's wire codec and StateDb apply carry spans; fleet
+  // recomputes land on every pool worker's ring.
   topo::Topology topo = topo::make_abilene();
   auto tm = traffic::generate_gravity(topo);
   sim::DsdnEmulation emu(topo, std::move(tm));
@@ -295,7 +296,8 @@ TEST(ObsTracer, FleetPathsRecordNamedSpansOnEveryWorker) {
   for (const char* expected :
        {"program.prefixes", "program.encap", "program.sr", "program.bypasses",
         "snapshot.publish_router", "emu.degrade_fiber", "emu.crash_recover",
-        "emu.cold_restart", "emu.recompute", "ctrl.recompute"}) {
+        "emu.cold_restart", "emu.recompute", "ctrl.recompute", "wire.encode",
+        "wire.decode", "state_db.apply"}) {
     EXPECT_EQ(names.count(expected), 1u) << expected;
   }
   EXPECT_EQ(recompute_threads.size(),

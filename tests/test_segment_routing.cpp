@@ -175,7 +175,9 @@ TEST(SrCandidates, OrderedByCostWithDirectRouteFirstAmongEquals) {
         EXPECT_GE(cands[i].segments.size(), 1u);
         EXPECT_LE(cands[i].segments.size(), opts.max_segments);
         EXPECT_EQ(cands[i].segments.back(), dst);
-        if (i) EXPECT_GE(cands[i].cost, cands[i - 1].cost - 1e-12);
+        if (i) {
+          EXPECT_GE(cands[i].cost, cands[i - 1].cost - 1e-12);
+        }
       }
     }
   }
@@ -243,7 +245,9 @@ void expect_expansion_parity(const topo::Topology& topo, const char* name) {
     // expands to nothing; the solver never installs such a candidate, so
     // the dataplane never forwards it. The direct route always expands
     // (shortest-path DAG walks are loop-free by construction).
-    if (route.segments.size() == 1) ASSERT_FALSE(expansions.empty()) << name;
+    if (route.segments.size() == 1) {
+      ASSERT_FALSE(expansions.empty()) << name;
+    }
     if (expansions.empty()) continue;
     const std::uint64_t entropy = rng.engine()();
 
@@ -324,8 +328,9 @@ TEST(SrExpansion, StaleFibsAfterCutNeverLoopAndStrictParityOnDrop) {
       EXPECT_TRUE(r.outcome == ForwardOutcome::kDelivered ||
                   r.outcome == ForwardOutcome::kDroppedLinkDownNoBypass)
           << forward_outcome_name(r.outcome);
-      if (r.outcome == ForwardOutcome::kDelivered)
+      if (r.outcome == ForwardOutcome::kDelivered) {
         EXPECT_EQ(r.final_node, dst);
+      }
     }
     topo.set_duplex_up(cut, true);
   }
@@ -357,7 +362,9 @@ TEST(SrSolver, PlacesSegmentsWithinCapacityAndConservation) {
       for (topo::LinkId l : wp.path.links)
         load[l] += a.allocated_gbps * wp.weight;
     }
-    if (!a.paths.empty()) EXPECT_NEAR(w, 1.0, 1e-6);
+    if (!a.paths.empty()) {
+      EXPECT_NEAR(w, 1.0, 1e-6);
+    }
   }
   for (topo::LinkId l = 0; l < topo.num_links(); ++l)
     EXPECT_LE(load[l], topo.link(l).capacity_gbps + 1e-6) << "link " << l;
