@@ -14,8 +14,8 @@
 #include "bench_common.hpp"
 
 #include "metrics/calibration.hpp"
-#include "te/parallel_solver.hpp"
 #include "te/solver.hpp"
+#include "te/thread_pool.hpp"
 
 using namespace dsdn;
 

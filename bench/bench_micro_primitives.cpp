@@ -15,7 +15,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 #include "dataplane/label.hpp"
 #include "dataplane/sublabel.hpp"
 #include "te/batch_solver.hpp"
@@ -82,37 +82,23 @@ void BM_Yen_K16_Geant(benchmark::State& state) {
 }
 BENCHMARK(BM_Yen_K16_Geant);
 
-void BM_PathCacheHit(benchmark::State& state) {
-  const auto& t = b4();
-  static const te::PathCache cache(t);
-  std::vector<double> residual(t.num_links(), 50.0);
-  te::SpConstraints c;
-  c.residual_gbps = &residual;
-  c.min_residual = 1.0;
-  topo::NodeId dst = static_cast<topo::NodeId>(t.num_nodes() - 1);
+// Fig 15's table: one all-sources pass over every link.
+void BM_PathTableBuild_B4(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.get(t, 0, dst, c));
+    te::PathCache table(b4());
+    benchmark::DoNotOptimize(table.row(0).data());
   }
 }
-BENCHMARK(BM_PathCacheHit);
+BENCHMARK(BM_PathTableBuild_B4)->Unit(benchmark::kMillisecond);
 
-void BM_PathCacheRepairHit(benchmark::State& state) {
-  // Primary entry saturated; the memoized repair path serves the miss.
-  const auto& t = b4();
-  const te::PathCache cache(t);
-  std::vector<double> residual(t.num_links(), 50.0);
-  te::SpConstraints c;
-  c.residual_gbps = &residual;
-  c.min_residual = 1.0;
-  topo::NodeId dst = static_cast<topo::NodeId>(t.num_nodes() - 1);
-  const auto primary = cache.get(t, 0, dst, c);
-  for (topo::LinkId l : primary->links) residual[l] = 0.0;
-  benchmark::DoNotOptimize(cache.get(t, 0, dst, c));  // warm the memo
+void BM_PathTableBuild_B2(benchmark::State& state) {
+  static const topo::Topology t = topo::make_b2_like();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.get(t, 0, dst, c));
+    te::PathCache table(t);
+    benchmark::DoNotOptimize(table.row(0).data());
   }
 }
-BENCHMARK(BM_PathCacheRepairHit);
+BENCHMARK(BM_PathTableBuild_B2)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelForSmallN(benchmark::State& state) {
   // Per-call dispatch overhead of the persistent pool on a tiny index

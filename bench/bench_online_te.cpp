@@ -23,7 +23,7 @@
 
 #include "bench_common.hpp"
 #include "sim/online.hpp"
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 
 using namespace dsdn;
 

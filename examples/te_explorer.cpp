@@ -8,6 +8,7 @@
 
 #include <cstdio>
 
+#include "te/dijkstra.hpp"
 #include "te/solver.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/gravity.hpp"

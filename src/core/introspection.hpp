@@ -10,7 +10,7 @@
 
 #include "core/controller.hpp"
 #include "obs/metrics.hpp"
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 
 namespace dsdn::core {
 

@@ -6,7 +6,7 @@
 // that may be backed by *live* controller FIBs -- fine single-threaded,
 // but a reprogram concurrent with forwarding would tear a table mid-walk.
 // Real forwarding ASICs avoid this with all-or-nothing table banks; we
-// model the same property in software the way the PR 4 PathCache does:
+// model the same property in software with whole-snapshot swaps:
 //
 //  - A FibSnapshot is a deeply immutable view of every router's tables
 //    (shared_ptr<const RouterDataplane> per router) tagged with a

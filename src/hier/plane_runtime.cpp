@@ -5,7 +5,7 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace dsdn::hier {

@@ -5,7 +5,7 @@
 #include <deque>
 
 #include "sim/convergence.hpp"
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace dsdn::hier {

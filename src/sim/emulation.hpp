@@ -35,7 +35,7 @@
 #include "obs/metrics.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/faulty_bus.hpp"
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 #include "traffic/estimator.hpp"
 #include "traffic/matrix.hpp"
 

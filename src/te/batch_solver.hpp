@@ -103,9 +103,9 @@ class RadixHeap {
   std::size_t size_ = 0;
 };
 
-// Immutable per-solve CSR view of the topology, restricted to up links
-// when the solver's constraints require up (they always do). SoA so an
-// accelerator backend can upload it wholesale.
+// Immutable CSR view of the topology: te::Solver's per-solve view holds
+// only up links, te::PathCache's holds every link. SoA so an accelerator
+// backend can upload it wholesale.
 struct BatchGraph {
   std::uint32_t num_nodes = 0;
   std::vector<std::uint32_t> row_offsets;  // num_nodes + 1
@@ -115,9 +115,9 @@ struct BatchGraph {
   std::vector<std::uint32_t> link_src;     // per topo link: tail node
 };
 
-// The CSR view of `topo`'s up links, in out_links order (te::Solver
-// builds one per solve).
-BatchGraph build_batch_graph(const topo::Topology& topo);
+// The CSR view of `topo`'s links in out_links order: only the up links
+// unless `up_only` is false.
+BatchGraph build_batch_graph(const topo::Topology& topo, bool up_only = true);
 
 // Reusable scratch for one SSSP run: flat dist/pred arrays with epoch
 // stamping (O(1) reset) and the run's radix heap. Workspaces are pooled

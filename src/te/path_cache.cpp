@@ -1,128 +1,64 @@
 #include "te/path_cache.hpp"
 
-#include <mutex>
+#include <algorithm>
+#include <bit>
+#include <numeric>
 
-#include "obs/metrics.hpp"
+#include "te/batch_solver.hpp"
 
 namespace dsdn::te {
 
-namespace {
-
-// Process-wide cache effectiveness, aggregated across every PathCache
-// instance (per-instance exactness stays on the member atomics, which
-// the Fig 15 report reads). Sharded adds: get() runs concurrently on
-// every path-search worker.
-obs::Counter& cache_hits() {
-  static obs::Counter& c = obs::Registry::global().counter("te.cache.hits");
-  return c;
-}
-obs::Counter& cache_repair_hits() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("te.cache.repair_hits");
-  return c;
-}
-obs::Counter& cache_misses() {
-  static obs::Counter& c = obs::Registry::global().counter("te.cache.misses");
-  return c;
-}
-
-bool path_feasible(const Path& path, const topo::Topology& topo,
-                   const SpConstraints& c) {
-  if (path.empty()) return false;
-  for (topo::LinkId lid : path.links) {
-    if (lid >= topo.num_links()) return false;  // stale table, new topology
-    const topo::Link& l = topo.link(lid);
-    if (c.require_up && !l.up) return false;
-    if (c.link_allowed && !(*c.link_allowed)[lid]) return false;
-    if (c.residual_gbps && (*c.residual_gbps)[lid] < c.min_residual)
-      return false;
-  }
-  return true;
-}
-
-}  // namespace
-
-std::shared_ptr<const PathCache::Table> PathCache::build_table(
-    const topo::Topology& topo) {
-  auto table = std::make_shared<Table>();
-  table->n = topo.num_nodes();
-  table->paths.assign(table->n * table->n, Path{});
-  SpConstraints ignore_state;
-  ignore_state.require_up = false;  // capacity- and state-oblivious
-  for (topo::NodeId s = 0; s < table->n; ++s) {
-    auto tree = shortest_path_tree(topo, s, ignore_state);
-    for (topo::NodeId d = 0; d < table->n; ++d) {
-      if (d == s) continue;
-      table->paths[table->index(s, d)] = std::move(tree[d]);
+std::uint64_t PathCache::digest(const topo::Topology& topo) {
+  // FNV-1a over the node count and every link's (src, dst, metric bits):
+  // the inputs a capacity- and state-oblivious shortest path depends on.
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto mix = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ull;
     }
+  };
+  mix(topo.num_nodes());
+  for (const topo::Link& l : topo.links()) {
+    mix((static_cast<std::uint64_t>(l.src) << 32) | l.dst);
+    mix(std::bit_cast<std::uint64_t>(l.igp_metric));
   }
-  return table;
+  return h;
 }
 
 PathCache::PathCache(const topo::Topology& topo)
-    : table_(build_table(topo)) {
-  std::unique_lock<std::shared_mutex> lock(repair_mu_);
-  repair_.assign(topo.num_nodes() * topo.num_nodes(), Path{});
-}
-
-void PathCache::invalidate(const topo::Topology& topo) {
-  // Build off to the side -- concurrent get() calls keep reading the old
-  // snapshot -- then swap the finished table in and drop the repair
-  // entries of the closed epoch.
-  auto fresh = build_table(topo);
-  {
-    std::lock_guard<std::mutex> tlock(table_mu_);
-    table_ = std::move(fresh);
-  }
-  std::unique_lock<std::shared_mutex> lock(repair_mu_);
-  repair_.assign(topo.num_nodes() * topo.num_nodes(), Path{});
-  epoch_.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::optional<Path> PathCache::get(const topo::Topology& topo,
-                                   topo::NodeId src, topo::NodeId dst,
-                                   const SpConstraints& c) const {
-  // Pin this lookup's snapshot: a concurrent invalidate() swaps the
-  // pointer but never mutates a published table.
-  const std::shared_ptr<const Table> table = snapshot();
-  const std::size_t idx = table->index(src, dst);
-  if (idx < table->paths.size() &&
-      path_feasible(table->paths[idx], topo, c)) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    cache_hits().inc();
-    return table->paths[idx];
-  }
-  // The primary entry is saturated (or down). Try the repair path
-  // memoized by an earlier miss for this pair before paying for another
-  // Dijkstra; it is subject to the same feasibility check, so a stale
-  // repair entry can cost a recompute but never an infeasible answer.
-  {
-    std::shared_lock<std::shared_mutex> lock(repair_mu_);
-    if (idx < repair_.size()) {
-      const Path& memo = repair_[idx];
-      if (path_feasible(memo, topo, c)) {
-        Path copy = memo;
-        lock.unlock();
-        repair_hits_.fetch_add(1, std::memory_order_relaxed);
-        cache_repair_hits().inc();
-        return copy;
-      }
+    : n_(topo.num_nodes()), digest_(digest(topo)) {
+  // One full run of the solver's SSSP kernel per source over a CSR of
+  // every link; an all-zero residual vector at threshold 0 makes every
+  // link usable, whatever its capacity or state.
+  const BatchGraph g = build_batch_graph(topo, /*up_only=*/false);
+  const std::vector<double> residual(topo.num_links(), 0.0);
+  std::vector<std::uint32_t> targets(n_);
+  std::iota(targets.begin(), targets.end(), 0u);
+  link_src_ = g.link_src;
+  pred_.assign(n_ * n_, topo::kInvalidLink);
+  SsspWorkspace ws;
+  const BatchSolverBackend& cpu = cpu_batch_backend();
+  for (std::uint32_t s = 0; s < n_; ++s) {
+    cpu.sssp(g, residual, 0.0, s, targets.data(), targets.size(), ws);
+    topo::LinkId* const out = pred_.data() + static_cast<std::size_t>(s) * n_;
+    for (std::uint32_t d = 0; d < n_; ++d) {
+      if (ws.reached(d)) out[d] = ws.pred_link[d];
     }
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  cache_misses().inc();
-  std::optional<Path> found = shortest_path(topo, src, dst, c);
-  if (found) {
-    std::unique_lock<std::shared_mutex> lock(repair_mu_);
-    if (idx < repair_.size()) repair_[idx] = *found;
-  }
-  return found;
 }
 
-void PathCache::reset_counters() {
-  hits_.store(0, std::memory_order_relaxed);
-  repair_hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
+Path PathCache::path(topo::NodeId src, topo::NodeId dst) const {
+  Path p;
+  const std::span<const topo::LinkId> pred = row(src);
+  for (topo::NodeId at = dst; at != src;) {
+    const topo::LinkId lid = pred[at];
+    if (lid == topo::kInvalidLink) return {};
+    p.links.push_back(lid);
+    at = link_src_[lid];
+  }
+  std::reverse(p.links.begin(), p.links.end());
+  return p;
 }
 
 }  // namespace dsdn::te

@@ -1,115 +1,69 @@
 #pragma once
 
-// Shortest-path pre-computation cache (§5.3, Fig 15).
+// Shortest-path precomputation table (§5.3, Fig 15).
 //
 // The solver originally recomputed the shortest path whenever available
 // capacity changed. Instead we pre-compute the capacity-oblivious shortest
-// path for every (src, dst) pair once per topology; at runtime the solver
-// first checks whether the cached path still has the required residual
-// capacity on every hop, and only falls back to a constrained Dijkstra
-// when it does not. The cache stays valid across any capacity change --
-// including full loss and restoration of a link -- and only needs
-// rebuilding when link *metrics* change or a new link is added (a network
-// upgrade event): call invalidate() then.
+// path for every (src, dst) pair once per topology; at runtime te::Solver
+// takes a pair's table path when every hop still has the round's residual
+// floor, and searches only when it does not (DESIGN.md, SoA solver, says
+// why that is exact).
 //
-// Miss memoization: the constrained fallback result is remembered per
-// (src, dst). On the next miss for the same pair -- the common case, since
-// a saturated shortest path stays saturated across waterfill rounds --
-// the remembered repair path is revalidated against the current
-// constraints and returned when still feasible, instead of rerunning
-// Dijkstra. Like the primary entries, repair entries are never trusted
-// blindly: every returned path passed the feasibility check against the
-// caller's constraints, so memoization never changes feasibility.
-// invalidate() starts a new epoch, discarding all repair entries.
+// The table is n^2 predecessor links: row s holds, per destination d, the
+// link arriving at d on the shortest s -> d path over every link, whatever
+// its capacity or up/down state. Table paths equal
+// te::shortest_path(topo, s, d, {.require_up = false}), tie-breaks
+// included. Capacity changes and the loss and restoration of links never
+// invalidate it. A metric change or a new link does: the table keeps a
+// digest of the node count and each link's (src, dst, igp_metric), and
+// te::Solver refuses a table whose digest does not match the topology it
+// solves. Build a new table after such a change.
 //
-// Thread safety: get() is called concurrently from the solver's
-// path-search workers and may overlap invalidate(). The primary table is
-// an immutable snapshot behind a mutex-guarded shared_ptr: invalidate()
-// builds the new table off to the side and swaps the pointer in
-// wholesale, so a reader either sees the old table or the new one, never
-// a partial rebuild. (A plain mutex around the pointer copy, not
-// std::atomic<shared_ptr>: libstdc++'s _Sp_atomic lock-bit protocol is
-// opaque to TSan, and the critical section is two refcount ops.)
-// Repair entries are guarded by a shared_mutex, counters are atomics.
+// Immutable after construction, so concurrent solves share one table
+// without a lock.
 
-#include <atomic>
-#include <memory>
-#include <mutex>
-#include <optional>
-#include <shared_mutex>
+#include <cstdint>
+#include <span>
+#include <vector>
 
-#include "te/dijkstra.hpp"
+#include "te/types.hpp"
 
 namespace dsdn::te {
 
 class PathCache {
  public:
-  // Pre-computes all-pairs shortest paths on the given topology,
-  // ignoring capacity and link up/down state.
+  // One shortest-path pass per source over every link.
   explicit PathCache(const topo::Topology& topo);
 
-  // Returns the cached shortest path if it satisfies the constraints
-  // (links up, residual >= min_residual on every hop); otherwise the
-  // memoized repair path for the pair if that is feasible; otherwise runs
-  // a constrained Dijkstra and memoizes it. nullopt when no feasible path
-  // exists at all.
-  std::optional<Path> get(const topo::Topology& topo, topo::NodeId src,
-                          topo::NodeId dst, const SpConstraints& c) const;
-
-  // Rebuilds the primary all-pairs entries against the (possibly
-  // metric-changed or link-grown) topology and drops every memoized
-  // repair entry. Safe to run while other threads call get(): in-flight
-  // lookups finish against the snapshot they loaded.
-  void invalidate(const topo::Topology& topo);
-
-  // Number of invalidate() calls; repair entries never outlive an epoch.
-  std::uint64_t epoch() const {
-    return epoch_.load(std::memory_order_relaxed);
+  // Predecessor row of `src`: row[d] is the link arriving at d on the
+  // table path src -> d; topo::kInvalidLink when d == src or d is
+  // unreachable.
+  std::span<const topo::LinkId> row(topo::NodeId src) const {
+    return {pred_.data() + static_cast<std::size_t>(src) * n_, n_};
   }
 
-  // Hit counters, for the Fig 15 report. A get() resolves to exactly one
-  // of: primary hit, repair hit (memoized miss), or miss (full Dijkstra).
-  std::size_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  std::size_t repair_hits() const {
-    return repair_hits_.load(std::memory_order_relaxed);
+  // The table path src -> dst; empty when dst is unreachable or == src.
+  Path path(topo::NodeId src, topo::NodeId dst) const;
+
+  // True iff `topo` has the node count, link endpoints and metrics the
+  // table was built from.
+  bool matches(const topo::Topology& topo) const {
+    return digest(topo) == digest_;
   }
-  std::size_t misses() const {
-    return misses_.load(std::memory_order_relaxed);
+
+  // Heap bytes the table holds.
+  std::size_t bytes() const {
+    return pred_.size() * sizeof(topo::LinkId) +
+           link_src_.size() * sizeof(topo::NodeId);
   }
-  void reset_counters();
 
  private:
-  // One immutable all-pairs snapshot; replaced wholesale by invalidate().
-  struct Table {
-    std::size_t n = 0;
-    std::vector<Path> paths;  // row-major (src, dst); empty = disconnected
+  static std::uint64_t digest(const topo::Topology& topo);
 
-    std::size_t index(topo::NodeId src, topo::NodeId dst) const {
-      return static_cast<std::size_t>(src) * n + dst;
-    }
-  };
-
-  static std::shared_ptr<const Table> build_table(
-      const topo::Topology& topo);
-
-  // Pin the current snapshot (refcount bump under the pointer mutex).
-  std::shared_ptr<const Table> snapshot() const {
-    std::lock_guard<std::mutex> lock(table_mu_);
-    return table_;
-  }
-
-  mutable std::mutex table_mu_;
-  std::shared_ptr<const Table> table_;
-  std::atomic<std::uint64_t> epoch_{0};
-
-  // Memoized constrained-fallback paths; empty = nothing memoized (or
-  // the last fallback found no path, which is never memoized).
-  mutable std::shared_mutex repair_mu_;
-  mutable std::vector<Path> repair_;
-
-  mutable std::atomic<std::size_t> hits_{0};
-  mutable std::atomic<std::size_t> repair_hits_{0};
-  mutable std::atomic<std::size_t> misses_{0};
+  std::size_t n_ = 0;
+  std::uint64_t digest_ = 0;
+  std::vector<topo::LinkId> pred_;      // row-major (src, dst)
+  std::vector<topo::NodeId> link_src_;  // per link: tail node
 };
 
 }  // namespace dsdn::te

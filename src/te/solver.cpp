@@ -2,20 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <numeric>
-#include <optional>
 #include <span>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "te/batch_solver.hpp"
-#include "te/dijkstra.hpp"
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 
 namespace dsdn::te {
 
@@ -198,7 +196,7 @@ struct Bucket {
 
 }  // namespace
 
-BatchGraph build_batch_graph(const topo::Topology& topo) {
+BatchGraph build_batch_graph(const topo::Topology& topo, bool up_only) {
   BatchGraph g;
   g.num_nodes = static_cast<std::uint32_t>(topo.num_nodes());
   g.link_src.resize(topo.num_links());
@@ -208,12 +206,12 @@ BatchGraph build_batch_graph(const topo::Topology& topo) {
   g.row_offsets.push_back(0);
   for (std::uint32_t u = 0; u < g.num_nodes; ++u) {
     // out_links order is te::shortest_path's relaxation order; keeping
-    // it is what makes equal-cost tie-breaks match. Down links are
-    // excluded up front (the solver always requires up, and link state
-    // is immutable for the duration of a solve).
+    // it is what makes equal-cost tie-breaks match. The solver excludes
+    // down links up front (it always requires up, and link state is
+    // immutable for the duration of a solve).
     for (topo::LinkId lid : topo.node(u).out_links) {
       const topo::Link& l = topo.link(lid);
-      if (!l.up) continue;
+      if (up_only && !l.up) continue;
       g.edge_dst.push_back(l.dst);
       g.edge_link.push_back(lid);
       g.edge_cost.push_back(l.igp_metric);
@@ -248,7 +246,15 @@ Solution Solver::solve(const topo::Topology& topo,
   static obs::Counter& m_rechecks = reg.counter("te.batch.grant_rechecks");
   static obs::Counter& m_reused = reg.counter("te.batch.path_reuses");
   static obs::Counter& m_interned = reg.counter("te.batch.interned_paths");
+  static obs::Counter& m_table = reg.counter("te.batch.table_paths");
   static obs::Histogram& m_fill = reg.histogram("te.batch.batch_fill");
+
+  const PathCache* const table = options_.cache;
+  if (table && !table->matches(topo)) {
+    throw std::invalid_argument(
+        "te::Solver: the PathCache was built for other nodes, links or "
+        "metrics; build a new table for this topology");
+  }
 
   SolveStats local_stats;
 
@@ -274,18 +280,6 @@ Solution Solver::solve(const topo::Topology& topo,
   for (std::size_t l = 0; l < topo.num_links(); ++l) {
     if (!topo.link(static_cast<topo::LinkId>(l)).up) residual[l] = 0.0;
   }
-
-  // Path searches fan out on the caller's pool; without one the solve
-  // runs serially on the calling thread.
-  const auto parallel_for =
-      [pool = options_.pool](std::size_t n,
-                             const std::function<void(std::size_t)>& fn) {
-        if (pool) {
-          pool->parallel_for(n, fn);
-        } else {
-          for (std::size_t i = 0; i < n; ++i) fn(i);
-        }
-      };
 
   const auto t_start = Clock::now();
 
@@ -374,9 +368,26 @@ Solution Solver::solve(const topo::Topology& topo,
   auto links_of = [&](Run r) {
     return std::span<const topo::LinkId>(arena.data() + r.off, r.len);
   };
-  auto append_found = [&](const std::optional<Path>& p) {
+  // The pair's table path (Fig 15), walked from its predecessor row into
+  // the arena; len 0 (nothing appended) without a table or as soon as a
+  // link falls below `min_residual`. A path that clears it is what a
+  // fresh search at that threshold would return, link for link
+  // (DESIGN.md, SoA solver).
+  auto table_path = [&](std::uint32_t src, std::uint32_t dst,
+                        double min_residual) {
     const auto off = static_cast<std::uint32_t>(arena.size());
-    if (p) arena.insert(arena.end(), p->links.begin(), p->links.end());
+    if (!table) return Run{off, 0};
+    const std::span<const topo::LinkId> pred = table->row(src);
+    for (std::uint32_t at = dst; at != src;) {
+      const topo::LinkId lid = pred[at];
+      if (lid == topo::kInvalidLink || residual[lid] < min_residual) {
+        arena.resize(off);
+        return Run{off, 0};
+      }
+      arena.push_back(lid);
+      at = graph.link_src[lid];
+    }
+    std::reverse(arena.begin() + off, arena.end());
     return Run{off, static_cast<std::uint32_t>(arena.size() - off)};
   };
 
@@ -395,7 +406,6 @@ Solution Solver::solve(const topo::Topology& topo,
   std::vector<Bucket> buckets;  // [0, num_buckets) are this round's
   std::size_t num_buckets = 0;
   std::unordered_map<std::uint64_t, std::uint32_t> bucket_of;
-  std::vector<std::optional<Path>> cache_found;
 
   // Cross-class path carry: residuals decrease monotonically across the
   // whole solve, so a path validated in an earlier class obeys the same
@@ -430,7 +440,7 @@ Solution Solver::solve(const topo::Topology& topo,
         threshold.push_back(0.0);
         round_path.push_back({});
         cached_at.push_back(-1.0);
-        if (!options_.cache && carry_at[pair_of[i]] >= 0.0) {
+        if (carry_at[pair_of[i]] >= 0.0) {
           round_path.back() = carry_path[pair_of[i]];
           cached_at.back() = carry_at[pair_of[i]];
         }
@@ -453,23 +463,7 @@ Solution Solver::solve(const topo::Topology& topo,
       // ---- Step 1: batched path search ----
       DSDN_TRACE_SPAN("te.batch.round");
       const auto t_search = Clock::now();
-      if (options_.cache) {
-        // The cache's primary table already amortizes the Dijkstra;
-        // delegate per demand.
-        DSDN_TRACE_SPAN("te.batch.path_search");
-        const PathCache* cache = options_.cache;
-        cache_found.resize(active.size());
-        parallel_for(active.size(), [&](std::size_t i) {
-          const std::uint32_t slot = active[i];
-          SpConstraints c;
-          c.residual_gbps = &residual;
-          c.min_residual = threshold[slot];
-          cache_found[i] =
-              cache->get(topo, slot_src[slot], slot_dst[slot], c);
-        });
-        for (std::size_t i = 0; i < active.size(); ++i)
-          round_path[active[i]] = append_found(cache_found[i]);
-      } else {
+      {
         DSDN_TRACE_SPAN("te.batch.path_search");
         // Residual-rank values: thresholds t1 <= t2 see the same
         // usable-link set iff no link residual lies in [t1, t2), so the
@@ -499,7 +493,9 @@ Solution Solver::solve(const topo::Topology& topo,
         // none does and the cached path still clears the new threshold,
         // a fresh Dijkstra would reproduce the cached path bit-exactly
         // (shrinking the usable set can neither beat it on cost nor
-        // steal its tie-breaks) -- skip the search.
+        // steal its tie-breaks) -- skip the search. Failing that, a
+        // table path that clears the threshold is taken for the same
+        // reason.
         search_list.clear();
         std::size_t reused = 0;
         for (std::uint32_t slot : active) {
@@ -518,11 +514,18 @@ Solution Solver::solve(const topo::Topology& topo,
             }
           }
           if (reuse) {
-            cached_at[slot] = threshold[slot];
             ++reused;
           } else {
-            search_list.push_back(slot);
+            const Run r =
+                table_path(slot_src[slot], slot_dst[slot], threshold[slot]);
+            if (r.len == 0) {
+              search_list.push_back(slot);
+              continue;
+            }
+            round_path[slot] = r;
+            ++local_stats.table_paths;
           }
+          cached_at[slot] = threshold[slot];
         }
         m_reused.add(reused);
 
@@ -550,7 +553,9 @@ Solution Solver::solve(const topo::Topology& topo,
           b.targets.push_back(slot_dst[slot]);
         }
 
-        parallel_for(num_buckets, [&](std::size_t bi) {
+        // Buckets fan out on the caller's pool; without one they run
+        // serially on the calling thread.
+        const auto search_bucket = [&](std::size_t bi) {
           Bucket& b = buckets[bi];
           auto ws = ws_pool.acquire();
           backend.sssp(graph, residual, b.min_residual, b.src,
@@ -562,7 +567,12 @@ Solution Solver::solve(const topo::Topology& topo,
                 append_links(graph, *ws, b.src, slot_dst[slot], b.links));
           }
           ws_pool.release(std::move(ws));
-        });
+        };
+        if (options_.pool) {
+          options_.pool->parallel_for(num_buckets, search_bucket);
+        } else {
+          for (std::size_t bi = 0; bi < num_buckets; ++bi) search_bucket(bi);
+        }
         for (std::size_t bi = 0; bi < num_buckets; ++bi) {
           const Bucket& b = buckets[bi];
           const auto base = static_cast<std::uint32_t>(arena.size());
@@ -576,10 +586,9 @@ Solution Solver::solve(const topo::Topology& topo,
         m_batches.add(num_buckets);
         m_batched.add(search_list.size());
       }
-      // Searches actually performed (reused paths are free, so this can
-      // undercut one search per active demand per round).
-      local_stats.path_searches +=
-          options_.cache ? active.size() : search_list.size();
+      // Searches actually performed (reused and table paths are free, so
+      // this can undercut one search per active demand per round).
+      local_stats.path_searches += search_list.size();
       local_stats.path_search_time_s += seconds_since(t_search);
 
       // ---- Step 2: serialized grant kernel ----
@@ -604,20 +613,17 @@ Solution Solver::solve(const topo::Topology& topo,
           // floor it was searched with; re-search at current residuals
           // rather than granting a sub-sliver and spinning.
           m_rechecks.inc();
-          ++local_stats.path_searches;
-          if (options_.cache) {
-            SpConstraints c;
-            c.residual_gbps = &residual;
-            c.min_residual = threshold[slot];
-            rp = append_found(options_.cache->get(topo, slot_src[slot],
-                                                  slot_dst[slot], c));
+          rp = table_path(slot_src[slot], slot_dst[slot], threshold[slot]);
+          if (rp.len > 0) {
+            ++local_stats.table_paths;
           } else {
+            ++local_stats.path_searches;
             const std::uint32_t target = slot_dst[slot];
             backend.sssp(graph, residual, threshold[slot], slot_src[slot],
                          &target, 1, grant_ws);
             rp = append_links(graph, grant_ws, slot_src[slot], target, arena);
-            cached_at[slot] = threshold[slot];
           }
+          cached_at[slot] = threshold[slot];
           if (rp.len == 0) {
             ++local_stats.frozen_no_path;
             continue;
@@ -645,16 +651,14 @@ Solution Solver::solve(const topo::Topology& topo,
       local_stats.allocation_time_s += seconds_since(t_alloc);
     }
     local_stats.frozen_round_cap += active.size();
-    if (!options_.cache) {
-      for (std::size_t slot = 0; slot < alloc_index.size(); ++slot) {
-        // An empty path records "nothing found", which a later class at
-        // a lower threshold must not inherit; keep the older positive
-        // entry instead (still valid -- validation re-proves it).
-        if (cached_at[slot] < 0.0 || round_path[slot].len == 0) continue;
-        const std::uint32_t pair = pair_of[alloc_index[slot]];
-        carry_path[pair] = round_path[slot];
-        carry_at[pair] = cached_at[slot];
-      }
+    for (std::size_t slot = 0; slot < alloc_index.size(); ++slot) {
+      // An empty path records "nothing found", which a later class at a
+      // lower threshold must not inherit; keep the older positive entry
+      // instead (still valid -- validation re-proves it).
+      if (cached_at[slot] < 0.0 || round_path[slot].len == 0) continue;
+      const std::uint32_t pair = pair_of[alloc_index[slot]];
+      carry_path[pair] = round_path[slot];
+      carry_at[pair] = cached_at[slot];
     }
   }
   local_stats.frozen_demands =
@@ -692,6 +696,7 @@ Solution Solver::solve(const topo::Topology& topo,
 
   local_stats.wall_time_s = seconds_since(t_start);
   m_solves.inc();
+  m_table.add(local_stats.table_paths);
   record_solver_obs(local_stats);
   if (stats) *stats = local_stats;
   return solution;

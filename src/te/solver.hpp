@@ -24,11 +24,12 @@
 // Structure of arrays (the GATE direction, PAPERS.md): step (1) runs one
 // batched multi-destination SSSP per (source, residual-rank) bucket over
 // flat CSR arrays through the BatchSolverBackend seam
-// (te/batch_solver.hpp), instead of one Dijkstra per demand. Without a
-// PathCache the result is bit-identical to running te::shortest_path for
-// every active demand every round and accumulating grants per
-// allocation in a std::map<links, rate> (the test-only reference solver
-// in tests/ does exactly that). The load-bearing arguments:
+// (te/batch_solver.hpp), instead of one Dijkstra per demand. With or
+// without a PathCache the result is bit-identical to running
+// te::shortest_path for every active demand every round and accumulating
+// grants per allocation in a std::map<links, rate> (the test-only
+// reference solver in tests/ does exactly that). The load-bearing
+// arguments:
 //
 //  * A Dijkstra run popping (dist, node) pairs in total order finalizes
 //    each node exactly once, and a finalized target's predecessor chain
@@ -45,12 +46,14 @@
 //    tie-breaks among equal-cost paths -- match te/dijkstra.cpp.
 //  * A path validated in an earlier round or class is reused only when
 //    a fresh search would provably return it (residuals only decrease).
+//  * A PathCache table path (Fig 15) is the shortest path over all
+//    links. When every link on it clears the sliver threshold it lies in
+//    the usable set -- down links carry residual 0, thresholds are > 0 --
+//    and a fresh search over that subset returns it link for link, so a
+//    demand takes it without a search.
 //  * Grants accumulate into flat (path_id, rate) runs in round order and
 //    finalize in lexicographic link-sequence order, which is a
 //    per-allocation std::map's float summation order and output order.
-//
-// With a PathCache (Fig 15) the search step calls PathCache::get per
-// demand instead.
 //
 // Determinism: the solver is a pure function of (topology, demands,
 // options), whatever SolverOptions::pool's size. Every dSDN controller
@@ -75,7 +78,9 @@ struct SolverOptions {
   // reused across solves so the workers are spawned exactly once per
   // process. Null = the solve runs serially on the calling thread.
   ThreadPool* pool = nullptr;
-  // Optional shortest-path cache (Fig 15 optimization). May be null.
+  // Optional shortest-path table (Fig 15 optimization), shared read-only
+  // by any number of solves. May be null. Must be built from the solved
+  // topology's nodes, links and metrics (solve throws otherwise).
   const PathCache* cache = nullptr;
   // Waterfill quantum: each round grants up to max_remaining/quantum_divisor
   // per demand; smaller quanta => closer to exact max-min, more rounds.
@@ -98,7 +103,10 @@ struct SolveStats {
   double path_search_time_s = 0.0;  // parallelizable portion
   double allocation_time_s = 0.0;   // serialized portion
   std::size_t rounds = 0;
+  // Batched SSSP searches and grant-step re-searches actually run.
   std::size_t path_searches = 0;
+  // Demands that took their PathCache table path instead of a search.
+  std::size_t table_paths = 0;
   // Demands frozen before satisfaction, by cause. frozen_demands is the
   // total (kept for existing consumers); the split tells starvation
   // (no_path: the network genuinely ran out of residual capacity) apart

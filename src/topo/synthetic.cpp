@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <set>
 #include <string>
 
@@ -255,26 +254,6 @@ std::vector<GrowthSnapshot> b2_growth_snapshots(std::size_t quarters,
     B2LikeParams p;
     p.scale = final_scale * (0.35 + 0.65 * frac);
     const char* label = q < std::size(kLabels) ? kLabels[q] : "later";
-    out.push_back({label, make_b2_like(p)});
-  }
-  return out;
-}
-
-std::vector<GrowthSnapshot> b2_growth_extrapolated(std::size_t points,
-                                                   double max_scale) {
-  std::vector<GrowthSnapshot> out;
-  if (points == 0) return out;
-  for (std::size_t i = 0; i < points; ++i) {
-    // Log-spaced scales 1.0 .. max_scale: growth curves compound, so the
-    // extrapolation steps multiplicatively like Fig 16's history does.
-    const double frac = points == 1 ? 1.0
-                                    : static_cast<double>(i) /
-                                          static_cast<double>(points - 1);
-    const double scale = std::pow(max_scale, frac);
-    B2LikeParams p;
-    p.scale = scale;
-    char label[32];
-    std::snprintf(label, sizeof(label), "B2x%.2g", scale);
     out.push_back({label, make_b2_like(p)});
   }
   return out;

@@ -57,7 +57,7 @@ struct B2LikeParams {
 Topology make_b2_like(const B2LikeParams& params = {});
 
 struct GrowthSnapshot {
-  std::string label;  // e.g. "Jan '20" or "B2x4"
+  std::string label;  // e.g. "Jan '20"
   Topology topo;
 };
 
@@ -65,13 +65,6 @@ struct GrowthSnapshot {
 // ~1/3 to full B2 scale (Fig 16).
 std::vector<GrowthSnapshot> b2_growth_snapshots(std::size_t quarters = 12,
                                                 double final_scale = 1.0);
-
-// Extrapolates the Fig 16 growth curve *past* today's B2: `points`
-// snapshots at scales log-spaced from 1.0 (today, ~960 nodes) to
-// `max_scale` (e.g. 4.0 = "B2x4" ~3.8k nodes, 10.0 ~9.6k nodes) -- the
-// 1k-10k node range the hierarchical solve targets. Labels are "B2x<s>".
-std::vector<GrowthSnapshot> b2_growth_extrapolated(std::size_t points = 4,
-                                                   double max_scale = 10.0);
 
 // Small fixed topologies for tests/examples.
 Topology make_line(std::size_t n, double capacity_gbps = 100.0);

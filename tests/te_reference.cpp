@@ -6,7 +6,7 @@
 #include <map>
 
 #include "te/dijkstra.hpp"
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 
 namespace dsdn::te {
 
@@ -109,9 +109,7 @@ Solution ReferenceSolver::solve(
         // we don't select paths we cannot use.
         c.min_residual =
             detail::sliver_threshold(options_, quantum, ad.remaining_gbps);
-        std::optional<Path> p = options_.cache
-                                    ? options_.cache->get(topo, d.src, d.dst, c)
-                                    : shortest_path(topo, d.src, d.dst, c);
+        std::optional<Path> p = shortest_path(topo, d.src, d.dst, c);
         ad.round_path = p ? std::move(*p) : Path{};
         ad.search_min_residual = c.min_residual;
       });
@@ -144,9 +142,7 @@ Solution ReferenceSolver::solve(
           c.residual_gbps = &residual;
           c.min_residual = ad.search_min_residual;
           const auto& d = alloc.demand;
-          std::optional<Path> p =
-              options_.cache ? options_.cache->get(topo, d.src, d.dst, c)
-                             : shortest_path(topo, d.src, d.dst, c);
+          std::optional<Path> p = shortest_path(topo, d.src, d.dst, c);
           ++local_stats.path_searches;
           if (!p) {
             ++local_stats.frozen_no_path;

@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <stdexcept>
 
 #include "te/dijkstra.hpp"
 #include "te/ksp.hpp"
-#include "te/parallel_solver.hpp"
 #include "te/path_cache.hpp"
 #include "te/solver.hpp"
+#include "te/thread_pool.hpp"
 #include "te_reference.hpp"
 #include "topo/builder.hpp"
 #include "topo/synthetic.hpp"
@@ -18,18 +19,32 @@ namespace {
 
 using metrics::PriorityClass;
 
-topo::Topology diamond() {
-  // a -> {b, c} -> d, with the b branch cheaper.
+topo::Topology diamond(double b_metric = 1.0, double c_metric = 2.0) {
+  // a -> {b, c} -> d; by default the b branch is cheaper.
   topo::Topology t;
   const auto a = t.add_node("a");
   const auto b = t.add_node("b");
   const auto c = t.add_node("c");
   const auto d = t.add_node("d");
-  t.add_duplex(a, b, 10, 1.0);
-  t.add_duplex(b, d, 10, 1.0);
-  t.add_duplex(a, c, 10, 2.0);
-  t.add_duplex(c, d, 10, 2.0);
+  t.add_duplex(a, b, 10, b_metric);
+  t.add_duplex(b, d, 10, b_metric);
+  t.add_duplex(a, c, 10, c_metric);
+  t.add_duplex(c, d, 10, c_metric);
   return t;
+}
+
+void expect_same_solution(const Solution& a, const Solution& b) {
+  ASSERT_EQ(a.allocations.size(), b.allocations.size());
+  for (std::size_t i = 0; i < a.allocations.size(); ++i) {
+    const Allocation& x = a.allocations[i];
+    const Allocation& y = b.allocations[i];
+    ASSERT_EQ(x.allocated_gbps, y.allocated_gbps) << "alloc " << i;
+    ASSERT_EQ(x.paths.size(), y.paths.size()) << "alloc " << i;
+    for (std::size_t p = 0; p < x.paths.size(); ++p) {
+      ASSERT_EQ(x.paths[p].path, y.paths[p].path) << "alloc " << i;
+      ASSERT_EQ(x.paths[p].weight, y.paths[p].weight) << "alloc " << i;
+    }
+  }
 }
 
 TEST(Dijkstra, FindsCheapestPath) {
@@ -178,50 +193,127 @@ TEST(Ksp, ProducesDistinctPathsOnRealTopology) {
   }
 }
 
-TEST(PathCache, HitsWhenFeasibleMissesWhenNot) {
-  const auto t = diamond();
-  PathCache cache(t);
-  std::vector<double> residual(t.num_links(), 100.0);
-  SpConstraints c;
-  c.residual_gbps = &residual;
-  c.min_residual = 1.0;
-
-  const auto p1 = cache.get(t, 0, 3, c);
-  ASSERT_TRUE(p1.has_value());
-  EXPECT_EQ(cache.hits(), 1u);
-
-  residual[t.find_link(0, 1)] = 0.0;  // cached path now infeasible
-  const auto p2 = cache.get(t, 0, 3, c);
-  ASSERT_TRUE(p2.has_value());
-  EXPECT_EQ(cache.misses(), 1u);
-  EXPECT_EQ(p2->node_sequence(t).at(1), 2u);
-}
-
-TEST(PathCache, SurvivesLinkLossAndRestoration) {
-  // The cache needs no rebuild across full loss and restoration (§5.3).
-  auto t = diamond();
-  PathCache cache(t);
-  SpConstraints c;
-  const topo::LinkId fiber = t.find_link(0, 1);
-  t.set_duplex_up(fiber, false);
-  const auto down = cache.get(t, 0, 3, c);
-  ASSERT_TRUE(down.has_value());
-  EXPECT_EQ(down->node_sequence(t).at(1), 2u);
-  t.set_duplex_up(fiber, true);
-  cache.reset_counters();
-  const auto up = cache.get(t, 0, 3, c);
-  ASSERT_TRUE(up.has_value());
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(up->node_sequence(t).at(1), 1u);
-}
-
-// ---- Solver ----
-
 traffic::TrafficMatrix single_demand(double rate) {
   traffic::TrafficMatrix tm;
   tm.add({0, 3, PriorityClass::kHigh, rate});
   return tm;
 }
+
+// ---- PathCache (Fig 15 table) ----
+
+// A table path that clears the sliver threshold is taken without a
+// search; one that does not (here the b branch is saturated through
+// residual_override) falls back to a search, which finds the c branch.
+// Both solves equal the uncached solve.
+TEST(PathCache, HitsWhenFeasibleMissesWhenNot) {
+  const auto t = diamond();
+  const PathCache cache(t);
+  SolverOptions cached;
+  cached.cache = &cache;
+  const auto tm = single_demand(5.0);
+
+  SolveStats hit;
+  const auto a = Solver(cached).solve(t, tm, &hit);
+  expect_same_solution(a, Solver().solve(t, tm));
+  EXPECT_GT(hit.table_paths, 0u);
+  EXPECT_EQ(hit.path_searches, 0u);
+  ASSERT_EQ(a.allocations[0].paths.size(), 1u);
+  EXPECT_EQ(a.allocations[0].paths[0].path.node_sequence(t).at(1), 1u);
+
+  std::vector<double> residual(t.num_links(), 10.0);
+  residual[t.find_link(0, 1)] = 0.0;  // table path now below threshold
+  SolveStats miss;
+  const auto b = Solver(cached).solve(t, tm, &miss, &residual);
+  expect_same_solution(b, Solver().solve(t, tm, nullptr, &residual));
+  EXPECT_EQ(miss.table_paths, 0u);
+  EXPECT_GT(miss.path_searches, 0u);
+  ASSERT_EQ(b.allocations[0].paths.size(), 1u);
+  EXPECT_EQ(b.allocations[0].paths[0].path.node_sequence(t).at(1), 2u);
+}
+
+TEST(PathCache, SurvivesLinkLossAndRestoration) {
+  // The table needs no rebuild across full loss and restoration (§5.3).
+  auto t = diamond();
+  const PathCache cache(t);
+  SolverOptions cached;
+  cached.cache = &cache;
+  const auto tm = single_demand(5.0);
+  const topo::LinkId fiber = t.find_link(0, 1);
+
+  t.set_duplex_up(fiber, false);
+  SolveStats down_stats;
+  const auto down = Solver(cached).solve(t, tm, &down_stats);
+  expect_same_solution(down, Solver().solve(t, tm));
+  EXPECT_EQ(down_stats.table_paths, 0u);
+  EXPECT_GT(down_stats.path_searches, 0u);
+  ASSERT_EQ(down.allocations[0].paths.size(), 1u);
+  EXPECT_EQ(down.allocations[0].paths[0].path.node_sequence(t).at(1), 2u);
+
+  t.set_duplex_up(fiber, true);
+  SolveStats up_stats;
+  const auto up = Solver(cached).solve(t, tm, &up_stats);
+  expect_same_solution(up, Solver().solve(t, tm));
+  EXPECT_GT(up_stats.table_paths, 0u);
+  EXPECT_EQ(up_stats.path_searches, 0u);
+  ASSERT_EQ(up.allocations[0].paths.size(), 1u);
+  EXPECT_EQ(up.allocations[0].paths[0].path.node_sequence(t).at(1), 1u);
+}
+
+// Table paths are te::shortest_path over every link, up or down, for
+// every ordered pair -- also when the table is built with links down.
+TEST(PathCache, TablePathsAreStateObliviousShortestPaths) {
+  SpConstraints every_link;
+  every_link.require_up = false;
+  for (auto t : {topo::make_abilene(), topo::make_geant(),
+                 topo::make_b4_like()}) {
+    for (int cuts = 0; cuts <= 2; cuts += 2) {
+      for (int k = 0; k < cuts; ++k)
+        t.set_duplex_up(static_cast<topo::LinkId>(4 * k + 1), false);
+      const PathCache cache(t);
+      for (topo::NodeId s = 0; s < t.num_nodes(); ++s) {
+        ASSERT_EQ(cache.row(s).size(), t.num_nodes());
+        EXPECT_EQ(cache.row(s)[s], topo::kInvalidLink);
+        for (topo::NodeId d = 0; d < t.num_nodes(); ++d) {
+          if (s == d) continue;
+          const auto want = shortest_path(t, s, d, every_link);
+          ASSERT_TRUE(want.has_value());
+          ASSERT_EQ(cache.path(s, d), *want)
+              << t.num_nodes() << " nodes, " << cuts << " cuts, " << s
+              << " -> " << d;
+        }
+      }
+    }
+  }
+}
+
+// Regression: a table built before a metric change used to be used
+// silently -- built on diamond(1, 2) and used on diamond(5, 1), it routed
+// a->b->d where the uncached solve routes a->c->d. The solve now refuses
+// it; a table built on the new metrics matches the uncached solve.
+// Capacity and up/down changes keep the table valid.
+TEST(PathCache, SolveRejectsTableBuiltForOtherMetrics) {
+  const auto before = diamond(/*b_metric=*/1.0, /*c_metric=*/2.0);
+  const auto after = diamond(/*b_metric=*/5.0, /*c_metric=*/1.0);
+  const auto tm = single_demand(5.0);
+  const PathCache stale(before);
+  SolverOptions with_stale;
+  with_stale.cache = &stale;
+  EXPECT_THROW(Solver(with_stale).solve(after, tm), std::invalid_argument);
+
+  const PathCache fresh(after);
+  SolverOptions with_fresh;
+  with_fresh.cache = &fresh;
+  const auto sol = Solver(with_fresh).solve(after, tm);
+  expect_same_solution(sol, Solver().solve(after, tm));
+  ASSERT_EQ(sol.allocations[0].paths.size(), 1u);
+  EXPECT_EQ(sol.allocations[0].paths[0].path.node_sequence(after).at(1), 2u);
+
+  auto degraded = before;
+  degraded.set_duplex_up(degraded.find_link(0, 1), false);
+  EXPECT_NO_THROW(Solver(with_stale).solve(degraded, tm));
+}
+
+// ---- Solver ----
 
 TEST(Solver, SatisfiableDemandFullyAllocated) {
   const auto t = diamond();
@@ -332,17 +424,19 @@ TEST(Solver, ParallelMatchesSerial) {
 }
 
 TEST(Solver, CachedSolveRemainsFeasibleAndComplete) {
+  // Table paths are taken only where a search would return them, so the
+  // cached solve is the uncached one bit for bit.
   const auto t = topo::make_geant();
   const auto tm = traffic::generate_gravity(t);
-  PathCache cache(t);
+  const PathCache cache(t);
   SolverOptions with_cache;
   with_cache.cache = &cache;
-  const auto cached = Solver(with_cache).solve(t, tm);
+  SolveStats stats;
+  const auto cached = Solver(with_cache).solve(t, tm, &stats);
   const auto plain = Solver().solve(t, tm);
-  EXPECT_NEAR(cached.total_allocated_gbps(), plain.total_allocated_gbps(),
-              plain.total_allocated_gbps() * 0.02);
+  expect_same_solution(cached, plain);
   for (double r : cached.residual_capacity(t)) EXPECT_GE(r, -1e-6);
-  EXPECT_GT(cache.hits(), 0u);
+  EXPECT_GT(stats.table_paths, 0u);
 }
 
 TEST(Solver, WeightsSumToOnePerDemand) {
@@ -544,7 +638,7 @@ TEST(Solver, PooledAndUnpooledStatsAgree) {
 #include <atomic>
 #include <thread>
 
-#include "te/parallel_solver.hpp"
+#include "te/thread_pool.hpp"
 
 namespace dsdn::te {
 namespace {
