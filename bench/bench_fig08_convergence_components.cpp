@@ -92,6 +92,8 @@ int main() {
   // Single-link failures invalidate only the paths crossing the fiber;
   // the incremental solver re-waterfills just those demands. Both times
   // are wall-clock on this host for the identical post-failure view.
+  // Every warm solution is diff-checked against the scratch one; a
+  // violation fails the bench.
   sim::IncrementalTcompConfig icfg;
   icfg.n_events = bench::full_scale() ? 40 : 15;
   const auto inc = sim::measure_incremental_tcomp(w.topo, w.tm, icfg);
@@ -100,10 +102,11 @@ int main() {
   std::printf("warm  %s\n", bench::dist_row(inc.incremental_s).c_str());
   std::printf(
       "  => warm-start speedup: %.1fx median, %.1fx mean; reuse %.0f%% of "
-      "allocations (%zu fallbacks)\n",
+      "allocations (%zu fallbacks, %zu checker violations)\n",
       inc.full_s.median() / inc.incremental_s.median(),
       inc.full_s.mean() / inc.incremental_s.mean(),
-      inc.reuse_fraction.mean() * 100.0, inc.fallbacks);
+      inc.reuse_fraction.mean() * 100.0, inc.fallbacks,
+      inc.checker_violations);
 
   run.out().series("csdn.tprop_s", csdn.tprop);
   run.out().series("dsdn.tprop_s", dsdn.tprop);
@@ -125,5 +128,10 @@ int main() {
   run.out().metric("fallbacks", static_cast<double>(inc.fallbacks));
   run.out().metric("checker_violations",
                    static_cast<double>(inc.checker_violations));
+  if (inc.checker_violations > 0) {
+    std::printf("  [FAIL] warm-start solutions broke the differential "
+                "check\n");
+    return 1;
+  }
   return 0;
 }

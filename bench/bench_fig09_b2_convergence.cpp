@@ -80,6 +80,8 @@ int main() {
   // The acceptance scenario for the incremental solver: on B2 scale a
   // single fiber cut touches a small fraction of the demand set, so the
   // warm recompute should be several times faster than from scratch.
+  // Every warm solution is diff-checked against the scratch one; a
+  // violation fails the bench.
   sim::IncrementalTcompConfig icfg;
   icfg.n_events = bench::full_scale() ? 12 : 6;
   const auto inc = sim::measure_incremental_tcomp(w.topo, w.tm, icfg);
@@ -147,5 +149,10 @@ int main() {
   run.out().metric("fallbacks", static_cast<double>(inc.fallbacks));
   run.out().metric("checker_violations",
                    static_cast<double>(inc.checker_violations));
+  if (inc.checker_violations > 0) {
+    std::printf("  [FAIL] warm-start solutions broke the differential "
+                "check\n");
+    return 1;
+  }
   return 0;
 }

@@ -9,11 +9,8 @@
 // Exit status is the gate: non-zero when any bound is missed, so the CI
 // artifact leg doubles as a regression tripwire.
 
-#include <thread>
-
 #include "bench_common.hpp"
 #include "hier/scenario.hpp"
-#include "te/thread_pool.hpp"
 
 using namespace dsdn;
 
@@ -22,10 +19,6 @@ int main() {
   bench::BenchRun run("hier_scale");
 
   const bool full = bench::full_scale();
-  std::size_t threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 4;
-  te::ThreadPool pool(threads);
-  run.out().param("threads", static_cast<std::uint64_t>(threads));
 
   // ---- Deterministic plane-failure blast radius -----------------------
   const std::size_t kPlanes = 4;
@@ -42,7 +35,6 @@ int main() {
   hier::PlaneRuntimeConfig config;
   config.planes = kPlanes;
   config.score_packets = 256;
-  config.pool = &pool;
   hier::PlaneRuntime runtime(base, tm, config);
   runtime.bootstrap();
 

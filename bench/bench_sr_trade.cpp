@@ -146,8 +146,7 @@ RowResult measure(const std::string& key, const topo::Topology& topo,
   // (the consensus-free contract -- any router would compute the same).
   const te::Solution strict_sol =
       te::Solver(te::SolverOptions{}).solve(topo, tm);
-  const te::Solution sr_sol =
-      te::SrSolver(te::SolverOptions{}, te::SrOptions{}).solve(topo, tm);
+  const te::Solution sr_sol = te::SrSolver(te::SolverOptions{}).solve(topo, tm);
   r.strict_gbps = strict_sol.total_allocated_gbps();
   r.sr_gbps = sr_sol.total_allocated_gbps();
   r.gap = r.strict_gbps > 0 ? 1.0 - r.sr_gbps / r.strict_gbps : 0.0;

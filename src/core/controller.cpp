@@ -44,9 +44,6 @@ void Controller::set_incremental_te(bool enabled) {
   if (incremental_) return;  // keep the existing warm state
   te::IncrementalOptions io;
   io.solver = config_.solver_options;
-  io.full_solve_threshold = config_.incremental_full_solve_threshold;
-  io.diff_check = config_.te_diff_check;
-  io.diff_check_fatal = config_.te_diff_check;
   incremental_ = std::make_unique<te::IncrementalSolver>(io);
 }
 

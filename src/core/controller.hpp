@@ -43,12 +43,6 @@ struct ControllerConfig {
   // *histories* match (which the emulation's quiescence barrier
   // provides), not per isolated view. Ignored after set_solve_api().
   bool incremental_te = false;
-  // Fraction of affected demands above which the incremental solver
-  // falls back to a from-scratch solve.
-  double incremental_full_solve_threshold = 0.35;
-  // Differential checker (debug/CI): verify every incremental solve
-  // against a fresh full solve; violations throw std::logic_error.
-  bool te_diff_check = false;
   // Algorithm coexistence (§3.2, upgrades). `algorithm` is what this
   // controller runs; with advertise_algorithm it is announced in the NSU
   // algorithm TLV so peers can predict this router's placement.

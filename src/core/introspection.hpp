@@ -41,7 +41,7 @@ struct ControllerStatus {
   std::size_t flood_decode_errors = 0;
   // TE solver health, from the last recompute: demands frozen
   // unsatisfied, split by cause -- no feasible path left (capacity
-  // starvation) vs the max_rounds cap firing (under-convergence;
+  // starvation) vs the kMaxRounds cap firing (under-convergence;
   // persistent non-zero = the cap is starving traffic) -- and the
   // warm-start accounting when incremental recompute is enabled.
   std::size_t te_frozen_demands = 0;  // total of the two causes below

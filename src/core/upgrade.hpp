@@ -73,9 +73,8 @@ class MixedAlgorithmSolver final : public SolveApi {
  public:
   using AlgorithmOf = std::function<PathingAlgorithm(topo::NodeId)>;
 
-  MixedAlgorithmSolver(te::SolverOptions options, AlgorithmOf algorithm_of,
-                       te::SrOptions sr_options = {})
-      : solver_(options), sr_solver_(options, sr_options),
+  MixedAlgorithmSolver(te::SolverOptions options, AlgorithmOf algorithm_of)
+      : solver_(options), sr_solver_(options),
         algorithm_of_(std::move(algorithm_of)) {}
 
   te::Solution solve(const topo::Topology& view,

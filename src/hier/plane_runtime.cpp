@@ -102,15 +102,12 @@ PlaneRuntime::PlaneRuntime(const topo::Topology& base,
       planes_.back()->enable_fib_snapshots(config_.fib_cores);
     }
   }
+  pool_ = std::make_unique<te::ThreadPool>(config_.planes);
 }
 
 void PlaneRuntime::bootstrap() {
-  auto boot = [&](std::size_t p) { planes_[p]->bootstrap(); };
-  if (config_.pool) {
-    config_.pool->parallel_for(planes_.size(), boot);
-  } else {
-    for (std::size_t p = 0; p < planes_.size(); ++p) boot(p);
-  }
+  pool_->parallel_for(planes_.size(),
+                      [&](std::size_t p) { planes_[p]->bootstrap(); });
 }
 
 std::size_t PlaneRuntime::num_alive() const {
@@ -144,15 +141,10 @@ void PlaneRuntime::repair_conduit(topo::LinkId fiber) {
 }
 
 void PlaneRuntime::reprogram(const std::vector<std::size_t>& touched) {
-  auto push = [&](std::size_t i) {
-    std::size_t p = touched[i];
+  pool_->parallel_for(touched.size(), [&](std::size_t i) {
+    const std::size_t p = touched[i];
     planes_[p]->update_demands(traffic::TrafficMatrix(demands_[p]));
-  };
-  if (config_.pool) {
-    config_.pool->parallel_for(touched.size(), push);
-  } else {
-    for (std::size_t i = 0; i < touched.size(); ++i) push(i);
-  }
+  });
 }
 
 void PlaneRuntime::score_survivors(RebalanceReport& report) const {

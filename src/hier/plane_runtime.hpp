@@ -7,8 +7,9 @@
 // participates in every plane, but each plane has its own fibers. Each
 // plane is a full dSDN instance (flooding, StateDbs, TE, FIBs), so a
 // fiber cut or a controller fault in plane k is invisible to the other
-// K-1 planes. Planes run concurrently on the shared te::ThreadPool, with
-// cross-plane demand placement and rebalancing when a plane dies.
+// K-1 planes. Planes run concurrently on the runtime's own te::ThreadPool
+// (one thread per plane), with cross-plane demand placement and
+// rebalancing when a plane dies.
 //
 // Placement is rendezvous (HRW) hashing over the *live* plane set: each
 // flow key scores every plane and picks the argmax. With all planes
@@ -22,7 +23,7 @@
 //   2. re-place: each drained flow re-runs HRW over the survivors;
 //   3. reprogram: every plane that gained flows gets update_demands()
 //      (re-advertise changed origins, flood, recompute) -- run in
-//      parallel across planes on the shared pool;
+//      parallel across planes on the plane pool;
 //   4. score: packet-level transient-loss check via sim::score_packets
 //      on every surviving plane's RCU FIB snapshots.
 
@@ -32,10 +33,6 @@
 
 #include "sim/emulation.hpp"
 #include "sim/packet_score.hpp"
-
-namespace dsdn::te {
-class ThreadPool;
-}
 
 namespace dsdn::hier {
 
@@ -62,9 +59,6 @@ struct PlaneRuntimeConfig {
   std::size_t fib_cores = 1;
   // Packets scored per surviving plane after a rebalance (0 disables).
   std::size_t score_packets = 512;
-  // Parallelizes bootstrap and per-plane reprogramming. May be null
-  // (serial).
-  te::ThreadPool* pool = nullptr;
 };
 
 struct RebalanceReport {
@@ -83,7 +77,7 @@ class PlaneRuntime {
   PlaneRuntime(const topo::Topology& base, const traffic::TrafficMatrix& tm,
                PlaneRuntimeConfig config = {});
 
-  // Boots every plane, in parallel when a pool is configured.
+  // Boots every plane, in parallel on the plane pool.
   void bootstrap();
 
   std::size_t num_planes() const { return planes_.size(); }
@@ -149,6 +143,9 @@ class PlaneRuntime {
   std::vector<std::unique_ptr<sim::DsdnEmulation>> planes_;
   std::vector<std::vector<traffic::Demand>> demands_;
   std::vector<char> alive_;
+  // One thread per plane for bootstrap and reprogramming; each plane's
+  // emulation recomputes its fleet on a pool of its own.
+  std::unique_ptr<te::ThreadPool> pool_;
 };
 
 }  // namespace dsdn::hier

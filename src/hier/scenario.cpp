@@ -5,7 +5,6 @@
 #include <deque>
 
 #include "sim/convergence.hpp"
-#include "te/thread_pool.hpp"
 #include "util/rng.hpp"
 
 namespace dsdn::hier {
@@ -166,16 +165,11 @@ PlaneScenarioResult run_plane_scenario(const topo::Topology& base,
                                        const PlaneScenarioOptions& options,
                                        std::uint64_t seed) {
   PlaneScenarioResult result;
-  std::size_t n_threads =
-      options.n_threads == 0 ? options.planes : options.n_threads;
-  te::ThreadPool pool(n_threads);
-
   PlaneRuntimeConfig config;
   config.planes = options.planes;
   config.emulation = options.emulation;
   config.fib_cores = options.fib_cores;
   config.score_packets = options.score_packets;
-  config.pool = &pool;
   PlaneRuntime runtime(base, tm, config);
   runtime.bootstrap();
 

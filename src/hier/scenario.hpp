@@ -58,8 +58,6 @@ struct PlaneScenarioOptions {
   std::size_t score_packets = 256;
   // Score packets on every live plane after every event too (slower).
   bool packet_scoring = false;
-  // Threads for concurrent plane bootstrap/reprogram (0 = planes).
-  std::size_t n_threads = 0;
 };
 
 struct PlaneScenarioResult {

@@ -147,8 +147,6 @@ IncrementalTcompResult measure_incremental_tcomp(
   IncrementalTcompResult out;
   te::IncrementalOptions io;
   io.solver = config.solver_options;
-  io.full_solve_threshold = config.full_solve_threshold;
-  io.diff_check = config.diff_check;
   te::IncrementalSolver warm(io);
   te::Solver scratch(config.solver_options);
 
@@ -167,15 +165,20 @@ IncrementalTcompResult measure_incremental_tcomp(
 
     te::IncrementalStats istats;
     auto t0 = Clock::now();
-    warm.solve(view, tm, delta, &istats);
+    const te::Solution warm_solution = warm.solve(view, tm, delta, &istats);
     out.incremental_s.add(elapsed(t0));
     out.reuse_fraction.add(istats.reuse_fraction);
     if (istats.fallback) ++out.fallbacks;
-    out.checker_violations += istats.checker_violations;
 
     t0 = Clock::now();
-    scratch.solve(view, tm);
+    const te::Solution scratch_solution = scratch.solve(view, tm);
     out.full_s.add(elapsed(t0));
+
+    out.checker_violations +=
+        te::DiffChecker::check_against(view, tm, warm_solution,
+                                       scratch_solution,
+                                       te::DiffChecker::Options{})
+            .violations.size();
 
     // Repair and re-warm (not measured) so the next event starts from a
     // converged no-failure solution again.

@@ -110,12 +110,10 @@ std::vector<topo::LinkId> pick_failure_fibers(const topo::Topology& topo,
 // via te::IncrementalSolver. The repair-side recompute restores the warm
 // state between events, so every failure is measured against a converged
 // baseline -- exactly the single-link-flap recompute a dSDN router runs.
+// Outside the timed region, each warm solution is checked against that
+// event's scratch solution with te::DiffChecker::check_against.
 struct IncrementalTcompConfig {
   te::SolverOptions solver_options;
-  double full_solve_threshold = 0.35;
-  // Run the differential checker on every warm recompute (adds a full
-  // solve per event; the check result is reported, not thrown).
-  bool diff_check = false;
   std::size_t n_events = 50;
   std::uint64_t seed = 23;
 };
@@ -125,6 +123,7 @@ struct IncrementalTcompResult {
   metrics::EmpiricalDistribution incremental_s;  // warm-start per event
   metrics::EmpiricalDistribution reuse_fraction; // per warm recompute
   std::size_t fallbacks = 0;
+  // DiffChecker violations of the warm solutions, summed over events.
   std::size_t checker_violations = 0;
 };
 

@@ -40,7 +40,6 @@ std::unique_ptr<core::Controller> DsdnEmulation::make_controller(
   cc.program_bypasses = config_.use_bypasses;
   cc.bypass_strategy = config_.bypass_strategy;
   cc.incremental_te = config_.incremental_te;
-  cc.te_diff_check = config_.te_diff_check;
   if (!config_.algorithms.empty()) {
     if (config_.algorithms.size() != topo_.num_nodes())
       throw std::invalid_argument("EmulationConfig::algorithms size mismatch");

@@ -58,10 +58,6 @@ struct EmulationConfig {
   // disagree with its peers' evolved solutions (bounded drift is still
   // drift) and disagreeing headends can jointly overcommit a link.
   bool incremental_te = false;
-  // Run the differential checker on every incremental recompute
-  // (throws on an invariant violation). Debug/CI: one extra full solve
-  // per recompute per controller.
-  bool te_diff_check = false;
   // Online-TE recompute policy for closed-loop demand epochs
   // (measurement_epoch): controllers defer TE while their policy says
   // the drift isn't worth a re-solve. kEvery (the default) attaches no

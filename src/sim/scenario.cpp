@@ -364,7 +364,6 @@ ScenarioResult Scenario::run_masked(const std::vector<char>& keep) const {
   EmulationConfig cfg;
   cfg.solver_options = options_.solver;
   cfg.incremental_te = options_.incremental_te;
-  cfg.te_diff_check = false;  // the invariant suite runs its own diffs
   cfg.algorithms = options_.algorithms;
   DsdnEmulation emu(topo_, tm_, cfg);
   if (options_.lossy_flooding) {

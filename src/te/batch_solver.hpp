@@ -1,10 +1,12 @@
 #pragma once
 
-// The path-search seam of te::Solver's batched waterfill: the flat CSR
-// graph and SSSP scratch one batched shortest-path run works on, and the
-// BatchSolverBackend interface that runs it. The CPU backend is the
-// bit-exact reference; an accelerator backend (GATE, PAPERS.md) plugs in
-// through SolverOptions::batch_backend.
+// The path-search kernel of te::Solver's batched waterfill: the flat CSR
+// graph and SSSP scratch one batched shortest-path run works on, and
+// te::sssp, the run itself. te::PathCache builds its table with the same
+// kernel. A faster kernel (e.g. lane-parallel, GATE in PAPERS.md) must be
+// bit-exact against this one and be chosen by the code from its input,
+// never by a caller, so every router runs the same search on the same
+// view.
 
 #include <algorithm>
 #include <array>
@@ -104,8 +106,7 @@ class RadixHeap {
 };
 
 // Immutable CSR view of the topology: te::Solver's per-solve view holds
-// only up links, te::PathCache's holds every link. SoA so an accelerator
-// backend can upload it wholesale.
+// only up links, te::PathCache's holds every link.
 struct BatchGraph {
   std::uint32_t num_nodes = 0;
   std::vector<std::uint32_t> row_offsets;  // num_nodes + 1
@@ -140,28 +141,16 @@ struct SsspWorkspace {
   }
 };
 
-// Accelerator seam for the batch solver's path-search kernel. The CPU
-// implementation below is the reference; a GPU backend slots in by
-// overriding sssp() (upload residual deltas, run the frontier kernel,
-// read back predecessor arrays) without touching the waterfill.
-class BatchSolverBackend {
- public:
-  virtual ~BatchSolverBackend() = default;
-  virtual const char* name() const = 0;
-
-  // One batched multi-destination shortest-path run: from `src`, over
-  // links with residual[link] >= min_residual, finalizing at least every
-  // reachable node in targets[0..num_targets) (early-stopping once all
-  // are finalized). Results land in ws (dist/pred_link valid where
-  // ws.reached()). Must be deterministic and safe to call concurrently
-  // on distinct workspaces.
-  virtual void sssp(const BatchGraph& g, const std::vector<double>& residual,
-                    double min_residual, std::uint32_t src,
-                    const std::uint32_t* targets, std::size_t num_targets,
-                    SsspWorkspace& ws) const = 0;
-};
-
-// Process-wide CPU backend (stateless).
-const BatchSolverBackend& cpu_batch_backend();
+// One batched multi-destination shortest-path run: from `src`, over
+// links with residual[link] >= min_residual, finalizing at least every
+// reachable node in targets[0..num_targets) (early-stopping once all are
+// finalized). Results land in ws (dist/pred_link valid where
+// ws.reached()). Pops (dist, node) in te::shortest_path's order, so the
+// extracted paths are its paths. Deterministic and safe to call
+// concurrently on distinct workspaces.
+void sssp(const BatchGraph& g, const std::vector<double>& residual,
+          double min_residual, std::uint32_t src,
+          const std::uint32_t* targets, std::size_t num_targets,
+          SsspWorkspace& ws);
 
 }  // namespace dsdn::te

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -183,25 +182,6 @@ Solution IncrementalSolver::full_solve(const topo::Topology& topo,
   ++full_solves_;
   adopt(topo, tm, solution);
   return solution;
-}
-
-void IncrementalSolver::run_checker(const topo::Topology& topo,
-                                    const traffic::TrafficMatrix& tm,
-                                    const Solution& solution,
-                                    IncrementalStats& stats) {
-  DiffChecker::Options copts;
-  copts.throughput_tolerance = options_.throughput_tolerance;
-  const DiffChecker::Report report =
-      DiffChecker::check(topo, tm, solution, options_.solver, copts);
-  stats.checker_violations = report.violations.size();
-  checker_violations_ += report.violations.size();
-  if (!report.ok()) {
-    static obs::Counter& m_violations =
-        obs::Registry::global().counter("te.incremental.checker_violations");
-    m_violations.add(report.violations.size());
-    if (options_.diff_check_fatal)
-      throw std::logic_error("te::DiffChecker: " + report.violations.front());
-  }
 }
 
 Solution IncrementalSolver::solve(const topo::Topology& topo,
@@ -406,7 +386,6 @@ Solution IncrementalSolver::solve(const topo::Topology& topo,
   local.incremental = true;
   ++incremental_solves_;
   m_solves.inc();
-  if (options_.diff_check) run_checker(topo, tm, merged, local);
   adopt(topo, tm, merged);
   return finish(std::move(merged));
 }

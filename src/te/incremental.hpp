@@ -26,10 +26,12 @@
 //
 // The result is *not* bit-identical to a from-scratch solve: kept
 // allocations retain their rates, so exact max-min fairness across the
-// kept/released boundary is approximated. The DiffChecker makes this
-// drift a checked contract instead of a leap of faith: in debug/CI
-// mode every incremental solve is re-run through the full solver and
-// the invariants below are asserted.
+// kept/released boundary is approximated. The DiffChecker below makes
+// this drift a checked contract instead of a leap of faith. The solver
+// does not run it on itself: a caller that wants the parity check runs
+// it on the result (sim::check_invariants after every scenario event,
+// sim::measure_incremental_tcomp on every timed warm solve, and the
+// warm-start tests on every solve).
 //
 // Determinism: IncrementalSolver is deterministic given the same
 // sequence of (topology, demands, delta) inputs -- routers that
@@ -54,23 +56,11 @@ namespace dsdn::te {
 
 struct IncrementalOptions {
   // Options for the underlying solver (also used by full-solve
-  // fallbacks and the DiffChecker's reference solve).
+  // fallbacks).
   SolverOptions solver;
   // Fall back to a full solve when more than this fraction of demands
   // is affected by the delta.
   double full_solve_threshold = 0.35;
-  // Differential correctness checking: after every incremental solve,
-  // re-run the full solver on the same inputs and verify conservation,
-  // feasibility, and throughput parity. Debug/CI only -- it costs a
-  // full solve per recompute.
-  bool diff_check = false;
-  // Throw std::logic_error on the first checker violation instead of
-  // only counting it.
-  bool diff_check_fatal = false;
-  // Allowed relative drift of total allocated throughput vs the full
-  // solve (the waterfill is itself approximate; warm-start adds
-  // boundary drift bounded by the fallback threshold).
-  double throughput_tolerance = 0.05;
 };
 
 struct IncrementalStats {
@@ -85,7 +75,6 @@ struct IncrementalStats {
   std::size_t affected_demands = 0;
   std::size_t reused_allocations = 0;
   double reuse_fraction = 0.0;  // reused / total (0 on the full path)
-  std::size_t checker_violations = 0;
 };
 
 // Differential correctness checker: validates an (incremental) Solution
@@ -93,6 +82,9 @@ struct IncrementalStats {
 class DiffChecker {
  public:
   struct Options {
+    // Allowed relative drift of total allocated throughput vs the
+    // reference (the waterfill is itself approximate; warm-start adds
+    // boundary drift bounded by the fallback threshold).
     double throughput_tolerance = 0.05;
     double capacity_slack_gbps = 1e-6;
   };
@@ -158,7 +150,6 @@ class IncrementalSolver {
   std::size_t incremental_solves() const { return incremental_solves_; }
   std::size_t full_solves() const { return full_solves_; }
   std::size_t fallbacks() const { return fallbacks_; }
-  std::size_t checker_violations() const { return checker_violations_; }
 
  private:
   Solution full_solve(const topo::Topology& topo,
@@ -166,9 +157,6 @@ class IncrementalSolver {
                       IncrementalStats& stats);
   void adopt(const topo::Topology& topo, const traffic::TrafficMatrix& tm,
              const Solution& solution);
-  void run_checker(const topo::Topology& topo,
-                   const traffic::TrafficMatrix& tm,
-                   const Solution& solution, IncrementalStats& stats);
 
   IncrementalOptions options_;
   Solver solver_;
@@ -187,7 +175,6 @@ class IncrementalSolver {
   std::size_t incremental_solves_ = 0;
   std::size_t full_solves_ = 0;
   std::size_t fallbacks_ = 0;
-  std::size_t checker_violations_ = 0;
 };
 
 }  // namespace dsdn::te

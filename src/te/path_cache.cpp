@@ -38,9 +38,8 @@ PathCache::PathCache(const topo::Topology& topo)
   link_src_ = g.link_src;
   pred_.assign(n_ * n_, topo::kInvalidLink);
   SsspWorkspace ws;
-  const BatchSolverBackend& cpu = cpu_batch_backend();
   for (std::uint32_t s = 0; s < n_; ++s) {
-    cpu.sssp(g, residual, 0.0, s, targets.data(), targets.size(), ws);
+    sssp(g, residual, 0.0, s, targets.data(), targets.size(), ws);
     topo::LinkId* const out = pred_.data() + static_cast<std::size_t>(s) * n_;
     for (std::uint32_t d = 0; d < n_; ++d) {
       if (ws.reached(d)) out[d] = ws.pred_link[d];

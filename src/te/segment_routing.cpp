@@ -72,7 +72,7 @@ std::vector<topo::NodeId> rank_middlepoints(const SrUnderlay& underlay,
 
 std::vector<SegmentRoute> segment_route_candidates(
     const SrUnderlay& underlay, topo::NodeId src, topo::NodeId dst,
-    const std::vector<topo::NodeId>& middlepoints, const SrOptions& opts) {
+    const std::vector<topo::NodeId>& middlepoints) {
   std::vector<SegmentRoute> routes;
   if (src == dst) return routes;
 
@@ -83,30 +83,28 @@ std::vector<SegmentRoute> segment_route_candidates(
     routes.push_back({{dst}, leg(src, dst)});
   }
   const auto usable = [&](topo::NodeId m) { return m != src && m != dst; };
-  if (opts.max_segments >= 2) {
-    const std::size_t pool =
-        std::min(opts.num_middlepoints, middlepoints.size());
-    for (std::size_t i = 0; i < pool; ++i) {
-      const topo::NodeId m = middlepoints[i];
-      if (!usable(m)) continue;
-      const double c = leg(src, m) + leg(m, dst);
-      if (c >= SrUnderlay::kInf) continue;
-      routes.push_back({{m, dst}, c});
-    }
+  // One- and two-middlepoint routes fill the stack up to its cap.
+  static_assert(SrOptions::max_segments == 3);
+  const std::size_t singles =
+      std::min(SrOptions::num_middlepoints, middlepoints.size());
+  for (std::size_t i = 0; i < singles; ++i) {
+    const topo::NodeId m = middlepoints[i];
+    if (!usable(m)) continue;
+    const double c = leg(src, m) + leg(m, dst);
+    if (c >= SrUnderlay::kInf) continue;
+    routes.push_back({{m, dst}, c});
   }
-  if (opts.max_segments >= 3) {
-    const std::size_t pool =
-        std::min(opts.pair_middlepoints, middlepoints.size());
-    for (std::size_t i = 0; i < pool; ++i) {
-      for (std::size_t j = 0; j < pool; ++j) {
-        if (i == j) continue;
-        const topo::NodeId m1 = middlepoints[i];
-        const topo::NodeId m2 = middlepoints[j];
-        if (!usable(m1) || !usable(m2)) continue;
-        const double c = leg(src, m1) + leg(m1, m2) + leg(m2, dst);
-        if (c >= SrUnderlay::kInf) continue;
-        routes.push_back({{m1, m2, dst}, c});
-      }
+  const std::size_t pairs =
+      std::min(SrOptions::pair_middlepoints, middlepoints.size());
+  for (std::size_t i = 0; i < pairs; ++i) {
+    for (std::size_t j = 0; j < pairs; ++j) {
+      if (i == j) continue;
+      const topo::NodeId m1 = middlepoints[i];
+      const topo::NodeId m2 = middlepoints[j];
+      if (!usable(m1) || !usable(m2)) continue;
+      const double c = leg(src, m1) + leg(m1, m2) + leg(m2, dst);
+      if (c >= SrUnderlay::kInf) continue;
+      routes.push_back({{m1, m2, dst}, c});
     }
   }
   std::sort(routes.begin(), routes.end(),
@@ -116,7 +114,8 @@ std::vector<SegmentRoute> segment_route_candidates(
                 return a.segments.size() < b.segments.size();
               return a.segments < b.segments;
             });
-  if (routes.size() > opts.max_candidates) routes.resize(opts.max_candidates);
+  if (routes.size() > SrOptions::max_candidates)
+    routes.resize(SrOptions::max_candidates);
   return routes;
 }
 
@@ -177,9 +176,8 @@ std::uint64_t node_pair_key(topo::NodeId a, topo::NodeId b) {
 // solve; expand_segment_route uses a throwaway one.
 class SegmentExpander {
  public:
-  SegmentExpander(const topo::Topology& topo, const SrUnderlay& underlay,
-                  const SrOptions& opts)
-      : topo_(topo), underlay_(underlay), opts_(opts) {}
+  SegmentExpander(const topo::Topology& topo, const SrUnderlay& underlay)
+      : topo_(topo), underlay_(underlay) {}
 
   std::vector<WeightedPath> expand(topo::NodeId src,
                                    const std::vector<topo::NodeId>& segments);
@@ -192,14 +190,13 @@ class SegmentExpander {
     const auto [it, inserted] = legs_.try_emplace(node_pair_key(at, target));
     if (inserted) {
       it->second = enumerate_segment_paths(topo_, underlay_, at, target,
-                                           opts_.max_paths_per_segment);
+                                           SrOptions::max_paths_per_segment);
     }
     return it->second;
   }
 
   const topo::Topology& topo_;
   const SrUnderlay& underlay_;
-  const SrOptions& opts_;
   std::unordered_map<std::uint64_t, std::vector<SegPath>> legs_;
 };
 
@@ -214,7 +211,7 @@ std::vector<WeightedPath> SegmentExpander::expand(
     std::vector<SegPath> next;
     for (const SegPath& c : combos) {
       for (const SegPath& sp : seg_paths) {
-        if (next.size() >= opts_.max_expansions_per_route) break;
+        if (next.size() >= SrOptions::max_expansions_per_route) break;
         SegPath joined;
         joined.links = c.links;
         joined.links.insert(joined.links.end(), sp.links.begin(),
@@ -222,7 +219,7 @@ std::vector<WeightedPath> SegmentExpander::expand(
         joined.frac = c.frac * sp.frac;
         next.push_back(std::move(joined));
       }
-      if (next.size() >= opts_.max_expansions_per_route) break;
+      if (next.size() >= SrOptions::max_expansions_per_route) break;
     }
     combos = std::move(next);
     at = target;
@@ -260,8 +257,8 @@ std::vector<WeightedPath> SegmentExpander::expand(
 
 std::vector<WeightedPath> expand_segment_route(
     const topo::Topology& topo, const SrUnderlay& underlay, topo::NodeId src,
-    const std::vector<topo::NodeId>& segments, const SrOptions& opts) {
-  return SegmentExpander(topo, underlay, opts).expand(src, segments);
+    const std::vector<topo::NodeId>& segments) {
+  return SegmentExpander(topo, underlay).expand(src, segments);
 }
 
 Solution SrSolver::solve(const topo::Topology& topo,
@@ -294,7 +291,8 @@ Solution SrSolver::solve(const topo::Topology& topo,
 
   const SrUnderlay underlay = SrUnderlay::build(topo);
   const std::vector<topo::NodeId> middlepoints = rank_middlepoints(
-      underlay, std::max(sr_.num_middlepoints, sr_.pair_middlepoints));
+      underlay,
+      std::max(SrOptions::num_middlepoints, SrOptions::pair_middlepoints));
 
   // Per-candidate placement state: the ECMP expansions and the per-link
   // charge fraction they imply (sum of the fracs of expansions crossing
@@ -319,7 +317,7 @@ Solution SrSolver::solve(const topo::Topology& topo,
     std::vector<double> mass;  // Gbps granted, by candidate index
   };
 
-  SegmentExpander expander(topo, underlay, sr_);
+  SegmentExpander expander(topo, underlay);
   // Node-based map: demands hold pointers to the pair lists.
   std::unordered_map<std::uint64_t, std::vector<Candidate>> pair_candidates;
   std::size_t rounds = 0, frozen = 0, considered = 0, expanded = 0;
@@ -333,7 +331,7 @@ Solution SrSolver::solve(const topo::Topology& topo,
         pair_candidates.try_emplace(node_pair_key(src, dst));
     if (inserted) {
       for (SegmentRoute& route :
-           segment_route_candidates(underlay, src, dst, middlepoints, sr_)) {
+           segment_route_candidates(underlay, src, dst, middlepoints)) {
         it->second.emplace_back().segments = std::move(route.segments);
       }
       considered += it->second.size();
@@ -371,7 +369,7 @@ Solution SrSolver::solve(const topo::Topology& topo,
     for (std::size_t i = 0; i < demands.size(); ++i) {
       const traffic::Demand& d = demands[i];
       if (static_cast<int>(d.priority) != cls) continue;
-      if (d.rate_gbps <= options_.epsilon_gbps) continue;
+      if (d.rate_gbps <= detail::kEpsilonGbps) continue;
       DemandState st;
       st.index = i;
       st.rate = d.rate_gbps;
@@ -391,21 +389,20 @@ Solution SrSolver::solve(const topo::Topology& topo,
 
     // Progressive filling, same round discipline as te::Solver.
     std::size_t round = 0;
-    for (; round < options_.max_rounds; ++round) {
+    for (; round < detail::kMaxRounds; ++round) {
       double max_remaining = 0.0;
       for (const DemandState& st : states) {
         if (st.active && st.remaining > max_remaining)
           max_remaining = st.remaining;
       }
-      if (max_remaining <= options_.epsilon_gbps) break;
+      if (max_remaining <= detail::kEpsilonGbps) break;
       ++rounds;
       const double quantum = detail::round_quantum(options_, max_remaining);
       bool progressed = false;
       for (DemandState& st : states) {
         if (!st.active) continue;
         const topo::NodeId src = demands[st.index].src;
-        const double sliver =
-            detail::sliver_threshold(options_, quantum, st.remaining);
+        const double sliver = detail::sliver_threshold(quantum, st.remaining);
         std::vector<Candidate>& cands = *st.candidates;
         std::size_t chosen = cands.size();
         double grant = 0.0;
@@ -437,12 +434,12 @@ Solution SrSolver::solve(const topo::Topology& topo,
         st.mass[chosen] += grant;
         st.remaining -= grant;
         progressed = true;
-        if (st.remaining <= st.rate * options_.satisfied_tolerance)
+        if (st.remaining <= st.rate * detail::kSatisfiedTolerance)
           st.active = false;  // satisfied
       }
       if (!progressed) break;
     }
-    if (round == options_.max_rounds) {
+    if (round == detail::kMaxRounds) {
       for (const DemandState& st : states) frozen += st.active;
     }
 
@@ -452,7 +449,7 @@ Solution SrSolver::solve(const topo::Topology& topo,
       double total = 0.0;
       for (double m : st.mass) total += m;
       a.allocated_gbps = total;
-      if (total <= options_.epsilon_gbps) {
+      if (total <= detail::kEpsilonGbps) {
         a.allocated_gbps = 0.0;
         continue;
       }

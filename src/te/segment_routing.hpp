@@ -10,10 +10,11 @@
 // wider blast radius: a link flap reroutes every flow whose ECMP DAG
 // used it, not just the strict routes pinned through it.
 //
-// Everything here is a pure function of (topology view, options), so
-// every dSDN router running it on an identical NodeStateDB computes the
-// identical placement -- the consensus-free property holds for SR
-// exactly as it does for strict TE.
+// Everything here is a pure function of (topology view, solver
+// options), so every dSDN router running it on an identical NodeStateDB
+// computes the identical placement -- the consensus-free property holds
+// for SR exactly as it does for strict TE. The SR caps are compiled-in
+// constants (SrOptions) for the same reason.
 
 #include <limits>
 
@@ -22,20 +23,21 @@
 
 namespace dsdn::te {
 
+// The SR candidate and expansion caps every router shares.
 struct SrOptions {
   // Max node segments per route, egress included (the TLV/encoder cap).
-  std::size_t max_segments = 3;
+  static constexpr std::size_t max_segments = 3;
   // Centrality-ranked middlepoint pool: single middlepoints come from the
   // top `num_middlepoints`, middlepoint *pairs* from the top
   // `pair_middlepoints` (quadratic, so a smaller pool).
-  std::size_t num_middlepoints = 8;
-  std::size_t pair_middlepoints = 4;
+  static constexpr std::size_t num_middlepoints = 8;
+  static constexpr std::size_t pair_middlepoints = 4;
   // ECMP expansion caps: DFS paths enumerated per segment, and concrete
   // underlay paths kept per whole segment route (weights renormalize).
-  std::size_t max_paths_per_segment = 4;
-  std::size_t max_expansions_per_route = 8;
+  static constexpr std::size_t max_paths_per_segment = 4;
+  static constexpr std::size_t max_expansions_per_route = 8;
   // Candidate segment routes considered per demand.
-  std::size_t max_candidates = 12;
+  static constexpr std::size_t max_candidates = 12;
 };
 
 // All-pairs shortest-path distances and ECMP DAG membership over the
@@ -92,7 +94,7 @@ struct SegmentRoute {
 // `middlepoints` (rank order, from rank_middlepoints).
 std::vector<SegmentRoute> segment_route_candidates(
     const SrUnderlay& underlay, topo::NodeId src, topo::NodeId dst,
-    const std::vector<topo::NodeId>& middlepoints, const SrOptions& opts);
+    const std::vector<topo::NodeId>& middlepoints);
 
 // Expands a segment route into concrete loop-free underlay paths with
 // per-path split fractions (summing to 1): per-segment DFS over the ECMP
@@ -103,7 +105,7 @@ std::vector<SegmentRoute> segment_route_candidates(
 // when no loop-free expansion exists.
 std::vector<WeightedPath> expand_segment_route(
     const topo::Topology& topo, const SrUnderlay& underlay, topo::NodeId src,
-    const std::vector<topo::NodeId>& segments, const SrOptions& opts);
+    const std::vector<topo::NodeId>& segments);
 
 // Max-min fair waterfill over segment-space candidates: the same
 // progressive-filling shape as te::Solver (strict priority classes,
@@ -113,17 +115,13 @@ std::vector<WeightedPath> expand_segment_route(
 // WeightedPath::segments set.
 class SrSolver {
  public:
-  explicit SrSolver(SolverOptions options = {}, SrOptions sr = {})
-      : options_(options), sr_(sr) {}
+  explicit SrSolver(SolverOptions options = {}) : options_(options) {}
 
   Solution solve(const topo::Topology& topo, const traffic::TrafficMatrix& tm,
                  const std::vector<double>* residual_override = nullptr) const;
 
-  const SrOptions& sr_options() const { return sr_; }
-
  private:
   SolverOptions options_;
-  SrOptions sr_;
 };
 
 }  // namespace dsdn::te

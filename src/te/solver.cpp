@@ -51,73 +51,6 @@ void record_solver_obs(const SolveStats& s) {
   m_alloc_t.record(s.allocation_time_s);
 }
 
-class CpuBatchBackend final : public BatchSolverBackend {
- public:
-  const char* name() const override { return "cpu"; }
-
-  void sssp(const BatchGraph& g, const std::vector<double>& residual,
-            double min_residual, std::uint32_t src,
-            const std::uint32_t* targets, std::size_t num_targets,
-            SsspWorkspace& ws) const override {
-    ws.ensure(g.num_nodes);
-    if (++ws.epoch == 0) {  // stamp wrap: one full clear every 2^32 runs
-      std::fill(ws.stamp.begin(), ws.stamp.end(), 0u);
-      std::fill(ws.target_stamp.begin(), ws.target_stamp.end(), 0u);
-      ws.epoch = 1;
-    }
-    const std::uint32_t epoch = ws.epoch;
-    double* const dist = ws.dist.data();
-    std::uint32_t* const pred_link = ws.pred_link.data();
-    std::uint32_t* const stamp = ws.stamp.data();
-    std::uint32_t* const target_stamp = ws.target_stamp.data();
-    const double* const res = residual.data();
-    const std::uint32_t* const row = g.row_offsets.data();
-    const std::uint32_t* const edge_dst = g.edge_dst.data();
-    const std::uint32_t* const edge_link = g.edge_link.data();
-    const double* const edge_cost = g.edge_cost.data();
-    std::size_t remaining = 0;
-    for (std::size_t i = 0; i < num_targets; ++i) {
-      if (target_stamp[targets[i]] != epoch) {
-        target_stamp[targets[i]] = epoch;
-        ++remaining;
-      }
-    }
-    RadixHeap& queue = ws.queue;
-    queue.clear();
-    stamp[src] = epoch;
-    dist[src] = 0.0;
-    pred_link[src] = topo::kInvalidLink;
-    queue.push(0.0, src);
-    while (!queue.empty() && remaining > 0) {
-      // (dist, node) keys are unique -- relaxation requires strict
-      // improvement -- and the radix heap pops them in the same total
-      // order as te::shortest_path's std::priority_queue, stale entries
-      // included; a node is finalized on its first non-stale pop.
-      const auto [d, u] = queue.pop();
-      if (d > dist[u]) continue;
-      if (target_stamp[u] == epoch) {
-        target_stamp[u] = epoch - 1;  // finalize each target once
-        if (--remaining == 0) break;
-      }
-      for (std::uint32_t e = row[u]; e < row[u + 1]; ++e) {
-        if (res[edge_link[e]] < min_residual) continue;
-        const std::uint32_t v = edge_dst[e];
-        const double nd = d + edge_cost[e];
-        if (stamp[v] != epoch) {
-          stamp[v] = epoch;
-          dist[v] = kInf;
-          pred_link[v] = topo::kInvalidLink;
-        }
-        if (nd < dist[v]) {
-          dist[v] = nd;
-          pred_link[v] = edge_link[e];
-          queue.push(nd, v);
-        }
-      }
-    }
-  }
-};
-
 // A path stored as a run of links in a flat per-solve arena; len 0 means
 // "no path". Runs are written once and never modified, so a run can be
 // shared (round path, cross-class carry) without copying its links.
@@ -230,9 +163,66 @@ void SsspWorkspace::ensure(std::uint32_t num_nodes) {
   }
 }
 
-const BatchSolverBackend& cpu_batch_backend() {
-  static const CpuBatchBackend backend;
-  return backend;
+void sssp(const BatchGraph& g, const std::vector<double>& residual,
+          double min_residual, std::uint32_t src,
+          const std::uint32_t* targets, std::size_t num_targets,
+          SsspWorkspace& ws) {
+  ws.ensure(g.num_nodes);
+  if (++ws.epoch == 0) {  // stamp wrap: one full clear every 2^32 runs
+    std::fill(ws.stamp.begin(), ws.stamp.end(), 0u);
+    std::fill(ws.target_stamp.begin(), ws.target_stamp.end(), 0u);
+    ws.epoch = 1;
+  }
+  const std::uint32_t epoch = ws.epoch;
+  double* const dist = ws.dist.data();
+  std::uint32_t* const pred_link = ws.pred_link.data();
+  std::uint32_t* const stamp = ws.stamp.data();
+  std::uint32_t* const target_stamp = ws.target_stamp.data();
+  const double* const res = residual.data();
+  const std::uint32_t* const row = g.row_offsets.data();
+  const std::uint32_t* const edge_dst = g.edge_dst.data();
+  const std::uint32_t* const edge_link = g.edge_link.data();
+  const double* const edge_cost = g.edge_cost.data();
+  std::size_t remaining = 0;
+  for (std::size_t i = 0; i < num_targets; ++i) {
+    if (target_stamp[targets[i]] != epoch) {
+      target_stamp[targets[i]] = epoch;
+      ++remaining;
+    }
+  }
+  RadixHeap& queue = ws.queue;
+  queue.clear();
+  stamp[src] = epoch;
+  dist[src] = 0.0;
+  pred_link[src] = topo::kInvalidLink;
+  queue.push(0.0, src);
+  while (!queue.empty() && remaining > 0) {
+    // (dist, node) keys are unique -- relaxation requires strict
+    // improvement -- and the radix heap pops them in the same total
+    // order as te::shortest_path's std::priority_queue, stale entries
+    // included; a node is finalized on its first non-stale pop.
+    const auto [d, u] = queue.pop();
+    if (d > dist[u]) continue;
+    if (target_stamp[u] == epoch) {
+      target_stamp[u] = epoch - 1;  // finalize each target once
+      if (--remaining == 0) break;
+    }
+    for (std::uint32_t e = row[u]; e < row[u + 1]; ++e) {
+      if (res[edge_link[e]] < min_residual) continue;
+      const std::uint32_t v = edge_dst[e];
+      const double nd = d + edge_cost[e];
+      if (stamp[v] != epoch) {
+        stamp[v] = epoch;
+        dist[v] = kInf;
+        pred_link[v] = topo::kInvalidLink;
+      }
+      if (nd < dist[v]) {
+        dist[v] = nd;
+        pred_link[v] = edge_link[e];
+        queue.push(nd, v);
+      }
+    }
+  }
 }
 
 Solution Solver::solve(const topo::Topology& topo,
@@ -284,8 +274,6 @@ Solution Solver::solve(const topo::Topology& topo,
   const auto t_start = Clock::now();
 
   const BatchGraph graph = build_batch_graph(topo);
-  const BatchSolverBackend& backend =
-      options_.batch_backend ? *options_.batch_backend : cpu_batch_backend();
 
   WorkspacePool ws_pool;
   SsspWorkspace grant_ws;  // dedicated scratch for serialized re-searches
@@ -428,15 +416,15 @@ Solution Solver::solve(const topo::Topology& topo,
     for (std::size_t i = 0; i < solution.allocations.size(); ++i) {
       const auto& d = solution.allocations[i].demand;
       if (static_cast<int>(d.priority) == cls &&
-          d.rate_gbps > options_.epsilon_gbps) {
+          d.rate_gbps > detail::kEpsilonGbps) {
         active.push_back(static_cast<std::uint32_t>(alloc_index.size()));
         alloc_index.push_back(i);
         slot_src.push_back(d.src);
         slot_dst.push_back(d.dst);
         remaining.push_back(d.rate_gbps);
         satisfied_below.push_back(
-            std::max(options_.epsilon_gbps,
-                     options_.satisfied_tolerance * d.rate_gbps));
+            std::max(detail::kEpsilonGbps,
+                     detail::kSatisfiedTolerance * d.rate_gbps));
         threshold.push_back(0.0);
         round_path.push_back({});
         cached_at.push_back(-1.0);
@@ -448,7 +436,7 @@ Solution Solver::solve(const topo::Topology& topo,
     }
 
     std::size_t round = 0;
-    while (!active.empty() && round < options_.max_rounds) {
+    while (!active.empty() && round < detail::kMaxRounds) {
       ++round;
       ++local_stats.rounds;
 
@@ -457,8 +445,7 @@ Solution Solver::solve(const topo::Topology& topo,
         max_remaining = std::max(max_remaining, remaining[slot]);
       const double quantum = detail::round_quantum(options_, max_remaining);
       for (std::uint32_t slot : active)
-        threshold[slot] =
-            detail::sliver_threshold(options_, quantum, remaining[slot]);
+        threshold[slot] = detail::sliver_threshold(quantum, remaining[slot]);
 
       // ---- Step 1: batched path search ----
       DSDN_TRACE_SPAN("te.batch.round");
@@ -472,8 +459,7 @@ Solution Solver::solve(const topo::Topology& topo,
         // fresh searches and to validate cached round paths. value_cap
         // bounds every threshold in play this round (current thresholds
         // via t_max, cached ones explicitly).
-        const double t_max =
-            detail::sliver_threshold(options_, quantum, max_remaining);
+        const double t_max = detail::sliver_threshold(quantum, max_remaining);
         double value_cap = t_max;
         for (std::uint32_t slot : active)
           value_cap = std::max(value_cap, cached_at[slot]);
@@ -558,8 +544,8 @@ Solution Solver::solve(const topo::Topology& topo,
         const auto search_bucket = [&](std::size_t bi) {
           Bucket& b = buckets[bi];
           auto ws = ws_pool.acquire();
-          backend.sssp(graph, residual, b.min_residual, b.src,
-                       b.targets.data(), b.targets.size(), *ws);
+          sssp(graph, residual, b.min_residual, b.src, b.targets.data(),
+               b.targets.size(), *ws);
           b.links.clear();
           b.runs.clear();
           for (std::uint32_t slot : b.slots) {
@@ -619,8 +605,8 @@ Solution Solver::solve(const topo::Topology& topo,
           } else {
             ++local_stats.path_searches;
             const std::uint32_t target = slot_dst[slot];
-            backend.sssp(graph, residual, threshold[slot], slot_src[slot],
-                         &target, 1, grant_ws);
+            sssp(graph, residual, threshold[slot], slot_src[slot], &target,
+                 1, grant_ws);
             rp = append_links(graph, grant_ws, slot_src[slot], target, arena);
           }
           cached_at[slot] = threshold[slot];
@@ -637,7 +623,7 @@ Solution Solver::solve(const topo::Topology& topo,
             bottleneck >= remaining[slot]) {
           grant = remaining[slot];
         }
-        if (grant > options_.epsilon_gbps) {
+        if (grant > detail::kEpsilonGbps) {
           for (topo::LinkId l : links_of(rp)) residual[l] -= grant;
           const std::size_t ai = alloc_index[slot];
           accumulate_grant(ai, intern_path(pair_of[ai], links_of(rp)), grant);
@@ -670,7 +656,7 @@ Solution Solver::solve(const topo::Topology& topo,
   std::vector<std::pair<std::uint32_t, double>> entries;
   for (std::size_t i = 0; i < solution.allocations.size(); ++i) {
     Allocation& a = solution.allocations[i];
-    if (a.allocated_gbps <= options_.epsilon_gbps) {
+    if (a.allocated_gbps <= detail::kEpsilonGbps) {
       a.allocated_gbps = 0.0;
       continue;
     }

@@ -23,13 +23,12 @@
 //
 // Structure of arrays (the GATE direction, PAPERS.md): step (1) runs one
 // batched multi-destination SSSP per (source, residual-rank) bucket over
-// flat CSR arrays through the BatchSolverBackend seam
-// (te/batch_solver.hpp), instead of one Dijkstra per demand. With or
-// without a PathCache the result is bit-identical to running
-// te::shortest_path for every active demand every round and accumulating
-// grants per allocation in a std::map<links, rate> (the test-only
-// reference solver in tests/ does exactly that). The load-bearing
-// arguments:
+// flat CSR arrays (te::sssp, te/batch_solver.hpp), instead of one
+// Dijkstra per demand. With or without a PathCache the result is
+// bit-identical to running te::shortest_path for every active demand
+// every round and accumulating grants per allocation in a
+// std::map<links, rate> (the test-only reference solver in tests/ does
+// exactly that). The load-bearing arguments:
 //
 //  * A Dijkstra run popping (dist, node) pairs in total order finalizes
 //    each node exactly once, and a finalized target's predecessor chain
@@ -56,9 +55,12 @@
 //    per-allocation std::map's float summation order and output order.
 //
 // Determinism: the solver is a pure function of (topology, demands,
-// options), whatever SolverOptions::pool's size. Every dSDN controller
-// running it on an identical NodeStateDB computes the identical Solution
-// -- the consensus-free property.
+// quantum), whatever SolverOptions::pool's size, with or without a
+// table. Every dSDN controller running it on an identical NodeStateDB
+// computes the identical Solution -- the consensus-free property. The
+// other round constants (satisfaction tolerance, epsilon, round cap) are
+// compiled in (te::detail), so no two routers can be set to disagree on
+// them.
 
 #include <cstddef>
 
@@ -68,12 +70,8 @@
 namespace dsdn::te {
 
 class ThreadPool;
-class BatchSolverBackend;
 
 struct SolverOptions {
-  // Optional accelerator backend for the path-search kernel. Null = the
-  // process-wide CPU backend.
-  BatchSolverBackend* batch_backend = nullptr;
   // Optional externally owned thread pool for the path-search step,
   // reused across solves so the workers are spawned exactly once per
   // process. Null = the solve runs serially on the calling thread.
@@ -89,13 +87,6 @@ struct SolverOptions {
   // (Gbps). With a fixed quantum, solver work scales with offered demand
   // -- the progressive-filling behavior behind Fig 14's linear growth.
   double quantum_gbps = 0.0;
-  // A demand is considered satisfied once its unserved remainder drops
-  // below this fraction of its original rate.
-  double satisfied_tolerance = 1e-3;
-  // Hard cap on waterfill rounds per class (safety valve).
-  std::size_t max_rounds = 400;
-  // Allocation below this is treated as zero (Gbps).
-  double epsilon_gbps = 1e-9;
 };
 
 struct SolveStats {
@@ -110,7 +101,7 @@ struct SolveStats {
   // Demands frozen before satisfaction, by cause. frozen_demands is the
   // total (kept for existing consumers); the split tells starvation
   // (no_path: the network genuinely ran out of residual capacity) apart
-  // from under-convergence (round_cap: the max_rounds safety valve fired
+  // from under-convergence (round_cap: the kMaxRounds safety valve fired
   // with no feasibility verdict -- persistent non-zero values mean the
   // round cap is starving traffic).
   std::size_t frozen_demands = 0;
@@ -141,7 +132,16 @@ namespace detail {
 // Round math shared by every waterfill (the strict solver, SrSolver, and
 // the test-only reference solver). Bit-parity with the reference depends
 // on computing quantum and the sliver threshold with the exact same
-// expressions, so they live here instead of being duplicated.
+// expressions and constants, so they live here instead of being
+// duplicated.
+
+// A demand is considered satisfied once its unserved remainder drops
+// below this fraction of its original rate.
+inline constexpr double kSatisfiedTolerance = 1e-3;
+// Allocation below this is treated as zero (Gbps).
+inline constexpr double kEpsilonGbps = 1e-9;
+// Hard cap on waterfill rounds per class (safety valve).
+inline constexpr std::size_t kMaxRounds = 400;
 
 // Per-round grant quantum for a class whose largest remaining demand is
 // max_remaining.
@@ -149,17 +149,15 @@ inline double round_quantum(const SolverOptions& options,
                             double max_remaining) {
   if (options.quantum_gbps > 0.0) return options.quantum_gbps;
   double quantum = max_remaining / options.quantum_divisor;
-  return quantum > options.epsilon_gbps * 10.0 ? quantum
-                                               : options.epsilon_gbps * 10.0;
+  return quantum > kEpsilonGbps * 10.0 ? quantum : kEpsilonGbps * 10.0;
 }
 
 // Minimum usable link residual for a demand's path search this round: a
 // link is worth taking only if it can carry a meaningful sliver of the
 // round's grant.
-inline double sliver_threshold(const SolverOptions& options, double quantum,
-                               double remaining_gbps) {
+inline double sliver_threshold(double quantum, double remaining_gbps) {
   double grant = quantum < remaining_gbps ? quantum : remaining_gbps;
-  return grant * 1e-3 + options.epsilon_gbps;
+  return grant * 1e-3 + kEpsilonGbps;
 }
 
 }  // namespace detail

@@ -75,18 +75,18 @@ Solution ReferenceSolver::solve(
     for (std::size_t i = 0; i < solution.allocations.size(); ++i) {
       const auto& d = solution.allocations[i].demand;
       if (static_cast<int>(d.priority) == cls &&
-          d.rate_gbps > options_.epsilon_gbps) {
+          d.rate_gbps > detail::kEpsilonGbps) {
         active.push_back(
             {i, d.rate_gbps,
-             std::max(options_.epsilon_gbps,
-                      options_.satisfied_tolerance * d.rate_gbps),
+             std::max(detail::kEpsilonGbps,
+                      detail::kSatisfiedTolerance * d.rate_gbps),
              {},
              0.0});
       }
     }
 
     std::size_t round = 0;
-    while (!active.empty() && round < options_.max_rounds) {
+    while (!active.empty() && round < detail::kMaxRounds) {
       ++round;
       ++local_stats.rounds;
 
@@ -107,8 +107,7 @@ Solution ReferenceSolver::solve(
         c.residual_gbps = &residual;
         // Require room for at least a sliver of this round's grant so
         // we don't select paths we cannot use.
-        c.min_residual =
-            detail::sliver_threshold(options_, quantum, ad.remaining_gbps);
+        c.min_residual = detail::sliver_threshold(quantum, ad.remaining_gbps);
         std::optional<Path> p = shortest_path(topo, d.src, d.dst, c);
         ad.round_path = p ? std::move(*p) : Path{};
         ad.search_min_residual = c.min_residual;
@@ -135,7 +134,7 @@ Solution ReferenceSolver::solve(
         // Earlier demands in this serialized loop may have drained the
         // path below the residual floor it was searched with. Granting
         // the sub-sliver remainder would leave the demand spinning on an
-        // infeasible path until max_rounds; re-search against current
+        // infeasible path until kMaxRounds; re-search against current
         // residuals instead, and freeze if nothing is left.
         if (bottleneck < ad.search_min_residual) {
           SpConstraints c;
@@ -161,7 +160,7 @@ Solution ReferenceSolver::solve(
             bottleneck >= ad.remaining_gbps) {
           grant = ad.remaining_gbps;
         }
-        if (grant > options_.epsilon_gbps) {
+        if (grant > detail::kEpsilonGbps) {
           for (topo::LinkId l : ad.round_path.links) residual[l] -= grant;
           placed[ad.alloc_index][ad.round_path.links] += grant;
           alloc.allocated_gbps += grant;
@@ -184,7 +183,7 @@ Solution ReferenceSolver::solve(
   // Convert accumulated per-path rates into weighted paths.
   for (std::size_t i = 0; i < solution.allocations.size(); ++i) {
     Allocation& a = solution.allocations[i];
-    if (a.allocated_gbps <= options_.epsilon_gbps) {
+    if (a.allocated_gbps <= detail::kEpsilonGbps) {
       a.allocated_gbps = 0.0;
       continue;
     }

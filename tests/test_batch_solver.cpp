@@ -164,37 +164,28 @@ TEST(BatchWaterfill, DiffCheckerParityOverScenarioEras) {
   }
 }
 
-TEST(BatchWaterfill, AcceleratorBackendSeamIsHonored) {
-  // A custom backend must receive every batched SSSP call; delegating to
-  // the CPU reference keeps results bit-identical, which is exactly the
-  // contract a GPU backend has to meet.
-  class CountingBackend final : public BatchSolverBackend {
-   public:
-    const char* name() const override { return "counting"; }
-    void sssp(const BatchGraph& g, const std::vector<double>& residual,
-              double min_residual, std::uint32_t src,
-              const std::uint32_t* targets, std::size_t num_targets,
-              SsspWorkspace& ws) const override {
-      ++calls;
-      targets_seen += num_targets;
-      cpu_batch_backend().sssp(g, residual, min_residual, src, targets,
-                               num_targets, ws);
-    }
-    mutable std::size_t calls = 0;
-    mutable std::size_t targets_seen = 0;
-  };
-
+TEST(BatchWaterfill, BucketingRunsFewerSsspsThanSearches) {
+  // Bucketing is what makes the path search a *batch* search: one SSSP
+  // serves every demand of a (source, residual-rank) bucket, so a solve
+  // runs strictly fewer SSSPs than batched demand searches.
   const auto t = topo::make_geant();
   const auto tm = traffic::generate_gravity(t);
-  CountingBackend counting;
-  SolverOptions opt;
-  opt.batch_backend = &counting;
-  const auto via_stub = Solver(opt).solve(t, tm);
-  EXPECT_GT(counting.calls, 0u);
-  // Bucketing is what makes it a *batch* backend: strictly fewer SSSP
-  // runs than demand searches.
-  EXPECT_GT(counting.targets_seen, counting.calls);
-  expect_bit_identical(Solver().solve(t, tm), via_stub, "backend stub");
+  const auto counter = [](const char* name) {
+    const auto snap = obs::Registry::global().snapshot();
+    const auto it = snap.counters.find(name);
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t batches0 = counter("te.batch.sssp_batches");
+  const std::uint64_t searches0 = counter("te.batch.batched_searches");
+  SolveStats stats;
+  Solver().solve(t, tm, &stats);
+  const std::uint64_t batches = counter("te.batch.sssp_batches") - batches0;
+  const std::uint64_t searches =
+      counter("te.batch.batched_searches") - searches0;
+  EXPECT_GT(batches, 0u);
+  EXPECT_GT(searches, batches);
+  // Batched searches are the solve's searches minus grant re-searches.
+  EXPECT_LE(searches, stats.path_searches);
 }
 
 TEST(BatchWaterfill, EmitsBatchCounters) {
@@ -360,7 +351,6 @@ TEST(BatchSssp, MatchesShortestPathOnTieHeavyGraphs) {
   cut_grid.set_duplex_up(cut_grid.node(10).out_links.front(), false);
   const topo::Topology* graphs[] = {&grid, &ring, &cut_grid};
   util::Rng rng(77);
-  const BatchSolverBackend& cpu = cpu_batch_backend();
   SsspWorkspace ws;
   std::size_t compared = 0, unreachable = 0, runs = 0;
   for (int pass = 0; pass < 2; ++pass) {
@@ -383,8 +373,7 @@ TEST(BatchSssp, MatchesShortestPathOnTieHeavyGraphs) {
           targets.push_back(v);
           if (rng.uniform_int(0, 3) == 0) targets.push_back(v);  // duplicate
         }
-        cpu.sssp(g, residual, threshold, src, targets.data(), targets.size(),
-                 ws);
+        sssp(g, residual, threshold, src, targets.data(), targets.size(), ws);
         ++runs;
         if (pass == 1 && trial == 0) {
           ASSERT_EQ(ws.epoch, 1u);

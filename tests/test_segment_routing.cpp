@@ -160,20 +160,18 @@ TEST(SrCandidates, OrderedByCostWithDirectRouteFirstAmongEquals) {
   const auto topo = topo::make_abilene();
   const auto underlay = te::SrUnderlay::build(topo);
   const auto mids = te::rank_middlepoints(underlay, 8);
-  te::SrOptions opts;
   for (topo::NodeId src = 0; src < topo.num_nodes(); ++src) {
     for (topo::NodeId dst = 0; dst < topo.num_nodes(); ++dst) {
       if (src == dst) continue;
-      const auto cands =
-          te::segment_route_candidates(underlay, src, dst, mids, opts);
+      const auto cands = te::segment_route_candidates(underlay, src, dst, mids);
       ASSERT_FALSE(cands.empty());
-      EXPECT_LE(cands.size(), opts.max_candidates);
+      EXPECT_LE(cands.size(), te::SrOptions::max_candidates);
       // The direct [dst] route is always a candidate, and no cheaper
       // candidate exists (middlepoint detours only add cost).
       EXPECT_EQ(cands.front().segments, std::vector<topo::NodeId>{dst});
       for (std::size_t i = 0; i < cands.size(); ++i) {
         EXPECT_GE(cands[i].segments.size(), 1u);
-        EXPECT_LE(cands[i].segments.size(), opts.max_segments);
+        EXPECT_LE(cands[i].segments.size(), te::SrOptions::max_segments);
         EXPECT_EQ(cands[i].segments.back(), dst);
         if (i) {
           EXPECT_GE(cands[i].cost, cands[i - 1].cost - 1e-12);
@@ -225,7 +223,6 @@ void expect_expansion_parity(const topo::Topology& topo, const char* name) {
   const auto underlay = te::SrUnderlay::build(topo);
   const auto routers = program_all(topo, underlay);
   const auto mids = te::rank_middlepoints(underlay, 8);
-  const te::SrOptions opts;
   util::Rng rng(0x5E63'0A17 ^ topo.num_nodes());
 
   for (int trial = 0; trial < 64; ++trial) {
@@ -234,13 +231,12 @@ void expect_expansion_parity(const topo::Topology& topo, const char* name) {
     const auto dst =
         static_cast<topo::NodeId>(rng.uniform_int(0, topo.num_nodes() - 1));
     if (src == dst) continue;
-    const auto cands =
-        te::segment_route_candidates(underlay, src, dst, mids, opts);
+    const auto cands = te::segment_route_candidates(underlay, src, dst, mids);
     ASSERT_FALSE(cands.empty()) << name;
     const auto& route = cands[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(cands.size()) - 1))];
     const auto expansions =
-        te::expand_segment_route(topo, underlay, src, route.segments, opts);
+        te::expand_segment_route(topo, underlay, src, route.segments);
     // A middlepoint detour whose every ECMP combination revisits a node
     // expands to nothing; the solver never installs such a candidate, so
     // the dataplane never forwards it. The direct route always expands
@@ -426,16 +422,16 @@ TEST(SrSolver, EmitsSrCountersAndInternsLegsAndPairs) {
   // What the solve may touch: one candidate list per distinct (src, dst)
   // pair, and the distinct (at, target) legs of those lists.
   const auto underlay = te::SrUnderlay::build(topo);
-  const te::SrOptions opts;
   const auto mids = te::rank_middlepoints(
-      underlay, std::max(opts.num_middlepoints, opts.pair_middlepoints));
+      underlay, std::max(te::SrOptions::num_middlepoints,
+                         te::SrOptions::pair_middlepoints));
   std::set<std::pair<topo::NodeId, topo::NodeId>> pairs, legs;
   std::uint64_t listed = 0;
   for (const auto& d : tm.demands()) {
-    if (d.rate_gbps <= te::SolverOptions{}.epsilon_gbps) continue;
+    if (d.rate_gbps <= te::detail::kEpsilonGbps) continue;
     if (!pairs.insert({d.src, d.dst}).second) continue;
     const auto cands =
-        te::segment_route_candidates(underlay, d.src, d.dst, mids, opts);
+        te::segment_route_candidates(underlay, d.src, d.dst, mids);
     listed += cands.size();
     for (const auto& route : cands) {
       topo::NodeId at = d.src;

@@ -380,6 +380,21 @@ TEST(Convergence, CsdnSlowerThanDsdnOnSameNetwork) {
   EXPECT_GT(csdn.total.median() / dsdn.total.median(), 5.0);
 }
 
+TEST(Convergence, IncrementalTcompTimesEachFiberAndDiffChecksWarmSolves) {
+  // One scratch and one warm timing per failed fiber, and every warm
+  // solution within te::DiffChecker's bounds of that fiber's scratch
+  // solve (the count Fig 8/9 publish and gate on).
+  const auto topo = topo::make_abilene();
+  const auto tm = traffic::generate_gravity(topo);
+  IncrementalTcompConfig cfg;
+  cfg.n_events = 4;
+  const auto r = measure_incremental_tcomp(topo, tm, cfg);
+  EXPECT_EQ(r.full_s.size(), cfg.n_events);
+  EXPECT_EQ(r.incremental_s.size(), cfg.n_events);
+  EXPECT_EQ(r.reuse_fraction.size(), cfg.n_events);
+  EXPECT_EQ(r.checker_violations, 0u);
+}
+
 // Golden digests of the statistical flood model, one per (topology,
 // flood loss) with loss in {0, 5%, 20%}. They pin the retry backoff
 // expression and its one uniform draw per retry bit for bit, and the

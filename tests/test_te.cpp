@@ -515,21 +515,22 @@ TEST(Solver, ResidualOverrideStillClampsDownLinks) {
 }
 
 TEST(Solver, RoundCapFreezesAreCounted) {
-  // With max_rounds=1 and a tiny fixed quantum, the 8G demand cannot
-  // finish in one round: it is frozen part-filled and must show up in
+  // A fixed 0.01G quantum needs 800 rounds to fill the 8G demand, twice
+  // the kMaxRounds cap: it is frozen half-filled and must show up in
   // SolveStats::frozen_demands.
   const auto t = diamond();
   traffic::TrafficMatrix tm;
   tm.add({0, 3, PriorityClass::kHigh, 8.0});
   SolverOptions opt;
-  opt.max_rounds = 1;
-  opt.quantum_gbps = 0.5;
+  opt.quantum_gbps = 0.01;
   SolveStats stats;
   const auto sol = Solver(opt).solve(t, tm, &stats);
+  EXPECT_EQ(stats.rounds, detail::kMaxRounds);
   EXPECT_EQ(stats.frozen_demands, 1u);
   EXPECT_EQ(stats.frozen_round_cap, 1u);
   EXPECT_EQ(stats.frozen_no_path, 0u);
-  EXPECT_LT(sol.allocations[0].allocated_gbps, 8.0);
+  EXPECT_NEAR(sol.allocations[0].allocated_gbps,
+              0.01 * static_cast<double>(detail::kMaxRounds), 1e-6);
 
   // An unconstrained solve freezes nothing.
   SolveStats ok;
@@ -561,7 +562,7 @@ TEST(Solver, DrainedRoundPathIsResearchedNotSpun) {
   // full-rate quantum the first demand drains the link in the serialized
   // grant loop; the second demand's round path is then infeasible. It
   // must be re-searched (and here frozen as no-path) in the same round,
-  // not kept spinning on a sub-epsilon grant until max_rounds fires.
+  // not kept spinning on a sub-epsilon grant until kMaxRounds fires.
   const auto t = topo::make_line(2, 10.0);
   traffic::TrafficMatrix tm;
   tm.add({0, 1, PriorityClass::kHigh, 10.0});
