@@ -8,6 +8,11 @@
 // step -- the same step the paper identifies as the flattening cause).
 // Router times are server times scaled by the 1.9/2.8 core-speed ratio.
 //
+// The curve and its fit run with SolverOptions::path_table off: the
+// search-bound solve the paper's Fig 13 measures. Over the Fig 15 table
+// a B2 solve runs almost no searches, so it has nothing to spread over
+// cores; its 1-thread median is printed beside the curve.
+//
 // Expected shape: improvement up to ~5 cores, then flat; the router curve
 // sits ~40% above the server curve at every core count.
 
@@ -19,6 +24,7 @@
 
 #include "core/introspection.hpp"
 #include "metrics/calibration.hpp"
+#include "te/path_cache.hpp"
 #include "te/solver.hpp"
 #include "te/thread_pool.hpp"
 
@@ -62,10 +68,13 @@ int main() {
     run.out().metric("dispatch_overhead_us", per_call * 1e6);
   }
 
-  // Cold-solve median: single-threaded and cacheless -- the convergence
-  // floor the warm path's 100x win left behind.
-  {
-    te::Solver solver;
+  te::SolverOptions no_table;
+  no_table.path_table = false;
+
+  // Cold-solve medians, single-threaded: without the table (the solve
+  // the curve below scales) and over a built table (what a router that
+  // keeps its table runs).
+  const auto cold_median = [&](const te::Solver& solver) {
     std::vector<double> times;
     for (std::size_t r = 0; r < runs; ++r) {
       te::SolveStats s;
@@ -73,10 +82,18 @@ int main() {
       times.push_back(s.wall_time_s);
     }
     std::sort(times.begin(), times.end());
-    const double batch_med = times[times.size() / 2];
-    std::printf("cold solve median (1 thread, %zu runs): %s\n\n", runs,
-                util::format_duration(batch_med).c_str());
+    return times[times.size() / 2];
+  };
+  {
+    const double batch_med = cold_median(te::Solver(no_table));
+    const auto table = te::PathCache::of(w.topo);
+    const double table_med = cold_median(te::Solver());
+    std::printf("cold solve median (1 thread, %zu runs): %s without the "
+                "path table, %s over it\n\n",
+                runs, util::format_duration(batch_med).c_str(),
+                util::format_duration(table_med).c_str());
     run.out().metric("cold_median_batch_s", batch_med);
+    run.out().metric("cold_median_table_s", table_med);
   }
 
   // Measure at each available thread count, sharing one persistent pool
@@ -85,7 +102,7 @@ int main() {
   double alloc_share = 0.0;  // timer-based share of the serialized step
   for (std::size_t threads = 1; threads <= hw; ++threads) {
     te::ThreadPool pool(threads);
-    te::SolverOptions opt;
+    te::SolverOptions opt = no_table;
     opt.pool = &pool;
     te::Solver solver(opt);
     double best = 1e18;
@@ -110,7 +127,7 @@ int main() {
   // scheduling counters. Oversubscribed when the host has fewer cores.
   {
     te::ThreadPool pool(8);
-    te::SolverOptions opt;
+    te::SolverOptions opt = no_table;
     opt.pool = &pool;
     te::Solver solver(opt);
     double best = 1e18;

@@ -100,6 +100,17 @@ void BM_PathTableBuild_B2(benchmark::State& state) {
 }
 BENCHMARK(BM_PathTableBuild_B2)->Unit(benchmark::kMillisecond);
 
+// What a Solver pays per solve for its table while some holder keeps it:
+// the registry hit (key hash, bucket lookup) plus the exact key compare.
+void BM_PathTableLookup_B2(benchmark::State& state) {
+  static const topo::Topology t = topo::make_b2_like();
+  const auto held = te::PathCache::of(t);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(te::PathCache::of(t).get());
+  }
+}
+BENCHMARK(BM_PathTableLookup_B2)->Unit(benchmark::kMicrosecond);
+
 void BM_ParallelForSmallN(benchmark::State& state) {
   // Per-call dispatch overhead of the persistent pool on a tiny index
   // space -- the seed implementation paid a thread spawn+join here.

@@ -131,6 +131,21 @@ sr_regression() {
     --regress worst_gap_fraction,worst_fib_entries_ratio
 }
 
+# Every test of the TE suites in a process of its own, so none can lean
+# on process-wide counters or interned path tables an earlier test left
+# behind.
+isolated_te_tests() {
+  local bin name failed=0
+  for bin in test_te test_batch_solver test_parallel; do
+    for name in $(./build/tests/"${bin}" --gtest_list_tests |
+        awk '/^[^ ]/ { suite = $1 } /^  / { print suite $1 }'); do
+      ./build/tests/"${bin}" --gtest_filter="${name}" >/dev/null ||
+        { echo "FAILED alone: ${bin} ${name}"; failed=1; }
+    done
+  done
+  return "${failed}"
+}
+
 # test_plane_runtime: plane scenarios bootstrap and reprogram planes
 # concurrently on a shared pool. test_emulation: every fleet recompute
 # runs the dirty controllers concurrently on router-pinned workers.
@@ -237,6 +252,8 @@ asan_swarm() {
 
 leg "build + ctest (build/)" build_and_ctest
 leg "examples (build/) -- each runs to a zero exit" run_examples
+leg "TE suites one test per process (build/) -- test_te, test_batch_solver, test_parallel" \
+  isolated_te_tests
 leg "bench artifacts: fig08, fig09, dataplane pps smoke" figure_artifacts
 leg "sharding ablation: plane containment on PlaneRuntime" sharding_ablation
 leg "plane containment: K=4 fail/restore + plane swarm (bench_hier_scale)" \

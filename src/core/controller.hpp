@@ -123,6 +123,12 @@ class Controller {
   const te::IncrementalSolver* incremental_solver() const {
     return incremental_.get();
   }
+  // Heap bytes of the shortest-path table this router's solver holds
+  // (shared with every solver of the same topology, counted in full).
+  std::size_t path_table_bytes() const {
+    return incremental_ ? incremental_->path_table_bytes()
+                        : solve_api_->path_table_bytes();
+  }
 
   // The solution installed by the most recent recompute() (empty before
   // the first). Invariant checkers diff this against a cold full solve

@@ -44,6 +44,9 @@ ControllerStatus collect_status(const Controller& controller) {
   s.te_frozen_demands = controller.last_solve_stats().frozen_demands;
   s.te_frozen_no_path = controller.last_solve_stats().frozen_no_path;
   s.te_frozen_round_cap = controller.last_solve_stats().frozen_round_cap;
+  s.te_table_bytes = controller.path_table_bytes();
+  s.te_table_paths = controller.last_solve_stats().table_paths;
+  s.te_path_searches = controller.last_solve_stats().path_searches;
   if (const te::IncrementalSolver* inc = controller.incremental_solver()) {
     s.te_incremental_solves = inc->incremental_solves();
     s.te_full_solves = inc->full_solves();
@@ -93,6 +96,10 @@ std::string render_status(const ControllerStatus& s,
      << s.te_incremental_solves << " warm / " << s.te_full_solves
      << " full (" << s.te_incremental_fallbacks << " fallbacks), last reuse "
      << util::format_double(s.te_last_reuse_fraction * 100.0, 1) << "%\n";
+  os << "  TE path table   : "
+     << util::format_double(static_cast<double>(s.te_table_bytes) / 1e3, 1)
+     << " KB; last solve " << s.te_table_paths << " table paths, "
+     << s.te_path_searches << " searches\n";
   return os.str();
 }
 

@@ -47,6 +47,12 @@ struct ControllerStatus {
   std::size_t te_frozen_demands = 0;  // total of the two causes below
   std::size_t te_frozen_no_path = 0;
   std::size_t te_frozen_round_cap = 0;
+  // The Fig 15 path table: bytes of the table the router's solver holds
+  // (one table may serve many routers; each reports it in full), and how
+  // the last solve found its paths -- table walks vs searches.
+  std::size_t te_table_bytes = 0;
+  std::size_t te_table_paths = 0;
+  std::size_t te_path_searches = 0;
   std::size_t te_incremental_solves = 0;
   std::size_t te_full_solves = 0;
   std::size_t te_incremental_fallbacks = 0;

@@ -21,6 +21,8 @@ class SolveApi {
   virtual te::Solution solve(const topo::Topology& view,
                              const traffic::TrafficMatrix& demands,
                              te::SolveStats* stats) const = 0;
+  // Heap bytes of the shortest-path table the solver holds (0 if none).
+  virtual std::size_t path_table_bytes() const { return 0; }
 };
 
 // Default SolveApi: the in-process B4-style solver.
@@ -32,6 +34,9 @@ class LocalSolver final : public SolveApi {
                      const traffic::TrafficMatrix& demands,
                      te::SolveStats* stats) const override {
     return solver_.solve(view, demands, stats);
+  }
+  std::size_t path_table_bytes() const override {
+    return solver_.path_table_bytes();
   }
 
  private:

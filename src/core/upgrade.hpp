@@ -80,6 +80,9 @@ class MixedAlgorithmSolver final : public SolveApi {
   te::Solution solve(const topo::Topology& view,
                      const traffic::TrafficMatrix& demands,
                      te::SolveStats* stats) const override;
+  std::size_t path_table_bytes() const override {
+    return solver_.path_table_bytes();
+  }
 
  private:
   te::Solver solver_;

@@ -145,6 +145,7 @@ class IncrementalSolver {
   void reset();
 
   const IncrementalOptions& options() const { return options_; }
+  std::size_t path_table_bytes() const { return solver_.path_table_bytes(); }
 
   // Lifetime accounting (also exported as te.incremental.* counters).
   std::size_t incremental_solves() const { return incremental_solves_; }

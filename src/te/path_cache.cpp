@@ -2,32 +2,51 @@
 
 #include <algorithm>
 #include <bit>
+#include <mutex>
 #include <numeric>
+#include <unordered_map>
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "te/batch_solver.hpp"
 
 namespace dsdn::te {
 
-std::uint64_t PathCache::digest(const topo::Topology& topo) {
-  // FNV-1a over the node count and every link's (src, dst, metric bits):
-  // the inputs a capacity- and state-oblivious shortest path depends on.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 0x100000001b3ull;
-    }
-  };
-  mix(topo.num_nodes());
+namespace {
+
+// Bucket hash of a topology's key (node count, every link's src, dst and
+// metric bits). Only buckets the registry; matches() decides.
+std::uint64_t key_hash(const topo::Topology& topo) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ull;
+  std::uint64_t h = topo.num_nodes() * kMul;
   for (const topo::Link& l : topo.links()) {
-    mix((static_cast<std::uint64_t>(l.src) << 32) | l.dst);
-    mix(std::bit_cast<std::uint64_t>(l.igp_metric));
+    h = (h ^ ((static_cast<std::uint64_t>(l.src) << 32) | l.dst)) * kMul;
+    h = (h ^ std::bit_cast<std::uint64_t>(l.igp_metric)) * kMul;
   }
-  return h;
+  return h ^ (h >> 29);
 }
 
-PathCache::PathCache(const topo::Topology& topo)
-    : n_(topo.num_nodes()), digest_(digest(topo)) {
+struct Registry {
+  std::mutex mu;
+  std::unordered_multimap<std::uint64_t, std::weak_ptr<const PathCache>>
+      tables;
+};
+
+Registry& registry() {
+  static Registry r;
+  return r;
+}
+
+}  // namespace
+
+PathCache::PathCache(const topo::Topology& topo) : n_(topo.num_nodes()) {
+  DSDN_TRACE_SPAN("te.underlay.build");
+  static obs::Counter& m_builds =
+      obs::Registry::global().counter("te.table.builds");
+  m_builds.inc();
+  links_.reserve(topo.num_links());
+  for (const topo::Link& l : topo.links())
+    links_.push_back({l.src, l.dst, std::bit_cast<std::uint64_t>(l.igp_metric)});
   // One full run of the solver's SSSP kernel per source over a CSR of
   // every link; an all-zero residual vector at threshold 0 makes every
   // link usable, whatever its capacity or state.
@@ -35,7 +54,6 @@ PathCache::PathCache(const topo::Topology& topo)
   const std::vector<double> residual(topo.num_links(), 0.0);
   std::vector<std::uint32_t> targets(n_);
   std::iota(targets.begin(), targets.end(), 0u);
-  link_src_ = g.link_src;
   pred_.assign(n_ * n_, topo::kInvalidLink);
   SsspWorkspace ws;
   for (std::uint32_t s = 0; s < n_; ++s) {
@@ -47,6 +65,43 @@ PathCache::PathCache(const topo::Topology& topo)
   }
 }
 
+std::shared_ptr<const PathCache> PathCache::of(const topo::Topology& topo) {
+  const std::uint64_t h = key_hash(topo);
+  Registry& r = registry();
+  // Built under the lock: routers solving one topology at once wait for
+  // the first build instead of each running their own.
+  std::lock_guard<std::mutex> lock(r.mu);
+  const auto [first, last] = r.tables.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    if (auto table = it->second.lock(); table && table->matches(topo))
+      return table;
+  }
+  std::erase_if(r.tables,
+                [](const auto& entry) { return entry.second.expired(); });
+  auto table = std::make_shared<const PathCache>(topo);
+  r.tables.emplace(h, table);
+  return table;
+}
+
+std::size_t PathCache::interned() {
+  Registry& r = registry();
+  std::lock_guard<std::mutex> lock(r.mu);
+  return r.tables.size();
+}
+
+bool PathCache::matches(const topo::Topology& topo) const {
+  if (topo.num_nodes() != n_ || topo.num_links() != links_.size())
+    return false;
+  const LinkKey* key = links_.data();
+  for (const topo::Link& l : topo.links()) {
+    if (key->src != l.src || key->dst != l.dst ||
+        key->metric_bits != std::bit_cast<std::uint64_t>(l.igp_metric))
+      return false;
+    ++key;
+  }
+  return true;
+}
+
 Path PathCache::path(topo::NodeId src, topo::NodeId dst) const {
   Path p;
   const std::span<const topo::LinkId> pred = row(src);
@@ -54,10 +109,80 @@ Path PathCache::path(topo::NodeId src, topo::NodeId dst) const {
     const topo::LinkId lid = pred[at];
     if (lid == topo::kInvalidLink) return {};
     p.links.push_back(lid);
-    at = link_src_[lid];
+    at = links_[lid].src;
   }
   std::reverse(p.links.begin(), p.links.end());
   return p;
+}
+
+std::shared_ptr<const DetourTable> PathCache::detours(
+    const topo::Topology& topo) const {
+  std::lock_guard<std::mutex> lock(detour_mu_);
+  if (auto live = detour_.lock(); live && live->matches(*this, topo))
+    return live;
+  auto fresh = std::make_shared<const DetourTable>(shared_from_this(), topo);
+  detour_ = fresh;
+  return fresh;
+}
+
+DetourTable::DetourTable(std::shared_ptr<const PathCache> table,
+                         const topo::Topology& topo)
+    : table_(std::move(table)),
+      graph_(build_batch_graph(topo)),
+      no_floor_(topo.num_links(), 0.0),
+      all_nodes_(topo.num_nodes()),
+      rows_(std::make_unique<Row[]>(topo.num_nodes())) {
+  for (const topo::Link& l : topo.links()) {
+    if (!l.up) down_.push_back(l.id);
+  }
+  std::iota(all_nodes_.begin(), all_nodes_.end(), 0u);
+}
+
+bool DetourTable::matches(const PathCache& table,
+                          const topo::Topology& topo) const {
+  if (table_.get() != &table) return false;
+  auto next = down_.begin();
+  for (const topo::Link& l : topo.links()) {
+    if (l.up) continue;
+    if (next == down_.end() || *next != l.id) return false;
+    ++next;
+  }
+  return next == down_.end();
+}
+
+void DetourTable::fill(topo::NodeId src, topo::LinkId* pred) const {
+  static obs::Counter& m_rows =
+      obs::Registry::global().counter("te.table.detour_rows");
+  m_rows.inc();
+  const std::size_t n = all_nodes_.size();
+  SsspWorkspace ws;
+  sssp(graph_, no_floor_, 0.0, src, all_nodes_.data(), n, ws);
+  for (std::uint32_t d = 0; d < n; ++d)
+    pred[d] = d != src && ws.reached(d) ? ws.pred_link[d] : topo::kInvalidLink;
+}
+
+std::span<const topo::LinkId> DetourTable::row(
+    topo::NodeId src, std::vector<topo::LinkId>& scratch) const {
+  const std::size_t n = all_nodes_.size();
+  Row& r = rows_[src];
+  std::uint8_t state = kEmpty;
+  if (r.state.compare_exchange_strong(state, kFilling,
+                                      std::memory_order_acquire)) {
+    try {
+      auto pred = std::make_unique<topo::LinkId[]>(n);
+      fill(src, pred.get());
+      r.pred = std::move(pred);
+    } catch (...) {
+      r.state.store(kEmpty, std::memory_order_relaxed);
+      throw;
+    }
+    r.state.store(kFilled, std::memory_order_release);
+    return {r.pred.get(), n};
+  }
+  if (state == kFilled) return {r.pred.get(), n};
+  scratch.resize(n);
+  fill(src, scratch.data());
+  return {scratch.data(), n};
 }
 
 }  // namespace dsdn::te

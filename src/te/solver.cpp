@@ -7,7 +7,6 @@
 #include <mutex>
 #include <numeric>
 #include <span>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
@@ -225,6 +224,43 @@ void sssp(const BatchGraph& g, const std::vector<double>& residual,
   }
 }
 
+Solver::HeldTable& Solver::HeldTable::operator=(const HeldTable& other) {
+  if (this != &other) {
+    Tables held = other.get();
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = std::move(held);
+  }
+  return *this;
+}
+
+Solver::HeldTable::Tables Solver::HeldTable::get() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return held_;
+}
+
+Solver::HeldTable::Tables Solver::HeldTable::fetch(const topo::Topology& topo,
+                                                   bool links_down) {
+  const Tables held = get();
+  Tables now;
+  now.table = held.table && held.table->matches(topo) ? held.table
+                                                      : PathCache::of(topo);
+  if (links_down) {
+    now.detours = held.detours && held.detours->matches(*now.table, topo)
+                      ? held.detours
+                      : now.table->detours(topo);
+  }
+  if (now.table != held.table || now.detours != held.detours) {
+    std::lock_guard<std::mutex> lock(mu_);
+    held_ = now;
+  }
+  return now;
+}
+
+std::size_t Solver::path_table_bytes() const {
+  const std::shared_ptr<const PathCache> table = table_.get().table;
+  return table ? table->bytes() : 0;
+}
+
 Solution Solver::solve(const topo::Topology& topo,
                        const traffic::TrafficMatrix& tm, SolveStats* stats,
                        const std::vector<double>* residual_override) const {
@@ -238,13 +274,6 @@ Solution Solver::solve(const topo::Topology& topo,
   static obs::Counter& m_interned = reg.counter("te.batch.interned_paths");
   static obs::Counter& m_table = reg.counter("te.batch.table_paths");
   static obs::Histogram& m_fill = reg.histogram("te.batch.batch_fill");
-
-  const PathCache* const table = options_.cache;
-  if (table && !table->matches(topo)) {
-    throw std::invalid_argument(
-        "te::Solver: the PathCache was built for other nodes, links or "
-        "metrics; build a new table for this topology");
-  }
 
   SolveStats local_stats;
 
@@ -267,9 +296,22 @@ Solution Solver::solve(const topo::Topology& topo,
   // A down link contributes no capacity -- also when the caller seeded
   // residuals (an override computed before the link failed may carry
   // leftover headroom the allocator must never hand out).
+  bool links_down = false;
   for (std::size_t l = 0; l < topo.num_links(); ++l) {
-    if (!topo.link(static_cast<topo::LinkId>(l)).up) residual[l] = 0.0;
+    if (!topo.link(static_cast<topo::LinkId>(l)).up) {
+      residual[l] = 0.0;
+      links_down = true;
+    }
   }
+
+  // Held for the whole solve, so a concurrent solve of another topology
+  // on this Solver cannot drop them. A build is its own layer
+  // (te.underlay.build), outside wall_time_s; detour rows fill inside it.
+  const HeldTable::Tables tables = options_.path_table
+                                       ? table_.fetch(topo, links_down)
+                                       : HeldTable::Tables{};
+  const PathCache* const table = tables.table.get();
+  const DetourTable* const detours = tables.detours.get();
 
   const auto t_start = Clock::now();
 
@@ -356,27 +398,59 @@ Solution Solver::solve(const topo::Topology& topo,
   auto links_of = [&](Run r) {
     return std::span<const topo::LinkId>(arena.data() + r.off, r.len);
   };
-  // The pair's table path (Fig 15), walked from its predecessor row into
-  // the arena; len 0 (nothing appended) without a table or as soon as a
-  // link falls below `min_residual`. A path that clears it is what a
-  // fresh search at that threshold would return, link for link
-  // (DESIGN.md, SoA solver).
-  auto table_path = [&](std::uint32_t src, std::uint32_t dst,
-                        double min_residual) {
+  auto bottleneck_of = [&](Run r) {
+    double bn = kInf;
+    for (topo::LinkId l : links_of(r)) bn = std::min(bn, residual[l]);
+    return bn;
+  };
+  std::vector<topo::LinkId> detour_scratch;  // a row another solve fills
+  // Walks the path src -> dst of a predecessor row into the arena; len 0
+  // (nothing appended) when dst is unreachable or a link falls below
+  // `min_residual`. With `crosses_down`, a short walk goes on to the
+  // source and reports whether the path holds a down link.
+  auto walk = [&](std::span<const topo::LinkId> pred, std::uint32_t src,
+                  std::uint32_t dst, double min_residual,
+                  bool* crosses_down) {
     const auto off = static_cast<std::uint32_t>(arena.size());
-    if (!table) return Run{off, 0};
-    const std::span<const topo::LinkId> pred = table->row(src);
+    bool clears = true;
     for (std::uint32_t at = dst; at != src;) {
       const topo::LinkId lid = pred[at];
-      if (lid == topo::kInvalidLink || residual[lid] < min_residual) {
-        arena.resize(off);
-        return Run{off, 0};
+      if (lid == topo::kInvalidLink) {
+        clears = false;
+        break;
+      }
+      if (residual[lid] < min_residual) {
+        clears = false;
+        if (!crosses_down) break;
+        if (!topo.link(lid).up) {
+          *crosses_down = true;
+          break;
+        }
       }
       arena.push_back(lid);
       at = graph.link_src[lid];
     }
+    if (!clears) {
+      arena.resize(off);
+      return Run{off, 0};
+    }
     std::reverse(arena.begin() + off, arena.end());
     return Run{off, static_cast<std::uint32_t>(arena.size() - off)};
+  };
+  // The pair's table path (Fig 15), or its detour path when the table
+  // path crosses a down link; len 0 without a table or when the path
+  // falls below `min_residual`. A path that clears it is what a fresh
+  // search at that threshold would return, link for link (DESIGN.md, SoA
+  // solver).
+  auto table_path = [&](std::uint32_t src, std::uint32_t dst,
+                        double min_residual) {
+    if (!table) return Run{static_cast<std::uint32_t>(arena.size()), 0};
+    bool crosses_down = false;
+    const Run r = walk(table->row(src), src, dst, min_residual,
+                       detours ? &crosses_down : nullptr);
+    if (r.len > 0 || !crosses_down) return r;
+    return walk(detours->row(src, detour_scratch), src, dst, min_residual,
+                nullptr);
   };
 
   // Per-class demand state, SoA keyed by slot.
@@ -387,9 +461,12 @@ Solution Solver::solve(const topo::Topology& topo,
   // The sliver threshold round_path was last searched or validated at;
   // negative = no cached path yet.
   std::vector<double> cached_at;
+  // 1 when round_path is the pair's table or detour path, which its
+  // bottleneck alone revalidates; 0 when a search found it.
+  std::vector<char> from_table;
 
   // Round-local scratch, reused across rounds.
-  std::vector<std::uint32_t> active, next_active, search_list;
+  std::vector<std::uint32_t> active, next_active, search_list, rank_checks;
   std::vector<double> rank_values;
   std::vector<Bucket> buckets;  // [0, num_buckets) are this round's
   std::size_t num_buckets = 0;
@@ -402,6 +479,7 @@ Solution Solver::solve(const topo::Topology& topo,
   // warm ones. Indexed by pair; carry_at < 0 = nothing carried.
   std::vector<Run> carry_path(num_pairs);
   std::vector<double> carry_at(num_pairs, -1.0);
+  std::vector<char> carry_from_table(num_pairs, 0);
 
   for (int cls = 0; cls < metrics::kNumPriorityClasses; ++cls) {
     alloc_index.clear();
@@ -412,6 +490,7 @@ Solution Solver::solve(const topo::Topology& topo,
     threshold.clear();
     round_path.clear();
     cached_at.clear();
+    from_table.clear();
     active.clear();
     for (std::size_t i = 0; i < solution.allocations.size(); ++i) {
       const auto& d = solution.allocations[i].demand;
@@ -428,9 +507,11 @@ Solution Solver::solve(const topo::Topology& topo,
         threshold.push_back(0.0);
         round_path.push_back({});
         cached_at.push_back(-1.0);
+        from_table.push_back(0);
         if (carry_at[pair_of[i]] >= 0.0) {
           round_path.back() = carry_path[pair_of[i]];
           cached_at.back() = carry_at[pair_of[i]];
+          from_table.back() = carry_from_table[pair_of[i]];
         }
       }
     }
@@ -452,66 +533,85 @@ Solution Solver::solve(const topo::Topology& topo,
       const auto t_search = Clock::now();
       {
         DSDN_TRACE_SPAN("te.batch.path_search");
+        // A slot without a held path walks its table row; a miss
+        // searches.
+        const auto table_or_search = [&](std::uint32_t slot) {
+          const Run r =
+              table_path(slot_src[slot], slot_dst[slot], threshold[slot]);
+          if (r.len == 0) {
+            search_list.push_back(slot);
+            return;
+          }
+          round_path[slot] = r;
+          from_table[slot] = 1;
+          cached_at[slot] = threshold[slot];
+          ++local_stats.table_paths;
+        };
+
+        // A held table path is what a fresh search returns whenever its
+        // bottleneck clears the threshold (any usable set containing the
+        // shortest path over all links returns it); below it, a walk
+        // would stop on the same link, so the slot searches. A held
+        // searched path needs the rank check below.
+        search_list.clear();
+        rank_checks.clear();
+        std::size_t reused = 0;
+        for (std::uint32_t slot : active) {
+          if (cached_at[slot] < 0.0) {
+            table_or_search(slot);
+          } else if (!from_table[slot]) {
+            rank_checks.push_back(slot);
+          } else if (bottleneck_of(round_path[slot]) >= threshold[slot]) {
+            cached_at[slot] = threshold[slot];
+            ++reused;
+          } else {
+            search_list.push_back(slot);
+          }
+        }
+
         // Residual-rank values: thresholds t1 <= t2 see the same
         // usable-link set iff no link residual lies in [t1, t2), so the
         // rank of a threshold among the sorted distinct sub-threshold
         // residuals is an exact equivalence key -- used both to bucket
-        // fresh searches and to validate cached round paths. value_cap
-        // bounds every threshold in play this round (current thresholds
-        // via t_max, cached ones explicitly).
-        const double t_max = detail::sliver_threshold(quantum, max_remaining);
-        double value_cap = t_max;
-        for (std::uint32_t slot : active)
-          value_cap = std::max(value_cap, cached_at[slot]);
+        // fresh searches and to validate held searched paths. value_cap
+        // bounds every threshold in play this round (current ones via the
+        // largest remaining demand's, held ones explicitly). A round with
+        // neither skips the sort.
         rank_values.clear();
-        for (std::size_t e = 0; e < graph.edge_link.size(); ++e) {
-          const double r = residual[graph.edge_link[e]];
-          if (r < value_cap) rank_values.push_back(r);
-        }
-        std::sort(rank_values.begin(), rank_values.end());
-        rank_values.erase(
-            std::unique(rank_values.begin(), rank_values.end()),
-            rank_values.end());
-
-        // Path reuse: within a class, residuals only decrease, so the
-        // usable-link set for this demand can only have grown through
-        // links whose residual now sits in [threshold, cached_at). If
-        // none does and the cached path still clears the new threshold,
-        // a fresh Dijkstra would reproduce the cached path bit-exactly
-        // (shrinking the usable set can neither beat it on cost nor
-        // steal its tie-breaks) -- skip the search. Failing that, a
-        // table path that clears the threshold is taken for the same
-        // reason.
-        search_list.clear();
-        std::size_t reused = 0;
-        for (std::uint32_t slot : active) {
-          bool reuse = false;
-          if (cached_at[slot] >= 0.0) {
-            const double t_new = threshold[slot];
-            const auto lo = std::lower_bound(rank_values.begin(),
-                                             rank_values.end(), t_new);
-            const auto hi =
-                std::lower_bound(lo, rank_values.end(), cached_at[slot]);
-            if (lo == hi) {
-              double bn = kInf;
-              for (topo::LinkId l : links_of(round_path[slot]))
-                bn = std::min(bn, residual[l]);
-              reuse = bn >= t_new;
-            }
+        if (!rank_checks.empty() || !search_list.empty()) {
+          double value_cap = detail::sliver_threshold(quantum, max_remaining);
+          for (std::uint32_t slot : rank_checks)
+            value_cap = std::max(value_cap, cached_at[slot]);
+          for (std::size_t e = 0; e < graph.edge_link.size(); ++e) {
+            const double r = residual[graph.edge_link[e]];
+            if (r < value_cap) rank_values.push_back(r);
           }
-          if (reuse) {
+          std::sort(rank_values.begin(), rank_values.end());
+          rank_values.erase(
+              std::unique(rank_values.begin(), rank_values.end()),
+              rank_values.end());
+        }
+
+        // Searched-path reuse: within a class, residuals only decrease,
+        // so the usable-link set for this demand can only have grown
+        // through links whose residual now sits in [threshold,
+        // cached_at). If none does and the held path still clears the
+        // new threshold, a fresh Dijkstra would reproduce it bit-exactly
+        // (shrinking the usable set can neither beat it on cost nor
+        // steal its tie-breaks) -- skip the search. Failing that, the
+        // table path is taken when it clears the threshold.
+        for (std::uint32_t slot : rank_checks) {
+          const double t_new = threshold[slot];
+          const auto lo =
+              std::lower_bound(rank_values.begin(), rank_values.end(), t_new);
+          const auto hi =
+              std::lower_bound(lo, rank_values.end(), cached_at[slot]);
+          if (lo == hi && bottleneck_of(round_path[slot]) >= t_new) {
+            cached_at[slot] = t_new;
             ++reused;
           } else {
-            const Run r =
-                table_path(slot_src[slot], slot_dst[slot], threshold[slot]);
-            if (r.len == 0) {
-              search_list.push_back(slot);
-              continue;
-            }
-            round_path[slot] = r;
-            ++local_stats.table_paths;
+            table_or_search(slot);
           }
-          cached_at[slot] = threshold[slot];
         }
         m_reused.add(reused);
 
@@ -566,6 +666,7 @@ Solution Solver::solve(const topo::Topology& topo,
           for (std::size_t i = 0; i < b.slots.size(); ++i) {
             round_path[b.slots[i]] = {base + b.runs[i].off, b.runs[i].len};
             cached_at[b.slots[i]] = threshold[b.slots[i]];
+            from_table[b.slots[i]] = 0;
           }
           m_fill.record(static_cast<double>(b.slots.size()));
         }
@@ -591,15 +692,19 @@ Solution Solver::solve(const topo::Topology& topo,
           ++local_stats.frozen_no_path;
           continue;
         }
-        double bottleneck = kInf;
-        for (topo::LinkId l : links_of(rp))
-          bottleneck = std::min(bottleneck, residual[l]);
+        double bottleneck = bottleneck_of(rp);
         if (bottleneck < threshold[slot]) {
           // Earlier demands drained this round's path below the residual
           // floor it was searched with; re-search at current residuals
-          // rather than granting a sub-sliver and spinning.
+          // rather than granting a sub-sliver and spinning. A drained
+          // table path is the walk's answer too, so it goes straight to
+          // the search.
           m_rechecks.inc();
-          rp = table_path(slot_src[slot], slot_dst[slot], threshold[slot]);
+          rp = from_table[slot]
+                   ? Run{}
+                   : table_path(slot_src[slot], slot_dst[slot],
+                                threshold[slot]);
+          from_table[slot] = rp.len > 0;
           if (rp.len > 0) {
             ++local_stats.table_paths;
           } else {
@@ -614,9 +719,7 @@ Solution Solver::solve(const topo::Topology& topo,
             ++local_stats.frozen_no_path;
             continue;
           }
-          bottleneck = kInf;
-          for (topo::LinkId l : links_of(rp))
-            bottleneck = std::min(bottleneck, residual[l]);
+          bottleneck = bottleneck_of(rp);
         }
         double grant = std::min({quantum, remaining[slot], bottleneck});
         if (remaining[slot] - grant <= satisfied_below[slot] &&
@@ -645,6 +748,7 @@ Solution Solver::solve(const topo::Topology& topo,
       const std::uint32_t pair = pair_of[alloc_index[slot]];
       carry_path[pair] = round_path[slot];
       carry_at[pair] = cached_at[slot];
+      carry_from_table[pair] = from_table[slot];
     }
   }
   local_stats.frozen_demands =

@@ -24,7 +24,7 @@
 // Structure of arrays (the GATE direction, PAPERS.md): step (1) runs one
 // batched multi-destination SSSP per (source, residual-rank) bucket over
 // flat CSR arrays (te::sssp, te/batch_solver.hpp), instead of one
-// Dijkstra per demand. With or without a PathCache the result is
+// Dijkstra per demand. With or without the path table the result is
 // bit-identical to running te::shortest_path for every active demand
 // every round and accumulating grants per allocation in a
 // std::map<links, rate> (the test-only reference solver in tests/ does
@@ -49,13 +49,29 @@
 //    links. When every link on it clears the sliver threshold it lies in
 //    the usable set -- down links carry residual 0, thresholds are > 0 --
 //    and a fresh search over that subset returns it link for link, so a
-//    demand takes it without a search.
+//    demand takes it without a search, and keeps it in later rounds and
+//    classes for as long as its bottleneck clears the threshold. A table
+//    path that crosses a down link is replaced by the pair's detour path
+//    (PathCache::detours: the shortest path over the up links), which
+//    the same argument covers.
 //  * Grants accumulate into flat (path_id, rate) runs in round order and
 //    finalize in lexicographic link-sequence order, which is a
 //    per-allocation std::map's float summation order and output order.
 //
+// The table is part of every solve: a Solver holds the interned table
+// (PathCache::of) of the topology it last solved and refetches it only
+// when the key -- node count, link endpoints, metrics -- changes, so a
+// router that keeps its Solver walks a built table and every temporary
+// on the same topology shares it. With links down it also holds that
+// link state's detour rows, shared the same way, so a solve's cost does
+// not climb with the number of failed links. A round path that came from the table
+// is revalidated by its bottleneck alone (it is the shortest path over
+// all links, so any usable set containing it returns it), and the
+// per-round residual-rank sort runs only when some demand needs a
+// search or holds a searched path.
+//
 // Determinism: the solver is a pure function of (topology, demands,
-// quantum), whatever SolverOptions::pool's size, with or without a
+// quantum), whatever SolverOptions::pool's size, with or without the
 // table. Every dSDN controller running it on an identical NodeStateDB
 // computes the identical Solution -- the consensus-free property. The
 // other round constants (satisfaction tolerance, epsilon, round cap) are
@@ -63,6 +79,8 @@
 // them.
 
 #include <cstddef>
+#include <memory>
+#include <mutex>
 
 #include "te/path_cache.hpp"
 #include "te/types.hpp"
@@ -76,10 +94,10 @@ struct SolverOptions {
   // reused across solves so the workers are spawned exactly once per
   // process. Null = the solve runs serially on the calling thread.
   ThreadPool* pool = nullptr;
-  // Optional shortest-path table (Fig 15 optimization), shared read-only
-  // by any number of solves. May be null. Must be built from the solved
-  // topology's nodes, links and metrics (solve throws otherwise).
-  const PathCache* cache = nullptr;
+  // Seed path lookups from the interned shortest-path table (Fig 15).
+  // Off only for Fig 15's no-table column and parity tests; the
+  // placement is bit-identical either way.
+  bool path_table = true;
   // Waterfill quantum: each round grants up to max_remaining/quantum_divisor
   // per demand; smaller quanta => closer to exact max-min, more rounds.
   double quantum_divisor = 8.0;
@@ -90,13 +108,17 @@ struct SolverOptions {
 };
 
 struct SolveStats {
+  // The solve over its table; a table build is timed by its own span
+  // (te.underlay.build), not here.
   double wall_time_s = 0.0;
   double path_search_time_s = 0.0;  // parallelizable portion
   double allocation_time_s = 0.0;   // serialized portion
   std::size_t rounds = 0;
   // Batched SSSP searches and grant-step re-searches actually run.
   std::size_t path_searches = 0;
-  // Demands that took their PathCache table path instead of a search.
+  // Table or detour-row walks that answered a path lookup instead of a
+  // search (a path kept across rounds by its bottleneck is not walked
+  // again).
   std::size_t table_paths = 0;
   // Demands frozen before satisfaction, by cause. frozen_demands is the
   // total (kept for existing consumers); the split tells starvation
@@ -123,8 +145,38 @@ class Solver {
 
   const SolverOptions& options() const { return options_; }
 
+  // Heap bytes of the table this Solver holds; 0 before its first solve
+  // with path_table.
+  std::size_t path_table_bytes() const;
+
  private:
+  // The table of the last solved topology, and the detour rows of its
+  // link state when links were down: strong references, so the registry
+  // and the table's detour slot keep them while this Solver lives.
+  // Copies share them; concurrent const solves swap them under the lock.
+  class HeldTable {
+   public:
+    struct Tables {
+      std::shared_ptr<const PathCache> table;
+      std::shared_ptr<const DetourTable> detours;  // null: no link down
+    };
+
+    HeldTable() = default;
+    HeldTable(const HeldTable& other) : held_(other.get()) {}
+    HeldTable& operator=(const HeldTable& other);
+    Tables get() const;
+    // The held tables when they match `topo`, else PathCache::of(topo)
+    // and its detours(topo) (only when `links_down`), which are then
+    // held.
+    Tables fetch(const topo::Topology& topo, bool links_down);
+
+   private:
+    mutable std::mutex mu_;
+    Tables held_;
+  };
+
   SolverOptions options_;
+  mutable HeldTable table_;
 };
 
 namespace detail {

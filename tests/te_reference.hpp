@@ -18,8 +18,8 @@ class ReferenceSolver {
   explicit ReferenceSolver(SolverOptions options = {}) : options_(options) {}
 
   // Same contract as Solver::solve. Runs its path searches on
-  // options.pool when set, serially otherwise; ignores cache (it always
-  // searches).
+  // options.pool when set, serially otherwise; ignores path_table (it
+  // always searches).
   Solution solve(const topo::Topology& topo,
                  const traffic::TrafficMatrix& tm,
                  SolveStats* stats = nullptr,

@@ -13,7 +13,6 @@
 #include "te/batch_solver.hpp"
 #include "te/dijkstra.hpp"
 #include "te/incremental.hpp"
-#include "te/path_cache.hpp"
 #include "te/solver.hpp"
 #include "te/thread_pool.hpp"
 #include "te_reference.hpp"
@@ -120,12 +119,9 @@ TEST(BatchWaterfill, CachedSolvesMatchCachedReference) {
   // return it, so it matches the (always searching) reference.
   const auto t = topo::make_geant();
   const auto tm = traffic::generate_gravity(t);
-  const PathCache cache(t);
-  SolverOptions batch;
-  batch.cache = &cache;
   SolveStats stats;
   expect_bit_identical(ReferenceSolver().solve(t, tm),
-                       Solver(batch).solve(t, tm, &stats), "cached");
+                       Solver().solve(t, tm, &stats), "cached");
   EXPECT_GT(stats.table_paths, 0u);
 }
 
@@ -164,17 +160,26 @@ TEST(BatchWaterfill, DiffCheckerParityOverScenarioEras) {
   }
 }
 
+std::uint64_t counter(const char* name) {
+  const auto snap = obs::Registry::global().snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+}
+
+// Gravity at 130% load: enough table paths saturate that a solve runs
+// batched searches beside its table walks.
+traffic::TrafficMatrix overloaded_gravity(const topo::Topology& t) {
+  traffic::GravityParams gp;
+  gp.target_max_utilization = 1.3;
+  return traffic::generate_gravity(t, gp);
+}
+
 TEST(BatchWaterfill, BucketingRunsFewerSsspsThanSearches) {
   // Bucketing is what makes the path search a *batch* search: one SSSP
   // serves every demand of a (source, residual-rank) bucket, so a solve
   // runs strictly fewer SSSPs than batched demand searches.
   const auto t = topo::make_geant();
-  const auto tm = traffic::generate_gravity(t);
-  const auto counter = [](const char* name) {
-    const auto snap = obs::Registry::global().snapshot();
-    const auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
-  };
+  const auto tm = overloaded_gravity(t);
   const std::uint64_t batches0 = counter("te.batch.sssp_batches");
   const std::uint64_t searches0 = counter("te.batch.batched_searches");
   SolveStats stats;
@@ -189,18 +194,20 @@ TEST(BatchWaterfill, BucketingRunsFewerSsspsThanSearches) {
 }
 
 TEST(BatchWaterfill, EmitsBatchCounters) {
+  // Deltas around this test's own solve: the counters are process-wide,
+  // and earlier tests in the binary bump them too.
   const auto t = topo::make_abilene();
-  const auto tm = traffic::generate_gravity(t);
+  const auto tm = overloaded_gravity(t);
+  const char* const names[] = {"te.batch.solves", "te.batch.sssp_batches",
+                               "te.batch.interned_paths",
+                               "te.batch.table_paths", "te.solver.solves"};
+  std::vector<std::uint64_t> before;
+  for (const char* name : names) before.push_back(counter(name));
   Solver().solve(t, tm);
-  const auto snap = obs::Registry::global().snapshot();
-  const auto counter = [&](const char* name) {
-    const auto it = snap.counters.find(name);
-    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
-  };
-  EXPECT_GT(counter("te.batch.solves"), 0u);
-  EXPECT_GT(counter("te.batch.sssp_batches"), 0u);
-  EXPECT_GT(counter("te.batch.interned_paths"), 0u);
-  EXPECT_GT(counter("te.solver.solves"), 0u);  // shared counters still move
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    // te.solver.solves: the shared counters still move.
+    EXPECT_GT(counter(names[i]) - before[i], 0u) << names[i];
+  }
 }
 
 TEST(BatchWaterfill, SsspWorkspaceReuseAcrossEpochs) {
@@ -400,30 +407,31 @@ TEST(BatchSssp, MatchesShortestPathOnTieHeavyGraphs) {
 // ---- Golden placements: the strict solver's output pinned bit for bit ----
 
 // The corpus of tests/solver_golden.hpp through te::Solver at pool sizes
-// 1 and 4, and in cached mode (a fresh PathCache per solve). All three
-// reproduce the same digests on this corpus. The tables pin the
-// production solver on their own, independently of ReferenceSolver.
+// 1 and 4 (both walking the path table) and with path_table = false (the
+// search path alone). All three reproduce the same digests on this
+// corpus. The tables pin the production solver on their own,
+// independently of ReferenceSolver.
 void expect_strict_golden(const topo::Topology& base, double pair_fraction,
                           const golden::GoldenTable& golden,
                           const std::string& name) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ThreadPool pool(threads);
+    const Solver solver(pooled(pool));
     golden::expect_golden_digests(
         base, pair_fraction, golden,
         (name + " pool " + std::to_string(threads)).c_str(),
         [&](const topo::Topology& view, const traffic::TrafficMatrix& tm,
             const std::vector<double>* residual) {
-          return Solver(pooled(pool)).solve(view, tm, nullptr, residual);
+          return solver.solve(view, tm, nullptr, residual);
         });
   }
+  SolverOptions search_only;
+  search_only.path_table = false;
   golden::expect_golden_digests(
-      base, pair_fraction, golden, (name + " cached").c_str(),
-      [](const topo::Topology& view, const traffic::TrafficMatrix& tm,
-         const std::vector<double>* residual) {
-        const PathCache cache(view);
-        SolverOptions opt;
-        opt.cache = &cache;
-        return Solver(opt).solve(view, tm, nullptr, residual);
+      base, pair_fraction, golden, (name + " no table").c_str(),
+      [&](const topo::Topology& view, const traffic::TrafficMatrix& tm,
+          const std::vector<double>* residual) {
+        return Solver(search_only).solve(view, tm, nullptr, residual);
       });
 }
 

@@ -535,6 +535,7 @@ TEST(Controller, OpaqueTlvsSurviveValidationAndApply) {
 }  // namespace dsdn::core
 
 #include "core/introspection.hpp"
+#include "te/path_cache.hpp"
 
 namespace dsdn::core {
 namespace {
@@ -557,6 +558,11 @@ TEST(Introspection, StatusReflectsControllerState) {
   EXPECT_EQ(status.recomputes, 1u);
   EXPECT_GT(status.routes_installed, 0u);
   EXPECT_EQ(status.routes_too_deep, 0u);
+
+  // The solver's path table, reported in full.
+  EXPECT_EQ(status.te_table_bytes,
+            te::PathCache::of(c.state().view())->bytes());
+  EXPECT_GT(status.te_table_bytes, 0u);
 
   const auto text = render_status(status, c.state().view());
   EXPECT_NE(text.find("origins heard"), std::string::npos);
@@ -596,6 +602,9 @@ TEST(Introspection, RenderStatusGolden) {
   s.te_full_solves = 1;
   s.te_incremental_fallbacks = 1;
   s.te_last_reuse_fraction = 0.875;
+  s.te_table_bytes = 39100;
+  s.te_table_paths = 1180;
+  s.te_path_searches = 4;
   EXPECT_EQ(
       render_status(s, view),
       "dSDN controller @ n0 (router 0)\n"
@@ -610,7 +619,9 @@ TEST(Introspection, RenderStatusGolden) {
       "3 decode errors\n"
       "  TE solver       : 2 frozen demands (1 no-path, 1 round-cap); "
       "incremental 8 warm / "
-      "1 full (1 fallbacks), last reuse 87.5%\n");
+      "1 full (1 fallbacks), last reuse 87.5%\n"
+      "  TE path table   : 39.1 KB; last solve 1180 table paths, "
+      "4 searches\n");
 }
 
 TEST(Introspection, MergeFloodCountersReadsHostRegistry) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include "obs/metrics.hpp"
 #include "sim/emulation.hpp"
 #include "sim/scenario.hpp"
 #include "solver_golden.hpp"
 #include "te/incremental.hpp"
+#include "te/path_cache.hpp"
 #include "te/solver.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
@@ -94,6 +96,30 @@ TEST(Emulation, ConsensusFreeIdenticalSolutions) {
   const auto digest0 = emu.controller(0).state().digest();
   for (topo::NodeId n = 1; n < topo.num_nodes(); ++n) {
     EXPECT_EQ(emu.controller(n).state().digest(), digest0);
+  }
+}
+
+TEST(Emulation, RoutersShareOneTableAndEachReportsIt) {
+  // Every router's solver holds the interned path table of its view: one
+  // table for the fleet, built once, kept across a cut and its repair,
+  // and reported in full by every router's status.
+  auto emu = make_emulation(topo::make_b4_like());
+  emu.bootstrap();
+  const auto table = te::PathCache::of(emu.controller(0).state().view());
+  const auto builds = [] {
+    const auto snap = obs::Registry::global().snapshot();
+    const auto it = snap.counters.find("te.table.builds");
+    return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+  };
+  const std::uint64_t builds_before = builds();
+  const topo::LinkId fiber = emu.network().find_link(0, 1);
+  emu.fail_fiber(fiber);
+  emu.repair_fiber(fiber);
+  EXPECT_EQ(builds(), builds_before);
+  for (topo::NodeId n = 0; n < emu.network().num_nodes(); ++n) {
+    const core::ControllerStatus status = emu.status_of(n);
+    EXPECT_EQ(status.te_table_bytes, table->bytes()) << "router " << n;
+    EXPECT_GT(status.te_table_paths, 0u) << "router " << n;
   }
 }
 

@@ -1,7 +1,8 @@
 // Concurrency suite for the persistent TE thread pool (and the hot-path
 // fixes that ride on it): worker reuse, dynamic balancing, exception
-// propagation, nesting, EventQueue move semantics, and one PathCache
-// table shared by concurrent solves. Written TSan-friendly -- shared
+// propagation, nesting, EventQueue move semantics, one PathCache table
+// shared by concurrent solves, and one Solver solving two topologies
+// from two threads. Written TSan-friendly -- shared
 // state is atomics or per-index slots -- and run under
 // -DDSDN_SANITIZE=thread by scripts/tier1.sh.
 
@@ -16,6 +17,8 @@
 
 #include "core/introspection.hpp"
 #include "sim/event_queue.hpp"
+#include "solver_golden.hpp"
+#include "te/incremental.hpp"
 #include "te/path_cache.hpp"
 #include "te/solver.hpp"
 #include "te/thread_pool.hpp"
@@ -240,9 +243,17 @@ TEST(ThreadPoolSlots, ConcurrentExternalCallersAreSerialized) {
 
 // ---- solver on a shared pool ----
 
+// Gravity at 130% load: some table paths saturate, so solves run both
+// table walks and batched searches (the parallel step).
+traffic::TrafficMatrix overloaded_gravity(const topo::Topology& t) {
+  traffic::GravityParams gp;
+  gp.target_max_utilization = 1.3;
+  return traffic::generate_gravity(t, gp);
+}
+
 TEST(SolverPool, ExternalPoolSharedAcrossSolvesMatchesSerial) {
   const auto t = topo::make_geant();
-  const auto tm = traffic::generate_gravity(t);
+  const auto tm = overloaded_gravity(t);
 
   const auto a = te::Solver().solve(t, tm);
 
@@ -268,21 +279,16 @@ TEST(SolverPool, CachedParallelMatchesCachedSerial) {
   // concurrently. At 130% load some table paths saturate, so both the
   // table and the batched search run.
   const auto t = topo::make_geant();
-  traffic::GravityParams gp;
-  gp.target_max_utilization = 1.3;
-  const auto tm = traffic::generate_gravity(t, gp);
+  const auto tm = overloaded_gravity(t);
 
-  const te::PathCache cache(t);
+  const auto table = te::PathCache::of(t);
   te::ThreadPool pool(4);
-  te::SolverOptions serial;
-  serial.cache = &cache;
   te::SolverOptions parallel;
   parallel.pool = &pool;
-  parallel.cache = &cache;
   te::SolveStats serial_stats, parallel_stats;
   te::Solution a;
   std::thread serial_solve(
-      [&] { a = te::Solver(serial).solve(t, tm, &serial_stats); });
+      [&] { a = te::Solver().solve(t, tm, &serial_stats); });
   const auto b = te::Solver(parallel).solve(t, tm, &parallel_stats);
   serial_solve.join();
   ASSERT_EQ(a.allocations.size(), b.allocations.size());
@@ -294,6 +300,94 @@ TEST(SolverPool, CachedParallelMatchesCachedSerial) {
   EXPECT_GT(parallel_stats.path_searches, 0u);
   EXPECT_EQ(parallel_stats.table_paths, serial_stats.table_paths);
   EXPECT_EQ(parallel_stats.path_searches, serial_stats.path_searches);
+}
+
+// One const Solver shared by two threads, each alternating between two
+// topologies (so the held table changes under the other thread's
+// solve), while a third thread runs temporaries -- fresh Solvers and
+// DiffChecker::check -- on both. Every solve reproduces the serial
+// digest of its topology.
+TEST(SolverPool, SharedSolverAlternatingTopologiesMatchesSerial) {
+  const topo::Topology topos[] = {topo::make_geant(), topo::make_abilene()};
+  const traffic::TrafficMatrix tms[] = {overloaded_gravity(topos[0]),
+                                        overloaded_gravity(topos[1])};
+  const auto digest = [](const te::Solution& s) {
+    golden::Fnv f;
+    f.add(s);
+    return f.h;
+  };
+  std::uint64_t serial[2];
+  for (int k = 0; k < 2; ++k) {
+    te::SolverOptions search_only;
+    search_only.path_table = false;
+    serial[k] = digest(te::Solver(search_only).solve(topos[k], tms[k]));
+  }
+
+  constexpr int kSolves = 8;
+  const te::Solver shared;
+  std::atomic<int> mismatches{0};
+  const auto alternate = [&](int phase) {
+    for (int i = 0; i < kSolves; ++i) {
+      const int k = (i + phase) % 2;
+      if (digest(shared.solve(topos[k], tms[k])) != serial[k])
+        mismatches.fetch_add(1);
+    }
+  };
+  std::thread a(alternate, 0), b(alternate, 1);
+  std::thread temporaries([&] {
+    for (int i = 0; i < kSolves; ++i) {
+      const int k = i % 2;
+      const te::Solution sol = te::Solver().solve(topos[k], tms[k]);
+      if (digest(sol) != serial[k]) mismatches.fetch_add(1);
+      if (!te::DiffChecker::check(topos[k], tms[k], sol, {}).ok())
+        mismatches.fetch_add(1);
+    }
+  });
+  a.join();
+  b.join();
+  temporaries.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(shared.path_table_bytes(), 0u);
+}
+
+// Four router-like Solvers, one per thread, solve the same two degraded
+// link states of GEANT in alternation, so detour rows are filled by
+// whichever thread needs them first while the others wait or read them,
+// and the table's detour slot flips between the states. Every solve
+// reproduces the serial search-only digest of its state.
+TEST(SolverPool, RoutersSharingDetourRowsMatchSerial) {
+  topo::Topology states[] = {topo::make_geant(), topo::make_geant()};
+  states[0].set_duplex_up(1, false);
+  states[1].set_duplex_up(1, false);
+  states[1].set_duplex_up(9, false);
+  const traffic::TrafficMatrix tm = overloaded_gravity(states[0]);
+  const auto digest = [](const te::Solution& s) {
+    golden::Fnv f;
+    f.add(s);
+    return f.h;
+  };
+  std::uint64_t serial[2];
+  for (int k = 0; k < 2; ++k) {
+    te::SolverOptions search_only;
+    search_only.path_table = false;
+    serial[k] = digest(te::Solver(search_only).solve(states[k], tm));
+  }
+
+  constexpr int kRouters = 4, kSolves = 6;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> routers;
+  for (int r = 0; r < kRouters; ++r) {
+    routers.emplace_back([&, r] {
+      const te::Solver solver;
+      for (int i = 0; i < kSolves; ++i) {
+        const int k = (i + r) % 2;
+        if (digest(solver.solve(states[k], tm)) != serial[k])
+          mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& t : routers) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ---- EventQueue move semantics ----

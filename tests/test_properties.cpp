@@ -67,18 +67,27 @@ TEST_P(SolverPropertyTest, HigherClassNeverStarvedByLower) {
 }
 
 TEST_P(SolverPropertyTest, CacheNeverChangesFeasibility) {
+  // The table-backed solve is the search-only solve, bit for bit.
   const auto topo = topo::make_abilene();
   traffic::GravityParams gp;
   gp.seed = GetParam();
   const auto tm = traffic::generate_gravity(topo, gp);
-  te::PathCache cache(topo);
-  te::SolverOptions opt;
-  opt.cache = &cache;
-  const auto sol = te::Solver(opt).solve(topo, tm);
+  const auto sol = te::Solver().solve(topo, tm);
   for (double r : sol.residual_capacity(topo)) EXPECT_GE(r, -1e-6);
-  const auto plain = te::Solver().solve(topo, tm);
-  EXPECT_NEAR(sol.total_allocated_gbps(), plain.total_allocated_gbps(),
-              plain.total_allocated_gbps() * 0.05);
+  te::SolverOptions search_only;
+  search_only.path_table = false;
+  const auto plain = te::Solver(search_only).solve(topo, tm);
+  ASSERT_EQ(sol.allocations.size(), plain.allocations.size());
+  for (std::size_t i = 0; i < sol.allocations.size(); ++i) {
+    const te::Allocation& a = sol.allocations[i];
+    const te::Allocation& b = plain.allocations[i];
+    EXPECT_EQ(a.allocated_gbps, b.allocated_gbps) << "demand " << i;
+    ASSERT_EQ(a.paths.size(), b.paths.size()) << "demand " << i;
+    for (std::size_t p = 0; p < a.paths.size(); ++p) {
+      EXPECT_EQ(a.paths[p].path, b.paths[p].path) << "demand " << i;
+      EXPECT_EQ(a.paths[p].weight, b.paths[p].weight) << "demand " << i;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverPropertyTest,

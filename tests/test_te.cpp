@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <stdexcept>
 
+#include "obs/metrics.hpp"
 #include "te/dijkstra.hpp"
+#include "te/incremental.hpp"
 #include "te/ksp.hpp"
 #include "te/path_cache.hpp"
 #include "te/solver.hpp"
@@ -201,20 +204,32 @@ traffic::TrafficMatrix single_demand(double rate) {
 
 // ---- PathCache (Fig 15 table) ----
 
+// The search-only solver every table-backed solve must reproduce.
+Solution solve_without_table(const topo::Topology& t,
+                             const traffic::TrafficMatrix& tm,
+                             const std::vector<double>* residual = nullptr) {
+  SolverOptions opt;
+  opt.path_table = false;
+  return Solver(opt).solve(t, tm, nullptr, residual);
+}
+
+std::uint64_t counter(const char* name) {
+  const auto snap = obs::Registry::global().snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? std::uint64_t{0} : it->second;
+}
+
 // A table path that clears the sliver threshold is taken without a
 // search; one that does not (here the b branch is saturated through
 // residual_override) falls back to a search, which finds the c branch.
-// Both solves equal the uncached solve.
+// Both solves equal the search-only solve.
 TEST(PathCache, HitsWhenFeasibleMissesWhenNot) {
   const auto t = diamond();
-  const PathCache cache(t);
-  SolverOptions cached;
-  cached.cache = &cache;
   const auto tm = single_demand(5.0);
 
   SolveStats hit;
-  const auto a = Solver(cached).solve(t, tm, &hit);
-  expect_same_solution(a, Solver().solve(t, tm));
+  const auto a = Solver().solve(t, tm, &hit);
+  expect_same_solution(a, solve_without_table(t, tm));
   EXPECT_GT(hit.table_paths, 0u);
   EXPECT_EQ(hit.path_searches, 0u);
   ASSERT_EQ(a.allocations[0].paths.size(), 1u);
@@ -223,8 +238,8 @@ TEST(PathCache, HitsWhenFeasibleMissesWhenNot) {
   std::vector<double> residual(t.num_links(), 10.0);
   residual[t.find_link(0, 1)] = 0.0;  // table path now below threshold
   SolveStats miss;
-  const auto b = Solver(cached).solve(t, tm, &miss, &residual);
-  expect_same_solution(b, Solver().solve(t, tm, nullptr, &residual));
+  const auto b = Solver().solve(t, tm, &miss, &residual);
+  expect_same_solution(b, solve_without_table(t, tm, &residual));
   EXPECT_EQ(miss.table_paths, 0u);
   EXPECT_GT(miss.path_searches, 0u);
   ASSERT_EQ(b.allocations[0].paths.size(), 1u);
@@ -232,31 +247,36 @@ TEST(PathCache, HitsWhenFeasibleMissesWhenNot) {
 }
 
 TEST(PathCache, SurvivesLinkLossAndRestoration) {
-  // The table needs no rebuild across full loss and restoration (§5.3).
+  // One Solver keeps its table across full loss and restoration (§5.3):
+  // link state is not part of the key, so nothing is rebuilt. With the b
+  // branch down the table path a->b->d crosses a down link, and the
+  // pair's detour row (a->c->d over the up links) answers instead of a
+  // search.
   auto t = diamond();
-  const PathCache cache(t);
-  SolverOptions cached;
-  cached.cache = &cache;
+  const Solver solver;
   const auto tm = single_demand(5.0);
   const topo::LinkId fiber = t.find_link(0, 1);
+  solver.solve(t, tm);
+  const std::uint64_t builds = counter("te.table.builds");
 
   t.set_duplex_up(fiber, false);
   SolveStats down_stats;
-  const auto down = Solver(cached).solve(t, tm, &down_stats);
-  expect_same_solution(down, Solver().solve(t, tm));
-  EXPECT_EQ(down_stats.table_paths, 0u);
-  EXPECT_GT(down_stats.path_searches, 0u);
+  const auto down = solver.solve(t, tm, &down_stats);
+  expect_same_solution(down, solve_without_table(t, tm));
+  EXPECT_GT(down_stats.table_paths, 0u);
+  EXPECT_EQ(down_stats.path_searches, 0u);
   ASSERT_EQ(down.allocations[0].paths.size(), 1u);
   EXPECT_EQ(down.allocations[0].paths[0].path.node_sequence(t).at(1), 2u);
 
   t.set_duplex_up(fiber, true);
   SolveStats up_stats;
-  const auto up = Solver(cached).solve(t, tm, &up_stats);
-  expect_same_solution(up, Solver().solve(t, tm));
+  const auto up = solver.solve(t, tm, &up_stats);
+  expect_same_solution(up, solve_without_table(t, tm));
   EXPECT_GT(up_stats.table_paths, 0u);
   EXPECT_EQ(up_stats.path_searches, 0u);
   ASSERT_EQ(up.allocations[0].paths.size(), 1u);
   EXPECT_EQ(up.allocations[0].paths[0].path.node_sequence(t).at(1), 1u);
+  EXPECT_EQ(counter("te.table.builds"), builds);
 }
 
 // Table paths are te::shortest_path over every link, up or down, for
@@ -286,31 +306,160 @@ TEST(PathCache, TablePathsAreStateObliviousShortestPaths) {
   }
 }
 
+// Detour rows are te::shortest_path over the up links for every ordered
+// pair (nothing for an unreachable one), with one and with three fibers
+// down; one link state of one table hands out one DetourTable.
+TEST(PathCache, DetourRowsAreUpLinkShortestPaths) {
+  for (auto t : {topo::make_abilene(), topo::make_geant(),
+                 topo::make_b4_like()}) {
+    std::shared_ptr<const DetourTable> previous;
+    for (int cuts = 1; cuts <= 3; cuts += 2) {
+      for (int k = 0; k < cuts; ++k)
+        t.set_duplex_up(static_cast<topo::LinkId>(4 * k + 1), false);
+      const auto table = PathCache::of(t);
+      const auto detours = table->detours(t);
+      EXPECT_EQ(table->detours(t), detours);
+      EXPECT_NE(detours, previous);
+      EXPECT_TRUE(detours->matches(*table, t));
+      std::vector<topo::LinkId> scratch;
+      for (topo::NodeId s = 0; s < t.num_nodes(); ++s) {
+        const auto row = detours->row(s, scratch);
+        EXPECT_TRUE(scratch.empty());  // nobody else was filling it
+        ASSERT_EQ(row.size(), t.num_nodes());
+        EXPECT_EQ(row[s], topo::kInvalidLink);
+        for (topo::NodeId d = 0; d < t.num_nodes(); ++d) {
+          if (s == d) continue;
+          Path walked;
+          for (topo::NodeId at = d; at != s && row[at] != topo::kInvalidLink;
+               at = t.link(row[at]).src)
+            walked.links.insert(walked.links.begin(), row[at]);
+          const auto want = shortest_path(t, s, d);
+          if (!want) {
+            EXPECT_EQ(row[d], topo::kInvalidLink) << s << " -> " << d;
+            continue;
+          }
+          ASSERT_EQ(walked, *want) << t.num_nodes() << " nodes, " << cuts
+                                   << " cuts, " << s << " -> " << d;
+        }
+      }
+      previous = detours;
+    }
+    t.set_duplex_up(1, true);
+    EXPECT_FALSE(previous->matches(*PathCache::of(t), t));
+  }
+}
+
+// The routers of a converged fleet solve one link state: the first solve
+// fills the detour rows it needs and a second Solver of that state fills
+// none, with the same table paths; both equal the search-only solve at
+// 130% load (detours and searches both run). The table's slot keeps
+// nothing alive: once both Solvers die, so do the rows.
+TEST(PathCache, SolversOfOneLinkStateShareDetourRows) {
+  auto t = topo::make_b4_like();
+  traffic::GravityParams gp;
+  gp.target_max_utilization = 1.3;
+  const auto tm = traffic::generate_gravity(t, gp);
+  for (topo::LinkId fiber : {1u, 5u, 9u, 13u}) t.set_duplex_up(fiber, false);
+  const Solution want = solve_without_table(t, tm);
+
+  std::weak_ptr<const DetourTable> seen;
+  {
+    const std::uint64_t rows = counter("te.table.detour_rows");
+    const Solver first;
+    SolveStats first_stats;
+    expect_same_solution(first.solve(t, tm, &first_stats), want);
+    const std::uint64_t filled = counter("te.table.detour_rows") - rows;
+    EXPECT_GT(filled, 0u);
+    EXPECT_LE(filled, t.num_nodes());
+    EXPECT_GT(first_stats.path_searches, 0u);
+
+    const Solver second;
+    SolveStats second_stats;
+    expect_same_solution(second.solve(t, tm, &second_stats), want);
+    EXPECT_EQ(counter("te.table.detour_rows") - rows, filled);
+    EXPECT_EQ(second_stats.table_paths, first_stats.table_paths);
+    EXPECT_EQ(second_stats.path_searches, first_stats.path_searches);
+    seen = PathCache::of(t)->detours(t);
+  }
+  EXPECT_TRUE(seen.expired());
+}
+
 // Regression: a table built before a metric change used to be used
 // silently -- built on diamond(1, 2) and used on diamond(5, 1), it routed
-// a->b->d where the uncached solve routes a->c->d. The solve now refuses
-// it; a table built on the new metrics matches the uncached solve.
-// Capacity and up/down changes keep the table valid.
-TEST(PathCache, SolveRejectsTableBuiltForOtherMetrics) {
+// a->b->d where the search-only solve routes a->c->d. A table is now
+// matched by its exact key, so one Solver solving both topologies in
+// turn refetches the table each time and matches the search-only solve
+// on both. Capacity and up/down changes keep the key.
+TEST(PathCache, SolverRefetchesTableWhenMetricsChange) {
   const auto before = diamond(/*b_metric=*/1.0, /*c_metric=*/2.0);
   const auto after = diamond(/*b_metric=*/5.0, /*c_metric=*/1.0);
   const auto tm = single_demand(5.0);
-  const PathCache stale(before);
-  SolverOptions with_stale;
-  with_stale.cache = &stale;
-  EXPECT_THROW(Solver(with_stale).solve(after, tm), std::invalid_argument);
-
-  const PathCache fresh(after);
-  SolverOptions with_fresh;
-  with_fresh.cache = &fresh;
-  const auto sol = Solver(with_fresh).solve(after, tm);
-  expect_same_solution(sol, Solver().solve(after, tm));
-  ASSERT_EQ(sol.allocations[0].paths.size(), 1u);
-  EXPECT_EQ(sol.allocations[0].paths[0].path.node_sequence(after).at(1), 2u);
+  const Solver solver;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const topo::Topology* t : {&before, &after}) {
+      SolveStats stats;
+      const auto sol = solver.solve(*t, tm, &stats);
+      expect_same_solution(sol, solve_without_table(*t, tm));
+      EXPECT_GT(stats.table_paths, 0u);
+      EXPECT_EQ(stats.path_searches, 0u);
+      ASSERT_EQ(sol.allocations[0].paths.size(), 1u);
+      EXPECT_EQ(sol.allocations[0].paths[0].path.node_sequence(*t).at(1),
+                t == &before ? 1u : 2u)
+          << "pass " << pass;
+    }
+  }
+  EXPECT_TRUE(PathCache::of(after)->matches(after));
+  EXPECT_FALSE(PathCache::of(after)->matches(before));
 
   auto degraded = before;
   degraded.set_duplex_up(degraded.find_link(0, 1), false);
-  EXPECT_NO_THROW(Solver(with_stale).solve(degraded, tm));
+  auto resized = before;
+  resized.set_duplex_capacity(resized.find_link(0, 2), 40.0);
+  EXPECT_TRUE(PathCache::of(before)->matches(degraded));
+  EXPECT_TRUE(PathCache::of(before)->matches(resized));
+}
+
+// While a Solver holds a table, temporaries on the same topology -- a
+// fresh Solver, DiffChecker::check's reference solve -- build nothing.
+TEST(PathCache, HeldTableServesTemporariesWithoutABuild) {
+  const auto t = topo::make_geant();
+  const auto tm = traffic::generate_gravity(t);
+  const Solver router;
+  const auto sol = router.solve(t, tm);
+  EXPECT_GT(router.path_table_bytes(), 0u);
+  const std::uint64_t builds = counter("te.table.builds");
+  SolveStats stats;
+  expect_same_solution(Solver().solve(t, tm, &stats), sol);
+  EXPECT_GT(stats.table_paths, 0u);
+  EXPECT_TRUE(DiffChecker::check(t, tm, sol, SolverOptions{}).ok());
+  EXPECT_EQ(counter("te.table.builds") - builds, 0u);
+  EXPECT_EQ(PathCache::of(t)->bytes(), router.path_table_bytes());
+}
+
+// The registry holds no table alive: once the last holder dies the table
+// is freed, the next solve builds it again, and the expired entry is
+// pruned on that insert. No other test in this binary keeps a table alive
+// past its own end, so every other entry is expired here too.
+TEST(PathCache, RegistryKeepsNothingAliveAndPrunesOnInsert) {
+  const auto t = topo::make_abilene();
+  const auto tm = traffic::generate_gravity(t);
+  std::weak_ptr<const PathCache> seen;
+  {
+    const Solver holder;
+    holder.solve(t, tm);
+    seen = PathCache::of(t);
+    EXPECT_FALSE(seen.expired());
+    const Solver copy = holder;  // copies share the table
+    EXPECT_EQ(copy.path_table_bytes(), holder.path_table_bytes());
+  }
+  EXPECT_TRUE(seen.expired());
+  EXPECT_GE(PathCache::interned(), 1u);
+
+  const std::uint64_t builds = counter("te.table.builds");
+  const Solver again;
+  again.solve(t, tm);
+  EXPECT_EQ(counter("te.table.builds") - builds, 1u);
+  EXPECT_EQ(PathCache::interned(), 1u);
 }
 
 // ---- Solver ----
@@ -425,15 +574,12 @@ TEST(Solver, ParallelMatchesSerial) {
 
 TEST(Solver, CachedSolveRemainsFeasibleAndComplete) {
   // Table paths are taken only where a search would return them, so the
-  // cached solve is the uncached one bit for bit.
+  // table-backed solve is the search-only one bit for bit.
   const auto t = topo::make_geant();
   const auto tm = traffic::generate_gravity(t);
-  const PathCache cache(t);
-  SolverOptions with_cache;
-  with_cache.cache = &cache;
   SolveStats stats;
-  const auto cached = Solver(with_cache).solve(t, tm, &stats);
-  const auto plain = Solver().solve(t, tm);
+  const auto cached = Solver().solve(t, tm, &stats);
+  const auto plain = solve_without_table(t, tm);
   expect_same_solution(cached, plain);
   for (double r : cached.residual_capacity(t)) EXPECT_GE(r, -1e-6);
   EXPECT_GT(stats.table_paths, 0u);
@@ -452,8 +598,11 @@ TEST(Solver, WeightsSumToOnePerDemand) {
 }
 
 TEST(Solver, StatsPopulated) {
+  // At 130% load some table paths saturate, so searches run too.
   const auto t = topo::make_abilene();
-  const auto tm = traffic::generate_gravity(t);
+  traffic::GravityParams gp;
+  gp.target_max_utilization = 1.3;
+  const auto tm = traffic::generate_gravity(t, gp);
   SolveStats stats;
   Solver().solve(t, tm, &stats);
   EXPECT_GT(stats.rounds, 0u);
