@@ -23,7 +23,7 @@ int main() {
   base.failures.seed = 0xF10;
   base.seed = 0x510;
 
-  sim::SolutionProvider provider(&w.tm, base.solver_options);
+  sim::SolutionProvider provider(&w.tm);
 
   std::printf("simulating %.0f days of failure/repair events per scheme...\n\n",
               base.failures.days);

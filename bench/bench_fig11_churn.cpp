@@ -15,7 +15,7 @@ int main() {
   const auto w = bench::b4_workload(/*target_util=*/1.1);
   bench::print_workload(w);
 
-  sim::SolutionProvider provider(&w.tm, {});
+  sim::SolutionProvider provider(&w.tm);
 
   for (const double churn : {1.0, 10.0, 20.0}) {
     std::printf("--- churn %.0fx ---\n", churn);

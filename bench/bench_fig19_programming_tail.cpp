@@ -17,9 +17,8 @@ int main() {
   bench::banner("Figure 19: cSDN programming time distributions");
 
   const auto w = bench::b4_workload();
-  metrics::CsdnCalibration calib;
   util::Rng boot(0x19);
-  metrics::ProgrammingLatencyModel model(calib, w.topo.num_nodes(), boot);
+  metrics::ProgrammingLatencyModel model(w.topo.num_nodes(), boot);
   util::Rng rng(0x519);
 
   const std::size_t events_per_router = bench::full_scale() ? 20000 : 4000;

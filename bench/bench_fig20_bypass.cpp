@@ -21,9 +21,8 @@ int main() {
   base.failures.mttf_days = 120;
   base.failures.seed = 0xF20;
   base.seed = 0x520;
-  base.bypass_strategy = dataplane::BypassStrategy::kKCapacityAware;
 
-  sim::SolutionProvider provider(&w.tm, base.solver_options);
+  sim::SolutionProvider provider(&w.tm);
 
   struct Config {
     const char* label;

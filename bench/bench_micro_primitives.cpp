@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks for the core primitives: Dijkstra /
-// CSPF, Yen k-shortest paths, label encode/decode, two-stage ingress
-// lookup, transit lookup, sublabel table build, NSU flooding-step
-// processing, and full TE solves at small scale.
+// CSPF, Yen k-shortest paths, the path table and SR underlay builds,
+// label encode/decode, two-stage ingress lookup, transit lookup, sublabel
+// table build, NSU flooding-step processing, and full TE solves at small
+// scale.
 
 #include <benchmark/benchmark.h>
 
@@ -21,6 +22,7 @@
 #include "te/batch_solver.hpp"
 #include "te/ksp.hpp"
 #include "te/path_cache.hpp"
+#include "te/segment_routing.hpp"
 #include "te/solver.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
@@ -110,6 +112,24 @@ void BM_PathTableLookup_B2(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PathTableLookup_B2)->Unit(benchmark::kMicrosecond);
+
+// SR's underlay: every node's distance to every target over the up links,
+// one all-targets SSSP per target. An SR solve and each router's
+// program_sr build one.
+void BM_SrUnderlayBuild_B4(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(te::SrUnderlay::build(b4()).dist(0, 1));
+  }
+}
+BENCHMARK(BM_SrUnderlayBuild_B4)->Unit(benchmark::kMillisecond);
+
+void BM_SrUnderlayBuild_B2(benchmark::State& state) {
+  static const topo::Topology t = topo::make_b2_like();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(te::SrUnderlay::build(t).dist(0, 1));
+  }
+}
+BENCHMARK(BM_SrUnderlayBuild_B2)->Unit(benchmark::kMillisecond);
 
 void BM_ParallelForSmallN(benchmark::State& state) {
   // Per-call dispatch overhead of the persistent pool on a tiny index
@@ -345,7 +365,7 @@ struct SsspPass {
 SsspPass make_sssp_pass(const topo::Topology& t,
                         const traffic::TrafficMatrix& tm) {
   SsspPass p;
-  p.graph = te::build_batch_graph(t);
+  p.graph = te::build_batch_graph(t, te::CsrView::kUpLinks);
   for (const topo::Link& l : t.links()) p.residual.push_back(l.capacity_gbps);
   std::vector<std::vector<std::uint32_t>> by_src(t.num_nodes());
   for (const traffic::Demand& d : tm.demands()) by_src[d.src].push_back(d.dst);

@@ -59,8 +59,7 @@ int main() {
               underlay.views_converged() ? "yes" : "no");
 
   // --- cSDN primary: central solve, programmed into its own tables. ---
-  metrics::CsdnCalibration calib;
-  csdn::CsdnController central(&topo, calib, {}, 0x1DEA);
+  csdn::CsdnController central(&topo, 0x1DEA);
   dataplane::VectorDataplanes primary(topo.num_nodes());
   auto program_primary = [&](const te::Solution& solution) {
     for (topo::NodeId n = 0; n < topo.num_nodes(); ++n) {

@@ -55,6 +55,13 @@ figure_artifacts() {
     ./build/bench/bench_fig08_convergence_components >/dev/null
   DSDN_BENCH_JSON="${ARTIFACT_DIR}" \
     ./build/bench/bench_fig09_b2_convergence >/dev/null
+  # The transient (Fig 12), cSDN programming (Fig 19), FRR (Table 2) and
+  # IS-IS per-hop (consensus ablation) models, each to a zero exit. Fig
+  # 10, 11 and 20 run the transient model for 19-35 s each and stay out.
+  ./build/bench/bench_fig12_timeline >/dev/null
+  ./build/bench/bench_fig19_programming_tail >/dev/null
+  ./build/bench/bench_table2_frr >/dev/null
+  ./build/bench/bench_ablation_consensus >/dev/null
   # Dataplane pps smoke: short phase 1, a couple of churn cycles; the
   # bench exits nonzero on any forwarding invariant violation (loops,
   # unknown labels, quiesced hard drops).
@@ -254,7 +261,8 @@ leg "build + ctest (build/)" build_and_ctest
 leg "examples (build/) -- each runs to a zero exit" run_examples
 leg "TE suites one test per process (build/) -- test_te, test_batch_solver, test_parallel" \
   isolated_te_tests
-leg "bench artifacts: fig08, fig09, dataplane pps smoke" figure_artifacts
+leg "bench artifacts: fig08, fig09, fig12, fig19, table2, consensus ablation, dataplane pps smoke" \
+  figure_artifacts
 leg "sharding ablation: plane containment on PlaneRuntime" sharding_ablation
 leg "plane containment: K=4 fail/restore + plane swarm (bench_hier_scale)" \
   plane_containment

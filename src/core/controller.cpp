@@ -147,7 +147,7 @@ Controller::RecomputeResult Controller::recompute() {
   if (config_.program_bypasses) {
     result.bypasses = programmer_.program_bypasses(
         state_.view(), last_solution_.residual_capacity(state_.view()),
-        config_.bypass_strategy, config_.bypass_k, hw_);
+        ControllerConfig::bypass_strategy, ControllerConfig::bypass_k, hw_);
   }
   // All tables for this epoch are installed; publish them as one atomic
   // snapshot swap. Batches already in flight finish on the old epoch.

@@ -31,11 +31,12 @@ struct ControllerConfig {
   topo::NodeId self = topo::kInvalidNode;
   te::SolverOptions solver_options;
   // Pre-install FRR bypasses for local links on every recompute
-  // (Appendix C: dSDN recomputes them as demand/capacity changes).
+  // (Appendix C: dSDN recomputes them as demand/capacity changes), with
+  // the capacity-aware strategy and k candidate detours per link.
   bool program_bypasses = true;
-  dataplane::BypassStrategy bypass_strategy =
+  static constexpr dataplane::BypassStrategy bypass_strategy =
       dataplane::BypassStrategy::kCapacityAware;
-  std::size_t bypass_k = 4;
+  static constexpr std::size_t bypass_k = 4;
   // Warm-start incremental TE recompute (te::IncrementalSolver): reuse
   // the previous solution's allocations that no view change touched,
   // re-waterfill only the affected set. Off by default: with it on,

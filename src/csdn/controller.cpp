@@ -7,22 +7,17 @@ namespace dsdn::csdn {
 namespace {
 
 metrics::ProgrammingLatencyModel make_programming_model(
-    const metrics::CsdnCalibration& calib, std::size_t n_routers,
-    std::uint64_t seed) {
+    std::size_t n_routers, std::uint64_t seed) {
   util::Rng rng(util::splitmix64(seed ^ 0xCDCDCDCDULL));
-  return metrics::ProgrammingLatencyModel(calib, n_routers, rng);
+  return metrics::ProgrammingLatencyModel(n_routers, rng);
 }
 
 }  // namespace
 
 CsdnController::CsdnController(const topo::Topology* topo,
-                               const metrics::CsdnCalibration& calib,
-                               te::SolverOptions solver_options,
                                std::uint64_t seed)
     : topo_(topo),
-      cpn_(calib),
-      programming_(make_programming_model(calib, topo->num_nodes(), seed)),
-      solver_(solver_options),
+      programming_(make_programming_model(topo->num_nodes(), seed)),
       rng_(seed) {}
 
 te::Solution CsdnController::solve(const traffic::TrafficMatrix& tm,
@@ -38,7 +33,7 @@ CsdnEventTiming CsdnController::time_reconvergence(
   timing.t_computed =
       timing.t_learned +
       (measured_tcomp_.empty()
-           ? metrics::sample_csdn_tcomp(cpn_.calibration(), rng_)
+           ? metrics::sample_csdn_tcomp(rng_)
            : measured_tcomp_.sample(rng_));
   timing.t_converged = timing.t_computed;
   for (std::size_t i = 0; i < new_solution.allocations.size(); ++i) {

@@ -24,9 +24,7 @@ struct CsdnEventTiming {
 
 class CsdnController {
  public:
-  CsdnController(const topo::Topology* topo,
-                 const metrics::CsdnCalibration& calib,
-                 te::SolverOptions solver_options, std::uint64_t seed);
+  CsdnController(const topo::Topology* topo, std::uint64_t seed);
 
   // Central solve on the current (ground-truth) topology state.
   te::Solution solve(const traffic::TrafficMatrix& tm,

@@ -18,12 +18,9 @@ namespace dsdn::csdn {
 
 class ControlPlaneNetwork {
  public:
-  explicit ControlPlaneNetwork(const metrics::CsdnCalibration& calib)
-      : calib_(calib) {}
-
   // End-to-end event propagation time, router -> central controller.
   double sample_tprop(util::Rng& rng) const {
-    return metrics::sample_csdn_tprop(calib_, rng);
+    return metrics::sample_csdn_tprop(rng);
   }
 
   // CPN partition management (fail-static scenarios).
@@ -34,10 +31,7 @@ class ControlPlaneNetwork {
   }
   std::size_t num_partitioned() const { return partitioned_.size(); }
 
-  const metrics::CsdnCalibration& calibration() const { return calib_; }
-
  private:
-  metrics::CsdnCalibration calib_;
   std::unordered_set<topo::NodeId> partitioned_;
 };
 

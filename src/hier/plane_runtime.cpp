@@ -96,8 +96,7 @@ PlaneRuntime::PlaneRuntime(const topo::Topology& base,
   planes_.reserve(config_.planes);
   for (std::size_t p = 0; p < config_.planes; ++p) {
     planes_.push_back(std::make_unique<sim::DsdnEmulation>(
-        std::move(plane_topos[p]), traffic::TrafficMatrix(demands_[p]),
-        config_.emulation));
+        std::move(plane_topos[p]), traffic::TrafficMatrix(demands_[p])));
     if (config_.fib_cores > 0) {
       planes_.back()->enable_fib_snapshots(config_.fib_cores);
     }

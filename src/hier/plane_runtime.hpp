@@ -51,9 +51,9 @@ std::size_t place_flow(topo::NodeId src, topo::NodeId dst,
                        metrics::PriorityClass priority,
                        const std::vector<char>& alive);
 
+// Every plane runs a default sim::EmulationConfig.
 struct PlaneRuntimeConfig {
   std::size_t planes = 4;
-  sim::EmulationConfig emulation;
   // RCU snapshot cores per plane (0 disables snapshots and packet
   // scoring).
   std::size_t fib_cores = 1;

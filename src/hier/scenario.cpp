@@ -126,7 +126,8 @@ struct Harness {
       fail(buf);
     }
     double bound =
-        1.0 / static_cast<double>(alive_before) + options.exposure_slack;
+        1.0 / static_cast<double>(alive_before) +
+        PlaneScenarioOptions::exposure_slack;
     if (report.exposed_fraction >= bound) {
       std::snprintf(buf, sizeof(buf),
                     "[%s] exposed %.4f of flows >= bound %.4f", context,
@@ -167,7 +168,6 @@ PlaneScenarioResult run_plane_scenario(const topo::Topology& base,
   PlaneScenarioResult result;
   PlaneRuntimeConfig config;
   config.planes = options.planes;
-  config.emulation = options.emulation;
   config.fib_cores = options.fib_cores;
   config.score_packets = options.score_packets;
   PlaneRuntime runtime(base, tm, config);
@@ -193,11 +193,11 @@ PlaneScenarioResult run_plane_scenario(const topo::Topology& base,
     std::size_t alive = runtime.num_alive();
     std::size_t dead = runtime.num_planes() - alive;
     double weights[5] = {
-        options.w_cut,
-        down.empty() ? 0.0 : options.w_repair,
+        PlaneScenarioOptions::w_cut,
+        down.empty() ? 0.0 : PlaneScenarioOptions::w_repair,
         options.w_srlg,
         alive >= 2 ? options.w_crash : 0.0,
-        dead > 0 ? options.w_restore : 0.0,
+        dead > 0 ? PlaneScenarioOptions::w_restore : 0.0,
     };
     auto kind = static_cast<PlaneEventKind>(
         rng.weighted_pick(std::span<const double>(weights, 5)));

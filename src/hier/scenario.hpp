@@ -43,15 +43,14 @@ struct PlaneScenarioOptions {
   std::size_t planes = 4;
   std::size_t n_events = 10;
   // Relative draw weights; kinds with no applicable target drop out.
-  double w_cut = 3.0;
-  double w_repair = 2.0;
+  static constexpr double w_cut = 3.0;
+  static constexpr double w_repair = 2.0;
   double w_srlg = 1.5;
   double w_crash = 1.5;
-  double w_restore = 2.0;
+  static constexpr double w_restore = 2.0;
   // Allowed overshoot of the 1/alive blast-radius bound (hash variance
   // on small workloads).
-  double exposure_slack = 0.05;
-  sim::EmulationConfig emulation;
+  static constexpr double exposure_slack = 0.05;
   sim::InvariantOptions invariants;
   // RCU snapshot cores per plane; > 0 enables rebalance packet scoring.
   std::size_t fib_cores = 1;

@@ -37,15 +37,17 @@ namespace dsdn::metrics {
 // 1/kRouterCpuSpeedRatio to model the router.
 inline constexpr double kRouterCpuSpeedRatio = 1.9 / 2.8;
 
+// The calibrations are compiled-in constants: every model run samples
+// from the same paper-fitted values.
 struct CsdnCalibration {
   // Event propagation through CPN + collection hierarchy to the central
   // controller, seconds. Lognormal(median, sigma).
-  double tprop_median_s = 2.0;
-  double tprop_sigma = 0.7;
+  static constexpr double tprop_median_s = 2.0;
+  static constexpr double tprop_sigma = 0.7;
 
   // Central TE computation on the datacenter server, seconds.
-  double tcomp_median_s = 0.19;
-  double tcomp_sigma = 0.12;
+  static constexpr double tcomp_median_s = 0.19;
+  static constexpr double tcomp_sigma = 0.12;
 
   // Per-router *transit entry* programming (phase one of make-before-break).
   // Routers are heterogeneous: each router r has a base latency drawn once
@@ -53,14 +55,14 @@ struct CsdnCalibration {
   // produces the ~10x spread across routers Fig 19 reports -- and each
   // event multiplies the base by a Pareto tail (4x-11x median-to-p99:
   // alpha = 2.2 gives p99/p50 = 100^(1/2.2) ~= 8x).
-  double transit_router_median_s = 1.0;
-  double transit_router_sigma = 0.9;
-  double transit_tail_alpha = 2.2;
+  static constexpr double transit_router_median_s = 1.0;
+  static constexpr double transit_router_sigma = 0.9;
+  static constexpr double transit_tail_alpha = 2.2;
 
   // Headend *encap entry* programming (phase two), same structure, faster.
-  double encap_router_median_s = 0.12;
-  double encap_router_sigma = 0.8;
-  double encap_tail_alpha = 2.0;
+  static constexpr double encap_router_median_s = 0.12;
+  static constexpr double encap_router_sigma = 0.8;
+  static constexpr double encap_tail_alpha = 2.0;
 };
 
 struct DsdnCalibration {
@@ -70,44 +72,43 @@ struct DsdnCalibration {
   // tens of ms per hop). Seconds per hop, plus per-link propagation delay
   // taken from the topology. Calibrated so B4-scale dSDN Tprop lands near
   // the paper's ~100 ms median (Fig 8a).
-  double nsu_hop_process_median_s = 0.020;
-  double nsu_hop_process_sigma = 0.45;
+  static constexpr double nsu_hop_process_median_s = 0.020;
+  static constexpr double nsu_hop_process_sigma = 0.45;
 
   // Local FIB programming of all headend paths at one router (gRIBI batch).
-  double tprog_median_s = 0.045;
-  double tprog_sigma = 0.5;
+  static constexpr double tprog_median_s = 0.045;
+  static constexpr double tprog_sigma = 0.5;
 
   // Router-local TE compute for B4-scale inputs (used when not measuring
   // the real solver): 35% above the cSDN server's Tcomp.
-  double tcomp_median_s = 0.19 * 1.35;
-  double tcomp_sigma = 0.12;
+  static constexpr double tcomp_median_s = 0.19 * 1.35;
+  static constexpr double tcomp_sigma = 0.12;
 };
 
 struct RsvpCalibration {
   // One hop of RSVP PATH/RESV processing, seconds.
-  double hop_setup_median_s = 0.035;
-  double hop_setup_sigma = 0.6;
+  static constexpr double hop_setup_median_s = 0.035;
+  static constexpr double hop_setup_sigma = 0.6;
   // Per-router signaling-message service time: each router processes
   // RSVP messages serially, so simultaneous restoration of hundreds of
   // LSPs queues up at shared routers -- the "signaling stampede" that
   // drives B2's 45.5 s median / multi-minute tail (§5.1.2).
-  double signal_service_median_s = 0.025;
-  double signal_service_sigma = 0.35;
+  static constexpr double signal_service_median_s = 0.025;
+  static constexpr double signal_service_sigma = 0.35;
   // Headend CSPF recomputation before (re)signaling.
-  double cspf_median_s = 0.35;
-  double cspf_sigma = 0.4;
+  static constexpr double cspf_median_s = 0.35;
+  static constexpr double cspf_sigma = 0.4;
   // Exponential backoff base after a crankback (reservation failure).
-  double backoff_base_s = 1.0;
-  double backoff_multiplier = 2.0;
-  double backoff_max_s = 60.0;
+  static constexpr double backoff_base_s = 1.0;
+  static constexpr double backoff_multiplier = 2.0;
+  static constexpr double backoff_max_s = 60.0;
 };
 
 // Per-router programming latency model (Appendix B). A PerRouterLatency is
 // drawn once per router; sample_* then draw per-event latencies.
 class ProgrammingLatencyModel {
  public:
-  ProgrammingLatencyModel(const CsdnCalibration& calib, std::size_t n_routers,
-                          util::Rng& rng);
+  ProgrammingLatencyModel(std::size_t n_routers, util::Rng& rng);
 
   // Per-event transit-entry programming time at router r, seconds.
   double sample_transit(std::size_t router, util::Rng& rng) const;
@@ -119,16 +120,15 @@ class ProgrammingLatencyModel {
   std::size_t slowest_router() const;
 
  private:
-  CsdnCalibration calib_;
   std::vector<double> transit_base_;
   std::vector<double> encap_base_;
 };
 
 // Convenience samplers for whole-component times.
-double sample_csdn_tprop(const CsdnCalibration& c, util::Rng& rng);
-double sample_csdn_tcomp(const CsdnCalibration& c, util::Rng& rng);
-double sample_dsdn_hop_process(const DsdnCalibration& c, util::Rng& rng);
-double sample_dsdn_tprog(const DsdnCalibration& c, util::Rng& rng);
-double sample_dsdn_tcomp(const DsdnCalibration& c, util::Rng& rng);
+double sample_csdn_tprop(util::Rng& rng);
+double sample_csdn_tcomp(util::Rng& rng);
+double sample_dsdn_hop_process(util::Rng& rng);
+double sample_dsdn_tprog(util::Rng& rng);
+double sample_dsdn_tcomp(util::Rng& rng);
 
 }  // namespace dsdn::metrics

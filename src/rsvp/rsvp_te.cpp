@@ -4,14 +4,17 @@
 #include <cmath>
 #include <memory>
 
+#include "metrics/calibration.hpp"
+
 namespace dsdn::rsvp {
+
+using Calib = metrics::RsvpCalibration;
 
 RsvpTeNetwork::RsvpTeNetwork(const topo::Topology* topo,
                              traffic::TrafficMatrix tm,
                              const RsvpParams& params)
     : topo_(topo),
       tm_(std::move(tm)),
-      params_(params),
       scratch_(*topo),
       reserved_(topo->num_links(), 0.0),
       signal_busy_until_(topo->num_nodes(), 0.0),
@@ -68,11 +71,11 @@ void RsvpTeNetwork::attempt_signal(sim::EventQueue& q, std::size_t i,
 
   auto backoff_and_retry = [this, &q, i, fail_time, &result](Lsp& l) {
     ++result.crankbacks;
-    if (l.retries >= params_.max_retries) return;  // give up
+    if (l.retries >= RsvpParams::max_retries) return;  // give up
     const double backoff =
-        std::min(params_.calib.backoff_max_s,
-                 params_.calib.backoff_base_s *
-                     std::pow(params_.calib.backoff_multiplier,
+        std::min(Calib::backoff_max_s,
+                 Calib::backoff_base_s *
+                     std::pow(Calib::backoff_multiplier,
                               static_cast<double>(l.retries))) *
         rng_.uniform(0.5, 1.5);
     ++l.retries;
@@ -131,12 +134,12 @@ void RsvpTeNetwork::attempt_signal(sim::EventQueue& q, std::size_t i,
     // what turns simultaneous restorations into a stampede.
     const double arrive =
         q.now() + link.delay_s +
-        rng_.lognormal_median(params_.calib.hop_setup_median_s,
-                              params_.calib.hop_setup_sigma);
+        rng_.lognormal_median(Calib::hop_setup_median_s,
+                              Calib::hop_setup_sigma);
     const double start = std::max(arrive, signal_busy_until_[link.dst]);
     const double service =
-        rng_.lognormal_median(params_.calib.signal_service_median_s,
-                              params_.calib.signal_service_sigma);
+        rng_.lognormal_median(Calib::signal_service_median_s,
+                              Calib::signal_service_sigma);
     signal_busy_until_[link.dst] = start + service;
     q.schedule(start + service, [process_hop] { (*process_hop)(); });
   };
@@ -176,8 +179,7 @@ RsvpEventResult RsvpTeNetwork::fail_fiber(topo::LinkId fiber) {
     release(lsp);
     lsp.retries = 0;
     const double start =
-        detect + rng_.lognormal_median(params_.calib.cspf_median_s,
-                                       params_.calib.cspf_sigma);
+        detect + rng_.lognormal_median(Calib::cspf_median_s, Calib::cspf_sigma);
     q.schedule(start, [this, &q, i, &result] {
       attempt_signal(q, i, /*fail_time=*/0.0, result);
     });

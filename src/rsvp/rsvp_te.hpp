@@ -11,7 +11,6 @@
 // it simultaneously -- the "signaling stampede" that gives RSVP-TE its
 // 45.5 s median and multi-minute tail convergence in the paper.
 
-#include "metrics/calibration.hpp"
 #include "metrics/distribution.hpp"
 #include "sim/event_queue.hpp"
 #include "te/dijkstra.hpp"
@@ -20,8 +19,8 @@
 namespace dsdn::rsvp {
 
 struct RsvpParams {
-  metrics::RsvpCalibration calib;
-  std::size_t max_retries = 24;
+  // Crankback retries an LSP makes before it gives up.
+  static constexpr std::size_t max_retries = 24;
   std::uint64_t seed = 11;
 };
 
@@ -75,7 +74,6 @@ class RsvpTeNetwork {
 
   const topo::Topology* topo_;
   traffic::TrafficMatrix tm_;
-  RsvpParams params_;
   mutable topo::Topology scratch_;  // local mutable view of link state
   std::vector<Lsp> lsps_;
   std::vector<double> reserved_;

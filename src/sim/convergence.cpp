@@ -29,32 +29,34 @@ double sample_retx_delay(double loss_prob, util::Rng& rng) {
   }
 }
 
+// Retry policy for local route installs in the Tprog model: a NOS RPC
+// can time out or transiently fail, so a failed attempt is retried with
+// exponential backoff plus jitter, at most kProgMaxAttempts times.
+constexpr int kProgMaxAttempts = 4;
+constexpr double kProgAttemptTimeoutS = 0.200;  // charged per failed attempt
+constexpr double kProgBackoffBaseS = 0.050;
+constexpr double kProgBackoffMultiplier = 2.0;
+constexpr double kProgBackoffJitter = 0.2;  // fraction added uniformly
+
 // Tprog under transient programming failures: failed attempts pay
 // timeout + backoff before the (bounded) final success sample.
-double sample_tprog_with_retries(const DsdnConvergenceConfig& config,
-                                 util::Rng& rng) {
+double sample_tprog_with_retries(double prog_fail_prob, util::Rng& rng) {
   double t = 0.0;
-  if (config.prog_fail_prob > 0) {
-    const ProgramRetryPolicy& p = config.prog_retry;
-    for (int attempt = 0; attempt + 1 < p.max_attempts; ++attempt) {
-      if (!rng.bernoulli(config.prog_fail_prob)) break;
-      t += p.attempt_timeout_s;
-      double backoff =
-          p.backoff_base_s * std::pow(p.backoff_multiplier, attempt);
-      if (p.backoff_jitter > 0)
-        backoff *= 1.0 + rng.uniform(0.0, p.backoff_jitter);
-      t += backoff;
+  if (prog_fail_prob > 0) {
+    for (int attempt = 0; attempt + 1 < kProgMaxAttempts; ++attempt) {
+      if (!rng.bernoulli(prog_fail_prob)) break;
+      t += kProgAttemptTimeoutS;
+      t += kProgBackoffBaseS * std::pow(kProgBackoffMultiplier, attempt) *
+           (1.0 + rng.uniform(0.0, kProgBackoffJitter));
     }
   }
-  return t + metrics::sample_dsdn_tprog(config.calib, rng);
+  return t + metrics::sample_dsdn_tprog(rng);
 }
 
 }  // namespace
 
 std::vector<double> nsu_arrival_times(const topo::Topology& topo,
-                                      topo::NodeId origin,
-                                      const metrics::DsdnCalibration& calib,
-                                      util::Rng& rng,
+                                      topo::NodeId origin, util::Rng& rng,
                                       double flood_loss_prob) {
   // Sample one processing delay per link for this event, then run
   // earliest-arrival Dijkstra over delay + processing (+ any sampled
@@ -63,7 +65,7 @@ std::vector<double> nsu_arrival_times(const topo::Topology& topo,
                                std::numeric_limits<double>::infinity());
   for (const topo::Link& l : topo.links()) {
     if (!l.up) continue;
-    hop_cost[l.id] = l.delay_s + metrics::sample_dsdn_hop_process(calib, rng) +
+    hop_cost[l.id] = l.delay_s + metrics::sample_dsdn_hop_process(rng) +
                      sample_retx_delay(flood_loss_prob, rng);
   }
   return te::shortest_distances(topo, origin, hop_cost);
@@ -110,10 +112,10 @@ ComponentDistributions measure_dsdn_convergence(
     // earliest arrival from either.
     const topo::NodeId a = scratch.link(fiber).src;
     const topo::NodeId b = scratch.link(fiber).dst;
-    const auto from_a = nsu_arrival_times(scratch, a, config.calib, rng,
-                                          config.flood_loss_prob);
-    const auto from_b = nsu_arrival_times(scratch, b, config.calib, rng,
-                                          config.flood_loss_prob);
+    const auto from_a =
+        nsu_arrival_times(scratch, a, rng, config.flood_loss_prob);
+    const auto from_b =
+        nsu_arrival_times(scratch, b, rng, config.flood_loss_prob);
 
     double event_total = 0.0;
     for (topo::NodeId i = 0; i < scratch.num_nodes(); ++i) {
@@ -121,9 +123,10 @@ ComponentDistributions measure_dsdn_convergence(
       if (!std::isfinite(tprop)) continue;  // disconnected (shouldn't happen)
       const double tcomp =
           config.measured_tcomp.empty()
-              ? metrics::sample_dsdn_tcomp(config.calib, rng)
+              ? metrics::sample_dsdn_tcomp(rng)
               : config.measured_tcomp.sample(rng);
-      const double tprog = sample_tprog_with_retries(config, rng);
+      const double tprog =
+          sample_tprog_with_retries(config.prog_fail_prob, rng);
       out.tprop.add(tprop);
       out.tcomp.add(tcomp);
       out.tprog.add(tprog);
@@ -145,10 +148,8 @@ IncrementalTcompResult measure_incremental_tcomp(
   };
 
   IncrementalTcompResult out;
-  te::IncrementalOptions io;
-  io.solver = config.solver_options;
-  te::IncrementalSolver warm(io);
-  te::Solver scratch(config.solver_options);
+  te::IncrementalSolver warm;
+  te::Solver scratch;
 
   topo::Topology view = topo;
   // Converged pre-failure baseline (full solve; not measured).
@@ -194,8 +195,7 @@ ComponentDistributions measure_csdn_convergence(
   DSDN_TRACE_SPAN("sim.csdn_convergence");
   ComponentDistributions out;
   topo::Topology scratch = topo;
-  csdn::CsdnController controller(&scratch, config.calib,
-                                  config.solver_options, config.seed);
+  csdn::CsdnController controller(&scratch, config.seed);
   if (!config.measured_tcomp.empty()) {
     controller.set_measured_tcomp(config.measured_tcomp);
   }

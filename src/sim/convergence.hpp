@@ -31,9 +31,7 @@ namespace dsdn::sim {
 // the run exhausts the retry budget and flooding must route around the
 // hop (Fig 9/10 under 1-10% flood loss).
 std::vector<double> nsu_arrival_times(const topo::Topology& topo,
-                                      topo::NodeId origin,
-                                      const metrics::DsdnCalibration& calib,
-                                      util::Rng& rng,
+                                      topo::NodeId origin, util::Rng& rng,
                                       double flood_loss_prob = 0.0);
 
 struct ComponentDistributions {
@@ -43,20 +41,7 @@ struct ComponentDistributions {
   metrics::EmpiricalDistribution total;  // per-event network convergence
 };
 
-// Retry/backoff policy for local route installs in the Tprog model: a
-// NOS RPC can time out or transiently fail, so a failed attempt is
-// retried with exponential backoff plus jitter, at most max_attempts
-// times.
-struct ProgramRetryPolicy {
-  int max_attempts = 4;
-  double attempt_timeout_s = 0.200;  // wall time charged per failed attempt
-  double backoff_base_s = 0.050;
-  double backoff_multiplier = 2.0;
-  double backoff_jitter = 0.2;  // fraction of the backoff added uniformly
-};
-
 struct DsdnConvergenceConfig {
-  metrics::DsdnCalibration calib;
   // When non-empty, Tcomp is sampled from this measured distribution
   // (e.g. real solver runs scaled by the router CPU ratio) instead of the
   // calibrated lognormal.
@@ -67,10 +52,9 @@ struct DsdnConvergenceConfig {
   // Fig 8/9 setting).
   double flood_loss_prob = 0.0;
   // Per-attempt local-programming failure probability; failed attempts
-  // pay timeout + backoff per prog_retry before Tprog's success sample
-  // (Fig 9's lossy rows).
+  // pay a timeout plus jittered exponential backoff before Tprog's
+  // success sample (Fig 9's lossy rows).
   double prog_fail_prob = 0.0;
-  ProgramRetryPolicy prog_retry;
 };
 
 // Measures dSDN's convergence components over random fiber failures.
@@ -78,8 +62,6 @@ ComponentDistributions measure_dsdn_convergence(
     const topo::Topology& topo, const DsdnConvergenceConfig& config);
 
 struct CsdnConvergenceConfig {
-  metrics::CsdnCalibration calib;
-  te::SolverOptions solver_options;
   // When non-empty, Tcomp is sampled from this measured distribution
   // (real solver runs at server speed) instead of the calibrated value,
   // keeping the cSDN-vs-dSDN Tcomp comparison apples-to-apples.
@@ -113,7 +95,6 @@ std::vector<topo::LinkId> pick_failure_fibers(const topo::Topology& topo,
 // Outside the timed region, each warm solution is checked against that
 // event's scratch solution with te::DiffChecker::check_against.
 struct IncrementalTcompConfig {
-  te::SolverOptions solver_options;
   std::size_t n_events = 50;
   std::uint64_t seed = 23;
 };

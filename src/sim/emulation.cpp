@@ -38,7 +38,6 @@ std::unique_ptr<core::Controller> DsdnEmulation::make_controller(
   cc.self = n;
   cc.solver_options = config_.solver_options;
   cc.program_bypasses = config_.use_bypasses;
-  cc.bypass_strategy = config_.bypass_strategy;
   cc.incremental_te = config_.incremental_te;
   if (!config_.algorithms.empty()) {
     if (config_.algorithms.size() != topo_.num_nodes())
@@ -122,7 +121,7 @@ void DsdnEmulation::transmit(
   c_transmissions_.inc();
   c_nsu_bytes_.add(bytes->size());
   const topo::Link& l = topo_.link(lid);
-  const double base_delay = l.delay_s + config_.nsu_process_s;
+  const double base_delay = l.delay_s + EmulationConfig::nsu_process_s;
   auto deliver_payload =
       [this, lid](std::shared_ptr<const std::vector<std::uint8_t>> payload,
                   double delay, bool corrupted) {

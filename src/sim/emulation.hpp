@@ -44,12 +44,12 @@ namespace dsdn::sim {
 struct EmulationConfig {
   te::SolverOptions solver_options;
   // Fixed per-hop NSU processing delay added to link propagation.
-  double nsu_process_s = 0.002;
+  static constexpr double nsu_process_s = 0.002;
   // Controllers pre-install per-router FRR bypasses on every recompute
   // (the on-box Smart-FRR capability of Appendix C).
   bool use_bypasses = true;
-  dataplane::BypassStrategy bypass_strategy =
-      dataplane::BypassStrategy::kCapacityAware;
+  static constexpr dataplane::BypassStrategy bypass_strategy =
+      core::ControllerConfig::bypass_strategy;
   // Warm-start incremental TE recompute on every controller. Safe here
   // because the emulation recomputes all dirty controllers at the same
   // quiescent points, keeping warm-state histories in lockstep; a

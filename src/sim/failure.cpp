@@ -10,7 +10,7 @@ std::vector<NetEvent> generate_failures(const topo::Topology& topo,
   const double horizon_s = params.days * 86400.0;
   const double mttf_s =
       params.mttf_days * 86400.0 / std::max(1e-9, params.churn_multiplier);
-  const double mttr_s = params.mttr_hours * 3600.0;
+  const double mttr_s = FailureParams::mttr_hours * 3600.0;
 
   std::vector<NetEvent> events;
   for (const topo::Link& l : topo.links()) {

@@ -23,7 +23,7 @@ struct FailureParams {
   // Mean time between failures for one fiber, in days (baseline rate).
   double mttf_days = 120.0;
   // Mean time to repair, in hours.
-  double mttr_hours = 4.0;
+  static constexpr double mttr_hours = 4.0;
   // Fig 11's churn multiplier: scales the failure rate.
   double churn_multiplier = 1.0;
   std::uint64_t seed = 7;

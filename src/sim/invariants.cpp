@@ -252,8 +252,8 @@ void check_no_blackholes(const DsdnEmulation& emu, InvariantReport& out) {
 // Sums every router's own installed allocations: per-link placed load
 // within capacity (+slack), exactly zero on down links.
 void check_capacity_conservation(const DsdnEmulation& emu,
-                                 const InvariantOptions& options,
                                  InvariantReport& out) {
+  constexpr double kSlack = te::DiffChecker::Options::capacity_slack_gbps;
   const topo::Topology& topo = emu.network();
   std::vector<double> placed(topo.num_links(), 0.0);
   for (topo::NodeId n = 0; n < topo.num_nodes(); ++n) {
@@ -269,11 +269,11 @@ void check_capacity_conservation(const DsdnEmulation& emu,
   for (std::size_t l = 0; l < topo.num_links(); ++l) {
     ++out.checks_run;
     const topo::Link& link = topo.link(static_cast<topo::LinkId>(l));
-    if (!link.up && placed[l] > options.capacity_slack_gbps) {
+    if (!link.up && placed[l] > kSlack) {
       out.violations.push_back(
           "allocated load " + util::format_double(placed[l], 3) +
           "G on down link " + std::to_string(l));
-    } else if (placed[l] > link.capacity_gbps + options.capacity_slack_gbps) {
+    } else if (placed[l] > link.capacity_gbps + kSlack) {
       out.violations.push_back(
           "link " + std::to_string(l) + " overcommitted: " +
           util::format_double(placed[l], 3) + "G placed on " +
@@ -291,9 +291,6 @@ void check_cold_solve_parity(const DsdnEmulation& emu,
   const core::Controller& c = emu.controller(0);
   if (c.recomputes() == 0) return;
   ++out.checks_run;
-  te::DiffChecker::Options dc;
-  dc.throughput_tolerance = options.throughput_tolerance;
-  dc.capacity_slack_gbps = options.capacity_slack_gbps;
   traffic::TrafficMatrix solved_tm;
   if (options.parity_against_solved_demands) {
     // Rebuild the matrix this solution actually solved (one allocation
@@ -323,11 +320,12 @@ void check_cold_solve_parity(const DsdnEmulation& emu,
     const te::Solution reference =
         reference_solver.solve(c.state().view(), parity_tm, nullptr);
     report = te::DiffChecker::check_against(c.state().view(), parity_tm,
-                                            c.last_solution(), reference, dc);
+                                            c.last_solution(), reference,
+                                            te::DiffChecker::Options{});
   } else {
     report = te::DiffChecker::check(c.state().view(), parity_tm,
                                     c.last_solution(),
-                                    emu.config().solver_options, dc);
+                                    emu.config().solver_options);
   }
   for (const std::string& v : report.violations) {
     out.violations.push_back("cold-solve parity: " + v);
@@ -345,7 +343,7 @@ InvariantReport check_invariants(const DsdnEmulation& emu,
   if (!out.ok()) return out;
   check_fib_walk(emu, out);
   check_no_blackholes(emu, out);
-  check_capacity_conservation(emu, options, out);
+  check_capacity_conservation(emu, out);
   if (options.check_solution_parity) {
     check_cold_solve_parity(emu, options, out);
   }

@@ -35,13 +35,9 @@
 
 namespace dsdn::sim {
 
+// Conservation sums get te::DiffChecker::Options::capacity_slack_gbps of
+// slack, and the parity check allows its throughput_tolerance of drift.
 struct InvariantOptions {
-  // Slack for per-link conservation sums (floating-point accumulation).
-  double capacity_slack_gbps = 1e-6;
-  // Allowed relative throughput drift of the history-evolved solution vs
-  // the cold full solve (DiffChecker's bound; warm-start drift is capped
-  // by the incremental solver's fallback threshold).
-  double throughput_tolerance = 0.05;
   // The parity check costs one full solve per call; scenario sweeps over
   // big topologies can disable it.
   bool check_solution_parity = true;

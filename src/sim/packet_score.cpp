@@ -62,7 +62,7 @@ PacketScoreReport score_packets(const DsdnEmulation& emu,
       ++report.no_ingress_route;
     } else {
       ++report.hard_drops;
-      if (report.violations.size() < options.max_violations) {
+      if (report.violations.size() < PacketScoreOptions::max_violations) {
         report.violations.push_back(
             "packet " + std::to_string(i) + " ingress " +
             std::to_string(specs[i].ingress) + " -> node " +

@@ -26,7 +26,7 @@ struct PacketScoreOptions {
   std::size_t core = 0;     // SnapshotHub slot to forward from
   std::uint64_t seed = 1;   // sampling stream (deterministic)
   int ttl = 0;              // 0 = the emulation's default budget (4n+16)
-  std::size_t max_violations = 5;  // reported examples, not a scan cap
+  static constexpr std::size_t max_violations = 5;  // reported examples
 };
 
 struct PacketScoreReport {

@@ -63,6 +63,14 @@ bool try_cut(topo::Topology& scratch, topo::LinkId lid) {
   return false;
 }
 
+static_assert(ScenarioOptions::surge_span > 1.0);
+
+// Log-uniform in [1/surge_span, surge_span].
+double surge_factor(util::Rng& rng) {
+  const double span = ScenarioOptions::surge_span;
+  return std::exp(rng.uniform(-std::log(span), std::log(span)));
+}
+
 }  // namespace
 
 std::string ScenarioEvent::to_string() const {
@@ -156,7 +164,7 @@ void Scenario::generate_schedule() {
     const std::vector<topo::LinkId> up = reps_in_state(scratch, reps, true);
     const std::vector<topo::LinkId> down = reps_in_state(scratch, reps, false);
 
-    double weights[] = {up.empty() ? 0.0 : options_.w_cut,
+    double weights[] = {up.empty() ? 0.0 : ScenarioOptions::w_cut,
                         down.empty() ? 0.0 : options_.w_repair,
                         up.empty() ? 0.0 : options_.w_flap,
                         up.empty() ? 0.0 : options_.w_srlg,
@@ -185,8 +193,8 @@ void Scenario::generate_schedule() {
       case K::kSrlgCut: {
         std::vector<topo::LinkId> members;
         for (std::size_t a = 0;
-             a < kPickAttempts * options_.srlg_size &&
-             members.size() < options_.srlg_size;
+             a < kPickAttempts * ScenarioOptions::srlg_size &&
+             members.size() < ScenarioOptions::srlg_size;
              ++a) {
           const topo::LinkId lid = rng.pick(up);
           if (scratch.link(lid).up && try_cut(scratch, lid))
@@ -225,8 +233,7 @@ void Scenario::generate_schedule() {
       }
       case K::kDemandSurge: {
         ev.node = rng.pick(surge_origins);
-        const double span = std::max(options_.surge_span, 1.0 + 1e-9);
-        ev.factor = std::exp(rng.uniform(-std::log(span), std::log(span)));
+        ev.factor = surge_factor(rng);
         generated = true;
         break;
       }
@@ -245,8 +252,7 @@ void Scenario::generate_schedule() {
         ev = ScenarioEvent{};
         ev.kind = K::kDemandSurge;
         ev.node = rng.pick(surge_origins);
-        const double span = std::max(options_.surge_span, 1.0 + 1e-9);
-        ev.factor = std::exp(rng.uniform(-std::log(span), std::log(span)));
+        ev.factor = surge_factor(rng);
       } else {
         ev = ScenarioEvent{};
         ev.kind = K::kToggleIncrementalTe;

@@ -62,7 +62,7 @@ struct ScenarioOptions {
   std::size_t n_events = 24;
   // Relative pick weights per event kind (a kind with no applicable
   // target at generation time drops out of the draw).
-  double w_cut = 4.0;
+  static constexpr double w_cut = 4.0;
   double w_repair = 3.0;
   double w_flap = 2.0;
   double w_srlg = 1.0;
@@ -70,9 +70,9 @@ struct ScenarioOptions {
   double w_cold_restart = 1.0;
   double w_surge = 1.5;
   double w_toggle = 0.5;
-  std::size_t srlg_size = 3;  // fibers per SRLG cut (best effort)
+  static constexpr std::size_t srlg_size = 3;  // fibers per SRLG cut
   // Surge factors are log-uniform in [1/surge_span, surge_span].
-  double surge_span = 2.5;
+  static constexpr double surge_span = 2.5;
 
   // Flooding-plane faults (FaultyBus), seeded from the scenario seed.
   bool lossy_flooding = false;

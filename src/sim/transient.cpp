@@ -60,14 +60,13 @@ TransientSimulator::TransientSimulator(const topo::Topology& topo,
     : topo_(topo),
       tm_(tm),
       config_(config),
-      own_provider_(&tm_, config.solver_options),
+      own_provider_(&tm_),
       provider_(provider ? provider : &own_provider_),
       scratch_(topo),
       rng_(config.seed) {
   if (config_.scheme == Scheme::kCsdn) {
     csdn_ = std::make_unique<csdn::CsdnController>(
-        &scratch_, config_.csdn_calib, config_.solver_options,
-        util::splitmix64(config_.seed ^ 0xC5D0));
+        &scratch_, util::splitmix64(config_.seed ^ 0xC5D0));
   }
 }
 
@@ -127,7 +126,8 @@ TransientResult TransientSimulator::run() {
       }
       it = bypass_cache
                .emplace(key, dataplane::BypassPlan::compute_for_links(
-                                 scratch_, config_.bypass_strategy, down,
+                                 scratch_, TransientConfig::bypass_strategy,
+                                 down,
                                  target.residual_capacity(scratch_)))
                .first;
     }
@@ -223,10 +223,10 @@ TransientResult TransientSimulator::run() {
       // Flood from both fiber endpoints on the post-event topology.
       const topo::NodeId a = scratch_.link(e.fiber).src;
       const topo::NodeId b = scratch_.link(e.fiber).dst;
-      const auto from_a = nsu_arrival_times(scratch_, a, config_.dsdn_calib,
-                                            rng_, config_.flood_loss_prob);
-      const auto from_b = nsu_arrival_times(scratch_, b, config_.dsdn_calib,
-                                            rng_, config_.flood_loss_prob);
+      const auto from_a =
+          nsu_arrival_times(scratch_, a, rng_, config_.flood_loss_prob);
+      const auto from_b =
+          nsu_arrival_times(scratch_, b, rng_, config_.flood_loss_prob);
       // One convergence instant per headend.
       std::vector<double> headend_switch(topo_.num_nodes(), -1.0);
       for (std::size_t i = 0; i < target.allocations.size(); ++i) {
@@ -234,10 +234,8 @@ TransientResult TransientSimulator::run() {
         const topo::NodeId r = target.allocations[i].demand.src;
         if (headend_switch[r] < 0) {
           const double tprop = std::min(from_a[r], from_b[r]);
-          const double tcomp =
-              metrics::sample_dsdn_tcomp(config_.dsdn_calib, rng_);
-          const double tprog =
-              metrics::sample_dsdn_tprog(config_.dsdn_calib, rng_);
+          const double tcomp = metrics::sample_dsdn_tcomp(rng_);
+          const double tprog = metrics::sample_dsdn_tprog(rng_);
           headend_switch[r] = std::isfinite(tprop)
                                   ? e.time_s + tprop + tcomp + tprog
                                   : std::numeric_limits<double>::infinity();

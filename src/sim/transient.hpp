@@ -38,9 +38,7 @@ const char* scheme_name(Scheme s);
 // all schemes share one provider within an experiment.
 class SolutionProvider {
  public:
-  SolutionProvider(const traffic::TrafficMatrix* tm,
-                   te::SolverOptions options)
-      : tm_(tm), solver_(options) {}
+  explicit SolutionProvider(const traffic::TrafficMatrix* tm) : tm_(tm) {}
 
   const te::Solution& get(const topo::Topology& state);
 
@@ -58,16 +56,13 @@ class SolutionProvider {
 struct TransientConfig {
   Scheme scheme = Scheme::kDsdn;
   FailureParams failures;
-  metrics::CsdnCalibration csdn_calib;
-  metrics::DsdnCalibration dsdn_calib;
   // Flood loss injected on every dSDN NSU hop (0 = off); lost transfers
   // pay bounded retransmit backoff (Fig 10 under lossy flood).
   double flood_loss_prob = 0.0;
-  te::SolverOptions solver_options;
-  // Pre-installed bypass paths (Appendix D). Recomputed per topology
-  // state when enabled.
+  // Pre-installed bypass paths (Appendix D), recomputed per topology
+  // state when enabled: k-capacity-aware, the strategy Fig 20 evaluates.
   bool use_bypasses = false;
-  dataplane::BypassStrategy bypass_strategy =
+  static constexpr dataplane::BypassStrategy bypass_strategy =
       dataplane::BypassStrategy::kKCapacityAware;
   // Switch-time quantization: at most this many loss evaluations per
   // event (keeps 1000-day streams tractable; conservative rounding).

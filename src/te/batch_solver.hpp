@@ -105,20 +105,29 @@ class RadixHeap {
   std::size_t size_ = 0;
 };
 
-// Immutable CSR view of the topology: te::Solver's per-solve view holds
-// only up links, te::PathCache's holds every link.
+// Immutable CSR view of the topology. An edge of a reversed view runs
+// from a link's dst to its src, so an SSSP from t over it yields every
+// node's distance to t.
 struct BatchGraph {
   std::uint32_t num_nodes = 0;
   std::vector<std::uint32_t> row_offsets;  // num_nodes + 1
   std::vector<std::uint32_t> edge_dst;     // per edge: head node
   std::vector<std::uint32_t> edge_link;    // per edge: topo::LinkId
   std::vector<double> edge_cost;           // per edge: igp metric
-  std::vector<std::uint32_t> link_src;     // per topo link: tail node
+  std::vector<std::uint32_t> link_src;     // per topo link: edge's tail
 };
 
-// The CSR view of `topo`'s links in out_links order: only the up links
-// unless `up_only` is false.
-BatchGraph build_batch_graph(const topo::Topology& topo, bool up_only = true);
+// Which links a BatchGraph holds and which way it walks them.
+enum class CsrView {
+  kUpLinks,          // te::Solver's per-solve view, out_links order
+  kAllLinks,         // te::PathCache's table: up or down, out_links order
+  kUpLinksReversed,  // SrUnderlay's distances to a target, in_links order
+};
+
+// The CSR view of `topo`. Each node's edges keep the relaxation order of
+// te::shortest_path (out_links), or for the reversed view that of a
+// reverse Dijkstra (in_links), so equal-cost tie-breaks match.
+BatchGraph build_batch_graph(const topo::Topology& topo, CsrView view);
 
 // Reusable scratch for one SSSP run: flat dist/pred arrays with epoch
 // stamping (O(1) reset) and the run's radix heap. Workspaces are pooled

@@ -123,12 +123,10 @@ bool link_usable(const topo::Link& l, const SpConstraints& c) {
 
 struct DijkstraResult {
   std::vector<double> dist;
-  // Link arriving at each node (kReverse: the link leaving it toward src).
-  std::vector<topo::LinkId> pred_link;
+  std::vector<topo::LinkId> pred_link;  // link arriving at each node
 };
 
-// kReverse walks in-links, so dist[v] is the distance from v to src.
-template <bool kReverse = false, typename CostFn>
+template <typename CostFn>
 DijkstraResult run_dijkstra(const topo::Topology& topo, topo::NodeId src,
                             const SpConstraints& c, CostFn cost,
                             topo::NodeId early_stop = topo::kInvalidNode) {
@@ -146,10 +144,10 @@ DijkstraResult run_dijkstra(const topo::Topology& topo, topo::NodeId src,
     if (d > r.dist[u]) continue;
     if (u == early_stop) break;
     const topo::Node& node = topo.node(u);
-    for (topo::LinkId lid : kReverse ? node.in_links : node.out_links) {
+    for (topo::LinkId lid : node.out_links) {
       const topo::Link& l = topo.link(lid);
       if (!link_usable(l, c)) continue;
-      const topo::NodeId v = kReverse ? l.src : l.dst;
+      const topo::NodeId v = l.dst;
       const double nd = d + cost(l);
       if (nd < r.dist[v]) {
         r.dist[v] = nd;
@@ -203,11 +201,10 @@ std::vector<Path> shortest_path_tree(const topo::Topology& topo,
 
 std::vector<double> shortest_distances(const topo::Topology& topo,
                                        topo::NodeId root,
-                                       std::span<const double> link_cost,
-                                       bool reverse) {
-  const auto cost = [&](const topo::Link& l) { return link_cost[l.id]; };
-  return reverse ? run_dijkstra<true>(topo, root, {}, cost).dist
-                 : run_dijkstra<false>(topo, root, {}, cost).dist;
+                                       std::span<const double> link_cost) {
+  return run_dijkstra(topo, root, {}, [&](const topo::Link& l) {
+           return link_cost[l.id];
+         }).dist;
 }
 
 }  // namespace dsdn::te

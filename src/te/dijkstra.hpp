@@ -36,12 +36,10 @@ std::vector<Path> shortest_path_tree(const topo::Topology& topo,
                                      const SpConstraints& c = {});
 
 // Shortest distance from `root` to every node over up links, where
-// traversing link l costs link_cost[l]; +inf when unreachable. With
-// `reverse`, the distance from every node to `root` (walks in-links).
-// Same heap and relaxation order as shortest_path.
+// traversing link l costs link_cost[l]; +inf when unreachable. Same heap
+// and relaxation order as shortest_path.
 std::vector<double> shortest_distances(const topo::Topology& topo,
                                        topo::NodeId root,
-                                       std::span<const double> link_cost,
-                                       bool reverse = false);
+                                       std::span<const double> link_cost);
 
 }  // namespace dsdn::te

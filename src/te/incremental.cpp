@@ -42,16 +42,15 @@ void accumulate_load(const Allocation& a, double sign,
 DiffChecker::Report DiffChecker::check(const topo::Topology& topo,
                                        const traffic::TrafficMatrix& tm,
                                        const Solution& solution,
-                                       const SolverOptions& solver_options,
-                                       const Options& options) {
+                                       const SolverOptions& solver_options) {
   return check_against(topo, tm, solution,
-                       Solver(solver_options).solve(topo, tm), options);
+                       Solver(solver_options).solve(topo, tm), Options{});
 }
 
 DiffChecker::Report DiffChecker::check_against(
     const topo::Topology& topo, const traffic::TrafficMatrix& tm,
     const Solution& solution, const Solution& reference,
-    const Options& options) {
+    const Options& /*bounds*/) {
   DSDN_TRACE_SPAN("te.diff_check");
   Report report;
   constexpr std::size_t kMaxViolations = 64;
@@ -103,10 +102,10 @@ DiffChecker::Report DiffChecker::check_against(
   // ---- Link-capacity conservation (down links carry nothing).
   for (std::size_t l = 0; l < topo.num_links(); ++l) {
     const topo::Link& link = topo.link(static_cast<topo::LinkId>(l));
-    if (!link.up && load[l] > options.capacity_slack_gbps)
+    if (!link.up && load[l] > Options::capacity_slack_gbps)
       violate("conservation: down link " + std::to_string(l) + " carries " +
               std::to_string(load[l]) + " Gbps");
-    if (load[l] > link.capacity_gbps + options.capacity_slack_gbps)
+    if (load[l] > link.capacity_gbps + Options::capacity_slack_gbps)
       violate("conservation: link " + std::to_string(l) + " carries " +
               std::to_string(load[l]) + " Gbps > capacity " +
               std::to_string(link.capacity_gbps));
@@ -119,7 +118,7 @@ DiffChecker::Report DiffChecker::check_against(
   const double drift =
       std::abs(report.solution_total_gbps - report.reference_total_gbps) /
       denom;
-  if (drift > options.throughput_tolerance)
+  if (drift > Options::throughput_tolerance)
     violate("parity: total " + std::to_string(report.solution_total_gbps) +
             " Gbps vs reference " +
             std::to_string(report.reference_total_gbps) + " Gbps (" +

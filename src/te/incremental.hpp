@@ -81,12 +81,14 @@ struct IncrementalStats {
 // against a from-scratch solve of the same inputs.
 class DiffChecker {
  public:
+  // The checker's bounds, shared by sim::check_invariants.
   struct Options {
     // Allowed relative drift of total allocated throughput vs the
     // reference (the waterfill is itself approximate; warm-start adds
     // boundary drift bounded by the fallback threshold).
-    double throughput_tolerance = 0.05;
-    double capacity_slack_gbps = 1e-6;
+    static constexpr double throughput_tolerance = 0.05;
+    // Slack for per-link conservation sums (floating-point accumulation).
+    static constexpr double capacity_slack_gbps = 1e-6;
   };
 
   struct Report {
@@ -109,24 +111,17 @@ class DiffChecker {
   static Report check(const topo::Topology& topo,
                       const traffic::TrafficMatrix& tm,
                       const Solution& solution,
-                      const SolverOptions& solver_options,
-                      const Options& options);
-  static Report check(const topo::Topology& topo,
-                      const traffic::TrafficMatrix& tm,
-                      const Solution& solution,
-                      const SolverOptions& solver_options) {
-    return check(topo, tm, solution, solver_options, Options{});
-  }
+                      const SolverOptions& solver_options);
 
   // Same checks against a caller-supplied reference Solution instead of
   // a fresh stock solve -- for solutions the stock solver cannot
   // reproduce (mixed-algorithm fleets, segment routing), where the
-  // reference comes from re-running the matching solver.
+  // reference comes from re-running the matching solver. The bounds are
+  // Options' constants whatever instance is passed.
   static Report check_against(const topo::Topology& topo,
                               const traffic::TrafficMatrix& tm,
                               const Solution& solution,
-                              const Solution& reference,
-                              const Options& options);
+                              const Solution& reference, const Options&);
 };
 
 class IncrementalSolver {

@@ -50,7 +50,7 @@ PathCache::PathCache(const topo::Topology& topo) : n_(topo.num_nodes()) {
   // One full run of the solver's SSSP kernel per source over a CSR of
   // every link; an all-zero residual vector at threshold 0 makes every
   // link usable, whatever its capacity or state.
-  const BatchGraph g = build_batch_graph(topo, /*up_only=*/false);
+  const BatchGraph g = build_batch_graph(topo, CsrView::kAllLinks);
   const std::vector<double> residual(topo.num_links(), 0.0);
   std::vector<std::uint32_t> targets(n_);
   std::iota(targets.begin(), targets.end(), 0u);
@@ -128,7 +128,7 @@ std::shared_ptr<const DetourTable> PathCache::detours(
 DetourTable::DetourTable(std::shared_ptr<const PathCache> table,
                          const topo::Topology& topo)
     : table_(std::move(table)),
-      graph_(build_batch_graph(topo)),
+      graph_(build_batch_graph(topo, CsrView::kUpLinks)),
       no_floor_(topo.num_links(), 0.0),
       all_nodes_(topo.num_nodes()),
       rows_(std::make_unique<Row[]>(topo.num_nodes())) {

@@ -2,24 +2,36 @@
 
 #include <algorithm>
 #include <functional>
+#include <numeric>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "te/dijkstra.hpp"
+#include "te/batch_solver.hpp"
 
 namespace dsdn::te {
 
 SrUnderlay SrUnderlay::build(const topo::Topology& topo) {
   SrUnderlay u;
   u.n_ = topo.num_nodes();
-  // One reverse Dijkstra per target over up links gives dist(v, t) for
-  // every v in a single pass.
-  std::vector<double> metric(topo.num_links());
-  for (const topo::Link& l : topo.links()) metric[l.id] = l.igp_metric;
-  u.dist_to_.reserve(u.n_);
-  for (topo::NodeId t = 0; t < u.n_; ++t)
-    u.dist_to_.push_back(shortest_distances(topo, t, metric, /*reverse=*/true));
+  // One all-targets run from t over the reversed up links gives dist(v, t)
+  // for every v. It pops the (dist, node) sequence of a reverse Dijkstra
+  // relaxing in_links in order, so every distance sums its metrics in
+  // that order. (A table row's forward distance sums them the other way
+  // round and can differ in the last bit.)
+  const BatchGraph g = build_batch_graph(topo, CsrView::kUpLinksReversed);
+  const std::vector<double> no_floor(topo.num_links(), 0.0);
+  std::vector<std::uint32_t> all(u.n_);
+  std::iota(all.begin(), all.end(), 0u);
+  u.dist_to_.assign(u.n_ * u.n_, kInf);
+  SsspWorkspace ws;
+  for (std::uint32_t t = 0; t < u.n_; ++t) {
+    sssp(g, no_floor, 0.0, t, all.data(), all.size(), ws);
+    double* const to_t = u.dist_to_.data() + t * u.n_;
+    for (std::uint32_t v = 0; v < u.n_; ++v) {
+      if (ws.reached(v)) to_t[v] = ws.dist[v];
+    }
+  }
   return u;
 }
 

@@ -41,8 +41,8 @@ struct SrOptions {
 };
 
 // All-pairs shortest-path distances and ECMP DAG membership over the
-// *up* links of a topology view, igp_metric cost. Built once per solve
-// (one reverse Dijkstra per target).
+// *up* links of a topology view, igp_metric cost. Built once per solve:
+// one te::sssp run per target over the reversed up links.
 class SrUnderlay {
  public:
   static SrUnderlay build(const topo::Topology& topo);
@@ -50,7 +50,7 @@ class SrUnderlay {
   std::size_t num_nodes() const { return n_; }
   // +inf when t is unreachable from s over up links.
   double dist(topo::NodeId s, topo::NodeId t) const {
-    return dist_to_[t][s];
+    return dist_to_[t * n_ + s];
   }
   bool reachable(topo::NodeId s, topo::NodeId t) const {
     return dist(s, t) < kInf;
@@ -66,8 +66,8 @@ class SrUnderlay {
 
  private:
   std::size_t n_ = 0;
-  // dist_to_[t][u] = shortest distance u -> t (reverse Dijkstra per t).
-  std::vector<std::vector<double>> dist_to_;
+  // dist_to_[t * n_ + u] = shortest distance u -> t.
+  std::vector<double> dist_to_;
 };
 
 // Comparison slack for "on a shortest path" tests, scaled to the

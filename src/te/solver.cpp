@@ -128,23 +128,24 @@ struct Bucket {
 
 }  // namespace
 
-BatchGraph build_batch_graph(const topo::Topology& topo, bool up_only) {
+BatchGraph build_batch_graph(const topo::Topology& topo, CsrView view) {
+  const bool reversed = view == CsrView::kUpLinksReversed;
+  // The solver and SR exclude down links up front (they always require
+  // up, and link state is immutable for the duration of a solve).
+  const bool up_only = view != CsrView::kAllLinks;
   BatchGraph g;
   g.num_nodes = static_cast<std::uint32_t>(topo.num_nodes());
   g.link_src.resize(topo.num_links());
-  for (std::size_t l = 0; l < topo.num_links(); ++l)
-    g.link_src[l] = topo.link(static_cast<topo::LinkId>(l)).src;
+  for (const topo::Link& l : topo.links())
+    g.link_src[l.id] = reversed ? l.dst : l.src;
   g.row_offsets.reserve(g.num_nodes + 1);
   g.row_offsets.push_back(0);
   for (std::uint32_t u = 0; u < g.num_nodes; ++u) {
-    // out_links order is te::shortest_path's relaxation order; keeping
-    // it is what makes equal-cost tie-breaks match. The solver excludes
-    // down links up front (it always requires up, and link state is
-    // immutable for the duration of a solve).
-    for (topo::LinkId lid : topo.node(u).out_links) {
+    const topo::Node& node = topo.node(u);
+    for (topo::LinkId lid : reversed ? node.in_links : node.out_links) {
       const topo::Link& l = topo.link(lid);
       if (up_only && !l.up) continue;
-      g.edge_dst.push_back(l.dst);
+      g.edge_dst.push_back(reversed ? l.src : l.dst);
       g.edge_link.push_back(lid);
       g.edge_cost.push_back(l.igp_metric);
     }
@@ -315,7 +316,7 @@ Solution Solver::solve(const topo::Topology& topo,
 
   const auto t_start = Clock::now();
 
-  const BatchGraph graph = build_batch_graph(topo);
+  const BatchGraph graph = build_batch_graph(topo, CsrView::kUpLinks);
 
   WorkspacePool ws_pool;
   SsspWorkspace grant_ws;  // dedicated scratch for serialized re-searches

@@ -65,9 +65,10 @@ DemandDynamics::DemandDynamics(TrafficMatrix base,
       ev.ramp = options_.flash_ramp_epochs;
       ev.hold = options_.flash_hold_epochs;
       ev.decay = options_.flash_decay_epochs;
-      const double peak = mean_rate * rng.lognormal_median(
-                                          options_.flash_magnitude_median,
-                                          options_.flash_magnitude_sigma);
+      const double peak =
+          mean_rate *
+          rng.lognormal_median(DemandDynamicsOptions::flash_magnitude_median,
+                               DemandDynamicsOptions::flash_magnitude_sigma);
       if (rng.bernoulli(options_.flash_new_flow_prob) &&
           node_list.size() >= 2) {
         // A brand-new flow: pick a (src, dst, class) key absent from the

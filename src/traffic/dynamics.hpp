@@ -44,8 +44,8 @@ struct DemandDynamicsOptions {
   // lognormal(median, sigma) * mean base row rate on top of the target
   // row, ramping up/holding/decaying linearly.
   double flash_prob_per_epoch = 0.0;
-  double flash_magnitude_median = 3.0;
-  double flash_magnitude_sigma = 0.5;
+  static constexpr double flash_magnitude_median = 3.0;
+  static constexpr double flash_magnitude_sigma = 0.5;
   std::uint32_t flash_ramp_epochs = 3;
   std::uint32_t flash_hold_epochs = 8;
   std::uint32_t flash_decay_epochs = 12;

@@ -362,7 +362,7 @@ TEST(BatchSssp, MatchesShortestPathOnTieHeavyGraphs) {
   std::size_t compared = 0, unreachable = 0, runs = 0;
   for (int pass = 0; pass < 2; ++pass) {
     for (const topo::Topology* t : graphs) {
-      const BatchGraph g = build_batch_graph(*t);
+      const BatchGraph g = build_batch_graph(*t, CsrView::kUpLinks);
       std::vector<double> residual(t->num_links());
       for (double& r : residual)
         r = 10.0 * static_cast<double>(rng.uniform_int(0, 9));

@@ -9,8 +9,7 @@ namespace dsdn::csdn {
 namespace {
 
 TEST(Cpn, PartitionBookkeeping) {
-  metrics::CsdnCalibration calib;
-  ControlPlaneNetwork cpn(calib);
+  ControlPlaneNetwork cpn;
   EXPECT_TRUE(cpn.can_reach_controller(3));
   cpn.set_partitioned(3, true);
   EXPECT_FALSE(cpn.can_reach_controller(3));
@@ -21,9 +20,8 @@ TEST(Cpn, PartitionBookkeeping) {
 
 TEST(Programming, PathGatedBySlowestTransit) {
   const auto topo = topo::make_line(5);
-  metrics::CsdnCalibration calib;
   util::Rng boot(1);
-  metrics::ProgrammingLatencyModel model(calib, topo.num_nodes(), boot);
+  metrics::ProgrammingLatencyModel model(topo.num_nodes(), boot);
   util::Rng rng(2);
   te::Path p;
   for (std::size_t i = 0; i + 1 < 5; ++i)
@@ -36,9 +34,8 @@ TEST(Programming, PathGatedBySlowestTransit) {
 
 TEST(Programming, SingleHopPathHasNoTransitPhase) {
   const auto topo = topo::make_line(2);
-  metrics::CsdnCalibration calib;
   util::Rng boot(1);
-  metrics::ProgrammingLatencyModel model(calib, topo.num_nodes(), boot);
+  metrics::ProgrammingLatencyModel model(topo.num_nodes(), boot);
   util::Rng rng(2);
   te::Path p;
   p.links = {topo.find_link(0, 1)};
@@ -49,9 +46,8 @@ TEST(Programming, SingleHopPathHasNoTransitPhase) {
 
 TEST(Programming, LongerPathsSlowerInExpectation) {
   const auto topo = topo::make_line(12);
-  metrics::CsdnCalibration calib;
   util::Rng boot(1);
-  metrics::ProgrammingLatencyModel model(calib, topo.num_nodes(), boot);
+  metrics::ProgrammingLatencyModel model(topo.num_nodes(), boot);
   util::Rng rng(2);
   te::Path shortp, longp;
   shortp.links = {topo.find_link(0, 1), topo.find_link(1, 2)};
@@ -69,8 +65,7 @@ TEST(Programming, LongerPathsSlowerInExpectation) {
 TEST(CsdnController, SolveMatchesSharedSolver) {
   const auto topo = topo::make_abilene();
   const auto tm = traffic::generate_gravity(topo);
-  metrics::CsdnCalibration calib;
-  CsdnController controller(&topo, calib, {}, 5);
+  CsdnController controller(&topo, 5);
   const auto central = controller.solve(tm);
   const auto direct = te::Solver().solve(topo, tm);
   ASSERT_EQ(central.allocations.size(), direct.allocations.size());
@@ -83,8 +78,7 @@ TEST(CsdnController, SolveMatchesSharedSolver) {
 TEST(CsdnController, ReconvergenceTimingOrdered) {
   const auto topo = topo::make_abilene();
   const auto tm = traffic::generate_gravity(topo);
-  metrics::CsdnCalibration calib;
-  CsdnController controller(&topo, calib, {}, 5);
+  CsdnController controller(&topo, 5);
   const auto solution = controller.solve(tm);
   std::vector<char> changed(solution.allocations.size(), 1);
   const auto timing = controller.time_reconvergence(100.0, solution, changed);
@@ -101,8 +95,7 @@ TEST(CsdnController, ReconvergenceTimingOrdered) {
 TEST(CsdnController, UnchangedDemandsNotReprogrammed) {
   const auto topo = topo::make_abilene();
   const auto tm = traffic::generate_gravity(topo);
-  metrics::CsdnCalibration calib;
-  CsdnController controller(&topo, calib, {}, 5);
+  CsdnController controller(&topo, 5);
   const auto solution = controller.solve(tm);
   std::vector<char> changed(solution.allocations.size(), 0);
   changed[0] = 1;
@@ -113,8 +106,7 @@ TEST(CsdnController, UnchangedDemandsNotReprogrammed) {
 TEST(CsdnController, PartitionedHeadendFailsStatic) {
   const auto topo = topo::make_abilene();
   const auto tm = traffic::generate_gravity(topo);
-  metrics::CsdnCalibration calib;
-  CsdnController controller(&topo, calib, {}, 5);
+  CsdnController controller(&topo, 5);
   const auto solution = controller.solve(tm);
   const topo::NodeId victim = solution.allocations[0].demand.src;
   controller.cpn().set_partitioned(victim, true);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "solver_golden.hpp"
 #include "traffic/dynamics.hpp"
 #include "traffic/gravity.hpp"
 #include "topo/zoo.hpp"
@@ -180,6 +181,49 @@ TEST(Dynamics, BitIdenticalUnderSameSeed) {
   DemandDynamics a(base, opt, 1);
   DemandDynamics c(base, opt, 2);
   EXPECT_NE(a.matrix_at(13).demands(), c.matrix_at(13).demands());
+}
+
+// Flash events and matrices by bit pattern, every drift process on:
+// pins the flash magnitude draw and the envelope, diurnal, regional and
+// jitter factors.
+TEST(DynamicsGolden, FlashEventsAndMatricesArePinned) {
+  constexpr std::array<std::uint64_t, 2> kGolden = {0x22f07d3bac1972b1ULL,
+                                                    0x765a1017493f9783ULL};
+  const auto topo = topo::make_abilene();
+  const auto base = generate_gravity(topo, {.seed = 5});
+  DemandDynamicsOptions opt;
+  opt.diurnal_amplitude = 0.3;
+  opt.regional_max_shift = 0.2;
+  opt.flash_prob_per_epoch = 0.1;
+  opt.jitter_sigma = 0.05;
+  opt.horizon_epochs = 128;
+  const auto add_row = [](golden::Fnv& f, const Demand& d) {
+    f.add(static_cast<std::uint64_t>(d.src));
+    f.add(static_cast<std::uint64_t>(d.dst));
+    f.add(static_cast<std::uint64_t>(d.priority));
+    f.add(d.rate_gbps);
+  };
+  std::size_t i = 0;
+  for (std::uint64_t seed : {1ull, 42ull}) {
+    const DemandDynamics dyn(base, opt, seed);
+    golden::Fnv f;
+    f.add(static_cast<std::uint64_t>(dyn.flash_events().size()));
+    for (const auto& ev : dyn.flash_events()) {
+      f.add(ev.start_epoch);
+      f.add(static_cast<std::uint64_t>(ev.ramp));
+      f.add(static_cast<std::uint64_t>(ev.hold));
+      f.add(static_cast<std::uint64_t>(ev.decay));
+      add_row(f, ev.row);
+      f.add(static_cast<std::uint64_t>(ev.new_row));
+    }
+    for (std::uint64_t e = 0; e < 140; e += 7) {
+      const TrafficMatrix m = dyn.matrix_at(e);
+      f.add(static_cast<std::uint64_t>(m.size()));
+      for (const Demand& d : m.demands()) add_row(f, d);
+    }
+    EXPECT_EQ(f.h, kGolden[i++]) << "seed " << seed << ": 0x" << std::hex
+                                 << f.h;
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include "metrics/calibration.hpp"
 #include "metrics/distribution.hpp"
 #include "metrics/slo.hpp"
+#include "solver_golden.hpp"
 
 namespace dsdn::metrics {
 namespace {
@@ -142,26 +143,25 @@ TEST(Slo, ThresholdsLoosenOneNinePerClass) {
 }
 
 TEST(Calibration, CsdnTpropMedianNearCalibratedValue) {
-  CsdnCalibration calib;
   util::Rng rng(5);
   EmpiricalDistribution d;
-  for (int i = 0; i < 20000; ++i) d.add(sample_csdn_tprop(calib, rng));
-  EXPECT_NEAR(d.median(), calib.tprop_median_s, calib.tprop_median_s * 0.1);
+  for (int i = 0; i < 20000; ++i) d.add(sample_csdn_tprop(rng));
+  EXPECT_NEAR(d.median(), CsdnCalibration::tprop_median_s,
+              CsdnCalibration::tprop_median_s * 0.1);
 }
 
 TEST(Calibration, DsdnVsCsdnComponentOrdering) {
   // The calibrated models must encode the paper's orderings: dSDN Tprog
   // orders of magnitude below cSDN programming, dSDN Tcomp ~35% above.
-  CsdnCalibration cs;
-  DsdnCalibration ds;
-  EXPECT_LT(ds.tprog_median_s * 100, cs.transit_router_median_s * 10);
-  EXPECT_NEAR(ds.tcomp_median_s / cs.tcomp_median_s, 1.35, 0.01);
+  using cs = CsdnCalibration;
+  using ds = DsdnCalibration;
+  EXPECT_LT(ds::tprog_median_s * 100, cs::transit_router_median_s * 10);
+  EXPECT_NEAR(ds::tcomp_median_s / cs::tcomp_median_s, 1.35, 0.01);
 }
 
 TEST(Calibration, ProgrammingModelHeterogeneousAcrossRouters) {
-  CsdnCalibration calib;
   util::Rng rng(9);
-  ProgrammingLatencyModel model(calib, 50, rng);
+  ProgrammingLatencyModel model(50, rng);
   // Collect per-router medians; Fig 19 reports ~10x spread across routers.
   double lo = 1e18, hi = 0;
   util::Rng sampler(10);
@@ -176,9 +176,8 @@ TEST(Calibration, ProgrammingModelHeterogeneousAcrossRouters) {
 
 TEST(Calibration, ProgrammingModelTailStretch) {
   // Per-router p99 should sit several x above the median (paper: 4x-11x).
-  CsdnCalibration calib;
   util::Rng rng(9);
-  ProgrammingLatencyModel model(calib, 4, rng);
+  ProgrammingLatencyModel model(4, rng);
   util::Rng sampler(12);
   EmpiricalDistribution d;
   for (int i = 0; i < 20000; ++i) d.add(model.sample_transit(0, sampler));
@@ -186,11 +185,10 @@ TEST(Calibration, ProgrammingModelTailStretch) {
 }
 
 TEST(Calibration, ProgrammingModelValidatesIndices) {
-  CsdnCalibration calib;
   util::Rng rng(9);
-  ProgrammingLatencyModel model(calib, 4, rng);
+  ProgrammingLatencyModel model(4, rng);
   EXPECT_THROW(model.sample_transit(4, rng), std::out_of_range);
-  EXPECT_THROW(ProgrammingLatencyModel(calib, 0, rng), std::invalid_argument);
+  EXPECT_THROW(ProgrammingLatencyModel(0, rng), std::invalid_argument);
 }
 
 TEST(Calibration, RouterCpuRatioMatchesPaper) {
@@ -217,6 +215,30 @@ TEST(Timeline, EmptyAndAllZeroAreSafe) {
   EXPECT_EQ(render_timeline({}), "");
   const auto flat = render_timeline({{0.0, 0.0}});
   EXPECT_NE(flat.find("0.00%"), std::string::npos);
+}
+
+// Every calibrated sampler's draws by bit pattern: the per-router
+// programming bases and tails, cSDN Tprop/Tcomp and dSDN per-hop, Tprog
+// and Tcomp.
+TEST(CalibrationGolden, SamplersAndProgrammingModel) {
+  util::Rng rng(17);
+  golden::Fnv f;
+  const ProgrammingLatencyModel model(24, rng);
+  f.add(static_cast<std::uint64_t>(model.slowest_router()));
+  for (int i = 0; i < 4; ++i) {
+    for (std::size_t r = 0; r < model.n_routers(); ++r) {
+      f.add(model.sample_transit(r, rng));
+      f.add(model.sample_encap(r, rng));
+    }
+  }
+  for (int i = 0; i < 32; ++i) {
+    f.add(sample_csdn_tprop(rng));
+    f.add(sample_csdn_tcomp(rng));
+    f.add(sample_dsdn_hop_process(rng));
+    f.add(sample_dsdn_tprog(rng));
+    f.add(sample_dsdn_tcomp(rng));
+  }
+  EXPECT_EQ(f.h, 0xcab41787d2bf06f6ULL) << "0x" << std::hex << f.h;
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include "hier/plane_runtime.hpp"
 #include "hier/scenario.hpp"
+#include "solver_golden.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/gravity.hpp"
 
@@ -167,6 +168,30 @@ TEST(PlaneScenario, SmallSwarmIsClean) {
     }
   }
   EXPECT_FALSE(failure.has_value());
+}
+
+// Fingerprints of seeded plane scenarios: the event draw weights, the
+// rebalances and their exposure, the checks run.
+TEST(PlaneScenarioGolden, FingerprintsOverSeeds) {
+  constexpr std::array<std::uint64_t, 3> kGolden = {
+      0xd52cdf74a5b64251ULL, 0x4d767b9b997db6b1ULL, 0x2a07edb5d85cca7bULL};
+  const auto base = topo::make_abilene();
+  traffic::GravityParams gp;
+  gp.pair_fraction = 0.5;
+  gp.seed = 0xABE;
+  const auto tm = traffic::generate_gravity(base, gp).aggregated();
+  PlaneScenarioOptions options;
+  options.planes = 3;
+  options.n_events = 8;
+  options.score_packets = 64;
+  options.invariants.check_solution_parity = false;
+  std::size_t i = 0;
+  for (std::uint64_t seed : {3ull, 11ull, 29ull}) {
+    const PlaneScenarioResult r = run_plane_scenario(base, tm, options, seed);
+    for (const auto& v : r.violations) ADD_FAILURE() << v;
+    EXPECT_EQ(r.fingerprint(), kGolden[i++])
+        << "seed " << seed << ": 0x" << std::hex << r.fingerprint();
+  }
 }
 
 }  // namespace

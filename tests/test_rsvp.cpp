@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "rsvp/rsvp_te.hpp"
+#include "sim/convergence.hpp"
+#include "solver_golden.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/gravity.hpp"
@@ -130,6 +132,36 @@ TEST(RsvpTe, DeterministicUnderSeed) {
   const auto r2 = n2.fail_fiber(fiber);
   EXPECT_DOUBLE_EQ(r1.convergence_time_s, r2.convergence_time_s);
   EXPECT_EQ(r1.crankbacks, r2.crankbacks);
+}
+
+// Signaling outcomes of a loaded GEANT over a series of cuts: setup,
+// restore times, crankbacks, retries and give-ups, and the reservations
+// left behind. Pins the RSVP calibration (hop setup, per-router service,
+// CSPF, crankback backoff) and the retry budget.
+TEST(RsvpGolden, StampedeOutcomesArePinned) {
+  const auto topo = topo::make_geant();
+  traffic::GravityParams gp;
+  gp.target_max_utilization = 1.1;
+  gp.seed = 3;
+  const auto tm = traffic::generate_gravity(topo, gp);
+  RsvpTeNetwork net(&topo, tm, fast_params(17));
+  golden::Fnv f;
+  f.add(static_cast<std::uint64_t>(net.establish_all()));
+  std::size_t gave_up = 0;
+  for (topo::LinkId fiber : sim::pick_failure_fibers(topo, 6, 5)) {
+    const RsvpEventResult r = net.fail_fiber(fiber);
+    f.add(r.convergence_time_s);
+    for (double t : r.lsp_restore_times.samples()) f.add(t);
+    for (std::size_t n : {r.affected_lsps, r.restored_lsps, r.crankbacks,
+                          r.retries}) {
+      f.add(static_cast<std::uint64_t>(n));
+    }
+    for (double g : net.reserved()) f.add(g);
+    gave_up += r.affected_lsps - r.restored_lsps;
+    net.repair_fiber(fiber);
+  }
+  EXPECT_GT(gave_up, 0u);  // the retry budget runs out somewhere
+  EXPECT_EQ(f.h, 0x574b151353ccf3e2ULL) << "0x" << std::hex << f.h;
 }
 
 }  // namespace

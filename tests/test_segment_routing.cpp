@@ -141,6 +141,88 @@ TEST(SrUnderlay, EcmpMembersAreShortestPathDagEdgesSortedByLinkId) {
   }
 }
 
+TEST(SrUnderlay, DistancesToATargetWalkAOneWayRingBackward) {
+  // One-way ring a -> b -> c -> a with metrics 1, 2 and 4: the distance to
+  // a walks the ring backward, and with the back link down nothing else
+  // reaches a.
+  topo::Topology t;
+  const auto a = t.add_node("a");
+  const auto b = t.add_node("b");
+  const auto c = t.add_node("c");
+  t.add_link(a, b, 10, 1.0);
+  t.add_link(b, c, 10, 2.0);
+  const auto back = t.add_link(c, a, 10, 4.0);
+  const auto ring = te::SrUnderlay::build(t);
+  EXPECT_EQ(ring.dist(a, a), 0.0);
+  EXPECT_EQ(ring.dist(b, a), 6.0);
+  EXPECT_EQ(ring.dist(c, a), 4.0);
+  t.set_link_up(back, false);
+  const auto cut = te::SrUnderlay::build(t);
+  EXPECT_EQ(cut.dist(a, a), 0.0);
+  EXPECT_EQ(cut.dist(b, a), te::SrUnderlay::kInf);
+  EXPECT_EQ(cut.dist(c, a), te::SrUnderlay::kInf);
+}
+
+TEST(SrUnderlay, DistancesAreShortestPathCosts) {
+  // Every ordered pair, intact and with 1 and 3 fibers down: the underlay
+  // distance is the cost of te::shortest_path's path (up to sr_eps: the
+  // two sum metrics in opposite orders), and +inf exactly where no path
+  // exists. The 3-fiber view first cuts every fiber of a lowest-degree
+  // node, so some pairs have no path; the other cuts are random.
+  util::Rng rng(0x5A);
+  for (topo::Topology t :
+       {topo::make_abilene(), topo::make_geant(), topo::make_b4_like()}) {
+    std::vector<topo::LinkId> fibers;
+    topo::NodeId leaf = 0;
+    for (const topo::Link& l : t.links()) {
+      if (l.reverse != topo::kInvalidLink && l.id < l.reverse)
+        fibers.push_back(l.id);
+    }
+    for (topo::NodeId n = 0; n < t.num_nodes(); ++n) {
+      if (t.node(n).out_links.size() < t.node(leaf).out_links.size())
+        leaf = n;
+    }
+    for (std::size_t down : {0, 1, 3}) {
+      topo::Topology view = t;
+      std::size_t cut = 0;
+      if (down == 3) {
+        for (topo::LinkId l : t.node(leaf).out_links) {
+          view.set_duplex_up(l, false);
+          ++cut;
+        }
+      }
+      ASSERT_LE(cut, down);
+      while (cut < down) {
+        const topo::LinkId f = rng.pick(fibers);
+        if (!view.link(f).up) continue;
+        view.set_duplex_up(f, false);
+        ++cut;
+      }
+      const auto underlay = te::SrUnderlay::build(view);
+      std::size_t no_path = 0;
+      for (topo::NodeId s = 0; s < view.num_nodes(); ++s) {
+        EXPECT_EQ(underlay.dist(s, s), 0.0);
+        for (topo::NodeId d = 0; d < view.num_nodes(); ++d) {
+          if (s == d) continue;
+          const auto sp = te::shortest_path(view, s, d);
+          if (!sp) {
+            ++no_path;
+            EXPECT_EQ(underlay.dist(s, d), te::SrUnderlay::kInf)
+                << s << "->" << d << " with " << down << " fibers down";
+            continue;
+          }
+          const double cost = sp->igp_cost(view);
+          EXPECT_NEAR(underlay.dist(s, d), cost, te::sr_eps(cost))
+              << s << "->" << d << " with " << down << " fibers down";
+        }
+      }
+      if (down == 3) {
+        EXPECT_GT(no_path, 0u);
+      }
+    }
+  }
+}
+
 TEST(SrUnderlay, MiddlepointRankingIsDeterministicAndDeduplicated) {
   const auto topo = topo::make_geant();
   const auto underlay = te::SrUnderlay::build(topo);

@@ -317,9 +317,8 @@ TEST(FlowEval, LatencyInflationDetectsDetour) {
 
 TEST(Convergence, NsuArrivalMonotoneInDistance) {
   const auto topo = topo::make_line(6);
-  metrics::DsdnCalibration calib;
   util::Rng rng(4);
-  const auto arrival = nsu_arrival_times(topo, 0, calib, rng);
+  const auto arrival = nsu_arrival_times(topo, 0, rng);
   EXPECT_DOUBLE_EQ(arrival[0], 0.0);
   for (std::size_t i = 1; i < arrival.size(); ++i) {
     EXPECT_GT(arrival[i], arrival[i - 1]);
@@ -329,9 +328,8 @@ TEST(Convergence, NsuArrivalMonotoneInDistance) {
 TEST(Convergence, NsuArrivalInfiniteWhenUnreachable) {
   auto topo = topo::make_line(3);
   topo.set_duplex_up(topo.find_link(1, 2), false);
-  metrics::DsdnCalibration calib;
   util::Rng rng(4);
-  const auto arrival = nsu_arrival_times(topo, 0, calib, rng);
+  const auto arrival = nsu_arrival_times(topo, 0, rng);
   EXPECT_FALSE(std::isfinite(arrival[2]));
 }
 
@@ -406,16 +404,13 @@ TEST(ConvergenceGolden, NsuArrivalTimesEveryOrigin) {
   }};
   const std::array<topo::Topology, 2> topos = {topo::make_abilene(),
                                                topo::make_geant()};
-  const metrics::DsdnCalibration calib;
   for (std::size_t t = 0; t < topos.size(); ++t) {
     std::size_t col = 0;
     for (double loss : {0.0, 0.05, 0.20}) {
       util::Rng rng(42);
       golden::Fnv f;
       for (topo::NodeId o = 0; o < topos[t].num_nodes(); ++o) {
-        for (double a :
-             nsu_arrival_times(topos[t], o, calib, rng, loss))
-          f.add(a);
+        for (double a : nsu_arrival_times(topos[t], o, rng, loss)) f.add(a);
       }
       EXPECT_EQ(f.h, kGolden[t][col++])
           << "topology " << t << " loss " << loss << ": 0x" << std::hex
@@ -467,6 +462,23 @@ TEST(ConvergenceGolden, DsdnComponentsUnderFloodLoss) {
   }
 }
 
+// cSDN's convergence components on gravity traffic: the CPN Tprop and
+// central Tcomp samplers, the per-router programming model and its
+// two-phase gating, over the real solver's changed-demand sets.
+TEST(ConvergenceGolden, CsdnComponentsOnAbileneAndGeant) {
+  constexpr std::array<std::uint64_t, 2> kGolden = {0x3d1fbd089f0ede77ULL,
+                                                    0xc85532d304020d97ULL};
+  const std::array<topo::Topology, 2> topos = {topo::make_abilene(),
+                                               topo::make_geant()};
+  for (std::size_t t = 0; t < topos.size(); ++t) {
+    CsdnConvergenceConfig cfg;
+    cfg.n_events = 20;
+    const std::uint64_t h = component_digest(measure_csdn_convergence(
+        topos[t], traffic::generate_gravity(topos[t]), cfg));
+    EXPECT_EQ(h, kGolden[t]) << "topology " << t << ": 0x" << std::hex << h;
+  }
+}
+
 // ---- transient impact ----
 
 struct TransientFixture {
@@ -493,7 +505,7 @@ struct TransientFixture {
 
 TEST(Transient, OmniscientLowerBoundsBothSchemes) {
   TransientFixture f;
-  SolutionProvider provider(&f.tm, {});
+  SolutionProvider provider(&f.tm);
   auto run = [&](Scheme s) {
     TransientSimulator sim(f.topo, f.tm, f.config(s), &provider);
     return sim.run();
@@ -521,7 +533,7 @@ TEST(Transient, OmniscientLowerBoundsBothSchemes) {
 
 TEST(Transient, LowerClassesSufferMore) {
   TransientFixture f;
-  SolutionProvider provider(&f.tm, {});
+  SolutionProvider provider(&f.tm);
   TransientSimulator sim(f.topo, f.tm, f.config(Scheme::kCsdn), &provider);
   const auto r = sim.run();
   const double high =
@@ -562,7 +574,7 @@ TEST(Transient, DeterministicUnderSeed) {
 
 TEST(Transient, BypassesReduceImpact) {
   TransientFixture f;
-  SolutionProvider provider(&f.tm, {});
+  SolutionProvider provider(&f.tm);
   auto cfg_plain = f.config(Scheme::kCsdn);
   auto cfg_bypass = cfg_plain;
   cfg_bypass.use_bypasses = true;
@@ -573,6 +585,52 @@ TEST(Transient, BypassesReduceImpact) {
   const double loss_byp =
       byp.run().bad_seconds_distribution(PriorityClass::kLow).mean();
   EXPECT_LE(loss_byp, loss_plain + 1e-9);
+}
+
+// Digest of every event impact and timeline sample of a transient run.
+std::uint64_t transient_digest(const TransientResult& r) {
+  golden::Fnv f;
+  f.add(static_cast<std::uint64_t>(r.events.size()));
+  for (const EventImpact& e : r.events) {
+    f.add(e.time_s);
+    f.add(static_cast<std::uint64_t>(e.was_failure));
+    for (double b : e.bad_seconds) f.add(b);
+    f.add(e.convergence_span_s);
+  }
+  f.add(static_cast<std::uint64_t>(r.timeline.size()));
+  for (const metrics::BlastSample& s : r.timeline) {
+    f.add(s.time);
+    f.add(s.blast_radius);
+  }
+  return f.h;
+}
+
+// Every scheme with bypasses off and on: pins the failure stream, the
+// cSDN and dSDN switch schedules and the bypass plans they fall back on.
+TEST(TransientGolden, EverySchemeWithAndWithoutBypasses) {
+  // Rows: omniscient, cSDN, dSDN; columns: bypasses off, on.
+  constexpr std::array<std::array<std::uint64_t, 2>, 3> kGolden = {{
+      {0x19f3e23a1bbdcdedULL, 0x19f3e23a1bbdcdedULL},
+      {0xcf74ed10c237d7a4ULL, 0x95468ed54c9fd867ULL},
+      {0x784673340c95efd1ULL, 0x01339ee61bc68098ULL},
+  }};
+  TransientFixture f;
+  SolutionProvider provider(&f.tm);
+  std::size_t row = 0;
+  for (Scheme s : {Scheme::kOmniscient, Scheme::kCsdn, Scheme::kDsdn}) {
+    std::size_t col = 0;
+    for (bool bypasses : {false, true}) {
+      TransientConfig cfg = f.config(s);
+      cfg.use_bypasses = bypasses;
+      cfg.timeline_event = 1;
+      const std::uint64_t h = transient_digest(
+          TransientSimulator(f.topo, f.tm, cfg, &provider).run());
+      EXPECT_EQ(h, kGolden[row][col++])
+          << scheme_name(s) << " bypasses " << bypasses << ": 0x" << std::hex
+          << h;
+    }
+    ++row;
+  }
 }
 
 }  // namespace
