@@ -18,12 +18,10 @@
 // regression tripwire.
 
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "sim/online.hpp"
-#include "te/thread_pool.hpp"
 
 using namespace dsdn;
 
@@ -37,7 +35,6 @@ struct PolicyRow {
 sim::OnlineTeOptions base_options(std::uint64_t epochs) {
   sim::OnlineTeOptions opt;
   opt.epochs = epochs;
-  opt.epoch_s = 1.0;
   // Demand process: +/-25% diurnal swing over a 96-epoch day, a flash
   // crowd roughly every 50 epochs, slow regional drift. Slow enough per
   // epoch that a drift threshold has something to defer, fast enough
@@ -54,7 +51,6 @@ sim::OnlineTeOptions base_options(std::uint64_t epochs) {
   // than of recompute-policy lag.
   opt.estimator.floor_gbps = 0.005;
   opt.churn_events = 4;
-  opt.bad_loss_fraction = 0.01;
   opt.check_every = 25;
   return opt;
 }
@@ -111,10 +107,6 @@ int main() {
     cases.push_back(std::move(b4));
   }
 
-  std::size_t threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 4;
-  te::ThreadPool pool(threads);
-
   run.out().param("epochs", static_cast<std::uint64_t>(epochs));
   run.out().param("policies", static_cast<std::uint64_t>(policies.size()));
 
@@ -133,7 +125,6 @@ int main() {
     for (const auto& p : policies) {
       sim::OnlineTeOptions opt = base_options(epochs);
       opt.policy = p.policy;
-      opt.solver.pool = &pool;
       const sim::OnlineTeResult r =
           sim::run_online_te(tc.w.topo, tc.w.tm, opt, seed);
 

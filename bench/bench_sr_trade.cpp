@@ -142,11 +142,10 @@ RowResult measure(const std::string& key, const topo::Topology& topo,
   RowResult r;
   r.key = key;
 
-  // Placement gap: both solvers on the identical view, identical options
+  // Placement gap: both solvers on the identical view, default options
   // (the consensus-free contract -- any router would compute the same).
-  const te::Solution strict_sol =
-      te::Solver(te::SolverOptions{}).solve(topo, tm);
-  const te::Solution sr_sol = te::SrSolver(te::SolverOptions{}).solve(topo, tm);
+  const te::Solution strict_sol = te::Solver().solve(topo, tm);
+  const te::Solution sr_sol = te::SrSolver().solve(topo, tm);
   r.strict_gbps = strict_sol.total_allocated_gbps();
   r.sr_gbps = sr_sol.total_allocated_gbps();
   r.gap = r.strict_gbps > 0 ? 1.0 - r.sr_gbps / r.strict_gbps : 0.0;

@@ -139,11 +139,14 @@ sr_regression() {
 }
 
 # Every test of the TE suites in a process of its own, so none can lean
-# on process-wide counters or interned path tables an earlier test left
-# behind.
+# on process-wide counters (te.sr.*, te.incremental.*) or interned path
+# tables an earlier test left behind. test_incremental,
+# test_segment_routing and test_upgrade construct the warm, SR and
+# mixed-algorithm solvers.
 isolated_te_tests() {
   local bin name failed=0
-  for bin in test_te test_batch_solver test_parallel; do
+  for bin in test_te test_batch_solver test_parallel test_incremental \
+      test_segment_routing test_upgrade; do
     for name in $(./build/tests/"${bin}" --gtest_list_tests |
         awk '/^[^ ]/ { suite = $1 } /^  / { print suite $1 }'); do
       ./build/tests/"${bin}" --gtest_filter="${name}" >/dev/null ||
@@ -259,7 +262,7 @@ asan_swarm() {
 
 leg "build + ctest (build/)" build_and_ctest
 leg "examples (build/) -- each runs to a zero exit" run_examples
-leg "TE suites one test per process (build/) -- test_te, test_batch_solver, test_parallel" \
+leg "TE suites one test per process (build/) -- test_te, test_batch_solver, test_parallel, test_incremental, test_segment_routing, test_upgrade" \
   isolated_te_tests
 leg "bench artifacts: fig08, fig09, fig12, fig19, table2, consensus ablation, dataplane pps smoke" \
   figure_artifacts

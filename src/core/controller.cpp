@@ -1,5 +1,6 @@
 #include "core/controller.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "dataplane/snapshot.hpp"
@@ -12,22 +13,13 @@ Controller::Controller(const ControllerConfig& config,
     : config_(config),
       state_(configured),
       local_(config.self),
-      solve_api_(std::make_unique<LocalSolver>(config.solver_options)),
+      solve_api_(std::make_unique<LocalSolver>()),
       programmer_(config.self) {
   if (config.self >= configured.num_nodes())
     throw std::invalid_argument("Controller: bad self id");
-  if (config.mixed_fleet) {
-    // Peers' algorithms come from their latest NSU TLV (absent = stock
-    // solver, the pre-TLV assumption); our own from config, so the
-    // prediction works even before our first origination circulates.
+  if (config.algorithm) {
     solve_api_ = std::make_unique<MixedAlgorithmSolver>(
-        config.solver_options, [this](topo::NodeId n) {
-          if (n == config_.self) return config_.algorithm;
-          if (const NodeStateUpdate* nsu = state_.latest(n)) {
-            if (const auto a = parse_algorithm_tlv(*nsu)) return *a;
-          }
-          return PathingAlgorithm::kMaxMinFairTe;
-        });
+        [this](topo::NodeId n) { return algorithms_[n]; });
     config_.incremental_te = false;  // warm cache only speaks te::Solver
   } else if (config.incremental_te) {
     set_incremental_te(true);
@@ -35,16 +27,14 @@ Controller::Controller(const ControllerConfig& config,
 }
 
 void Controller::set_incremental_te(bool enabled) {
-  if (enabled && config_.mixed_fleet) return;  // incompatible; stay off
+  if (enabled && config_.algorithm) return;  // incompatible; stay off
   config_.incremental_te = enabled;
   if (!enabled) {
     incremental_.reset();
     return;
   }
   if (incremental_) return;  // keep the existing warm state
-  te::IncrementalOptions io;
-  io.solver = config_.solver_options;
-  incremental_ = std::make_unique<te::IncrementalSolver>(io);
+  incremental_ = std::make_unique<te::IncrementalSolver>();
 }
 
 void Controller::reset_incremental_te() {
@@ -81,8 +71,8 @@ void Controller::publish_state_changed() const {
 FloodDirective Controller::originate(const TelemetrySource& telemetry) {
   FloodDirective d;
   d.nsu = local_.snapshot(telemetry);
-  if (config_.advertise_algorithm) {
-    d.nsu.tlvs.push_back(make_algorithm_tlv(config_.algorithm));
+  if (config_.algorithm) {
+    d.nsu.tlvs.push_back(make_algorithm_tlv(*config_.algorithm));
   }
   if (!state_.apply(d.nsu))
     throw std::logic_error("own NSU rejected by own StateDb");
@@ -114,6 +104,13 @@ FloodDirective Controller::handle_nsu(const NodeStateUpdate& nsu,
 Controller::RecomputeResult Controller::recompute() {
   DSDN_TRACE_SPAN("ctrl.recompute");
   RecomputeResult result;
+  if (config_.algorithm) {
+    // Peers' algorithms come from their latest NSU TLV (absent = stock
+    // solver, the pre-TLV assumption); our own from config, so the
+    // prediction works even before our first origination circulates.
+    algorithms_ = algorithm_map_from_state(state_);
+    algorithms_[config_.self] = *config_.algorithm;
+  }
   PathingResult pr;
   if (incremental_) {
     // Warm-start path: consume the view delta accumulated since the
@@ -141,7 +138,8 @@ Controller::RecomputeResult Controller::recompute() {
   encap_totals_.routes_installed += result.encap.routes_installed;
   encap_totals_.routes_too_deep += result.encap.routes_too_deep;
   encap_totals_.sr_routes_installed += result.encap.sr_routes_installed;
-  if (config_.program_sr) {
+  if (std::ranges::find(algorithms_, PathingAlgorithm::kSegmentRouting) !=
+      algorithms_.end()) {
     result.sr = programmer_.program_sr(state_.view(), hw_);
   }
   if (config_.program_bypasses) {

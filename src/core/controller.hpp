@@ -11,6 +11,7 @@
 // communication details, mirroring the gRPC + link-local design.
 
 #include <memory>
+#include <optional>
 
 #include "core/bus.hpp"
 #include "core/local_state.hpp"
@@ -29,7 +30,6 @@ namespace dsdn::core {
 
 struct ControllerConfig {
   topo::NodeId self = topo::kInvalidNode;
-  te::SolverOptions solver_options;
   // Pre-install FRR bypasses for local links on every recompute
   // (Appendix C: dSDN recomputes them as demand/capacity changes), with
   // the capacity-aware strategy and k candidate detours per link.
@@ -44,20 +44,16 @@ struct ControllerConfig {
   // *histories* match (which the emulation's quiescence barrier
   // provides), not per isolated view. Ignored after set_solve_api().
   bool incremental_te = false;
-  // Algorithm coexistence (§3.2, upgrades). `algorithm` is what this
-  // controller runs; with advertise_algorithm it is announced in the NSU
-  // algorithm TLV so peers can predict this router's placement.
-  PathingAlgorithm algorithm = PathingAlgorithm::kMaxMinFairTe;
-  bool advertise_algorithm = false;
-  // Solve with MixedAlgorithmSolver: predict each headend's placement
-  // from its advertised algorithm (self uses `algorithm` directly).
-  // Forces incremental_te off -- the warm-start cache only speaks the
-  // stock solver.
-  bool mixed_fleet = false;
-  // Install the node-segment FIB (SrFib) on every recompute. Required on
-  // EVERY router as soon as any fleet member runs kSegmentRouting, since
-  // all routers transit segment-labeled packets.
-  bool program_sr = false;
+  // Algorithm coexistence (§3.2, upgrades). Set: this router is a member
+  // of a mixed-algorithm fleet and runs `*algorithm`. It announces it in
+  // the NSU algorithm TLV so peers can predict its placement, and solves
+  // with MixedAlgorithmSolver, predicting each headend's placement from
+  // its advertised algorithm (its own from here). While the view's TLVs
+  // show a kSegmentRouting member it installs the node-segment FIB
+  // (SrFib) on every recompute, since every router transits
+  // segment-labeled packets. Forces incremental_te off -- the warm-start
+  // cache only speaks the stock solver. Unset: the stock solver alone.
+  std::optional<PathingAlgorithm> algorithm;
 };
 
 // An NSU to transmit and the local out-links to flood it on.
@@ -215,6 +211,9 @@ class Controller {
   ControllerConfig config_;
   Bus bus_;
   StateDb state_;
+  // Each router's algorithm as of the last recompute: the view's TLVs,
+  // own entry from config. Empty outside a mixed fleet.
+  std::vector<PathingAlgorithm> algorithms_;
   LocalState local_;
   std::unique_ptr<SolveApi> solve_api_;
   std::unique_ptr<te::IncrementalSolver> incremental_;

@@ -28,8 +28,6 @@ class SolveApi {
 // Default SolveApi: the in-process B4-style solver.
 class LocalSolver final : public SolveApi {
  public:
-  explicit LocalSolver(te::SolverOptions options = {}) : solver_(options) {}
-
   te::Solution solve(const topo::Topology& view,
                      const traffic::TrafficMatrix& demands,
                      te::SolveStats* stats) const override {

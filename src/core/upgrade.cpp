@@ -63,9 +63,9 @@ std::optional<std::vector<topo::NodeId>> parse_segment_stack_tlv(
   return segments;
 }
 
-std::vector<PathingAlgorithm> algorithm_map_from_state(
-    const StateDb& state, PathingAlgorithm fallback) {
-  std::vector<PathingAlgorithm> map(state.view().num_nodes(), fallback);
+std::vector<PathingAlgorithm> algorithm_map_from_state(const StateDb& state) {
+  std::vector<PathingAlgorithm> map(state.view().num_nodes(),
+                                    PathingAlgorithm::kMaxMinFairTe);
   for (topo::NodeId n = 0; n < state.view().num_nodes(); ++n) {
     if (const NodeStateUpdate* nsu = state.latest(n)) {
       if (const auto algo = parse_algorithm_tlv(*nsu)) map[n] = *algo;

@@ -53,10 +53,8 @@ std::optional<std::vector<topo::NodeId>> parse_segment_stack_tlv(
 std::optional<PathingAlgorithm> parse_algorithm_tlv(const NodeStateUpdate&);
 
 // Per-router algorithm map assembled from a StateDb's TLVs. Routers we
-// have not heard an algorithm from are assumed to run `fallback`.
-std::vector<PathingAlgorithm> algorithm_map_from_state(
-    const StateDb& state,
-    PathingAlgorithm fallback = PathingAlgorithm::kMaxMinFairTe);
+// have not heard an algorithm from are assumed to run kMaxMinFairTe.
+std::vector<PathingAlgorithm> algorithm_map_from_state(const StateDb& state);
 
 // SolveApi that accounts for what algorithm each headend runs, in a
 // globally agreed precedence order so every router predicts the same
@@ -73,9 +71,8 @@ class MixedAlgorithmSolver final : public SolveApi {
  public:
   using AlgorithmOf = std::function<PathingAlgorithm(topo::NodeId)>;
 
-  MixedAlgorithmSolver(te::SolverOptions options, AlgorithmOf algorithm_of)
-      : solver_(options), sr_solver_(options),
-        algorithm_of_(std::move(algorithm_of)) {}
+  explicit MixedAlgorithmSolver(AlgorithmOf algorithm_of)
+      : algorithm_of_(std::move(algorithm_of)) {}
 
   te::Solution solve(const topo::Topology& view,
                      const traffic::TrafficMatrix& demands,

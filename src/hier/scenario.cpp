@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 
 #include "sim/convergence.hpp"
+#include "topo/builder.hpp"
 #include "util/rng.hpp"
 
 namespace dsdn::hier {
@@ -20,25 +20,10 @@ const char* kEventNames[] = {"plane_local_cut", "plane_local_repair",
 // up set (earlier events may already have removed fibers).
 bool cut_keeps_connected(const topo::Topology& topo, topo::LinkId fiber) {
   if (topo.num_nodes() == 0) return true;
-  topo::LinkId reverse = topo.link(fiber).reverse;
-  std::vector<char> seen(topo.num_nodes(), 0);
-  std::deque<topo::NodeId> queue{0};
-  seen[0] = 1;
-  std::size_t visited = 1;
-  while (!queue.empty()) {
-    topo::NodeId n = queue.front();
-    queue.pop_front();
-    for (topo::LinkId lid : topo.node(n).out_links) {
-      const topo::Link& l = topo.link(lid);
-      if (!l.up || lid == fiber || lid == reverse) continue;
-      if (!seen[l.dst]) {
-        seen[l.dst] = 1;
-        ++visited;
-        queue.push_back(l.dst);
-      }
-    }
-  }
-  return visited == topo.num_nodes();
+  const topo::LinkId cut[] = {fiber, topo.link(fiber).reverse};
+  const std::vector<char> seen =
+      topo::reachable_over_up_links(topo, 0, topo::Reach::kForward, cut);
+  return std::ranges::find(seen, 0) == seen.end();
 }
 
 struct Harness {
@@ -195,8 +180,8 @@ PlaneScenarioResult run_plane_scenario(const topo::Topology& base,
     double weights[5] = {
         PlaneScenarioOptions::w_cut,
         down.empty() ? 0.0 : PlaneScenarioOptions::w_repair,
-        options.w_srlg,
-        alive >= 2 ? options.w_crash : 0.0,
+        PlaneScenarioOptions::w_srlg,
+        alive >= 2 ? PlaneScenarioOptions::w_crash : 0.0,
         dead > 0 ? PlaneScenarioOptions::w_restore : 0.0,
     };
     auto kind = static_cast<PlaneEventKind>(

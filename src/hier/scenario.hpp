@@ -45,8 +45,8 @@ struct PlaneScenarioOptions {
   // Relative draw weights; kinds with no applicable target drop out.
   static constexpr double w_cut = 3.0;
   static constexpr double w_repair = 2.0;
-  double w_srlg = 1.5;
-  double w_crash = 1.5;
+  static constexpr double w_srlg = 1.5;
+  static constexpr double w_crash = 1.5;
   static constexpr double w_restore = 2.0;
   // Allowed overshoot of the 1/alive blast-radius bound (hash variance
   // on small workloads).

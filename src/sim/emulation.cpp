@@ -36,22 +36,12 @@ std::unique_ptr<core::Controller> DsdnEmulation::make_controller(
     topo::NodeId n) const {
   core::ControllerConfig cc;
   cc.self = n;
-  cc.solver_options = config_.solver_options;
   cc.program_bypasses = config_.use_bypasses;
   cc.incremental_te = config_.incremental_te;
   if (!config_.algorithms.empty()) {
     if (config_.algorithms.size() != topo_.num_nodes())
       throw std::invalid_argument("EmulationConfig::algorithms size mismatch");
     cc.algorithm = config_.algorithms[n];
-    cc.advertise_algorithm = true;
-    cc.mixed_fleet = true;
-    cc.incremental_te = false;  // mixed fleets solve cold each recompute
-    // Any SR member means every router transits segment labels.
-    cc.program_sr = std::any_of(
-        config_.algorithms.begin(), config_.algorithms.end(),
-        [](core::PathingAlgorithm a) {
-          return a == core::PathingAlgorithm::kSegmentRouting;
-        });
   }
   auto c = std::make_unique<core::Controller>(cc, topo_);
   // A non-trivial recompute policy rides on measurement epochs; kEvery

@@ -42,7 +42,9 @@
 namespace dsdn::sim {
 
 struct EmulationConfig {
-  te::SolverOptions solver_options;
+  // Every controller solves with the default te::SolverOptions (a
+  // constant; perfbench's replay reads it through an instance).
+  static constexpr te::SolverOptions solver_options{};
   // Fixed per-hop NSU processing delay added to link propagation.
   static constexpr double nsu_process_s = 0.002;
   // Controllers pre-install per-router FRR bypasses on every recompute
@@ -68,11 +70,12 @@ struct EmulationConfig {
   te::RecomputePolicyOptions recompute_policy;
   // Per-router pathing algorithm (§3.2 upgrades / SR rollout). Empty =
   // every router runs the stock solver via the classic LocalSolver path
-  // (zero behavior change). Non-empty (size num_nodes): every controller
-  // runs a MixedAlgorithmSolver keyed off the advertised TLVs, routers
-  // advertise their assigned algorithm, incremental_te is forced off,
-  // and -- when any member runs kSegmentRouting -- every router programs
-  // its node-segment FIB on each recompute.
+  // (zero behavior change). Non-empty (size num_nodes): router n's
+  // ControllerConfig::algorithm, so every controller advertises its
+  // algorithm, runs a MixedAlgorithmSolver keyed off the advertised
+  // TLVs with incremental_te forced off, and -- while the TLVs show a
+  // kSegmentRouting member -- programs its node-segment FIB on each
+  // recompute.
   std::vector<core::PathingAlgorithm> algorithms;
 };
 

@@ -1,36 +1,17 @@
 #include "sim/invariants.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <functional>
 #include <map>
 
 #include "core/upgrade.hpp"
 #include "sim/flow_eval.hpp"
 #include "te/incremental.hpp"
+#include "topo/builder.hpp"
 #include "util/format.hpp"
 
 namespace dsdn::sim {
 namespace {
-
-// Nodes reachable from `src` over up links in the ground-truth topology.
-std::vector<char> reachable_from(const topo::Topology& topo,
-                                 topo::NodeId src) {
-  std::vector<char> seen(topo.num_nodes(), 0);
-  std::deque<topo::NodeId> frontier{src};
-  seen[src] = 1;
-  while (!frontier.empty()) {
-    const topo::NodeId at = frontier.front();
-    frontier.pop_front();
-    for (topo::LinkId lid : topo.node(at).out_links) {
-      const topo::Link& l = topo.link(lid);
-      if (!l.up || seen[l.dst]) continue;
-      seen[l.dst] = 1;
-      frontier.push_back(l.dst);
-    }
-  }
-  return seen;
-}
 
 void check_converged_views(const DsdnEmulation& emu, InvariantReport& out) {
   ++out.checks_run;
@@ -235,7 +216,8 @@ void check_no_blackholes(const DsdnEmulation& emu, InvariantReport& out) {
         {demands[i].dst, static_cast<int>(demands[i].priority)});
     if (it == intent[demands[i].src].end() || it->second <= 1e-9) continue;
     if (reach[demands[i].src].empty()) {
-      reach[demands[i].src] = reachable_from(topo, demands[i].src);
+      reach[demands[i].src] = topo::reachable_over_up_links(
+          topo, demands[i].src, topo::Reach::kForward, {});
     }
     if (!reach[demands[i].src][demands[i].dst]) continue;  // partitioned
     out.violations.push_back(
@@ -315,7 +297,6 @@ void check_cold_solve_parity(const DsdnEmulation& emu,
     const std::vector<core::PathingAlgorithm> algos =
         emu.config().algorithms;
     const core::MixedAlgorithmSolver reference_solver(
-        emu.config().solver_options,
         [algos](topo::NodeId node) { return algos.at(node); });
     const te::Solution reference =
         reference_solver.solve(c.state().view(), parity_tm, nullptr);
@@ -324,8 +305,7 @@ void check_cold_solve_parity(const DsdnEmulation& emu,
                                             te::DiffChecker::Options{});
   } else {
     report = te::DiffChecker::check(c.state().view(), parity_tm,
-                                    c.last_solution(),
-                                    emu.config().solver_options);
+                                    c.last_solution());
   }
   for (const std::string& v : report.violations) {
     out.violations.push_back("cold-solve parity: " + v);

@@ -63,7 +63,6 @@ OnlineTeResult run_online_te(const topo::Topology& topo,
                                          util::splitmix64(seed ^ 0xD71AULL));
 
   EmulationConfig cfg;
-  cfg.solver_options = options.solver;
   cfg.incremental_te = options.incremental_te;
   cfg.recompute_policy = options.policy;
   DsdnEmulation emu(topo, dynamics.matrix_at(0), cfg);
@@ -83,7 +82,6 @@ OnlineTeResult run_online_te(const topo::Topology& topo,
     so.w_toggle = 0.0;
     so.w_crash = 0.0;
     so.w_cold_restart = 0.0;
-    so.solver = options.solver;
     so.incremental_te = options.incremental_te;
     const Scenario generator(topo, base_tm, so, seed);
     churn = generator.schedule();
@@ -98,7 +96,7 @@ OnlineTeResult run_online_te(const topo::Topology& topo,
   InvariantOptions inv = options.invariants;
   inv.parity_against_solved_demands = true;
 
-  const te::Solver omniscient(options.solver);
+  const te::Solver omniscient;
   OnlineTeResult r;
   std::size_t next_churn = 0;
 
@@ -136,9 +134,9 @@ OnlineTeResult run_online_te(const topo::Topology& topo,
     if (omni > 0.0) {
       const double epoch_regret = std::max(0.0, 1.0 - achieved / omni);
       r.max_epoch_regret = std::max(r.max_epoch_regret, epoch_regret);
-      if (epoch_regret > options.bad_loss_fraction) {
+      if (epoch_regret > OnlineTeOptions::bad_loss_fraction) {
         ++r.bad_epochs;
-        r.bad_seconds += options.epoch_s;
+        r.bad_seconds += OnlineTeOptions::epoch_s;
       }
     }
 

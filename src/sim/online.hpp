@@ -12,8 +12,8 @@
 // the live oracle matrix) is compared to an omniscient same-tick cold
 // solve of the true demand; the shortfall integrates into a throughput
 // regret fraction, and epochs losing more than `bad_loss_fraction` of
-// the achievable throughput accumulate bad-seconds (Eq 2 at network
-// granularity).
+// the achievable throughput accumulate `epoch_s` bad-seconds each (Eq 2
+// at network granularity).
 //
 // Deterministic: the whole run is a pure function of (topology, base
 // matrix, options, seed) -- fingerprinted, so swarm failures replay.
@@ -31,12 +31,12 @@ namespace dsdn::sim {
 
 struct OnlineTeOptions {
   std::size_t epochs = 200;
-  double epoch_s = 1.0;  // wall-clock length of one measurement epoch
+  // Wall-clock length of one measurement epoch.
+  static constexpr double epoch_s = 1.0;
 
   traffic::DemandDynamicsOptions dynamics;
   traffic::DemandEstimator::Options estimator;
   te::RecomputePolicyOptions policy;
-  te::SolverOptions solver;
   bool incremental_te = true;
 
   // Concurrent link churn: this many events from the PR 5 generator
@@ -47,7 +47,7 @@ struct OnlineTeOptions {
 
   // An epoch is "bad" when it loses more than this fraction of the
   // omniscient same-tick throughput.
-  double bad_loss_fraction = 0.01;
+  static constexpr double bad_loss_fraction = 0.01;
 
   // Run the invariant suite every `check_every` epochs (and always on
   // the final epoch). Parity is checked against the demands each

@@ -368,12 +368,11 @@ ScenarioResult Scenario::run_masked(const std::vector<char>& keep) const {
     throw std::invalid_argument("run_masked: mask/schedule length mismatch");
   }
   EmulationConfig cfg;
-  cfg.solver_options = options_.solver;
   cfg.incremental_te = options_.incremental_te;
   cfg.algorithms = options_.algorithms;
   DsdnEmulation emu(topo_, tm_, cfg);
   if (options_.lossy_flooding) {
-    emu.enable_fault_injection(options_.fault_profile,
+    emu.enable_fault_injection(ScenarioOptions::fault_profile,
                                util::splitmix64(seed_ ^ 0xFA017B05ULL));
   }
   if (options_.packet_scoring) emu.enable_fib_snapshots(1);

@@ -74,14 +74,14 @@ struct ScenarioOptions {
   // Surge factors are log-uniform in [1/surge_span, surge_span].
   static constexpr double surge_span = 2.5;
 
-  // Flooding-plane faults (FaultyBus), seeded from the scenario seed.
+  // Flooding-plane faults (FaultyBus) on every link, seeded from the
+  // scenario seed.
   bool lossy_flooding = false;
-  LinkFaultProfile fault_profile{
+  static constexpr LinkFaultProfile fault_profile{
       .drop = 0.02, .duplicate = 0.02, .corrupt = 0.01, .reorder = 0.05,
       .jitter_s = 0.002};
 
   bool incremental_te = true;  // initial state; toggles flip it mid-run
-  te::SolverOptions solver;
   InvariantOptions invariants;
 
   // Per-router pathing algorithms (EmulationConfig::algorithms): empty =

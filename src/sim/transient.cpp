@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <map>
@@ -20,27 +21,29 @@ const char* scheme_name(Scheme s) {
   return "?";
 }
 
-namespace {
-
-std::uint64_t state_digest(const topo::Topology& topo) {
+std::size_t SolutionProvider::LinkStateHash::operator()(
+    const LinkState& state) const {
   std::uint64_t h = 0x9E3779B97F4A7C15ULL;
-  for (const topo::Link& l : topo.links()) {
-    if (!l.up) h = util::splitmix64(h ^ (l.id + 1));
+  for (const auto& [up, capacity_gbps] : state) {
+    h = util::splitmix64(h ^ std::bit_cast<std::uint64_t>(capacity_gbps) ^
+                         static_cast<std::uint64_t>(up));
   }
-  return h;
+  return static_cast<std::size_t>(h);
 }
 
-}  // namespace
-
 const te::Solution& SolutionProvider::get(const topo::Topology& state) {
-  const std::uint64_t key = state_digest(state);
+  LinkState key;
+  key.reserve(state.num_links());
+  for (const topo::Link& l : state.links())
+    key.emplace_back(l.up, l.capacity_gbps);
   const auto it = cache_.find(key);
   if (it != cache_.end()) {
     ++hits_;
     return it->second;
   }
   ++solves_;
-  return cache_.emplace(key, solver_.solve(state, *tm_)).first->second;
+  return cache_.emplace(std::move(key), solver_.solve(state, *tm_))
+      .first->second;
 }
 
 metrics::EmpiricalDistribution TransientResult::bad_seconds_distribution(
@@ -106,30 +109,27 @@ TransientResult TransientSimulator::run() {
   InstalledRouting installed =
       InstalledRouting::from_solution(provider_->get(scratch_));
 
-  // Bypass plans per topology state (computed lazily), plus the spare
-  // capacity under the target placement, which capacity-aware bypass
-  // selection reads (what NSU utilization reporting gives a router).
-  std::map<std::uint64_t, dataplane::BypassPlan> bypass_cache;
+  // Bypass plans per set of down links (computed lazily; capacities never
+  // change here), plus the spare capacity under the target placement,
+  // which capacity-aware bypass selection reads (what NSU utilization
+  // reporting gives a router).
+  std::map<std::vector<topo::LinkId>, dataplane::BypassPlan> bypass_cache;
   const dataplane::BypassPlan* live_bypasses = nullptr;
   std::vector<double> live_residual;
   auto refresh_bypasses = [&](const te::Solution& target) {
     if (!config_.use_bypasses) return;
     live_residual = target.residual_capacity(scratch_);
-    const std::uint64_t key = state_digest(scratch_);
-    auto it = bypass_cache.find(key);
+    // Only down links ever exercise their bypass; computing just those
+    // keeps 1,000-day streams tractable.
+    std::vector<topo::LinkId> down;
+    for (const topo::Link& l : scratch_.links()) {
+      if (!l.up) down.push_back(l.id);
+    }
+    auto it = bypass_cache.find(down);
     if (it == bypass_cache.end()) {
-      // Only down links ever exercise their bypass; computing just those
-      // keeps 1,000-day streams tractable.
-      std::vector<topo::LinkId> down;
-      for (const topo::Link& l : scratch_.links()) {
-        if (!l.up) down.push_back(l.id);
-      }
-      it = bypass_cache
-               .emplace(key, dataplane::BypassPlan::compute_for_links(
-                                 scratch_, TransientConfig::bypass_strategy,
-                                 down,
-                                 target.residual_capacity(scratch_)))
-               .first;
+      dataplane::BypassPlan plan = dataplane::BypassPlan::compute_for_links(
+          scratch_, TransientConfig::bypass_strategy, down, live_residual);
+      it = bypass_cache.emplace(std::move(down), std::move(plan)).first;
     }
     live_bypasses = &it->second;
   };

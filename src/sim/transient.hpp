@@ -19,6 +19,8 @@
 
 #include <memory>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "csdn/controller.hpp"
 #include "dataplane/frr.hpp"
@@ -33,9 +35,10 @@ enum class Scheme { kOmniscient, kCsdn, kDsdn };
 
 const char* scheme_name(Scheme s);
 
-// Memoizes full-network TE solutions keyed by the topology's link-state
-// bitmap: failure/repair cycles revisit the same states constantly, and
-// all schemes share one provider within an experiment.
+// Memoizes full-network TE solutions keyed by the link state a solve
+// reads -- each link's up flag and capacity, compared exactly (a hash
+// only picks the bucket): failure/repair cycles revisit the same states
+// constantly, and all schemes share one provider within an experiment.
 class SolutionProvider {
  public:
   explicit SolutionProvider(const traffic::TrafficMatrix* tm) : tm_(tm) {}
@@ -46,9 +49,14 @@ class SolutionProvider {
   std::size_t hits() const { return hits_; }
 
  private:
+  using LinkState = std::vector<std::pair<bool, double>>;
+  struct LinkStateHash {
+    std::size_t operator()(const LinkState& state) const;
+  };
+
   const traffic::TrafficMatrix* tm_;
   te::Solver solver_;
-  std::unordered_map<std::uint64_t, te::Solution> cache_;
+  std::unordered_map<LinkState, te::Solution, LinkStateHash> cache_;
   std::size_t solves_ = 0;
   std::size_t hits_ = 0;
 };

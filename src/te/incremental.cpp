@@ -41,10 +41,9 @@ void accumulate_load(const Allocation& a, double sign,
 
 DiffChecker::Report DiffChecker::check(const topo::Topology& topo,
                                        const traffic::TrafficMatrix& tm,
-                                       const Solution& solution,
-                                       const SolverOptions& solver_options) {
-  return check_against(topo, tm, solution,
-                       Solver(solver_options).solve(topo, tm), Options{});
+                                       const Solution& solution) {
+  return check_against(topo, tm, solution, Solver().solve(topo, tm),
+                       Options{});
 }
 
 DiffChecker::Report DiffChecker::check_against(
@@ -127,9 +126,6 @@ DiffChecker::Report DiffChecker::check_against(
 }
 
 // ---- IncrementalSolver ----
-
-IncrementalSolver::IncrementalSolver(IncrementalOptions options)
-    : options_(options), solver_(options.solver) {}
 
 void IncrementalSolver::reset() {
   warm_ = false;
@@ -329,7 +325,7 @@ Solution IncrementalSolver::solve(const topo::Topology& topo,
 
   // ---- Fallback: the delta touches too much to be worth warm-starting.
   if (static_cast<double>(n_affected) >
-      options_.full_solve_threshold * static_cast<double>(demands.size())) {
+      kFullSolveThreshold * static_cast<double>(demands.size())) {
     local.fallback = true;
     local.reused_allocations = 0;
     local.reuse_fraction = 0.0;

@@ -20,9 +20,10 @@
 //   3. re-waterfills only the released set against the residual
 //      capacity left by the kept allocations (the full solver with a
 //      residual override);
-//   4. falls back to a full solve when the affected fraction exceeds
-//      a threshold (a large delta converges to a from-scratch solve,
-//      so reuse would only add overhead and fairness drift).
+//   4. falls back to a full solve when more than kFullSolveThreshold
+//      of the demands is affected (a large delta converges to a
+//      from-scratch solve, so reuse would only add overhead and
+//      fairness drift).
 //
 // The result is *not* bit-identical to a from-scratch solve: kept
 // allocations retain their rates, so exact max-min fairness across the
@@ -53,15 +54,6 @@
 #include "te/view_delta.hpp"
 
 namespace dsdn::te {
-
-struct IncrementalOptions {
-  // Options for the underlying solver (also used by full-solve
-  // fallbacks).
-  SolverOptions solver;
-  // Fall back to a full solve when more than this fraction of demands
-  // is affected by the delta.
-  double full_solve_threshold = 0.35;
-};
 
 struct IncrementalStats {
   // Stats of the solve actually performed: the sub-solve over released
@@ -99,8 +91,7 @@ class DiffChecker {
     bool ok() const { return violations.empty(); }
   };
 
-  // Re-runs the full solver on (topo, tm) with `solver_options` and
-  // checks `solution` for:
+  // Re-runs the full solver on (topo, tm) and checks `solution` for:
   //   - shape: one allocation per demand, same order, rate not exceeded;
   //   - link-capacity conservation: per-link placed load <= capacity
   //     (+slack) and zero load on down links;
@@ -110,8 +101,7 @@ class DiffChecker {
   //     (relative) of the reference solve.
   static Report check(const topo::Topology& topo,
                       const traffic::TrafficMatrix& tm,
-                      const Solution& solution,
-                      const SolverOptions& solver_options);
+                      const Solution& solution);
 
   // Same checks against a caller-supplied reference Solution instead of
   // a fresh stock solve -- for solutions the stock solver cannot
@@ -126,7 +116,9 @@ class DiffChecker {
 
 class IncrementalSolver {
  public:
-  explicit IncrementalSolver(IncrementalOptions options = {});
+  // Fall back to a full solve when more than this fraction of the
+  // demands is affected by the delta.
+  static constexpr double kFullSolveThreshold = 0.35;
 
   // Warm-start solve. `delta` describes what changed since the previous
   // call; a `full` delta (or the first call, or a changed inventory
@@ -139,7 +131,6 @@ class IncrementalSolver {
   // Drops the warm state; the next solve is a full solve.
   void reset();
 
-  const IncrementalOptions& options() const { return options_; }
   std::size_t path_table_bytes() const { return solver_.path_table_bytes(); }
 
   // Lifetime accounting (also exported as te.incremental.* counters).
@@ -154,7 +145,6 @@ class IncrementalSolver {
   void adopt(const topo::Topology& topo, const traffic::TrafficMatrix& tm,
              const Solution& solution);
 
-  IncrementalOptions options_;
   Solver solver_;
 
   // Warm state: the previous solution, its residual capacities (down

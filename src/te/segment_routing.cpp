@@ -409,7 +409,8 @@ Solution SrSolver::solve(const topo::Topology& topo,
       }
       if (max_remaining <= detail::kEpsilonGbps) break;
       ++rounds;
-      const double quantum = detail::round_quantum(options_, max_remaining);
+      const double quantum =
+          detail::round_quantum(SolverOptions{}, max_remaining);
       bool progressed = false;
       for (DemandState& st : states) {
         if (!st.active) continue;

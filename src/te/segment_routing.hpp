@@ -108,20 +108,15 @@ std::vector<WeightedPath> expand_segment_route(
     const std::vector<topo::NodeId>& segments);
 
 // Max-min fair waterfill over segment-space candidates: the same
-// progressive-filling shape as te::Solver (strict priority classes,
-// round quantum, sliver freeze) but each demand's path choices are its
-// segment routes, and capacity is charged against the routes' ECMP
-// expansions. Deterministic; allocations come back in tm order with
-// WeightedPath::segments set.
+// progressive-filling shape as te::Solver (strict priority classes, the
+// default SolverOptions' round quantum, sliver freeze) but each demand's
+// path choices are its segment routes, and capacity is charged against
+// the routes' ECMP expansions. Deterministic; allocations come back in
+// tm order with WeightedPath::segments set.
 class SrSolver {
  public:
-  explicit SrSolver(SolverOptions options = {}) : options_(options) {}
-
   Solution solve(const topo::Topology& topo, const traffic::TrafficMatrix& tm,
                  const std::vector<double>* residual_override = nullptr) const;
-
- private:
-  SolverOptions options_;
 };
 
 }  // namespace dsdn::te

@@ -75,8 +75,8 @@
 // table. Every dSDN controller running it on an identical NodeStateDB
 // computes the identical Solution -- the consensus-free property. The
 // other round constants (satisfaction tolerance, epsilon, round cap) are
-// compiled in (te::detail), so no two routers can be set to disagree on
-// them.
+// compiled in (te::detail), and every controller solves with the default
+// SolverOptions, so no two routers can be set to disagree on them.
 
 #include <cstddef>
 #include <memory>
@@ -89,6 +89,9 @@ namespace dsdn::te {
 
 class ThreadPool;
 
+// Settings of one standalone Solver (the Fig 13-15 benches, the solver
+// ablation, parity tests). Every solver in the fleet -- controllers,
+// SrSolver, IncrementalSolver, DiffChecker -- solves with the defaults.
 struct SolverOptions {
   // Optional externally owned thread pool for the path-search step,
   // reused across solves so the workers are spawned exactly once per
@@ -142,8 +145,6 @@ class Solver {
                  const traffic::TrafficMatrix& tm,
                  SolveStats* stats = nullptr,
                  const std::vector<double>* residual_override = nullptr) const;
-
-  const SolverOptions& options() const { return options_; }
 
   // Heap bytes of the table this Solver holds; 0 before its first solve
   // with path_table.

@@ -1,6 +1,6 @@
 #include "topo/builder.hpp"
 
-#include <deque>
+#include <algorithm>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -30,34 +30,33 @@ Topology build_from_specs(const std::vector<NodeSpec>& nodes,
   return topo;
 }
 
-namespace {
-
-// BFS reach count from `start` over up links.
-std::size_t reach_count(const Topology& topo, NodeId start) {
-  std::vector<bool> seen(topo.num_nodes(), false);
-  std::deque<NodeId> q{start};
-  seen[start] = true;
-  std::size_t count = 1;
-  while (!q.empty()) {
-    const NodeId u = q.front();
-    q.pop_front();
-    for (NodeId v : topo.up_neighbors(u)) {
-      if (!seen[v]) {
-        seen[v] = true;
-        ++count;
-        q.push_back(v);
-      }
+std::vector<char> reachable_over_up_links(const Topology& topo, NodeId root,
+                                          Reach direction,
+                                          std::span<const LinkId> excluded) {
+  std::vector<char> seen(topo.num_nodes(), 0);
+  std::vector<NodeId> frontier{root};
+  seen[root] = 1;
+  for (std::size_t next = 0; next < frontier.size(); ++next) {
+    const Node& at = topo.node(frontier[next]);
+    for (LinkId lid : direction == Reach::kForward ? at.out_links
+                                                   : at.in_links) {
+      const Link& l = topo.link(lid);
+      const NodeId far = direction == Reach::kForward ? l.dst : l.src;
+      if (!l.up || seen[far]) continue;
+      if (std::ranges::find(excluded, lid) != excluded.end()) continue;
+      seen[far] = 1;
+      frontier.push_back(far);
     }
   }
-  return count;
+  return seen;
 }
-
-}  // namespace
 
 bool is_strongly_connected(const Topology& topo) {
   if (topo.num_nodes() <= 1) return true;
-  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-    if (reach_count(topo, n) != topo.num_nodes()) return false;
+  for (Reach direction : {Reach::kForward, Reach::kBackward}) {
+    const std::vector<char> seen =
+        reachable_over_up_links(topo, 0, direction, {});
+    if (std::ranges::find(seen, 0) != seen.end()) return false;
   }
   return true;
 }

@@ -3,6 +3,7 @@
 // Convenience construction of topologies from compact edge-list specs,
 // used by the TopologyZoo reconstructions and tests.
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,16 @@ struct NodeSpec {
 Topology build_from_specs(const std::vector<NodeSpec>& nodes,
                           const std::vector<EdgeSpec>& edges);
 
-// True iff every node can reach every other over up links.
+// Per node (indexed by NodeId), 1 iff it is reachable from `root` over
+// up links (kForward), or reaches `root` over them (kBackward), without
+// crossing a link in `excluded`.
+enum class Reach { kForward, kBackward };
+std::vector<char> reachable_over_up_links(const Topology& topo, NodeId root,
+                                          Reach direction,
+                                          std::span<const LinkId> excluded);
+
+// True iff every node can reach every other over up links: node 0
+// reaches every node and every node reaches node 0.
 bool is_strongly_connected(const Topology& topo);
 
 }  // namespace dsdn::topo

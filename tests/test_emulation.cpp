@@ -328,7 +328,7 @@ TEST(Emulation, IncrementalTeConvergesUnderChurn) {
       const core::Controller& c = emu.controller(n);
       const auto report =
           te::DiffChecker::check(c.state().view(), c.state().demands(),
-                                 c.last_solution(), cfg.solver_options);
+                                 c.last_solution());
       EXPECT_TRUE(report.ok())
           << event << ": router " << n << ": " << report.violations.front();
     }
@@ -503,8 +503,7 @@ TEST(FleetRecompute, EveryRouterMatchesASerialSolveAfterEachEvent) {
       expected += replaced ? 1 + c.recomputes()
                            : c.recomputes() - recomputes_before[v];
       const te::Solution serial =
-          te::Solver(emu.config().solver_options)
-              .solve(c.state().view(), c.state().demands());
+          te::Solver().solve(c.state().view(), c.state().demands());
       EXPECT_EQ(solution_digest(c.last_solution()), solution_digest(serial))
           << ev.to_string() << " router " << v;
       EXPECT_TRUE(same_tables(emu.network(), *snap->routers[v], c.dataplane()))

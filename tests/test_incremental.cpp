@@ -93,11 +93,11 @@ TEST(IncrementalSolver, EmptyDeltaReusesEveryAllocation) {
 TEST(IncrementalSolver, SingleLinkFailureReleasesOnlyTouchedDemands) {
   auto t = topo::make_abilene();
   const auto tm = traffic::generate_gravity(t);
-  IncrementalOptions io;
-  io.full_solve_threshold = 1.0;  // never fall back: observe the reuse
-  IncrementalSolver inc(io);
+  IncrementalSolver inc;
   const Solution before = inc.solve(t, tm, ViewDelta{});
 
+  // Fiber 0-1 carries 30 of the 330 demands, under the fallback
+  // threshold: the solve takes the reuse side.
   const auto fiber = t.find_link(0, 1);
   t.set_duplex_up(fiber, false);
   IncrementalStats stats;
@@ -129,7 +129,7 @@ TEST(IncrementalSolver, SingleLinkFailureReleasesOnlyTouchedDemands) {
     }
   }
   // The merged solution honors the full-solver invariants.
-  const auto report = DiffChecker::check(t, tm, after, SolverOptions{});
+  const auto report = DiffChecker::check(t, tm, after);
   EXPECT_TRUE(report.ok()) << report.violations.front();
 }
 
@@ -137,16 +137,21 @@ TEST(IncrementalSolver, RepairTriggersFullSolve) {
   auto t = diamond();
   traffic::TrafficMatrix tm;
   tm.add({0, 3, PriorityClass::kHigh, 15.0});  // needs both 10G branches
-  IncrementalOptions io;
-  io.full_solve_threshold = 1.0;
-  IncrementalSolver inc(io);
+  // Two demands off the c branch (d->b, b->a), so a cut of that branch
+  // affects one demand in three, under the fallback threshold.
+  tm.add({3, 1, PriorityClass::kHigh, 1.0});
+  tm.add({1, 0, PriorityClass::kHigh, 1.0});
+  IncrementalSolver inc;
   const Solution full = inc.solve(t, tm, ViewDelta{});
   EXPECT_NEAR(full.allocations[0].allocated_gbps, 15.0, 0.1);
 
-  // The c branch fails: only 10G fit.
+  // The c branch fails: only 10G fit, re-placed on the reuse side.
   const auto fiber = t.find_link(0, 2);
   t.set_duplex_up(fiber, false);
-  const Solution degraded = inc.solve(t, tm, link_delta(t, fiber));
+  IncrementalStats cut_stats;
+  const Solution degraded =
+      inc.solve(t, tm, link_delta(t, fiber), &cut_stats);
+  EXPECT_TRUE(cut_stats.incremental);
   EXPECT_NEAR(degraded.allocations[0].allocated_gbps, 10.0, 0.1);
 
   // Repair: freed capacity cascades through the waterfill (kept
@@ -163,15 +168,22 @@ TEST(IncrementalSolver, RepairTriggersFullSolve) {
 TEST(IncrementalSolver, FallbackWhenDeltaTouchesTooMuch) {
   auto t = topo::make_abilene();
   const auto tm = traffic::generate_gravity(t);
-  IncrementalOptions io;
-  io.full_solve_threshold = 0.0;  // any affected demand forces fallback
-  IncrementalSolver inc(io);
+  IncrementalSolver inc;
   inc.solve(t, tm, ViewDelta{});
 
+  // Fibers 0-1 and 3-4 fail together (one SRLG): the cut touches more
+  // than kFullSolveThreshold of the demands and the graph stays
+  // connected.
   const auto fiber = t.find_link(0, 1);
+  const auto other = t.find_link(3, 4);
   t.set_duplex_up(fiber, false);
+  t.set_duplex_up(other, false);
+  ASSERT_TRUE(topo::is_strongly_connected(t));
+  ViewDelta delta = link_delta(t, fiber);
+  delta.changed_links.push_back(other);
+  delta.changed_links.push_back(t.link(other).reverse);
   IncrementalStats stats;
-  const Solution sol = inc.solve(t, tm, link_delta(t, fiber), &stats);
+  const Solution sol = inc.solve(t, tm, delta, &stats);
 
   EXPECT_TRUE(stats.fallback);
   EXPECT_FALSE(stats.incremental);
@@ -191,12 +203,11 @@ TEST(IncrementalSolver, DemandChurnAddsAndDropsRows) {
   traffic::TrafficMatrix tm;
   tm.add({0, 5, PriorityClass::kHigh, 1.0});
   tm.add({3, 8, PriorityClass::kLow, 2.0});
-  IncrementalOptions io;
-  io.full_solve_threshold = 1.0;
-  IncrementalSolver inc(io);
+  IncrementalSolver inc;
   inc.solve(t, tm, ViewDelta{});
 
-  // Origin 7 starts advertising: only the new row is affected.
+  // Origin 7 starts advertising: only the new row is affected, one
+  // demand in three, under the fallback threshold.
   tm.add({7, 2, PriorityClass::kIntermediate, 3.0});
   IncrementalStats stats;
   Solution sol = inc.solve(t, tm, demand_delta(7), &stats);
@@ -221,7 +232,7 @@ TEST(IncrementalSolver, DemandChurnAddsAndDropsRows) {
   EXPECT_TRUE(stats.fallback);
   ASSERT_EQ(sol.allocations.size(), 2u);
   EXPECT_NEAR(sol.allocations[0].allocated_gbps, 4.0, 1e-6);
-  const auto report = DiffChecker::check(t, smaller, sol, SolverOptions{});
+  const auto report = DiffChecker::check(t, smaller, sol);
   EXPECT_TRUE(report.ok()) << report.violations.front();
 }
 
@@ -265,29 +276,29 @@ TEST(DiffChecker, CatchesViolations) {
   traffic::TrafficMatrix tm;
   tm.add({0, 3, PriorityClass::kHigh, 4.0});
   Solution sol = Solver().solve(t, tm);
-  ASSERT_TRUE(DiffChecker::check(t, tm, sol, SolverOptions{}).ok());
+  ASSERT_TRUE(DiffChecker::check(t, tm, sol).ok());
 
   // Over-allocation.
   Solution over = sol;
   over.allocations[0].allocated_gbps = 9.0;
-  auto report = DiffChecker::check(t, tm, over, SolverOptions{});
+  auto report = DiffChecker::check(t, tm, over);
   EXPECT_FALSE(report.ok());
 
   // Shape mismatch.
   Solution short_sol;
-  EXPECT_FALSE(DiffChecker::check(t, tm, short_sol, SolverOptions{}).ok());
+  EXPECT_FALSE(DiffChecker::check(t, tm, short_sol).ok());
 
   // Path over a down link.
   auto broken_topo = t;
   broken_topo.set_duplex_up(t.find_link(0, 1), false);
-  report = DiffChecker::check(broken_topo, tm, sol, SolverOptions{});
+  report = DiffChecker::check(broken_topo, tm, sol);
   EXPECT_FALSE(report.ok());
 
   // Capacity conservation: duplicate the placed load way past 10G.
   Solution heavy = sol;
   heavy.allocations[0].allocated_gbps = 4.0;
   for (auto& wp : heavy.allocations[0].paths) wp.weight *= 4.0;
-  report = DiffChecker::check(t, tm, heavy, SolverOptions{});
+  report = DiffChecker::check(t, tm, heavy);
   EXPECT_FALSE(report.ok());
 }
 
@@ -356,7 +367,7 @@ void churn_suite(topo::Topology t, traffic::TrafficMatrix tm,
 
     IncrementalStats stats;
     const Solution sol = inc.solve(t, tm, delta, &stats);
-    const auto report = DiffChecker::check(t, tm, sol, SolverOptions{});
+    const auto report = DiffChecker::check(t, tm, sol);
     ASSERT_TRUE(report.ok())
         << "step " << step << " violated the differential check: "
         << report.violations.front();

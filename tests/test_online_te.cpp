@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "sim/online.hpp"
 #include "te/recompute_policy.hpp"
 #include "topo/synthetic.hpp"
@@ -191,6 +193,34 @@ TEST(OnlineTe, BitIdenticalUnderSameSeed) {
 
   const OnlineTeResult c = run_online_te(topo, base, opt, 12);
   EXPECT_NE(a.fingerprint(), c.fingerprint());
+}
+
+// Fingerprints of seeded closed loops with churn and a deferring
+// policy: the epoch length and the bad-epoch cut feed bad_seconds (the
+// estimator floor puts some epochs on each side of the cut), and the
+// solver, warm-start and scenario settings feed every placement.
+TEST(OnlineTeGolden, FingerprintsOverSeeds) {
+  constexpr std::array<std::uint64_t, 3> kGolden = {
+      0x3f97f5004c5cd348ULL, 0x8fb7a79ddf86b924ULL, 0xe2ae62ea6ba35fffULL};
+  const auto topo = topo::make_abilene();
+  const auto base = traffic::generate_gravity(topo, {.seed = 7});
+  OnlineTeOptions opt = small_options();
+  opt.estimator.floor_gbps = 0.02;
+  opt.dynamics.flash_prob_per_epoch = 0.15;
+  opt.policy.kind = te::RecomputeTrigger::kHybrid;
+  opt.policy.period_epochs = 8;
+  opt.policy.drift_threshold = 0.10;
+  opt.churn_events = 4;
+  std::size_t i = 0;
+  for (std::uint64_t seed : {2ull, 5ull, 17ull}) {
+    const OnlineTeResult r = run_online_te(topo, base, opt, seed);
+    for (const auto& v : r.violations) ADD_FAILURE() << v;
+    EXPECT_GT(r.churn_applied, 0u) << "seed " << seed;
+    EXPECT_GT(r.bad_epochs, 0u) << "seed " << seed;
+    EXPECT_LT(r.bad_epochs, r.epochs) << "seed " << seed;
+    EXPECT_EQ(r.fingerprint(), kGolden[i++])
+        << "seed " << seed << ": 0x" << std::hex << r.fingerprint();
+  }
 }
 
 TEST(OnlineTe, CrashBarrierResetsPoliciesFleetWide) {

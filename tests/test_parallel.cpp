@@ -339,7 +339,7 @@ TEST(SolverPool, SharedSolverAlternatingTopologiesMatchesSerial) {
       const int k = i % 2;
       const te::Solution sol = te::Solver().solve(topos[k], tms[k]);
       if (digest(sol) != serial[k]) mismatches.fetch_add(1);
-      if (!te::DiffChecker::check(topos[k], tms[k], sol, {}).ok())
+      if (!te::DiffChecker::check(topos[k], tms[k], sol).ok())
         mismatches.fetch_add(1);
     }
   });

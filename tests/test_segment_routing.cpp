@@ -715,7 +715,7 @@ TEST(SrMixedFleet, ThreeAlgorithmConsensusOverSixteenSeedsOfChurn) {
     // each router's own view yields one identical global placement.
     if (seed <= 4) {
       const auto algo_of = [&](topo::NodeId n) { return cfg.algorithms[n]; };
-      const core::MixedAlgorithmSolver solver(cfg.solver_options, algo_of);
+      const core::MixedAlgorithmSolver solver(algo_of);
       const te::Solution ref =
           solver.solve(emu.controller(0).state().view(), tm, nullptr);
       for (topo::NodeId n = 1; n < topo.num_nodes(); ++n) {

@@ -503,6 +503,47 @@ struct TransientFixture {
   }
 };
 
+// The memo key is the link state a solve reads, compared exactly: a
+// view with the same down links as a cached one but a loaded fiber at
+// half capacity gets its own solve, not the cached solution.
+TEST(SolutionProvider, CapacityChangeIsADifferentState) {
+  const topo::Topology geant = topo::make_geant();
+  traffic::GravityParams gp;
+  gp.pair_fraction = 0.4;
+  gp.target_max_utilization = 1.2;  // TE fills its bottlenecks
+  const traffic::TrafficMatrix tm = traffic::generate_gravity(geant, gp);
+  SolutionProvider provider(&tm);
+  topo::Topology cut = geant;
+  cut.set_duplex_up(geant.links()[0].id, false);
+  const te::Solution& before = provider.get(cut);
+
+  // The most loaded up link under that solution.
+  const std::vector<double> residual = before.residual_capacity(cut);
+  topo::LinkId loaded = topo::kInvalidLink;
+  double load = 0.0;
+  for (const topo::Link& l : cut.links()) {
+    if (l.up && l.capacity_gbps - residual[l.id] > load) {
+      load = l.capacity_gbps - residual[l.id];
+      loaded = l.id;
+    }
+  }
+  ASSERT_NE(loaded, topo::kInvalidLink);
+  const double halved_gbps = cut.link(loaded).capacity_gbps / 2;
+  ASSERT_GT(load, halved_gbps);  // the cached placement cannot fit
+
+  topo::Topology halved = cut;
+  halved.set_duplex_capacity(loaded, halved_gbps);
+  const te::Solution& after = provider.get(halved);
+  EXPECT_EQ(provider.solves(), 2u);
+  EXPECT_EQ(provider.hits(), 0u);
+  EXPECT_EQ(after.residual_capacity(halved),
+            te::Solver().solve(halved, tm).residual_capacity(halved));
+  EXPECT_NE(after.residual_capacity(halved), residual);
+
+  provider.get(cut);  // the first state is still cached
+  EXPECT_EQ(provider.hits(), 1u);
+}
+
 TEST(Transient, OmniscientLowerBoundsBothSchemes) {
   TransientFixture f;
   SolutionProvider provider(&f.tm);

@@ -425,7 +425,7 @@ TEST(PathCache, HeldTableServesTemporariesWithoutABuild) {
   SolveStats stats;
   expect_same_solution(Solver().solve(t, tm, &stats), sol);
   EXPECT_GT(stats.table_paths, 0u);
-  EXPECT_TRUE(DiffChecker::check(t, tm, sol, SolverOptions{}).ok());
+  EXPECT_TRUE(DiffChecker::check(t, tm, sol).ok());
   EXPECT_EQ(counter("te.table.builds") - builds, 0u);
   EXPECT_EQ(PathCache::of(t)->bytes(), router.path_table_bytes());
 }

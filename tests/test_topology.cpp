@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <map>
 #include <optional>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "topo/builder.hpp"
 #include "topo/prefix.hpp"
@@ -95,6 +99,74 @@ TEST(Builder, Connectivity) {
   EXPECT_TRUE(is_strongly_connected(line));
   line.set_duplex_up(line.find_link(1, 2), false);
   EXPECT_FALSE(is_strongly_connected(line));
+}
+
+// Up-link reachability on random graphs -- simplex and duplex links,
+// some down, some excluded, isolated nodes -- against a brute-force
+// transitive closure: every root in both directions, and strong
+// connectivity.
+TEST(Builder, ReachabilityMatchesTransitiveClosure) {
+  util::Rng rng(0x5EAC4ULL);
+  std::size_t strong = 0, weak = 0, with_isolated = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    Topology t;
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 8));
+    for (std::size_t i = 0; i < n; ++i) t.add_node("n" + std::to_string(i));
+    const auto links = rng.uniform_int(0, static_cast<std::int64_t>(2 * n));
+    for (std::int64_t i = 0; i < links; ++i) {
+      const auto a = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      const auto b = static_cast<NodeId>(rng.uniform_int(0, n - 1));
+      if (a == b) continue;
+      const LinkId l = rng.bernoulli(0.5) ? t.add_link(a, b, 10.0)
+                                          : t.add_duplex(a, b, 10.0);
+      if (rng.bernoulli(0.2)) t.set_link_up(l, false);
+    }
+    std::vector<LinkId> excluded;
+    for (const Link& l : t.links()) {
+      if (rng.bernoulli(0.15)) excluded.push_back(l.id);
+    }
+    with_isolated += std::ranges::any_of(t.nodes(), [](const Node& v) {
+      return v.out_links.empty() && v.in_links.empty();
+    });
+
+    for (const std::span<const LinkId> skip :
+         {std::span<const LinkId>(), std::span<const LinkId>(excluded)}) {
+      // closure[u][v]: v is reachable from u over up links not in skip.
+      std::vector<std::vector<char>> closure(n, std::vector<char>(n, 0));
+      for (std::size_t u = 0; u < n; ++u) closure[u][u] = 1;
+      for (const Link& l : t.links()) {
+        if (l.up && std::ranges::find(skip, l.id) == skip.end())
+          closure[l.src][l.dst] = 1;
+      }
+      for (std::size_t k = 0; k < n; ++k)
+        for (std::size_t u = 0; u < n; ++u)
+          for (std::size_t v = 0; v < n; ++v)
+            if (closure[u][k] && closure[k][v]) closure[u][v] = 1;
+
+      for (NodeId root = 0; root < n; ++root) {
+        const auto from =
+            reachable_over_up_links(t, root, Reach::kForward, skip);
+        const auto to =
+            reachable_over_up_links(t, root, Reach::kBackward, skip);
+        ASSERT_EQ(from.size(), n);
+        ASSERT_EQ(to.size(), n);
+        for (NodeId v = 0; v < n; ++v) {
+          EXPECT_EQ(from[v], closure[root][v]) << "trial " << trial;
+          EXPECT_EQ(to[v], closure[v][root]) << "trial " << trial;
+        }
+      }
+      if (!skip.empty()) continue;
+      bool all_pairs = true;
+      for (const auto& row : closure)
+        for (char reach : row) all_pairs = all_pairs && reach;
+      EXPECT_EQ(is_strongly_connected(t), all_pairs) << "trial " << trial;
+      ++(all_pairs ? strong : weak);
+    }
+  }
+  // Both answers came up, and so did isolated nodes.
+  EXPECT_GT(strong, 20u);
+  EXPECT_GT(weak, 20u);
+  EXPECT_GT(with_isolated, 20u);
 }
 
 TEST(Zoo, AbileneMatchesHistoricalShape) {

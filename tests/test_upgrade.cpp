@@ -52,7 +52,7 @@ TEST(MixedSolver, AllTeMatchesStockSolver) {
   const auto topo = topo::make_geant();
   const auto tm = traffic::generate_gravity(topo);
   MixedAlgorithmSolver mixed(
-      {}, [](topo::NodeId) { return PathingAlgorithm::kMaxMinFairTe; });
+      [](topo::NodeId) { return PathingAlgorithm::kMaxMinFairTe; });
   const auto a = mixed.solve(topo, tm, nullptr);
   const auto b = te::Solver().solve(topo, tm);
   ASSERT_EQ(a.allocations.size(), b.allocations.size());
@@ -66,7 +66,7 @@ TEST(MixedSolver, LegacyRouterDemandsPinnedToShortestPath) {
   const auto topo = topo::make_geant();
   const auto tm = traffic::generate_gravity(topo).aggregated();
   const topo::NodeId legacy_router = 4;
-  MixedAlgorithmSolver mixed({}, [&](topo::NodeId n) {
+  MixedAlgorithmSolver mixed([&](topo::NodeId n) {
     return n == legacy_router ? PathingAlgorithm::kShortestPath
                               : PathingAlgorithm::kMaxMinFairTe;
   });
@@ -96,7 +96,7 @@ TEST(MixedSolver, TeTrafficAvoidsCapacityConsumedByLegacy) {
   traffic::TrafficMatrix tm;
   tm.add({d, b, PriorityClass::kHigh, 8.0});  // legacy (via a, then a->b)
   tm.add({a, b, PriorityClass::kHigh, 8.0});  // TE
-  MixedAlgorithmSolver mixed({}, [&](topo::NodeId n) {
+  MixedAlgorithmSolver mixed([&](topo::NodeId n) {
     return n == d ? PathingAlgorithm::kShortestPath
                   : PathingAlgorithm::kMaxMinFairTe;
   });
@@ -127,7 +127,7 @@ TEST(MixedSolver, ConsensusAcrossMixedControllers) {
     return n == legacy_router ? PathingAlgorithm::kShortestPath
                               : PathingAlgorithm::kMaxMinFairTe;
   };
-  MixedAlgorithmSolver upgraded({}, algo_of);
+  MixedAlgorithmSolver upgraded(algo_of);
   const auto prediction = upgraded.solve(topo, tm, nullptr);
   // What the legacy router actually installs for itself:
   for (const auto& alloc : prediction.allocations) {
@@ -150,7 +150,6 @@ TEST(MixedSolver, PluggedIntoControllerViaSolveApi) {
   cc.self = 0;
   Controller controller(cc, topo);
   controller.set_solve_api(std::make_unique<MixedAlgorithmSolver>(
-      te::SolverOptions{},
       [](topo::NodeId n) {
         return n == 1 ? PathingAlgorithm::kShortestPath
                       : PathingAlgorithm::kMaxMinFairTe;
@@ -159,6 +158,41 @@ TEST(MixedSolver, PluggedIntoControllerViaSolveApi) {
   const auto result = controller.recompute();
   EXPECT_EQ(result.own_allocations, 1u);
   EXPECT_GT(result.encap.routes_installed, 0u);
+}
+
+// A mixed-fleet member advertises its algorithm and installs the
+// node-segment FIB once its view's algorithm TLVs show an SR member; a
+// router outside a mixed fleet advertises none and installs none.
+TEST(MixedSolver, SegmentFibFollowsTheViewsAlgorithmTlvs) {
+  const auto topo = topo::make_ring(4);
+  traffic::TrafficMatrix tm;
+  tm.add({0, 2, PriorityClass::kHigh, 1.0});
+  const auto prefixes = topo::assign_router_prefixes(topo);
+  SimTelemetry telemetry(&topo, &tm, prefixes);
+
+  ControllerConfig cc;
+  cc.self = 0;
+  cc.algorithm = PathingAlgorithm::kMaxMinFairTe;
+  Controller member(cc, topo);
+  EXPECT_EQ(parse_algorithm_tlv(member.originate(telemetry).nsu),
+            PathingAlgorithm::kMaxMinFairTe);
+  EXPECT_EQ(member.recompute().sr.targets, 0u);
+
+  ControllerConfig sr_cc;
+  sr_cc.self = 2;
+  sr_cc.algorithm = PathingAlgorithm::kSegmentRouting;
+  Controller sr_router(sr_cc, topo);
+  const NodeStateUpdate sr_nsu = sr_router.originate(telemetry).nsu;
+  EXPECT_EQ(parse_algorithm_tlv(sr_nsu), PathingAlgorithm::kSegmentRouting);
+  member.handle_nsu(sr_nsu, topo::kInvalidLink);
+  EXPECT_EQ(member.recompute().sr.targets, topo.num_nodes() - 1);
+
+  ControllerConfig plain;
+  plain.self = 1;
+  Controller outside(plain, topo);
+  EXPECT_FALSE(parse_algorithm_tlv(outside.originate(telemetry).nsu));
+  outside.handle_nsu(sr_nsu, topo::kInvalidLink);
+  EXPECT_EQ(outside.recompute().sr.targets, 0u);
 }
 
 }  // namespace
