@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the core primitives: Dijkstra /
-// CSPF, Yen k-shortest paths, the path table and SR underlay builds,
-// label encode/decode, two-stage ingress lookup, transit lookup, sublabel
-// table build, NSU flooding-step processing, and full TE solves at small
-// scale.
+// CSPF, Yen k-shortest paths, the path table and SR underlay builds, the
+// SR middlepoint ranking and a whole B4 SR solve, label encode/decode,
+// two-stage ingress lookup, transit lookup, sublabel table build, NSU
+// flooding-step processing, and full TE solves at small scale.
 
 #include <benchmark/benchmark.h>
 
@@ -122,6 +122,27 @@ void BM_SrUnderlayBuild_B4(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SrUnderlayBuild_B4)->Unit(benchmark::kMillisecond);
+
+// The coverage-centrality ranking every SR solve runs over its underlay:
+// n^3 comparisons, branch-free over contiguous rows.
+void BM_RankMiddlepoints_B4(benchmark::State& state) {
+  const auto underlay = te::SrUnderlay::build(b4());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(te::rank_middlepoints(
+        underlay, te::SrOptions::num_middlepoints));
+  }
+}
+BENCHMARK(BM_RankMiddlepoints_B4)->Unit(benchmark::kMillisecond);
+
+// A whole B4 SR solve: underlay build, ranking, candidate lists, lazy
+// ECMP expansion and the waterfill.
+void BM_SrSolve_B4(benchmark::State& state) {
+  const te::SrSolver solver;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(solver.solve(b4(), b4_tm()));
+  }
+}
+BENCHMARK(BM_SrSolve_B4)->Unit(benchmark::kMillisecond);
 
 void BM_SrUnderlayBuild_B2(benchmark::State& state) {
   static const topo::Topology t = topo::make_b2_like();

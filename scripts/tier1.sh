@@ -170,13 +170,16 @@ tsan_suites() {
 
 # test_dataplane + test_topology: the flat FIB tables' open addressing
 # and index arithmetic. test_batch_solver: the radix heap's bit counts
-# and shifts.
+# and shifts. test_segment_routing + test_incremental: the SR solver's
+# offset runs into its per-solve arenas, and the warm solver's row
+# matching by key.
 ubsan_suites() {
   cmake -B build-ubsan -S . -DDSDN_SANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j "${JOBS}" --target test_obs test_metrics \
-    test_dataplane test_topology test_batch_solver
+    test_dataplane test_topology test_batch_solver test_segment_routing \
+    test_incremental
   (cd build-ubsan && ctest --output-on-failure \
-    -R '^(test_obs|test_metrics|test_dataplane|test_topology|test_batch_solver)$')
+    -R '^(test_obs|test_metrics|test_dataplane|test_topology|test_batch_solver|test_segment_routing|test_incremental)$')
 }
 
 # The golden placements of the strict and SR solvers from an -O3
@@ -211,8 +214,9 @@ asan_dataplane() {
     -R '^(test_batch_pipeline|test_sublabel|test_dataplane|test_topology)$')
 }
 
-# test_segment_routing: the SR solver's per-solve memos hand out
-# references into hash-map nodes; ASan catches a dangling one. test_te and
+# test_segment_routing: the SR solver's per-solve arenas grow while runs
+# into them are read; a span held across a reallocation dangles, and ASan
+# catches it. test_te and
 # test_parallel: the PathCache build and the solver's table walk index
 # raw predecessor rows.
 asan_differential() {
@@ -281,7 +285,7 @@ leg "perf regression (warn-only) -- online TE regret vs baseline" \
 leg "perf regression (warn-only) -- SR trade vs baseline" sr_regression
 leg "TSan build (build-tsan/) -- concurrency suites + batched dataplane" \
   tsan_suites
-leg "UBSan build (build-ubsan/) -- obs, metrics, dataplane, topology, batch solver" \
+leg "UBSan build (build-ubsan/) -- obs, metrics, dataplane, topology, batch solver, SR, incremental" \
   ubsan_suites
 leg "native build (build-native/) -- -O3 -march=native golden placements" \
   native_golden

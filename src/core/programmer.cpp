@@ -75,10 +75,11 @@ Programmer::SrReport Programmer::program_sr(
   // one build over the converged view keeps transit splits and headend
   // capacity accounting consistent.
   const te::SrUnderlay underlay = te::SrUnderlay::build(view);
+  std::vector<topo::LinkId> members;
   for (topo::NodeId t = 0; t < view.num_nodes(); ++t) {
     if (t == self_) continue;
-    const std::vector<topo::LinkId> members =
-        underlay.ecmp_members(view, self_, t);
+    members.clear();
+    underlay.ecmp_members(view, self_, t, members);
     if (members.empty()) continue;
     std::vector<dataplane::SrNextHop> hops;
     hops.reserve(members.size());

@@ -133,7 +133,18 @@ void IncrementalSolver::reset() {
   prev_residual_.clear();
   prev_link_up_.clear();
   prev_link_cap_.clear();
+  prev_keys_.clear();
   prev_index_.clear();
+  prev_keys_unique_ = true;
+}
+
+bool IncrementalSolver::same_keys(const traffic::TrafficMatrix& tm,
+                                  std::size_t num_nodes) const {
+  if (tm.size() != prev_keys_.size()) return false;
+  for (std::size_t i = 0; i < tm.size(); ++i) {
+    if (demand_key(tm.demands()[i], num_nodes) != prev_keys_[i]) return false;
+  }
+  return true;
 }
 
 void IncrementalSolver::adopt(const topo::Topology& topo,
@@ -152,20 +163,21 @@ void IncrementalSolver::adopt(const topo::Topology& topo,
     prev_residual_[l] = std::max(prev_residual_[l], 0.0);
   }
   prev_num_nodes_ = topo.num_nodes();
-  prev_index_.clear();
-  prev_index_.reserve(tm.size() * 2);
-  for (std::size_t i = 0; i < tm.size(); ++i) {
-    const auto [it, inserted] = prev_index_.emplace(
-        demand_key(tm.demands()[i], topo.num_nodes()), i);
-    (void)it;
-    if (!inserted) {
-      // Duplicate (src, dst, class) rows: the key map cannot represent
-      // them, so refuse to warm-start off this matrix.
-      warm_ = false;
-      return;
+  if (!same_keys(tm, topo.num_nodes())) {
+    prev_keys_.resize(tm.size());
+    prev_index_.clear();
+    prev_index_.reserve(tm.size() * 2);
+    prev_keys_unique_ = true;
+    for (std::size_t i = 0; i < tm.size(); ++i) {
+      prev_keys_[i] = demand_key(tm.demands()[i], topo.num_nodes());
+      if (!prev_index_.emplace(prev_keys_[i], i).second)
+        prev_keys_unique_ = false;
     }
   }
-  warm_ = true;
+  // Duplicate (src, dst, class) rows: the key map cannot represent them,
+  // so refuse to warm-start off this matrix -- also when the same keys
+  // come back and the map is not rebuilt.
+  warm_ = prev_keys_unique_;
 }
 
 Solution IncrementalSolver::full_solve(const topo::Topology& topo,
@@ -214,7 +226,12 @@ Solution IncrementalSolver::solve(const topo::Topology& topo,
   const bool inventory_changed =
       prev_link_up_.size() != topo.num_links() ||
       prev_num_nodes_ != topo.num_nodes();
-  if (!warm_ || delta.full || inventory_changed) {
+  const bool cold = !warm_ || delta.full || inventory_changed;
+  // The warm state describes the previous call's view, and the next delta
+  // this one's: until adopt() replaces the state, a solve that throws
+  // leaves the solver cold.
+  warm_ = false;
+  if (cold) {
     m_full.inc();
     return finish(full_solve(topo, tm, local));
   }
@@ -279,19 +296,27 @@ Solution IncrementalSolver::solve(const topo::Topology& topo,
 
   // ---- Pick the affected demand set.
   const auto& demands = tm.demands();
+  // Row i was row i of the previous matrix when the keys are unchanged
+  // (every warm solve of a fixed matrix); otherwise look the key up.
+  const bool same_rows = same_keys(tm, topo.num_nodes());
   std::vector<char> affected(demands.size(), 0);
   std::vector<std::size_t> prev_of(demands.size(), SIZE_MAX);
+  std::vector<char> prev_kept(prev_.allocations.size(), 0);
   std::size_t n_affected = 0;
   for (std::size_t i = 0; i < demands.size(); ++i) {
     const traffic::Demand& d = demands[i];
     bool hit = origin_changed[d.src];
     std::size_t prev_idx = SIZE_MAX;
     if (!hit) {
-      const auto it = prev_index_.find(demand_key(d, topo.num_nodes()));
-      if (it == prev_index_.end()) {
-        hit = true;  // new demand row
+      if (same_rows) {
+        prev_idx = i;
       } else {
-        prev_idx = it->second;
+        const auto it = prev_index_.find(demand_key(d, topo.num_nodes()));
+        if (it != prev_index_.end()) prev_idx = it->second;
+      }
+      if (prev_idx == SIZE_MAX || prev_kept[prev_idx]) {
+        hit = true;  // new demand row, or a duplicate of a kept one
+      } else {
         const Allocation& prev = prev_.allocations[prev_idx];
         if (std::abs(prev.demand.rate_gbps - d.rate_gbps) > 1e-12) {
           hit = true;  // re-rated (an unchanged origin should not do
@@ -314,6 +339,7 @@ Solution IncrementalSolver::solve(const topo::Topology& topo,
       ++n_affected;
     } else {
       prev_of[i] = prev_idx;
+      prev_kept[prev_idx] = 1;
     }
   }
   local.affected_demands = n_affected;
@@ -339,10 +365,8 @@ Solution IncrementalSolver::solve(const topo::Topology& topo,
   DSDN_TRACE_SPAN("te.incremental_merge");
   Solution merged;
   merged.allocations.resize(demands.size());
-  std::vector<char> prev_kept(prev_.allocations.size(), 0);
   for (std::size_t i = 0; i < demands.size(); ++i) {
     if (affected[i]) continue;
-    prev_kept[prev_of[i]] = 1;
     merged.allocations[i] = prev_.allocations[prev_of[i]];
     merged.allocations[i].demand = demands[i];
   }

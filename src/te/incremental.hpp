@@ -147,16 +147,25 @@ class IncrementalSolver {
 
   Solver solver_;
 
+  // True when `tm`'s (src, dst, class) keys are prev_keys_, row for row.
+  bool same_keys(const traffic::TrafficMatrix& tm,
+                 std::size_t num_nodes) const;
+
   // Warm state: the previous solution, its residual capacities (down
   // links clamped to zero), the link liveness/capacity snapshot it was
-  // computed against, and a (src, dst, class) -> allocation index map.
+  // computed against, its demand keys in row order, and a (src, dst,
+  // class) -> allocation index map over them, with their uniqueness
+  // verdict. The map is rebuilt only when the keys change; a matrix with
+  // the same keys in the same order matches row i to row i.
   bool warm_ = false;
   Solution prev_;
   std::size_t prev_num_nodes_ = 0;
   std::vector<double> prev_residual_;
   std::vector<char> prev_link_up_;
   std::vector<double> prev_link_cap_;
+  std::vector<std::uint64_t> prev_keys_;
   std::unordered_map<std::uint64_t, std::size_t> prev_index_;
+  bool prev_keys_unique_ = true;
 
   std::size_t incremental_solves_ = 0;
   std::size_t full_solves_ = 0;

@@ -57,10 +57,13 @@ class SrUnderlay {
   }
   // ECMP DAG members at `u` toward `t`: up out-links l with
   // metric(l) + dist(l.dst, t) <= dist(u, t) + eps, sorted by link id.
-  // Empty when u == t or t is unreachable.
+  // Empty when u == t or t is unreachable. The second form appends them
+  // to `out` (the SR expansion's DFS and program_sr reuse one buffer).
   std::vector<topo::LinkId> ecmp_members(const topo::Topology& topo,
                                          topo::NodeId u,
                                          topo::NodeId t) const;
+  void ecmp_members(const topo::Topology& topo, topo::NodeId u,
+                    topo::NodeId t, std::vector<topo::LinkId>& out) const;
 
   static constexpr double kInf = std::numeric_limits<double>::infinity();
 

@@ -255,6 +255,85 @@ TEST(IncrementalSolver, DuplicateDemandRowsDisableWarmStart) {
   ASSERT_EQ(sol.allocations.size(), 2u);
   EXPECT_NEAR(sol.allocations[0].allocated_gbps + sol.allocations[1].allocated_gbps,
               5.0, 1e-6);
+
+  // The same keys again: the key index is not rebuilt, and its verdict
+  // still refuses to warm-start.
+  inc.solve(t, tm, empty, &stats);
+  EXPECT_FALSE(stats.incremental);
+  EXPECT_EQ(inc.full_solves(), 3u);
+}
+
+TEST(IncrementalSolver, DuplicatedRowIsReleasedNotKeptTwice) {
+  // A warm solver meets a matrix that repeats a row it placed: the copy
+  // maps to the same previous allocation, so it is released and placed
+  // in what is left instead of carrying that allocation a second time.
+  const auto t = diamond();
+  traffic::TrafficMatrix tm;
+  tm.add({0, 3, PriorityClass::kHigh, 8.0});
+  tm.add({3, 0, PriorityClass::kHigh, 1.0});
+  tm.add({1, 2, PriorityClass::kHigh, 1.0});
+  IncrementalSolver inc;
+  inc.solve(t, tm, ViewDelta{});
+
+  // One row of four released: under the fallback threshold.
+  traffic::TrafficMatrix twice = tm;
+  twice.add(tm.demands()[0]);
+  ViewDelta empty;
+  empty.full = false;
+  IncrementalStats stats;
+  const Solution sol = inc.solve(t, twice, empty, &stats);
+  EXPECT_TRUE(stats.incremental);
+  EXPECT_EQ(stats.affected_demands, 1u);
+  const auto report = DiffChecker::check(t, twice, sol);
+  EXPECT_TRUE(report.ok()) << report.violations.front();
+}
+
+TEST(IncrementalSolver, PermutedRowsMatchByKey) {
+  // The same key set in a different order takes the key index instead of
+  // matching row i to row i; every demand must get the allocation the
+  // unpermuted run gives it. Only kept rows move (reversed among
+  // themselves), so both warm solves re-waterfill the same released rows
+  // in the same order.
+  auto t = topo::make_abilene();
+  const auto tm = traffic::generate_gravity(t);
+  IncrementalSolver plain, permuted;
+  const Solution intact = plain.solve(t, tm, ViewDelta{});
+  permuted.solve(t, tm, ViewDelta{});
+
+  const auto fiber = t.find_link(0, 1);
+  const auto rev = t.link(fiber).reverse;
+  std::vector<std::size_t> kept;
+  for (std::size_t i = 0; i < intact.allocations.size(); ++i) {
+    bool touched = false;
+    for (const auto& wp : intact.allocations[i].paths) {
+      for (topo::LinkId l : wp.path.links) touched |= l == fiber || l == rev;
+    }
+    if (!touched) kept.push_back(i);
+  }
+  std::vector<traffic::Demand> rows = tm.demands();
+  for (std::size_t k = 0; k < kept.size(); ++k)
+    rows[kept[k]] = tm.demands()[kept[kept.size() - 1 - k]];
+  const traffic::TrafficMatrix shuffled(rows);
+
+  t.set_duplex_up(fiber, false);
+  IncrementalStats plain_stats, permuted_stats;
+  const Solution a =
+      plain.solve(t, tm, link_delta(t, fiber), &plain_stats);
+  const Solution b =
+      permuted.solve(t, shuffled, link_delta(t, fiber), &permuted_stats);
+  ASSERT_TRUE(plain_stats.incremental);
+  ASSERT_TRUE(permuted_stats.incremental);
+  EXPECT_GT(plain_stats.affected_demands, 0u);
+  EXPECT_EQ(permuted_stats.affected_demands, plain_stats.affected_demands);
+  ASSERT_EQ(b.allocations.size(), a.allocations.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    std::size_t j = 0;
+    while (!(tm.demands()[j] == rows[i])) ++j;
+    EXPECT_EQ(b.allocations[i].demand, a.allocations[j].demand);
+    EXPECT_EQ(b.allocations[i].allocated_gbps, a.allocations[j].allocated_gbps)
+        << "demand " << j;
+    EXPECT_EQ(b.allocations[i].paths, a.allocations[j].paths) << "demand " << j;
+  }
 }
 
 TEST(IncrementalSolver, ResetDropsWarmState) {

@@ -11,6 +11,7 @@
 #include "obs/metrics.hpp"
 #include "sim/invariants.hpp"
 #include "solver_golden.hpp"
+#include "sr_reference.hpp"
 #include "te/dijkstra.hpp"
 #include "te/segment_routing.hpp"
 #include "topo/prefix.hpp"
@@ -236,6 +237,68 @@ TEST(SrUnderlay, MiddlepointRankingIsDeterministicAndDeduplicated) {
   const auto top3 = te::rank_middlepoints(underlay, 3);
   ASSERT_EQ(top3.size(), 3u);
   EXPECT_TRUE(std::equal(top3.begin(), top3.end(), a.begin()));
+}
+
+TEST(SrUnderlay, MiddlepointRankingMatchesTheReferenceLoop) {
+  // The branch-free scan counts v = s and v = t and takes them off again,
+  // which is exact only because dist(v, v) is exactly 0 and eps > 0. The
+  // full ranking (k = n) must equal the reference triple loop's: intact,
+  // with 1-3 fibers cut, split into two components (unreachable pairs),
+  // and on a unit-metric grid where most scores tie.
+  const auto expect_same = [](const topo::Topology& view,
+                              const std::string& what) {
+    const auto underlay = te::SrUnderlay::build(view);
+    for (topo::NodeId v = 0; v < view.num_nodes(); ++v)
+      ASSERT_EQ(underlay.dist(v, v), 0.0) << what;
+    EXPECT_EQ(te::rank_middlepoints(underlay, view.num_nodes()),
+              te::reference_rank_middlepoints(underlay, view.num_nodes()))
+        << what;
+  };
+  util::Rng rng(0x4A11);
+  for (const auto& [name, t] :
+       {std::pair{"abilene", topo::make_abilene()},
+        std::pair{"geant", topo::make_geant()},
+        std::pair{"b4", topo::make_b4_like()}}) {
+    std::vector<topo::LinkId> fibers;
+    for (const topo::Link& l : t.links()) {
+      if (l.reverse != topo::kInvalidLink && l.id < l.reverse)
+        fibers.push_back(l.id);
+    }
+    expect_same(t, std::string(name) + " intact");
+    for (std::size_t down = 1; down <= 3; ++down) {
+      topo::Topology view = t;
+      for (std::size_t cut = 0; cut < down;) {
+        const topo::LinkId f = rng.pick(fibers);
+        if (!view.link(f).up) continue;
+        view.set_duplex_up(f, false);
+        ++cut;
+      }
+      expect_same(view, std::string(name) + " " + std::to_string(down) +
+                            " fibers down");
+    }
+    // Every fiber between the lower and upper halves of the node ids.
+    topo::Topology split = t;
+    const std::size_t half = t.num_nodes() / 2;
+    for (topo::LinkId f : fibers) {
+      if ((t.link(f).src < half) != (t.link(f).dst < half))
+        split.set_duplex_up(f, false);
+    }
+    ASSERT_EQ(te::SrUnderlay::build(split).dist(0, t.num_nodes() - 1),
+              te::SrUnderlay::kInf);
+    expect_same(split, std::string(name) + " split");
+  }
+  topo::Topology grid;
+  constexpr topo::NodeId kSide = 6;
+  for (topo::NodeId i = 0; i < kSide * kSide; ++i)
+    grid.add_node("g" + std::to_string(i));
+  for (topo::NodeId r = 0; r < kSide; ++r) {
+    for (topo::NodeId c = 0; c < kSide; ++c) {
+      const topo::NodeId at = r * kSide + c;
+      if (c + 1 < kSide) grid.add_duplex(at, at + 1, 10.0, 1.0);
+      if (r + 1 < kSide) grid.add_duplex(at, at + kSide, 10.0, 1.0);
+    }
+  }
+  expect_same(grid, "unit grid");
 }
 
 TEST(SrCandidates, OrderedByCostWithDirectRouteFirstAmongEquals) {
