@@ -38,6 +38,9 @@ int main() {
               "deadends", "ok", "loops", "dead-link", "ok");
 
   util::Rng rng(0xC0C1);
+  // One path table for every view below; each link state adds its
+  // detour rows.
+  const te::PathTables intact = te::PathTables::of(topo);
   for (const double frac : {0.0, 0.25, 0.5, 0.75, 1.0}) {
     std::size_t ph_loops = 0, ph_dead = 0, ph_ok = 0;
     std::size_t sr_loops = 0, sr_deadlink = 0, sr_ok = 0;
@@ -49,10 +52,12 @@ int main() {
       std::vector<char> fresh(topo.num_nodes(), 0);
       for (auto& f : fresh) f = rng.bernoulli(frac) ? 1 : 0;
 
+      const te::PathTables fresh_paths = intact.fetch(topo);
+      const te::PathTables stale_paths = intact.fetch(stale_view);
       std::vector<isis::NextHopTable> tables;
       for (topo::NodeId n = 0; n < topo.num_nodes(); ++n) {
-        tables.push_back(
-            isis::compute_next_hops(fresh[n] ? topo : stale_view, n));
+        tables.push_back(isis::compute_next_hops(
+            fresh[n] ? fresh_paths : stale_paths, n));
       }
 
       // Sample pairs (all-pairs is 10k; sample for speed).

@@ -12,28 +12,23 @@
 #include "bench_common.hpp"
 #include "sim/convergence.hpp"
 #include "sim/flow_eval.hpp"
-#include "te/dijkstra.hpp"
 #include "te/solver.hpp"
 
 using namespace dsdn;
 
 namespace {
 
-// All demands on IGP shortest paths, oblivious to capacity.
-sim::InstalledRouting shortest_path_routing(const topo::Topology& topo,
+// All demands on IGP shortest paths, oblivious to capacity: walks over
+// `paths`, the tables of the scenario's view.
+sim::InstalledRouting shortest_path_routing(const te::PathTables& paths,
                                             const traffic::TrafficMatrix& tm) {
   sim::InstalledRouting routing;
   routing.rows.resize(tm.size());
-  std::vector<std::vector<te::Path>> tree(topo.num_nodes());
-  std::vector<char> have(topo.num_nodes(), 0);
   for (std::size_t i = 0; i < tm.size(); ++i) {
     const auto& d = tm.demands()[i];
-    if (!have[d.src]) {
-      tree[d.src] = te::shortest_path_tree(topo, d.src);
-      have[d.src] = 1;
-    }
-    const te::Path& p = tree[d.src][d.dst];
-    if (!p.empty()) routing.rows[i].push_back(te::WeightedPath{p, 1.0, {}});
+    te::Path p;
+    if (paths.up_path(d.src, d.dst, p.links))
+      routing.rows[i].push_back(te::WeightedPath{std::move(p), 1.0, {}});
   }
   return routing;
 }
@@ -87,9 +82,11 @@ int main() {
               "lost-Gbps", "max-util", "lost-Gbps");
 
   double isis_lost_total = 0, dsdn_lost_total = 0;
+  te::PathTables paths;  // held across scenarios: one table build
   auto report_row = [&](const char* label) {
-    const auto isis = measure(w.topo, w.tm,
-                              shortest_path_routing(w.topo, w.tm), groups);
+    paths = paths.fetch(w.topo);
+    const auto isis =
+        measure(w.topo, w.tm, shortest_path_routing(paths, w.tm), groups);
     const auto dsdn = measure(
         w.topo, w.tm,
         sim::InstalledRouting::from_solution(solver.solve(w.topo, w.tm)),

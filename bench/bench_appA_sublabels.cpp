@@ -5,7 +5,7 @@
 
 #include "bench_common.hpp"
 #include "dataplane/sublabel.hpp"
-#include "te/dijkstra.hpp"
+#include "te/path_cache.hpp"
 
 using namespace dsdn;
 
@@ -45,17 +45,19 @@ int main() {
               "plain labels", "sublabel labels");
   for (const auto& e : entries) {
     // Longest shortest path from node 0 as a representative long route.
-    const auto tree = te::shortest_path_tree(e.topo, 0);
-    const te::Path* longest = nullptr;
-    for (const auto& p : tree) {
-      if (!p.empty() && (!longest || p.hops() > longest->hops())) longest = &p;
+    const te::PathTables paths = te::PathTables::of(e.topo);
+    te::Path longest, p;
+    for (topo::NodeId d = 1; d < e.topo.num_nodes(); ++d) {
+      p.links.clear();
+      if (paths.up_path(0, d, p.links) && p.hops() > longest.hops())
+        longest = p;
     }
-    if (!longest) continue;
+    if (longest.empty()) continue;
     const auto a = dataplane::assign_sublabels(e.topo);
-    const auto stack = dataplane::encode_sublabel_route(*longest, a);
+    const auto stack = dataplane::encode_sublabel_route(longest, a);
     std::printf("%-16s %10zu %14zu %16zu%s\n", e.name.c_str(),
-                longest->hops(), longest->hops(), stack.depth(),
-                longest->hops() > dataplane::kMaxLabelDepth
+                longest.hops(), longest.hops(), stack.depth(),
+                longest.hops() > dataplane::kMaxLabelDepth
                     ? "  (plain exceeds the 12-label limit!)"
                     : "");
   }

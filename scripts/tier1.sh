@@ -159,13 +159,16 @@ isolated_te_tests() {
 # test_plane_runtime: plane scenarios bootstrap and reprogram planes
 # concurrently on a shared pool. test_emulation: every fleet recompute
 # runs the dirty controllers concurrently on router-pinned workers.
+# SrMixedFleet.*: mixed fleets recompute concurrently and share the
+# detour rows their legacy prediction walks, filled under std::call_once.
 tsan_suites() {
   cmake -B build-tsan -S . -DDSDN_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "${JOBS}" --target test_parallel test_sim \
     test_obs test_dataplane test_batch_pipeline test_batch_solver \
-    test_plane_runtime test_emulation
+    test_plane_runtime test_emulation test_segment_routing
   (cd build-tsan && ctest --output-on-failure \
     -R '^(test_parallel|test_sim|test_obs|test_dataplane|test_batch_pipeline|test_batch_solver|test_plane_runtime|test_emulation)$')
+  ./build-tsan/tests/test_segment_routing --gtest_filter='SrMixedFleet.*'
 }
 
 # test_dataplane + test_topology: the flat FIB tables' open addressing
@@ -216,15 +219,18 @@ asan_dataplane() {
 
 # test_segment_routing: the SR solver's per-solve arenas grow while runs
 # into them are read; a span held across a reallocation dangles, and ASan
-# catches it. test_te and
-# test_parallel: the PathCache build and the solver's table walk index
-# raw predecessor rows.
+# catches it. test_te and test_parallel: the PathCache build and the
+# solver's table walk index raw predecessor rows. test_traffic,
+# test_upgrade and test_consensus: gravity normalization, the mixed
+# fleet's legacy prediction and IS-IS next hops walk the same rows, and a
+# span into a DetourTable must not outlive it.
 asan_differential() {
   cmake -B build-asan -S . -DDSDN_SANITIZE=address -DDSDN_FUZZ=ON >/dev/null
   cmake --build build-asan -j "${JOBS}" --target test_incremental \
-    test_batch_solver test_segment_routing test_te test_parallel
+    test_batch_solver test_segment_routing test_te test_parallel \
+    test_traffic test_upgrade test_consensus
   (cd build-asan && ctest --output-on-failure \
-    -R '^(test_incremental|test_batch_solver|test_segment_routing|test_te|test_parallel)$')
+    -R '^(test_incremental|test_batch_solver|test_segment_routing|test_te|test_parallel|test_traffic|test_upgrade|test_consensus)$')
 }
 
 # Bounded ~60 s: 28 Abilene histories (24 events each, lossy flooding)

@@ -111,29 +111,27 @@ Controller::RecomputeResult Controller::recompute() {
     algorithms_ = algorithm_map_from_state(state_);
     algorithms_[config_.self] = *config_.algorithm;
   }
-  PathingResult pr;
+  // Pathing (§3.3): solve the whole network, then keep this router's
+  // rows -- what the Programmer installs.
   if (incremental_) {
     // Warm-start path: consume the view delta accumulated since the
     // previous recompute and reuse every allocation it did not touch.
     const te::ViewDelta delta = state_.take_delta();
-    pr.solution = incremental_->solve(state_.view(), state_.demands(), delta,
-                                      &result.incremental);
-    pr.stats = result.incremental.solve;
-    for (const te::Allocation* a :
-         pr.solution.originating_at(config_.self)) {
-      pr.own.push_back(*a);
-    }
+    last_solution_ = incremental_->solve(state_.view(), state_.demands(),
+                                         delta, &result.incremental);
+    result.stats = result.incremental.solve;
   } else {
-    Pathing pathing(config_.self, solve_api_.get());
-    pr = pathing.compute(state_);
+    last_solution_ =
+        solve_api_->solve(state_.view(), state_.demands(), &result.stats);
   }
-  result.stats = pr.stats;
-  result.own_allocations = pr.own.size();
-  last_solve_ = pr.stats;
+  std::vector<te::Allocation> own;
+  for (const te::Allocation* a : last_solution_.originating_at(config_.self))
+    own.push_back(*a);
+  result.own_allocations = own.size();
+  last_solve_ = result.stats;
   last_incremental_ = result.incremental;
-  last_solution_ = std::move(pr.solution);
   programmer_.program_prefixes(state_, hw_);
-  result.encap = programmer_.program_encap(pr.own, hw_);
+  result.encap = programmer_.program_encap(own, hw_);
   ++recomputes_;
   encap_totals_.routes_installed += result.encap.routes_installed;
   encap_totals_.routes_too_deep += result.encap.routes_too_deep;

@@ -1,8 +1,8 @@
 #pragma once
 
 // The dSDN controller (§3.3, Fig 6): one per router, wiring
-// NodeStateExchange (flooding), StateDB, LocalState, Pathing, and
-// Programmer over the pub-sub Bus.
+// NodeStateExchange (flooding), StateDB, LocalState, Pathing (recompute()
+// over the Solve API), and Programmer over the pub-sub Bus.
 //
 // The controller is transport-agnostic: originate()/handle_nsu() return
 // FloodDirectives naming the links an NSU should be sent on, and the
@@ -15,8 +15,8 @@
 
 #include "core/bus.hpp"
 #include "core/local_state.hpp"
-#include "core/pathing.hpp"
 #include "core/programmer.hpp"
+#include "core/solve_api.hpp"
 #include "core/state_db.hpp"
 #include "core/upgrade.hpp"
 #include "te/incremental.hpp"

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "te/dijkstra.hpp"
-
 namespace dsdn::core {
 
 OpaqueTlv make_algorithm_tlv(PathingAlgorithm a) {
@@ -90,8 +88,8 @@ te::Solution MixedAlgorithmSolver::solve(const topo::Topology& view,
   traffic::TrafficMatrix te_demands;
   std::vector<std::size_t> te_index;  // back-map into the output
 
-  std::vector<std::vector<te::Path>> sp_tree(view.num_nodes());
-  std::vector<char> have_tree(view.num_nodes(), 0);
+  // Held through phase 3, so the strict solve finds the same table.
+  const te::PathTables paths = te::PathTables::of(view);
 
   const auto& rows = demands.demands();
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -107,19 +105,15 @@ te::Solution MixedAlgorithmSolver::solve(const topo::Topology& view,
       te_demands.add(d);
       continue;
     }
-    if (!have_tree[d.src]) {
-      sp_tree[d.src] = te::shortest_path_tree(view, d.src);
-      have_tree[d.src] = 1;
-    }
     te::Allocation a;
     a.demand = d;
-    const te::Path& p = sp_tree[d.src][d.dst];
-    if (!p.empty()) {
+    te::Path p;
+    if (paths.up_path(d.src, d.dst, p.links)) {
       a.allocated_gbps = d.rate_gbps;  // legacy sends regardless of room
-      a.paths.push_back(te::WeightedPath{p, 1.0, {}});
       for (topo::LinkId l : p.links) {
         residual[l] = std::max(0.0, residual[l] - d.rate_gbps);
       }
+      a.paths.push_back(te::WeightedPath{std::move(p), 1.0, {}});
     }
     legacy[i] = std::move(a);
   }

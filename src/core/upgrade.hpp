@@ -18,7 +18,8 @@
 #include <functional>
 #include <optional>
 
-#include "core/pathing.hpp"
+#include "core/solve_api.hpp"
+#include "core/state_db.hpp"
 #include "te/segment_routing.hpp"
 
 namespace dsdn::core {
@@ -65,8 +66,8 @@ std::vector<PathingAlgorithm> algorithm_map_from_state(const StateDb& state);
 //   2. demands originated by kSegmentRouting routers are placed by the
 //      SR waterfill on what remains;
 //   3. the stock solver places the remaining demands on what is left.
-// The output covers all demands in input order, so Pathing/Programmer
-// work unchanged.
+// The output covers all demands in input order, so the controller's
+// own-row extraction and the Programmer work unchanged.
 class MixedAlgorithmSolver final : public SolveApi {
  public:
   using AlgorithmOf = std::function<PathingAlgorithm(topo::NodeId)>;

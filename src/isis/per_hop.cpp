@@ -3,19 +3,19 @@
 #include <stdexcept>
 #include <unordered_set>
 
-#include "te/dijkstra.hpp"
-
 namespace dsdn::isis {
 
-NextHopTable compute_next_hops(const topo::Topology& view,
+NextHopTable compute_next_hops(const te::PathTables& paths,
                                topo::NodeId self) {
   NextHopTable table;
   table.self = self;
-  table.next_hop.assign(view.num_nodes(), topo::kInvalidLink);
-  const auto tree = te::shortest_path_tree(view, self);
-  for (topo::NodeId dst = 0; dst < view.num_nodes(); ++dst) {
-    if (dst == self || tree[dst].empty()) continue;
-    table.next_hop[dst] = tree[dst].links.front();
+  const auto n = static_cast<topo::NodeId>(paths.table->num_nodes());
+  table.next_hop.assign(n, topo::kInvalidLink);
+  std::vector<topo::LinkId> path;
+  for (topo::NodeId dst = 0; dst < n; ++dst) {
+    path.clear();
+    if (dst != self && paths.up_path(self, dst, path))
+      table.next_hop[dst] = path.front();
   }
   return table;
 }

@@ -17,19 +17,23 @@
 
 #include <vector>
 
+#include "te/path_cache.hpp"
 #include "topo/topology.hpp"
 
 namespace dsdn::isis {
 
-// Per-destination next-hop link table for `self`, computed from `view`
-// (which may be stale relative to ground truth). kInvalidLink where the
-// destination is unreachable in the view.
+// Per-destination next-hop link table for `self`, computed from the
+// path tables of its view (which may be stale relative to ground truth):
+// the first link of each shortest path over the view's up links.
+// kInvalidLink where the destination is unreachable in the view. A
+// caller computing many routers' tables of one view holds one
+// te::PathTables::of(view) across them.
 struct NextHopTable {
   topo::NodeId self = topo::kInvalidNode;
   std::vector<topo::LinkId> next_hop;  // indexed by destination NodeId
 };
 
-NextHopTable compute_next_hops(const topo::Topology& view,
+NextHopTable compute_next_hops(const te::PathTables& paths,
                                topo::NodeId self);
 
 enum class PerHopOutcome {

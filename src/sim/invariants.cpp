@@ -240,13 +240,8 @@ void check_capacity_conservation(const DsdnEmulation& emu,
   std::vector<double> placed(topo.num_links(), 0.0);
   for (topo::NodeId n = 0; n < topo.num_nodes(); ++n) {
     const te::Solution& solution = emu.controller(n).last_solution();
-    for (const te::Allocation* a : solution.originating_at(n)) {
-      for (const te::WeightedPath& wp : a->paths) {
-        const double rate = a->allocated_gbps * wp.weight;
-        if (rate <= 0) continue;
-        for (topo::LinkId lid : wp.path.links) placed[lid] += rate;
-      }
-    }
+    for (const te::Allocation* a : solution.originating_at(n))
+      a->add_load(+1.0, placed);
   }
   for (std::size_t l = 0; l < topo.num_links(); ++l) {
     ++out.checks_run;

@@ -67,7 +67,14 @@ std::string Path::to_string(const topo::Topology& topo) const {
   return os.str();
 }
 
-// ---- Solution methods (types.hpp) ----
+// ---- Allocation and Solution methods (types.hpp) ----
+
+void Allocation::add_load(double sign, std::vector<double>& per_link) const {
+  for (const WeightedPath& wp : paths) {
+    const double rate = sign * allocated_gbps * wp.weight;
+    for (topo::LinkId l : wp.path.links) per_link[l] += rate;
+  }
+}
 
 std::vector<double> Solution::residual_capacity(
     const topo::Topology& topo) const {
@@ -75,12 +82,7 @@ std::vector<double> Solution::residual_capacity(
   for (std::size_t l = 0; l < topo.num_links(); ++l) {
     residual[l] = topo.link(static_cast<topo::LinkId>(l)).capacity_gbps;
   }
-  for (const Allocation& a : allocations) {
-    for (const WeightedPath& wp : a.paths) {
-      const double rate = a.allocated_gbps * wp.weight;
-      for (topo::LinkId l : wp.path.links) residual[l] -= rate;
-    }
-  }
+  for (const Allocation& a : allocations) a.add_load(-1.0, residual);
   return residual;
 }
 
@@ -184,19 +186,6 @@ std::optional<Path> shortest_path(const topo::Topology& topo,
   Path p = extract_path(topo, r, src, dst);
   if (p.empty()) return std::nullopt;
   return p;
-}
-
-std::vector<Path> shortest_path_tree(const topo::Topology& topo,
-                                     topo::NodeId src,
-                                     const SpConstraints& c) {
-  const auto r = run_dijkstra(
-      topo, src, c, [](const topo::Link& l) { return l.igp_metric; });
-  std::vector<Path> out(topo.num_nodes());
-  for (topo::NodeId d = 0; d < topo.num_nodes(); ++d) {
-    if (d == src) continue;
-    out[d] = extract_path(topo, r, src, d);
-  }
-  return out;
 }
 
 std::vector<double> shortest_distances(const topo::Topology& topo,

@@ -29,12 +29,6 @@ std::optional<Path> shortest_path(const topo::Topology& topo,
                                   topo::NodeId src, topo::NodeId dst,
                                   const SpConstraints& c = {});
 
-// One Dijkstra run: predecessors for all destinations from src.
-// paths[d] is empty when d is unreachable (or d == src).
-std::vector<Path> shortest_path_tree(const topo::Topology& topo,
-                                     topo::NodeId src,
-                                     const SpConstraints& c = {});
-
 // Shortest distance from `root` to every node over up links, where
 // traversing link l costs link_cost[l]; +inf when unreachable. Same heap
 // and relaxation order as shortest_path.

@@ -25,16 +25,6 @@ std::uint64_t demand_key(const traffic::Demand& d, std::size_t num_nodes) {
          static_cast<std::uint64_t>(d.priority);
 }
 
-// Placed rate per link of one allocation, accumulated into `load` with
-// the given sign (+1 to place, -1 to release).
-void accumulate_load(const Allocation& a, double sign,
-                     std::vector<double>& load) {
-  for (const WeightedPath& wp : a.paths) {
-    const double rate = sign * a.allocated_gbps * wp.weight;
-    for (topo::LinkId l : wp.path.links) load[l] += rate;
-  }
-}
-
 }  // namespace
 
 // ---- DiffChecker ----
@@ -95,7 +85,7 @@ DiffChecker::Report DiffChecker::check_against(
     if (a.allocated_gbps > 1e-9 && std::abs(weight_sum - 1.0) > 1e-6)
       violate("feasibility: " + who + " path weights sum to " +
               std::to_string(weight_sum));
-    accumulate_load(a, +1.0, load);
+    a.add_load(+1.0, load);
   }
 
   // ---- Link-capacity conservation (down links carry nothing).
@@ -378,7 +368,7 @@ Solution IncrementalSolver::solve(const topo::Topology& topo,
   for (std::size_t j = 0; j < prev_.allocations.size(); ++j) {
     // Releasing an allocation returns its placed load to the residual
     // (sign +1: residual is the inverse of load).
-    if (!prev_kept[j]) accumulate_load(prev_.allocations[j], +1.0, residual);
+    if (!prev_kept[j]) prev_.allocations[j].add_load(+1.0, residual);
   }
   for (std::size_t l = 0; l < topo.num_links(); ++l) {
     const topo::Link& link = topo.link(static_cast<topo::LinkId>(l));

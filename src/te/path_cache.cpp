@@ -102,19 +102,6 @@ bool PathCache::matches(const topo::Topology& topo) const {
   return true;
 }
 
-Path PathCache::path(topo::NodeId src, topo::NodeId dst) const {
-  Path p;
-  const std::span<const topo::LinkId> pred = row(src);
-  for (topo::NodeId at = dst; at != src;) {
-    const topo::LinkId lid = pred[at];
-    if (lid == topo::kInvalidLink) return {};
-    p.links.push_back(lid);
-    at = links_[lid].src;
-  }
-  std::reverse(p.links.begin(), p.links.end());
-  return p;
-}
-
 std::shared_ptr<const DetourTable> PathCache::detours(
     const topo::Topology& topo) const {
   std::lock_guard<std::mutex> lock(detour_mu_);
@@ -128,61 +115,53 @@ std::shared_ptr<const DetourTable> PathCache::detours(
 DetourTable::DetourTable(std::shared_ptr<const PathCache> table,
                          const topo::Topology& topo)
     : table_(std::move(table)),
+      up_(topo.num_links()),
       graph_(build_batch_graph(topo, CsrView::kUpLinks)),
       no_floor_(topo.num_links(), 0.0),
       all_nodes_(topo.num_nodes()),
       rows_(std::make_unique<Row[]>(topo.num_nodes())) {
-  for (const topo::Link& l : topo.links()) {
-    if (!l.up) down_.push_back(l.id);
-  }
+  for (const topo::Link& l : topo.links()) up_[l.id] = l.up;
   std::iota(all_nodes_.begin(), all_nodes_.end(), 0u);
 }
 
 bool DetourTable::matches(const PathCache& table,
                           const topo::Topology& topo) const {
-  if (table_.get() != &table) return false;
-  auto next = down_.begin();
+  if (table_.get() != &table || up_.size() != topo.num_links()) return false;
   for (const topo::Link& l : topo.links()) {
-    if (l.up) continue;
-    if (next == down_.end() || *next != l.id) return false;
-    ++next;
+    if (up(l.id) != l.up) return false;
   }
-  return next == down_.end();
+  return true;
 }
 
-void DetourTable::fill(topo::NodeId src, topo::LinkId* pred) const {
-  static obs::Counter& m_rows =
-      obs::Registry::global().counter("te.table.detour_rows");
-  m_rows.inc();
-  const std::size_t n = all_nodes_.size();
-  SsspWorkspace ws;
-  sssp(graph_, no_floor_, 0.0, src, all_nodes_.data(), n, ws);
-  for (std::uint32_t d = 0; d < n; ++d)
-    pred[d] = d != src && ws.reached(d) ? ws.pred_link[d] : topo::kInvalidLink;
-}
-
-std::span<const topo::LinkId> DetourTable::row(
-    topo::NodeId src, std::vector<topo::LinkId>& scratch) const {
+std::span<const topo::LinkId> DetourTable::row(topo::NodeId src) const {
   const std::size_t n = all_nodes_.size();
   Row& r = rows_[src];
-  std::uint8_t state = kEmpty;
-  if (r.state.compare_exchange_strong(state, kFilling,
-                                      std::memory_order_acquire)) {
-    try {
-      auto pred = std::make_unique<topo::LinkId[]>(n);
-      fill(src, pred.get());
-      r.pred = std::move(pred);
-    } catch (...) {
-      r.state.store(kEmpty, std::memory_order_relaxed);
-      throw;
+  std::call_once(r.filled, [&] {
+    static obs::Counter& m_rows =
+        obs::Registry::global().counter("te.table.detour_rows");
+    m_rows.inc();
+    auto pred = std::make_unique<topo::LinkId[]>(n);
+    SsspWorkspace ws;
+    sssp(graph_, no_floor_, 0.0, src, all_nodes_.data(), n, ws);
+    for (std::uint32_t d = 0; d < n; ++d) {
+      pred[d] =
+          d != src && ws.reached(d) ? ws.pred_link[d] : topo::kInvalidLink;
     }
-    r.state.store(kFilled, std::memory_order_release);
-    return {r.pred.get(), n};
+    r.pred = std::move(pred);
+  });
+  return {r.pred.get(), n};
+}
+
+PathTables PathTables::fetch(const topo::Topology& topo) const {
+  PathTables now;
+  now.table = table && table->matches(topo) ? table : PathCache::of(topo);
+  if (std::ranges::any_of(topo.links(),
+                          [](const topo::Link& l) { return !l.up; })) {
+    now.detours = detours && detours->matches(*now.table, topo)
+                      ? detours
+                      : now.table->detours(topo);
   }
-  if (state == kFilled) return {r.pred.get(), n};
-  scratch.resize(n);
-  fill(src, scratch.data());
-  return {scratch.data(), n};
+  return now;
 }
 
 }  // namespace dsdn::te

@@ -26,19 +26,24 @@
 // same topology therefore shares one table, with no rebuild while any of
 // them holds it.
 //
-// Detours: a table path that crosses a down link never clears a sliver
-// threshold, so with links down the table alone would leave those pairs
-// to a search in every solve. detours(topo) hands out the DetourTable of
-// topo's down links -- shortest paths over the up links, one row per
-// source, filled on first use -- which the table keeps in one weak slot,
-// so every solver of one link state (the routers of a converged fleet)
-// shares the rows instead of searching on its own.
+// Detours: a table path that crosses a down link is not a path over the
+// up links. detours(topo) hands out the DetourTable of topo's down links
+// -- shortest paths over the up links, one row per source, filled on
+// first use -- which the table keeps in one weak slot, so every solver
+// of one link state (the routers of a converged fleet) shares the rows
+// instead of searching on its own.
+//
+// The walk: PathTables holds a topology's table and, while links are
+// down, its detour rows, and PathTables::walk is the one reader of
+// either. It answers "the shortest path src -> dst over the up links"
+// for te::Solver (with its residual floor), gravity normalization, the
+// mixed-fleet legacy prediction and IS-IS next hops.
 //
 // The predecessor rows are immutable after construction, so concurrent
 // solves share one table without a lock; only the detour slot is
 // mutex-guarded.
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -74,8 +79,9 @@ class PathCache : public std::enable_shared_from_this<PathCache> {
     return {pred_.data() + static_cast<std::size_t>(src) * n_, n_};
   }
 
-  // The table path src -> dst; empty when dst is unreachable or == src.
-  Path path(topo::NodeId src, topo::NodeId dst) const;
+  std::size_t num_nodes() const { return n_; }
+  // The node link `l` leaves.
+  topo::NodeId tail(topo::LinkId l) const { return links_[l].src; }
 
   // True iff `topo` has exactly the node count, link endpoints and
   // metrics the table was built from.
@@ -115,11 +121,10 @@ class PathCache : public std::enable_shared_from_this<PathCache> {
 // usable set a solve can see (down links carry residual 0, thresholds
 // are > 0), so a detour path that clears the threshold is what a fresh
 // search returns, by the table's argument (DESIGN.md, SoA solver).
-// Keyed by its table and the ids of the down links. A row is filled by
-// the first caller that needs it; a caller that finds it mid-fill
-// computes its own copy instead of waiting, so solvers never block on
-// each other (counter te.table.detour_rows counts every row computed).
-// Thread-safe.
+// Keyed by its table and the up/down state of every link. A row is
+// filled by the first caller that needs it, under std::call_once: a
+// caller that finds it mid-fill waits for it (counter
+// te.table.detour_rows counts every row computed). Thread-safe.
 class DetourTable {
  public:
   DetourTable(std::shared_ptr<const PathCache> table,
@@ -128,28 +133,105 @@ class DetourTable {
   // True iff made by `table` for exactly `topo`'s down links.
   bool matches(const PathCache& table, const topo::Topology& topo) const;
 
+  // True iff link `l` is up in this link state.
+  bool up(topo::LinkId l) const { return up_[l] != 0; }
+
   // Predecessor row of `src` over the up links, laid out like
-  // PathCache::row; filled on the first call for `src`. While another
-  // caller fills it, the row is computed into `scratch` and the span
-  // points there (valid until `scratch` changes).
-  std::span<const topo::LinkId> row(topo::NodeId src,
-                                    std::vector<topo::LinkId>& scratch) const;
+  // PathCache::row; filled on the first call for `src`.
+  std::span<const topo::LinkId> row(topo::NodeId src) const;
 
  private:
-  enum : std::uint8_t { kEmpty, kFilling, kFilled };
   struct Row {
-    std::atomic<std::uint8_t> state{kEmpty};
-    std::unique_ptr<topo::LinkId[]> pred;  // set before state = kFilled
+    std::once_flag filled;
+    std::unique_ptr<topo::LinkId[]> pred;
   };
 
-  void fill(topo::NodeId src, topo::LinkId* pred) const;
-
   std::shared_ptr<const PathCache> table_;
-  std::vector<topo::LinkId> down_;  // ids of the down links, ascending
+  std::vector<char> up_;            // per link
   BatchGraph graph_;                // the up links
   std::vector<double> no_floor_;    // all-zero residuals: every link usable
   std::vector<std::uint32_t> all_nodes_;
   std::unique_ptr<Row[]> rows_;
+};
+
+// A topology's interned table and, while some of its links are down, the
+// detour rows of that link state: strong references, so a holder keeps
+// both alive (and a caller that walks many sources of one view holds one
+// PathTables for the whole loop instead of fetching per source).
+struct PathTables {
+  std::shared_ptr<const PathCache> table;
+  std::shared_ptr<const DetourTable> detours;  // null: every link up
+
+  // The tables of `topo`: PathCache::of(topo) and, with links down, that
+  // table's detours(topo).
+  static PathTables of(const topo::Topology& topo) {
+    return PathTables{}.fetch(topo);
+  }
+  // The tables of `topo`, keeping whichever of these still match it.
+  PathTables fetch(const topo::Topology& topo) const;
+
+  // Appends the shortest path src -> dst over the up links to `out` and
+  // returns true when every link on it clears `clears(link)`; otherwise
+  // leaves `out` as it was and returns false (also without a table, and
+  // when dst is unreachable). The path is the table row's; when that
+  // path crosses a down link, the detour row's. A path returned is what
+  // te::shortest_path over the links that clear returns, link for link
+  // (DESIGN.md, SoA solver), as long as every down link fails `clears`.
+  template <typename Clears>
+  bool walk(topo::NodeId src, topo::NodeId dst, Clears clears,
+            std::vector<topo::LinkId>& out) const {
+    if (!table) return false;
+    bool crosses_down = false;
+    if (walk_row(table->row(src), src, dst, clears, out,
+                 detours ? &crosses_down : nullptr))
+      return true;
+    return crosses_down &&
+           walk_row(detours->row(src), src, dst, clears, out, nullptr);
+  }
+
+  // walk() with "link is up": te::shortest_path(topo, src, dst) for the
+  // topology these tables were fetched for.
+  bool up_path(topo::NodeId src, topo::NodeId dst,
+               std::vector<topo::LinkId>& out) const {
+    return walk(src, dst,
+                [this](topo::LinkId l) { return !detours || detours->up(l); },
+                out);
+  }
+
+ private:
+  // One row's path, walked back from dst. With `crosses_down`, a walk
+  // stopped by a link that is up goes on toward src and reports whether
+  // the path holds a down link.
+  template <typename Clears>
+  bool walk_row(std::span<const topo::LinkId> pred, topo::NodeId src,
+                topo::NodeId dst, Clears clears,
+                std::vector<topo::LinkId>& out, bool* crosses_down) const {
+    const std::size_t off = out.size();
+    bool all_clear = true;
+    for (topo::NodeId at = dst; at != src;) {
+      const topo::LinkId lid = pred[at];
+      if (lid == topo::kInvalidLink) {
+        all_clear = false;
+        break;
+      }
+      if (!clears(lid)) {
+        all_clear = false;
+        if (!crosses_down) break;
+        if (!detours->up(lid)) {
+          *crosses_down = true;
+          break;
+        }
+      }
+      out.push_back(lid);
+      at = table->tail(lid);
+    }
+    if (!all_clear) {
+      out.resize(off);
+      return false;
+    }
+    std::reverse(out.begin() + static_cast<std::ptrdiff_t>(off), out.end());
+    return true;
+  }
 };
 
 }  // namespace dsdn::te

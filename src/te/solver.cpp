@@ -227,29 +227,21 @@ void sssp(const BatchGraph& g, const std::vector<double>& residual,
 
 Solver::HeldTable& Solver::HeldTable::operator=(const HeldTable& other) {
   if (this != &other) {
-    Tables held = other.get();
+    PathTables held = other.get();
     std::lock_guard<std::mutex> lock(mu_);
     held_ = std::move(held);
   }
   return *this;
 }
 
-Solver::HeldTable::Tables Solver::HeldTable::get() const {
+PathTables Solver::HeldTable::get() const {
   std::lock_guard<std::mutex> lock(mu_);
   return held_;
 }
 
-Solver::HeldTable::Tables Solver::HeldTable::fetch(const topo::Topology& topo,
-                                                   bool links_down) {
-  const Tables held = get();
-  Tables now;
-  now.table = held.table && held.table->matches(topo) ? held.table
-                                                      : PathCache::of(topo);
-  if (links_down) {
-    now.detours = held.detours && held.detours->matches(*now.table, topo)
-                      ? held.detours
-                      : now.table->detours(topo);
-  }
+PathTables Solver::HeldTable::fetch(const topo::Topology& topo) {
+  const PathTables held = get();
+  PathTables now = held.fetch(topo);
   if (now.table != held.table || now.detours != held.detours) {
     std::lock_guard<std::mutex> lock(mu_);
     held_ = now;
@@ -297,22 +289,15 @@ Solution Solver::solve(const topo::Topology& topo,
   // A down link contributes no capacity -- also when the caller seeded
   // residuals (an override computed before the link failed may carry
   // leftover headroom the allocator must never hand out).
-  bool links_down = false;
   for (std::size_t l = 0; l < topo.num_links(); ++l) {
-    if (!topo.link(static_cast<topo::LinkId>(l)).up) {
-      residual[l] = 0.0;
-      links_down = true;
-    }
+    if (!topo.link(static_cast<topo::LinkId>(l)).up) residual[l] = 0.0;
   }
 
   // Held for the whole solve, so a concurrent solve of another topology
   // on this Solver cannot drop them. A build is its own layer
   // (te.underlay.build), outside wall_time_s; detour rows fill inside it.
-  const HeldTable::Tables tables = options_.path_table
-                                       ? table_.fetch(topo, links_down)
-                                       : HeldTable::Tables{};
-  const PathCache* const table = tables.table.get();
-  const DetourTable* const detours = tables.detours.get();
+  const PathTables tables =
+      options_.path_table ? table_.fetch(topo) : PathTables{};
 
   const auto t_start = Clock::now();
 
@@ -404,54 +389,21 @@ Solution Solver::solve(const topo::Topology& topo,
     for (topo::LinkId l : links_of(r)) bn = std::min(bn, residual[l]);
     return bn;
   };
-  std::vector<topo::LinkId> detour_scratch;  // a row another solve fills
-  // Walks the path src -> dst of a predecessor row into the arena; len 0
-  // (nothing appended) when dst is unreachable or a link falls below
-  // `min_residual`. With `crosses_down`, a short walk goes on to the
-  // source and reports whether the path holds a down link.
-  auto walk = [&](std::span<const topo::LinkId> pred, std::uint32_t src,
-                  std::uint32_t dst, double min_residual,
-                  bool* crosses_down) {
-    const auto off = static_cast<std::uint32_t>(arena.size());
-    bool clears = true;
-    for (std::uint32_t at = dst; at != src;) {
-      const topo::LinkId lid = pred[at];
-      if (lid == topo::kInvalidLink) {
-        clears = false;
-        break;
-      }
-      if (residual[lid] < min_residual) {
-        clears = false;
-        if (!crosses_down) break;
-        if (!topo.link(lid).up) {
-          *crosses_down = true;
-          break;
-        }
-      }
-      arena.push_back(lid);
-      at = graph.link_src[lid];
-    }
-    if (!clears) {
-      arena.resize(off);
-      return Run{off, 0};
-    }
-    std::reverse(arena.begin() + off, arena.end());
-    return Run{off, static_cast<std::uint32_t>(arena.size() - off)};
-  };
   // The pair's table path (Fig 15), or its detour path when the table
-  // path crosses a down link; len 0 without a table or when the path
-  // falls below `min_residual`. A path that clears it is what a fresh
-  // search at that threshold would return, link for link (DESIGN.md, SoA
-  // solver).
+  // path crosses a down link, appended to the arena; len 0 (nothing
+  // appended) without a table or when the path falls below
+  // `min_residual`. A path that clears it is what a fresh search at that
+  // threshold would return, link for link (DESIGN.md, SoA solver).
   auto table_path = [&](std::uint32_t src, std::uint32_t dst,
                         double min_residual) {
-    if (!table) return Run{static_cast<std::uint32_t>(arena.size()), 0};
-    bool crosses_down = false;
-    const Run r = walk(table->row(src), src, dst, min_residual,
-                       detours ? &crosses_down : nullptr);
-    if (r.len > 0 || !crosses_down) return r;
-    return walk(detours->row(src, detour_scratch), src, dst, min_residual,
-                nullptr);
+    const auto off = static_cast<std::uint32_t>(arena.size());
+    tables.walk(
+        src, dst,
+        [res = residual.data(), min_residual](topo::LinkId l) {
+          return res[l] >= min_residual;
+        },
+        arena);
+    return Run{off, static_cast<std::uint32_t>(arena.size() - off)};
   };
 
   // Per-class demand state, SoA keyed by slot.

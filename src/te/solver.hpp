@@ -157,23 +157,17 @@ class Solver {
   // Copies share them; concurrent const solves swap them under the lock.
   class HeldTable {
    public:
-    struct Tables {
-      std::shared_ptr<const PathCache> table;
-      std::shared_ptr<const DetourTable> detours;  // null: no link down
-    };
-
     HeldTable() = default;
     HeldTable(const HeldTable& other) : held_(other.get()) {}
     HeldTable& operator=(const HeldTable& other);
-    Tables get() const;
-    // The held tables when they match `topo`, else PathCache::of(topo)
-    // and its detours(topo) (only when `links_down`), which are then
-    // held.
-    Tables fetch(const topo::Topology& topo, bool links_down);
+    PathTables get() const;
+    // The tables of `topo` (PathTables::fetch from the held ones), which
+    // are then held.
+    PathTables fetch(const topo::Topology& topo);
 
    private:
     mutable std::mutex mu_;
-    Tables held_;
+    PathTables held_;
   };
 
   SolverOptions options_;

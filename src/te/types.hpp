@@ -62,6 +62,12 @@ struct Allocation {
   // Rate actually admitted (<= demand.rate_gbps when capacity is short).
   double allocated_gbps = 0.0;
   std::vector<WeightedPath> paths;
+
+  // Adds `sign` times the rate this allocation places on each link to
+  // per_link[link]: +1 sums placed load, -1 deducts it from residuals.
+  // Every per-link load sum (residuals, the checkers, the warm solver's
+  // release) goes through here, so they all add in one order.
+  void add_load(double sign, std::vector<double>& per_link) const;
 };
 
 // The full TE solution: one Allocation per input demand, same order.

@@ -3,23 +3,19 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "te/dijkstra.hpp"
+#include "te/path_cache.hpp"
 
 namespace dsdn::traffic {
 
 double shortest_path_max_utilization(const topo::Topology& topo,
                                      const TrafficMatrix& tm) {
   std::vector<double> load(topo.num_links(), 0.0);
-  // One Dijkstra per distinct source.
-  std::vector<char> have_tree(topo.num_nodes(), 0);
-  std::vector<std::vector<te::Path>> trees(topo.num_nodes());
+  const te::PathTables paths = te::PathTables::of(topo);
+  std::vector<topo::LinkId> path;
   for (const Demand& d : tm.demands()) {
-    if (!have_tree[d.src]) {
-      trees[d.src] = te::shortest_path_tree(topo, d.src);
-      have_tree[d.src] = 1;
-    }
-    const te::Path& p = trees[d.src][d.dst];
-    for (topo::LinkId l : p.links) load[l] += d.rate_gbps;
+    path.clear();
+    paths.up_path(d.src, d.dst, path);
+    for (topo::LinkId l : path) load[l] += d.rate_gbps;
   }
   double worst = 0.0;
   for (std::size_t l = 0; l < load.size(); ++l) {

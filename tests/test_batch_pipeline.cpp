@@ -611,17 +611,22 @@ TEST(BatchPipeline, ReprogramDuringForwardNeverTearsABatch) {
   }
   // Publisher keeps flipping programs until every forwarding core has
   // finished its rounds (fixed round count so the test is meaningful on
-  // a single-CPU machine too).
-  std::uint64_t publishes = 0;
+  // a single-CPU machine too). The cores start only after its first
+  // flip, so the flips overlap forwarding however the threads are
+  // scheduled.
+  std::atomic<std::uint64_t> publishes{0};
   std::thread publisher([&] {
-    while (!done.load(std::memory_order_relaxed)) {
-      hub.publish_router(0, (publishes & 1) ? prog_b : prog_a);
-      ++publishes;
-    }
+    do {
+      const std::uint64_t n = publishes.load(std::memory_order_relaxed);
+      hub.publish_router(0, (n & 1) ? prog_b : prog_a);
+      publishes.store(n + 1, std::memory_order_release);
+    } while (!done.load(std::memory_order_relaxed));
   });
   std::vector<std::thread> cores;
   for (std::size_t c = 0; c < 2; ++c) {
     cores.emplace_back([&, c] {
+      while (publishes.load(std::memory_order_acquire) == 0)
+        std::this_thread::yield();
       std::vector<PacketVerdict> out;
       for (int round = 0; round < 100; ++round) {
         pipes[c]->process(pool, out);
@@ -636,8 +641,8 @@ TEST(BatchPipeline, ReprogramDuringForwardNeverTearsABatch) {
   publisher.join();
 
   EXPECT_EQ(bad.load(), 0u);
-  EXPECT_GT(publishes, 0u);
-  EXPECT_EQ(hub.epoch(), epoch0 + publishes);
+  EXPECT_GT(publishes.load(), 0u);
+  EXPECT_EQ(hub.epoch(), epoch0 + publishes.load());
   for (const auto& p : pipes) {
     const PipelineStats s = p->stats();
     EXPECT_EQ(s.packets, 100u * pool.size());

@@ -7,6 +7,7 @@
 #include "dataplane/forwarder.hpp"
 #include "isis/per_hop.hpp"
 #include "sim/convergence.hpp"
+#include "solver_golden.hpp"
 #include "te/dijkstra.hpp"
 #include "topo/builder.hpp"
 #include "topo/synthetic.hpp"
@@ -19,9 +20,10 @@ namespace {
 using isis::PerHopOutcome;
 
 std::vector<isis::NextHopTable> tables_from_view(const topo::Topology& view) {
+  const te::PathTables paths = te::PathTables::of(view);
   std::vector<isis::NextHopTable> tables;
   for (topo::NodeId n = 0; n < view.num_nodes(); ++n) {
-    tables.push_back(isis::compute_next_hops(view, n));
+    tables.push_back(isis::compute_next_hops(paths, n));
   }
   return tables;
 }
@@ -34,6 +36,29 @@ TEST(PerHop, DeliversWhenAllViewsAgree) {
     EXPECT_EQ(r.outcome, PerHopOutcome::kDelivered);
     EXPECT_EQ(r.trace.back(), d);
   }
+}
+
+// Every B4 router's next hops, on the intact view and with two fibers
+// down. Recorded when each router built its own shortest-path tree;
+// walking the path table must not move a hop.
+TEST(PerHopGolden, B4NextHopsArePinned) {
+  topo::Topology view = topo::make_b4_like();
+  const auto digest = [&] {
+    golden::Fnv f;
+    const auto tables = tables_from_view(view);
+    for (const isis::NextHopTable& t : tables) {
+      f.add(static_cast<std::uint64_t>(t.self));
+      for (topo::LinkId l : t.next_hop) f.add(static_cast<std::uint64_t>(l));
+    }
+    return f.h;
+  };
+  const std::uint64_t intact = digest();
+  EXPECT_EQ(intact, 0x814d392491e15704u) << "intact: 0x" << std::hex << intact;
+  for (topo::LinkId fiber : sim::pick_failure_fibers(view, 2, 22))
+    view.set_duplex_up(fiber, false);
+  const std::uint64_t cut = digest();
+  EXPECT_EQ(cut, 0x5bae536797102f4du)
+      << "two fibers down: 0x" << std::hex << cut;
 }
 
 TEST(PerHop, MicroLoopUnderDivergentViews) {
@@ -52,11 +77,13 @@ TEST(PerHop, MicroLoopUnderDivergentViews) {
   topo::Topology fresh = t;   // post-failure view
   fresh.set_duplex_up(fresh.find_link(2, 3), false);
 
+  const te::PathTables fresh_paths = te::PathTables::of(fresh);
+  const te::PathTables stale_paths = te::PathTables::of(stale);
   std::vector<isis::NextHopTable> tables;
-  tables.push_back(isis::compute_next_hops(fresh, 0));
-  tables.push_back(isis::compute_next_hops(stale, 1));  // NOT converged
-  tables.push_back(isis::compute_next_hops(fresh, 2));
-  tables.push_back(isis::compute_next_hops(fresh, 3));
+  tables.push_back(isis::compute_next_hops(fresh_paths, 0));
+  tables.push_back(isis::compute_next_hops(stale_paths, 1));  // NOT converged
+  tables.push_back(isis::compute_next_hops(fresh_paths, 2));
+  tables.push_back(isis::compute_next_hops(fresh_paths, 3));
 
   topo::Topology ground = fresh;
   const auto r = isis::forward_per_hop(ground, tables, 1, 3);
@@ -118,10 +145,12 @@ TEST_P(ConsensusSweep, RandomPartialConvergenceStates) {
   topo.set_duplex_up(fibers.front(), false);
 
   // Random subset of routers has reconverged onto the post-failure view.
+  const te::PathTables fresh_paths = te::PathTables::of(topo);
+  const te::PathTables stale_paths = te::PathTables::of(stale_view);
   std::vector<isis::NextHopTable> tables;
   for (topo::NodeId n = 0; n < topo.num_nodes(); ++n) {
     tables.push_back(isis::compute_next_hops(
-        rng.bernoulli(0.5) ? topo : stale_view, n));
+        rng.bernoulli(0.5) ? fresh_paths : stale_paths, n));
   }
 
   std::size_t sr_loops = 0;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -114,16 +115,6 @@ TEST(Dijkstra, DistancesFromARoot) {
   const std::vector<double> cost = {1.0, 2.0, 4.0};
   EXPECT_EQ(shortest_distances(t, a, cost),
             (std::vector<double>{0.0, 1.0, 3.0}));
-}
-
-TEST(Dijkstra, TreeMatchesPointQueries) {
-  const auto t = topo::make_abilene();
-  const auto tree = shortest_path_tree(t, 0);
-  for (topo::NodeId d = 1; d < t.num_nodes(); ++d) {
-    const auto p = shortest_path(t, 0, d);
-    ASSERT_TRUE(p.has_value());
-    EXPECT_DOUBLE_EQ(tree[d].igp_cost(t), p->igp_cost(t)) << "dst " << d;
-  }
 }
 
 TEST(Dijkstra, ShortestPathMinimizesMetricNotDelay) {
@@ -273,6 +264,18 @@ TEST(PathCache, SurvivesLinkLossAndRestoration) {
   EXPECT_EQ(counter("te.table.builds"), builds);
 }
 
+// The path s -> d of a predecessor row, walked back from d independently
+// of PathTables::walk; empty when d is unreachable.
+Path row_path(std::span<const topo::LinkId> row, const topo::Topology& t,
+              topo::NodeId s, topo::NodeId d) {
+  Path p;
+  for (topo::NodeId at = d; at != s; at = t.link(row[at]).src) {
+    if (row[at] == topo::kInvalidLink) return {};
+    p.links.insert(p.links.begin(), row[at]);
+  }
+  return p;
+}
+
 // Table paths are te::shortest_path over every link, up or down, for
 // every ordered pair -- also when the table is built with links down.
 TEST(PathCache, TablePathsAreStateObliviousShortestPaths) {
@@ -291,7 +294,7 @@ TEST(PathCache, TablePathsAreStateObliviousShortestPaths) {
           if (s == d) continue;
           const auto want = shortest_path(t, s, d, every_link);
           ASSERT_TRUE(want.has_value());
-          ASSERT_EQ(cache.path(s, d), *want)
+          ASSERT_EQ(row_path(cache.row(s), t, s, d), *want)
               << t.num_nodes() << " nodes, " << cuts << " cuts, " << s
               << " -> " << d;
         }
@@ -315,18 +318,13 @@ TEST(PathCache, DetourRowsAreUpLinkShortestPaths) {
       EXPECT_EQ(table->detours(t), detours);
       EXPECT_NE(detours, previous);
       EXPECT_TRUE(detours->matches(*table, t));
-      std::vector<topo::LinkId> scratch;
       for (topo::NodeId s = 0; s < t.num_nodes(); ++s) {
-        const auto row = detours->row(s, scratch);
-        EXPECT_TRUE(scratch.empty());  // nobody else was filling it
+        const auto row = detours->row(s);
         ASSERT_EQ(row.size(), t.num_nodes());
         EXPECT_EQ(row[s], topo::kInvalidLink);
         for (topo::NodeId d = 0; d < t.num_nodes(); ++d) {
           if (s == d) continue;
-          Path walked;
-          for (topo::NodeId at = d; at != s && row[at] != topo::kInvalidLink;
-               at = t.link(row[at]).src)
-            walked.links.insert(walked.links.begin(), row[at]);
+          const Path walked = row_path(row, t, s, d);
           const auto want = shortest_path(t, s, d);
           if (!want) {
             EXPECT_EQ(row[d], topo::kInvalidLink) << s << " -> " << d;
@@ -340,6 +338,42 @@ TEST(PathCache, DetourRowsAreUpLinkShortestPaths) {
     }
     t.set_duplex_up(1, true);
     EXPECT_FALSE(previous->matches(*PathCache::of(t), t));
+  }
+}
+
+// The one walk every up-link consumer reads (gravity, IS-IS, the mixed
+// fleet's legacy prediction) is te::shortest_path over the up links for
+// every ordered pair, with 0, 1 and 3 fibers down; an unreachable pair
+// walks nothing and leaves the output as it was.
+TEST(PathTables, UpPathIsUpLinkShortestPath) {
+  for (auto t : {topo::make_abilene(), topo::make_geant(),
+                 topo::make_b4_like()}) {
+    for (int cuts : {0, 1, 3}) {
+      for (int k = 0; k < cuts; ++k)
+        t.set_duplex_up(static_cast<topo::LinkId>(4 * k + 1), false);
+      const PathTables paths = PathTables::of(t);
+      EXPECT_EQ(paths.detours == nullptr, cuts == 0);
+      for (topo::NodeId s = 0; s < t.num_nodes(); ++s) {
+        for (topo::NodeId d = 0; d < t.num_nodes(); ++d) {
+          if (s == d) continue;
+          std::vector<topo::LinkId> walked = {topo::kInvalidLink};
+          const bool found = paths.up_path(s, d, walked);
+          const auto want = shortest_path(t, s, d);
+          ASSERT_EQ(found, want.has_value()) << s << " -> " << d;
+          ASSERT_EQ(walked.front(), topo::kInvalidLink);  // appended
+          walked.erase(walked.begin());
+          if (!want) {
+            EXPECT_TRUE(walked.empty());
+            continue;
+          }
+          ASSERT_EQ(walked, want->links)
+              << t.num_nodes() << " nodes, " << cuts << " cuts, " << s
+              << " -> " << d;
+        }
+      }
+      for (int k = 0; k < cuts; ++k)
+        t.set_duplex_up(static_cast<topo::LinkId>(4 * k + 1), true);
+    }
   }
 }
 

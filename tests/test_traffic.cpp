@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "sim/convergence.hpp"
+#include "solver_golden.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
 #include "traffic/flow_group.hpp"
@@ -98,6 +100,59 @@ TEST(Gravity, SkipsIntraMetroPairs) {
   const auto tm = generate_gravity(t);
   for (const Demand& d : tm.demands()) {
     EXPECT_NE(t.node(d.src).metro, t.node(d.dst).metro);
+  }
+}
+
+// Gravity rows and the shortest-path utilization that normalizes them,
+// doubles by bit pattern: Abilene and GEANT over every pair, B4 over 15%
+// and B2 over 1% of pairs, seeds 1 and 2 each, and B4 with three fibers
+// down. Recorded when normalization still built one shortest-path tree
+// per source; walking the path table must not move a bit.
+TEST(GravityGolden, RowsAndShortestPathUtilizationArePinned) {
+  const auto digest = [](const topo::Topology& topo, double pair_fraction,
+                         std::uint64_t seed) {
+    GravityParams gp;
+    gp.pair_fraction = pair_fraction;
+    gp.seed = seed;
+    const TrafficMatrix tm = generate_gravity(topo, gp);
+    golden::Fnv f;
+    f.add(static_cast<std::uint64_t>(tm.size()));
+    for (const Demand& d : tm.demands()) {
+      f.add(static_cast<std::uint64_t>(d.src));
+      f.add(static_cast<std::uint64_t>(d.dst));
+      f.add(static_cast<std::uint64_t>(d.priority));
+      f.add(d.rate_gbps);
+    }
+    f.add(shortest_path_max_utilization(topo, tm));
+    return f.h;
+  };
+  struct Case {
+    const char* name;
+    topo::Topology topo;
+    double pair_fraction;
+    std::array<std::uint64_t, 2> golden;  // seeds 1, 2
+  };
+  topo::Topology b4_cut = topo::make_b4_like();
+  for (topo::LinkId fiber : sim::pick_failure_fibers(b4_cut, 3, 22))
+    b4_cut.set_duplex_up(fiber, false);
+  const Case cases[] = {
+      {"abilene", topo::make_abilene(), 1.0,
+       {0x21d4c006a791e80c, 0x0fb886a5837923a5}},
+      {"geant", topo::make_geant(), 1.0,
+       {0xd6f61660bfb6a4e0, 0xab24629b27671dd0}},
+      {"b4", topo::make_b4_like(), 0.15,
+       {0x21cc1987b001af18, 0xf3e1609b95f9dfb7}},
+      {"b2", topo::make_b2_like(), 0.01,
+       {0x7d208ba0e2124b51, 0xb6d43f7926d28a8c}},
+      {"b4 three fibers down", b4_cut, 0.15,
+       {0x8c7a2987efe69b6a, 0xf3e1609b95f9dfb7}},
+  };
+  for (const Case& c : cases) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      const std::uint64_t h = digest(c.topo, c.pair_fraction, seed);
+      EXPECT_EQ(h, c.golden[seed - 1])
+          << c.name << " seed " << seed << ": 0x" << std::hex << h;
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include "core/controller.hpp"
 #include "core/upgrade.hpp"
+#include "sim/convergence.hpp"
+#include "solver_golden.hpp"
 #include "te/dijkstra.hpp"
 #include "topo/synthetic.hpp"
 #include "topo/zoo.hpp"
@@ -112,6 +114,46 @@ TEST(MixedSolver, TeTrafficAvoidsCapacityConsumedByLegacy) {
     }
   }
   EXPECT_GT(via_c, 0.5);
+}
+
+// A B4 fleet of shortest-path, SR and strict TE members (router n runs
+// algorithm n mod 3), at 60% and 140% load, intact and with three fibers
+// down. Recorded when the legacy prediction built one shortest-path tree
+// per source; walking the path table must not move a placement bit.
+TEST(MixedSolverGolden, B4FleetWithShortestPathMembersIsPinned) {
+  const auto algo_of = [](topo::NodeId n) {
+    switch (n % 3) {
+      case 0: return PathingAlgorithm::kShortestPath;
+      case 1: return PathingAlgorithm::kSegmentRouting;
+      default: return PathingAlgorithm::kMaxMinFairTe;
+    }
+  };
+  const MixedAlgorithmSolver mixed(algo_of);
+  const topo::Topology base = topo::make_b4_like();
+  topo::Topology cut = base;
+  for (topo::LinkId fiber : sim::pick_failure_fibers(cut, 3, 22))
+    cut.set_duplex_up(fiber, false);
+  // [load][intact, cut]
+  constexpr std::uint64_t kGolden[2][2] = {
+      {0xdf49264e0558da49, 0x1ce775df100eccd7},
+      {0xb8e49f520d3f5f13, 0x5362fcf9db0d9811},
+  };
+  const topo::Topology* const views[] = {&base, &cut};
+  std::size_t row = 0;
+  for (double load : {0.6, 1.4}) {
+    traffic::GravityParams gp;
+    gp.pair_fraction = 0.15;
+    gp.target_max_utilization = load;
+    const auto tm = traffic::generate_gravity(base, gp).aggregated();
+    for (std::size_t col = 0; col < 2; ++col) {
+      golden::Fnv f;
+      f.add(mixed.solve(*views[col], tm, nullptr));
+      EXPECT_EQ(f.h, kGolden[row][col])
+          << "load " << load << (col ? " cut" : " intact") << ": 0x"
+          << std::hex << f.h;
+    }
+    ++row;
+  }
 }
 
 TEST(MixedSolver, ConsensusAcrossMixedControllers) {

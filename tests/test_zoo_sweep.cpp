@@ -42,16 +42,18 @@ TEST_P(ZooSweep, SublabelDataPlaneDeliversDiameterPath) {
     fibs.push_back(dataplane::SublabelFib::build(topo_, n, a));
   }
   // The longest shortest path from node 0.
-  const auto tree = te::shortest_path_tree(topo_, 0);
-  const te::Path* longest = nullptr;
-  for (const auto& p : tree) {
-    if (!p.empty() && (!longest || p.hops() > longest->hops())) longest = &p;
+  const te::PathTables paths = te::PathTables::of(topo_);
+  te::Path longest, p;
+  for (topo::NodeId d = 1; d < topo_.num_nodes(); ++d) {
+    p.links.clear();
+    if (paths.up_path(0, d, p.links) && p.hops() > longest.hops())
+      longest = p;
   }
-  ASSERT_NE(longest, nullptr) << name_;
+  ASSERT_FALSE(longest.empty()) << name_;
   const auto r = dataplane::forward_sublabel(
-      topo_, fibs, 0, dataplane::encode_sublabel_route(*longest, a));
+      topo_, fibs, 0, dataplane::encode_sublabel_route(longest, a));
   EXPECT_TRUE(r.delivered) << name_;
-  EXPECT_EQ(r.final_node, longest->dst(topo_)) << name_;
+  EXPECT_EQ(r.final_node, longest.dst(topo_)) << name_;
 }
 
 TEST_P(ZooSweep, FailureDrillThroughRealControllers) {
